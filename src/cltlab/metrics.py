@@ -7,6 +7,8 @@ All operations are pure; distributions are immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from math import comb
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -253,21 +255,13 @@ def _integrate_piecewise_gaussian(lo, hi, xval, sigma, r, tol=QUAD_ABS_TOL):
     return total
 
 
-def wasserstein_vs_gaussian(x: EmpiricalDistribution, g: GaussianLaw, r: float) -> DistanceEstimate:
-    """W_r between a weighted sample and a centered Gaussian, by exact
-    piecewise quadrature of the quantile formula."""
-    if r <= 0:
-        raise MetricsError("r must be positive")
-    sigma = g.sigma
-    if sigma == 0.0:
-        v = float(np.sum(x.weights * np.abs(x.points) ** r))
-        v = v ** (1.0 / r) if r >= 1.0 else v
-        return DistanceEstimate(v, v, v, "exact-monotone")
-    cw = x.cumweights
+def _quadrature_cost(points: np.ndarray, cw: np.ndarray, sigma: float, r: float) -> float:
+    """int_0^1 |F^{-1}(u) - sigma Phi^{-1}(u)|^r du for sorted points with
+    cumulative weights cw, by adaptive panel quadrature (sigma > 0)."""
     lo = np.concatenate(([0.0], cw[:-1]))
     hi = cw.copy()
     hi[-1] = 1.0
-    xval = x.points.copy()
+    xval = points.copy()
     keep = hi > lo
     lo, hi, xval = lo[keep], hi[keep], xval[keep]
     # split panels at the sign change of x - sigma * Phi^{-1}(u)
@@ -277,12 +271,132 @@ def wasserstein_vs_gaussian(x: EmpiricalDistribution, g: GaussianLaw, r: float) 
         lo = np.concatenate([lo[~inside], lo[inside], ustar[inside]])
         hi = np.concatenate([hi[~inside], ustar[inside], hi[inside]])
         xval = np.concatenate([xval[~inside], xval[inside], xval[inside]])
-    integral = _integrate_piecewise_gaussian(lo, hi, xval, sigma, r)
+    return _integrate_piecewise_gaussian(lo, hi, xval, sigma, r)
+
+
+def wasserstein_vs_gaussian(x: EmpiricalDistribution, g: GaussianLaw, r: float) -> DistanceEstimate:
+    """W_r between a weighted sample and a centered Gaussian, by piecewise
+    quadrature of the quantile formula.
+
+    The panel tolerance QUAD_ABS_TOL stops refining the two log-singular end
+    panels early: at r = 1, M = 10^4 the integral is low by about 4e-11
+    absolute (7e-9 relative) against the exact panel sums of
+    gaussian_panel_integrals."""
+    if r <= 0:
+        raise MetricsError("r must be positive")
+    sigma = g.sigma
+    if sigma == 0.0:
+        v = float(np.sum(x.weights * np.abs(x.points) ** r))
+        v = v ** (1.0 / r) if r >= 1.0 else v
+        return DistanceEstimate(v, v, v, "exact-monotone")
+    integral = _quadrature_cost(x.points, x.cumweights, sigma, r)
     if r >= 1.0:
         v = integral ** (1.0 / r)
         return DistanceEstimate(v, v, v, "exact-monotone")
     # monotone coupling not proven optimal for concave costs against a diffuse law
     return DistanceEstimate(integral, 0.0, integral, "quadrature")
+
+
+def gaussian_panel_integrals(lo, hi, x, sigma: float, r: int) -> np.ndarray:
+    """Exact int_lo^hi |x - sigma Phi^{-1}(u)|^r du per panel, for integer
+    r >= 1 and sigma > 0; the arguments broadcast.
+
+    With z = Phi^{-1}(u) a panel is int_a^b |x - sigma z|^r phi(z) dz. Split
+    at z* = x / sigma, each half has one sign and expands binomially into
+    sum_k C(r, k) x^{r-k} (-sigma)^k I_k with I_k = int z^k phi:
+    I_0 = the exact u-width, I_1 = phi(a) - phi(b) and
+    I_k = (k - 1) I_{k-2} + a^{k-1} phi(a) - b^{k-1} phi(b).
+    A zero-width panel gives exactly 0."""
+    if r < 1 or r != int(r) or sigma <= 0:
+        raise MetricsError("exact panels need an integer r >= 1 and sigma > 0")
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    a, b = norm_quantile(lo), norm_quantile(hi)
+    return _gaussian_panels(lo, hi, a, b, norm_pdf(a), norm_pdf(b), np.asarray(x, dtype=float), sigma, int(r))
+
+
+def _gaussian_panels(lo, hi, a, b, pa, pb, x, sigma, r):
+    """gaussian_panel_integrals given the z-ends a, b and their densities."""
+    # the recursion makes I_k = c_k (u-width) + p_k(a) phi(a) - p_k(b) phi(b)
+    # with c_k = (k-1) c_{k-2} and p_k = (k-1) p_{k-2} + z^{k-1}, so a half
+    # panel is q * (u-width) + H(a) - H(b) with H(z) = phi(z) P(z)
+    c, p = [1, 0], [[], [1]]
+    for k in range(2, r + 1):
+        c.append((k - 1) * c[k - 2])
+        p.append([(k - 1) * v for v in p[k - 2]] + [0, 1])
+    coef = [comb(r, k) * (-sigma) ** k * x ** (r - k) for k in range(r + 1)]
+    q = sum(ck * ak for ck, ak in zip(c, coef))
+    poly = [sum(coef[k] * p[k][j] for k in range(j + 1, r + 1)) for j in range(r)]
+
+    def h(z, pdf):
+        if r == 1:
+            return pdf * poly[0]
+        z = np.where(pdf > 0.0, z, 0.0)  # phi(z) P(z) -> 0 at infinite z
+        acc = poly[-1]
+        for cj in poly[-2::-1]:
+            acc = acc * z + cj
+        return pdf * acc
+
+    # split where x - sigma z changes sign. The u-widths of the halves are
+    # measured from the nearer end e of (0, 1), where the tail mass t beyond
+    # z* has full relative precision: (e - lo) -/+ t and -/+ t - (e - hi).
+    # A split outside the panel falls on its nearer end, so that half has
+    # width exactly 0
+    zstar = x / sigma
+    up = zstar > 0.0
+    end = np.where(up, 1.0, 0.0)
+    tail = np.where(up, 1.0, -1.0) * norm_cdf(-np.abs(zstar))
+    wl = (end - lo) - tail
+    wr = tail - (end - hi)
+    span = hi - lo
+    at_lo, at_hi = wl <= 0.0, wr <= 0.0
+    ps = np.where(at_lo, pa, np.where(at_hi, pb, norm_pdf(zstar)))
+    # H(z) = -sigma phi(z) does not depend on z at r = 1
+    zs = zstar if r == 1 else np.where(at_lo, a, np.where(at_hi, b, zstar))
+    hs = h(zs, ps)
+    left = q * np.minimum(np.maximum(wl, 0.0), span) + h(a, pa) - hs
+    right = q * np.minimum(np.maximum(wr, 0.0), span) + hs - h(b, pb)
+    return np.abs(left) + np.abs(right)
+
+
+@lru_cache(maxsize=8)
+def _quantile_table(m: int) -> tuple:
+    """Phi^{-1}(k / m) and its density for k = 0..m, read-only (shared)."""
+    z = norm_quantile(np.arange(m + 1) / m)
+    pdf = norm_pdf(z)
+    z.flags.writeable = pdf.flags.writeable = False
+    return z, pdf
+
+
+def wasserstein_vs_gaussian_counts(points: np.ndarray, counts: np.ndarray, g: GaussianLaw, r: float) -> np.ndarray:
+    """W_r against g of each row's law sum_j counts[i, j] delta_{points[j]} / m,
+    where points is sorted and every row of counts sums to m.
+
+    Integer r uses the exact panels of gaussian_panel_integrals; other r the
+    same quadrature as wasserstein_vs_gaussian. Rows are evaluated
+    independently: a row's value does not depend on the rows beside it."""
+    if r <= 0:
+        raise MetricsError("r must be positive")
+    counts = np.atleast_2d(counts)
+    m = int(counts[0].sum())
+    sigma = g.sigma
+    if sigma == 0.0:
+        cost = (counts * np.abs(points) ** r).sum(axis=1) / m
+    elif r == int(r):
+        # panel j of a row spans the cumulative weights k[j] / m .. k[j + 1] / m
+        k = np.zeros((counts.shape[0], counts.shape[1] + 1), dtype=np.int64)
+        np.cumsum(counts, axis=1, out=k[:, 1:])
+        z_tab, pdf_tab = _quantile_table(m)
+        u, z, pdf = k / m, np.take(z_tab, k), np.take(pdf_tab, k)
+        panels = _gaussian_panels(u[:, :-1], u[:, 1:], z[:, :-1], z[:, 1:], pdf[:, :-1], pdf[:, 1:], points, sigma, int(r))
+        cost = panels.sum(axis=1)
+    else:
+        cost = np.empty(counts.shape[0])
+        for i, row in enumerate(counts):
+            keep = row > 0
+            cw = np.minimum(np.cumsum(row[keep] / m), 1.0)
+            cost[i] = _quadrature_cost(points[keep], cw, sigma, r)
+    return cost ** (1.0 / r) if r >= 1.0 else cost
 
 
 def gaussian_gaussian_distance(a: GaussianLaw, b: GaussianLaw, r: float) -> float:

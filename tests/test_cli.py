@@ -3,10 +3,13 @@ manifests, and reproducibility."""
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cltlab
 from cltlab.cli import main
 from cltlab.experiments import calibration_floor
 from cltlab.io import IOError_, RunManifest, config_digest, load_batch, read_manifest
@@ -26,6 +29,14 @@ def write_cfg(tmp_path, name="cfg.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path), cfg
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats costs about a second at every start and is not needed
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cltlab.__file__)))
+    code = "import sys, cltlab.cli; sys.exit('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 # ---------------------------------------------------------------------------

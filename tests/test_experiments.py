@@ -3,16 +3,21 @@
 import numpy as np
 import pytest
 
+import cltlab.experiments as experiments
+from cltlab import rng as rngmod
 from cltlab.experiments import (
+    BOOTSTRAP_RESAMPLES,
     ExperimentError,
     ExperimentPlan,
     berry_esseen_cascade,
     calibration_floor,
+    _bootstrap_stderr,
     run_experiment,
+    spearman_rho,
     theoretical_exponent,
     upper_bound_consistency,
 )
-from cltlab.metrics import EmpiricalDistribution, GaussianLaw, wasserstein_vs_gaussian
+from cltlab.metrics import EmpiricalDistribution, GaussianLaw, gaussian_panel_integrals, wasserstein_vs_gaussian
 from cltlab.processes import IIDBaseline, InnovationLaw, ProcessSpec
 
 IID_GAUSS = ProcessSpec(IIDBaseline(InnovationLaw("gaussian")))
@@ -110,7 +115,96 @@ def test_pareto_run_detects_decay():
 
 
 # ---------------------------------------------------------------------------
+# bootstrap standard errors
+
+
+def per_resample_stderr(values, g, r, seed, n, distance):
+    """The per-resample bootstrap: one weighted law and one distance per draw."""
+    m = values.size
+    gen = rngmod.stream(seed, rngmod.ROLE_BOOTSTRAP, 0, n)
+    est = np.empty(BOOTSTRAP_RESAMPLES)
+    for b in range(BOOTSTRAP_RESAMPLES):
+        counts = np.bincount(gen.integers(0, m, size=m), minlength=m)
+        keep = counts > 0
+        est[b] = distance(EmpiricalDistribution(values[keep], counts[keep] / m), g, r)
+    return float(est.std(ddof=1))
+
+
+def quadrature_distance(emp, g, r):
+    return wasserstein_vs_gaussian(emp, g, r).value
+
+
+def exact_panel_distance(emp, g, r):
+    cw = emp.cumweights
+    hi = cw.copy()
+    hi[-1] = 1.0
+    lo = np.concatenate(([0.0], cw[:-1]))
+    return float(gaussian_panel_integrals(lo, hi, emp.points, g.sigma, int(r)).sum() ** (1.0 / r))
+
+
+BOOT_SAMPLE = np.random.default_rng(21).standard_normal(500) * 1.05 + 0.01
+
+
+@pytest.mark.parametrize("r", [1.0, 2.5])
+def test_bootstrap_matches_per_resample_loop(r):
+    g = GaussianLaw(1.0)
+    want = per_resample_stderr(BOOT_SAMPLE, g, r, 3, 128, quadrature_distance)
+    assert _bootstrap_stderr(BOOT_SAMPLE, g, r, 3, 128) == pytest.approx(want, rel=1e-9, abs=0)
+
+
+def test_bootstrap_matches_per_resample_loop_r2():
+    # the per-resample quadrature is low by up to 6e-11 in W_2^2 on each
+    # resample (it stops refining the two end panels early); that moves this
+    # standard error by 1-3e-9 relative, so the bound is 5e-9 here. The exact
+    # panels below agree with the batched errors to 1e-12.
+    g = GaussianLaw(1.0)
+    want = per_resample_stderr(BOOT_SAMPLE, g, 2.0, 3, 128, quadrature_distance)
+    assert _bootstrap_stderr(BOOT_SAMPLE, g, 2.0, 3, 128) == pytest.approx(want, rel=5e-9, abs=0)
+
+
+@pytest.mark.parametrize("r", [1.0, 2.0, 3.0])
+def test_bootstrap_matches_per_resample_exact_panels(r):
+    # same resamples, same exact panels: only the batching differs
+    g = GaussianLaw(0.9)
+    want = per_resample_stderr(BOOT_SAMPLE, g, r, 3, 128, exact_panel_distance)
+    assert _bootstrap_stderr(BOOT_SAMPLE, g, r, 3, 128) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("r", [1.0, 2.5])
+def test_bootstrap_independent_of_chunking(monkeypatch, r):
+    g = GaussianLaw(1.0)
+    base = _bootstrap_stderr(BOOT_SAMPLE, g, r, 3, 128)
+    for panels in (1, 500 * 7, 500 * 200):
+        monkeypatch.setattr(experiments, "BOOTSTRAP_CHUNK_PANELS", panels)
+        assert _bootstrap_stderr(BOOT_SAMPLE, g, r, 3, 128) == base
+
+
+def test_bootstrap_point_mass_target():
+    g = GaussianLaw(0.0)
+    want = per_resample_stderr(BOOT_SAMPLE, g, 1.0, 3, 128, quadrature_distance)
+    assert _bootstrap_stderr(BOOT_SAMPLE, g, 1.0, 3, 128) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+# ---------------------------------------------------------------------------
 # upper-bound consistency
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_spearman_matches_scipy(n):
+    from scipy.stats import spearmanr
+
+    rng = np.random.default_rng(n)
+    x = np.sort(rng.uniform(size=n))
+    cases = [
+        rng.normal(size=n),
+        rng.integers(0, 3, size=n).astype(float),  # ties
+        np.append(np.full(n - 1, 0.25), 1.25),  # constant plus one
+        np.insert(np.full(n - 1, 0.25), 0, 1.25),
+    ]
+    for y in cases:
+        for a, b in ((x, y), (y, y[::-1]), (np.round(x, 1), y)):
+            if np.ptp(a) > 0.0 and np.ptp(b) > 0.0:  # constant input: no correlation
+                assert abs(spearman_rho(a, b) - spearmanr(a, b).statistic) <= 1e-12
 
 
 def test_consistency_exact_power_law():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from cltlab.metrics import (
     DistanceEstimate,
@@ -16,6 +17,7 @@ from cltlab.metrics import (
     envelope_norm,
     envelope_norm_discrete,
     gaussian_gaussian_distance,
+    gaussian_panel_integrals,
     gaussian_smooth,
     kolmogorov,
     kolmogorov_from_prokhorov,
@@ -25,9 +27,10 @@ from cltlab.metrics import (
     wasserstein,
     wasserstein_samples,
     wasserstein_vs_gaussian,
+    wasserstein_vs_gaussian_counts,
     zolotarev,
 )
-from cltlab.normal import abs_moment, norm_cdf, norm_quantile
+from cltlab.normal import abs_moment, norm_cdf, norm_pdf, norm_quantile
 
 
 def permutation_oracle(xs, ys, r):
@@ -176,6 +179,101 @@ class TestWassersteinVsGaussian:
         a = wasserstein_vs_gaussian(x, GaussianLaw(1.0), 1.0).value
         b = wasserstein_samples(x, g_grid, 1.0).value
         assert a == pytest.approx(b, abs=1e-4)
+
+
+class TestGaussianPanels:
+    # (lo, hi, x): interior panels with and without the sign change inside,
+    # both infinite end panels, and panels far from the crossing
+    PANELS = [
+        (0.1, 0.3, -0.7),
+        (0.35, 0.65, 0.2),
+        (0.45, 0.55, 1.3),
+        (0.6, 0.95, -0.4),
+        (0.0, 0.02, -2.5),
+        (0.0, 0.1, 0.3),
+        (0.8, 1.0, 1.2),
+        (0.9, 1.0, -0.5),
+    ]
+
+    @staticmethod
+    def z_space_quad(lo, hi, x, sigma, r):
+        """int_a^b |x - sigma z|^r phi(z) dz by quad, split at z* = x / sigma."""
+        a, b = norm_quantile(lo), norm_quantile(hi)
+        cuts = [a] + ([x / sigma] if a < x / sigma < b else []) + [b]
+        f = lambda z: abs(x - sigma * z) ** r * float(norm_pdf(z))
+        return sum(quad(f, c0, c1, epsabs=0.0, epsrel=2e-14, limit=200)[0] for c0, c1 in zip(cuts[:-1], cuts[1:]))
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("sigma", [1.0, 0.7])
+    def test_matches_z_space_quadrature(self, r, sigma):
+        lo, hi, x = (np.array(col) for col in zip(*self.PANELS))
+        got = gaussian_panel_integrals(lo, hi, x, sigma, r)
+        for i, panel in enumerate(self.PANELS):
+            want = self.z_space_quad(*panel, sigma, r)
+            assert abs(got[i] - want) <= 1e-13 * want, panel
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_panels_whose_terms_cancel(self, r):
+        # panels of width 1e-4 around x = sigma z, as in a 10^4-point sample,
+        # and two wide panels where |x - sigma z| is small against |x|: the
+        # u-width and density terms cancel to a much smaller value, so the
+        # error is bounded in absolute terms, by the rounding of those terms
+        rng = np.random.default_rng(1)
+        lo = np.append(rng.uniform(0.001, 0.99, size=30), [0.45, 0.97])
+        hi = np.append(lo[:30] + 1e-4, [0.55, 1.0])
+        x = norm_quantile(lo[:30] + rng.uniform(0.0, 1e-4, size=30)) + rng.normal(0.0, 0.01, size=30)
+        x = np.append(x, [0.05, 2.2])
+        got = gaussian_panel_integrals(lo, hi, x, 1.0, r)
+        want = np.array([self.z_space_quad(*panel, 1.0, r) for panel in zip(lo, hi, x)])
+        assert np.max(np.abs(got - want)) < 2e-15
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_zero_width_panels_are_zero(self, r):
+        u = np.array([0.0, 0.3, 0.5, 1.0])
+        got = gaussian_panel_integrals(u, u, np.array([-1.0, 0.2, 4.0, 1.5]), 1.0, r)
+        assert np.array_equal(got, np.zeros(4))
+
+    def test_rejects_non_integer_order_and_point_mass(self):
+        for r, sigma in ((2.5, 1.0), (0, 1.0), (1, 0.0)):
+            with pytest.raises(MetricsError):
+                gaussian_panel_integrals(0.2, 0.4, 0.1, sigma, r)
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_full_line_is_shifted_moment(self, r):
+        # one panel over (0, 1): E|x - Y|^r; at x = 0 that is sigma^r E|Y|^r
+        got = gaussian_panel_integrals(0.0, 1.0, 0.0, 1.5, r)
+        assert got == pytest.approx(1.5**r * abs_moment(r), rel=1e-14)
+
+    @pytest.mark.parametrize("r", [1.0, 2.0, 3.0, 2.5])
+    def test_counts_rows_match_weighted_distance(self, r):
+        rng = np.random.default_rng(4)
+        points = np.sort(rng.standard_normal(400))
+        counts = rng.multinomial(400, np.full(400, 1 / 400), size=3)
+        got = wasserstein_vs_gaussian_counts(points, counts, GaussianLaw(1.1), r) ** r
+        for row, value in zip(counts, got):
+            keep = row > 0
+            want = wasserstein_vs_gaussian(EmpiricalDistribution(points[keep], row[keep] / 400), GaussianLaw(1.1), r)
+            if r == int(r):
+                # the quadrature stops refining the two end panels early and
+                # under-integrates them by a few 1e-11; the exact panels do not
+                assert 0.0 < value - want.value**r < 1e-10
+            else:
+                assert value == want.value**r
+
+    def test_counts_rows_point_mass(self):
+        points = np.array([-2.0, 0.5, 1.0])
+        got = wasserstein_vs_gaussian_counts(points, np.array([[1, 0, 1], [0, 2, 0]]), GaussianLaw(0.0), 2.0)
+        assert np.allclose(got, [np.sqrt(2.5), 0.5], rtol=1e-15)
+
+    def test_rows_evaluate_independently(self):
+        rng = np.random.default_rng(9)
+        points = np.sort(rng.standard_normal(1000))
+        counts = rng.multinomial(1000, np.full(1000, 1e-3), size=25)
+        for r in (1.0, 2.0, 3.0):
+            together = wasserstein_vs_gaussian_counts(points, counts, GaussianLaw(0.9), r)
+            for i in (0, 7, 24):
+                alone = wasserstein_vs_gaussian_counts(points, counts[i : i + 1], GaussianLaw(0.9), r)
+                assert alone[0] == together[i]
 
 
 class TestGaussianGaussian:
