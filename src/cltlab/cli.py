@@ -218,14 +218,17 @@ VALID_CONDITIONS = ("C1", "C2", "Cond1cob", "Cond2cob", "Condcobp3adap",
                     "Cond2cobp3", "condalpha1", "condphi")
 
 
-def _run_condition(cid: str, cfg: dict, section: dict):
+def _series_c1c2(cfg: dict, section: dict) -> dict:
+    return series_C1_C2(build_process(cfg), float(section.get("p", 2.5)),
+                        int(section.get("n_terms", 64)),
+                        outer=int(section.get("outer", 1000)), seed=cfg["seed"])
+
+
+def _run_condition(cid: str, cfg: dict, section: dict, c1c2: dict | None):
     p = float(section.get("p", 2.5))
     n_terms = int(section.get("n_terms", 64))
     if cid in ("C1", "C2"):
-        spec = build_process(cfg)
-        rep = series_C1_C2(spec, p, n_terms, outer=int(section.get("outer", 1000)),
-                           seed=cfg["seed"])[cid]
-        return [(cid, "", rep)]
+        return [(cid, "", c1c2[cid])]
     if cid in ("Cond1cob", "Cond2cob", "Condcobp3adap", "Cond2cobp3"):
         spec = build_process(cfg)
         rep = series_projective(spec, cid, p, n_terms, mc=int(section.get("mc", 10**5)),
@@ -266,7 +269,9 @@ def cmd_conditions(args) -> int:
             )
     out_dir, digest = _prepare_out(args, cfg)
     started = _now()
-    groups = _pool_map(lambda cid: _run_condition(cid, cfg, section), list(ids), args.threads)
+    # one series_C1_C2 run yields both C1 and C2
+    c1c2 = _series_c1c2(cfg, section) if {"C1", "C2"} & set(ids) else None
+    groups = _pool_map(lambda cid: _run_condition(cid, cfg, section, c1c2), list(ids), args.threads)
     rows = []
     for group in groups:
         for cid, component, rep in group:
@@ -332,7 +337,7 @@ def _check_envelope(cfg: dict, section: dict) -> dict:
     gen = np.random.default_rng(cfg["seed"] + 1)
     for i in range(cases):
         g = gen.normal(size=(kernel.size, kernel.size))
-        p = float(gen.uniform(1.0, 3.0))
+        p = float(gen.uniform(2.0, 3.0))  # contraction needs p >= 2
         res = envelope_contraction_check(kernel, g, p)
         if res["lhs"] > res["rhs"] * (1.0 + slack) + slack:
             return {"passed": False,

@@ -6,16 +6,17 @@ decomposition of linear processes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import rng as rngmod
 from .metrics import envelope_norm_discrete
 from .processes import FiniteKernel, LinearProcess, ProcessError
 
 EXACT_ENUM_CAP = 22  # state count up to which the event sup is enumerated
+PHI_BLOCK_ENTRIES = 2**18  # states x threshold combinations per _phi_i_exact block
 
 
 class DependenceError(ValueError):
@@ -311,52 +312,71 @@ def covariance_product_bound(
     return out
 
 
-def _phi_i_exact(kernel: FiniteKernel, f_list, t_list, i: int) -> float:
-    """phi(sigma(X_i), X_{j != i}) for X_j = f_j(Y_{t_j}) on the stationary
-    chain, exact over the threshold level sets.
-
-    Past and future factors split by the Markov property; the past is
-    propagated through the time-reversed kernel.
-    """
+def _lag_powers(kernel: FiniteKernel, t_list) -> tuple[list, list]:
+    """K^lag and R^lag for each consecutive lag t_{j+1} - t_j, where
+    R(s, s') = pi(s') K(s', s) / pi(s) is the time-reversed kernel."""
     pi = kernel.stationary
     kmat = kernel.matrix
-    rev = (kmat * pi[:, None]).T / pi[:, None]  # R(s, s') = pi(s')K(s', s)/pi(s)
-    kcount = len(f_list)
+    rev = (kmat * pi[:, None]).T / pi[:, None]
+    lags = [int(b - a) for a, b in zip(t_list, t_list[1:])]
+    return ([np.linalg.matrix_power(kmat, lag) for lag in lags],
+            [np.linalg.matrix_power(rev, lag) for lag in lags])
+
+
+def _threshold_chain(size: int, factors) -> np.ndarray:
+    """E(prod_j h_j(Y_{t_j}) | Y_start = s) for every threshold combination,
+    as a states x combinations matrix; factors are the (h_j columns, kernel
+    power) pairs in the order the Markov property applies them."""
+    out = np.ones((size, 1))
+    for h, power in factors:
+        out = power @ (h[:, :, None] * out[:, None, :]).reshape(size, -1)
+    return out
+
+
+def _phi_i_exact(kernel: FiniteKernel, f_list, t_list, i: int, powers: tuple) -> float:
+    """phi(sigma(X_i), X_{j != i}) for X_j = f_j(Y_{t_j}) on the stationary
+    chain, exact over the threshold level sets: the max over the atoms of
+    sigma(X_i) and over every combination of one threshold x_j per j != i of
+    |E(prod_j h_j | X_i) - E prod_j h_j|, h_j = 1_{f_j > x_j} - P(f_j > x_j).
+
+    Given Y_{t_i} the product splits by the Markov property into a forward
+    factor over j > i (through K^lag) and a backward factor over j < i
+    (through the reversed kernel R^lag). Each is built for all its threshold
+    combinations at once as a states x combinations matrix and the two are
+    multiplied column-wise. The combinations go in blocks of at most
+    PHI_BLOCK_ENTRIES matrix entries: the thresholds of the variables
+    farthest from i, which the chains apply first, are held fixed within a
+    block. powers is _lag_powers(kernel, t_list).
+    """
+    pi = kernel.stationary
+    size = kernel.size
+    fwd, bwd = powers
     fvals = [np.asarray(fj, dtype=float) for fj in f_list]
+    k = len(fvals)
     # centered indicator sets per variable: h = 1_{f > x} - P(f > x)
     h_sets = []
     for fv in fvals:
         ind = (fv[:, None] > np.unique(fv)[None, :]).astype(float)
         h_sets.append(ind - (pi @ ind)[None, :])
-    others = [j for j in range(kcount) if j != i]
-    combos = [()]
-    for j in others:
-        combos = [c + (t,) for c in combos for t in range(h_sets[j].shape[1])]
-    # group states by the value of f_i (atoms of sigma(X_i))
+    # E(. | X_i) on each atom of sigma(X_i) (states with one value of f_i)
     _, group_idx = np.unique(fvals[i], return_inverse=True)
-    ngroups = group_idx.max() + 1
-    group_pi = np.zeros(ngroups)
-    np.add.at(group_pi, group_idx, pi)
+    atoms = (np.arange(group_idx.max() + 1)[:, None] == group_idx[None, :]) * pi[None, :]
+    atoms /= atoms.sum(axis=1, keepdims=True)
+    others = [j for j in range(k) if j != i]
+    width = max(1, PHI_BLOCK_ENTRIES // size)
+    blocks = {}
+    for j in sorted(others, key=lambda j: abs(j - i)):
+        count = h_sets[j].shape[1]
+        step = min(count, width)
+        blocks[j] = [slice(lo, lo + step) for lo in range(0, count, step)]
+        width = max(1, width // step)
     best = 0.0
-    for combo in combos:
-        h = {j: h_sets[j][:, combo[pos]] for pos, j in enumerate(others)}
-        # forward: fw(s) = E(prod_{j > i} h_j(Y_{t_j}) | Y_{t_i} = s)
-        fw = np.ones(kernel.size)
-        for j in range(kcount - 1, i, -1):
-            fw = np.linalg.matrix_power(kmat, t_list[j] - t_list[j - 1]) @ (h[j] * fw)
-        # backward through the reversed kernel:
-        # w(s) = E(prod_{j < i} h_j(Y_{t_j}) | Y_{t_i} = s)
-        w = None
-        for j in range(0, i):
-            w = h[j] if w is None else h[j] * w
-            w = np.linalg.matrix_power(rev, t_list[j + 1] - t_list[j]) @ w
-        bw = np.ones(kernel.size) if w is None else w
-        g_cond = bw * fw
-        g_mean = float(pi @ g_cond)
-        cond_atoms = np.zeros(ngroups)
-        np.add.at(cond_atoms, group_idx, pi * g_cond)
-        cond_atoms /= group_pi
-        best = max(best, float(np.abs(cond_atoms - g_mean).max()))
+    for pick in product(*(blocks[j] for j in others)):
+        h = {j: h_sets[j][:, cols] for j, cols in zip(others, pick)}
+        fw = _threshold_chain(size, [(h[j], fwd[j - 1]) for j in range(k - 1, i, -1)])
+        bw = _threshold_chain(size, [(h[j], bwd[j]) for j in range(i)])
+        g = (bw[:, :, None] * fw[:, None, :]).reshape(size, -1)
+        best = max(best, float(np.abs(atoms @ g - pi @ g).max()))
     return best
 
 
@@ -366,7 +386,7 @@ def check_covariance_inequality(kernel: FiniteKernel, f_list, t_list, corollary_
     lhs = |E prod (f_j(Y_{t_j}) - E f_j)| by kernel-power linear algebra;
     rhs from covariance_product_bound with the exact phi^{(i)}; the optional
     corollary path multiplies the Q-form by 2^{k-1} for functionals that are
-    only piecewise monotone.
+    only piecewise monotone. The kernel powers are computed once and shared.
     """
     t_list = list(t_list)
     if any(b <= a for a, b in zip(t_list, t_list[1:])):
@@ -377,12 +397,13 @@ def check_covariance_inequality(kernel: FiniteKernel, f_list, t_list, corollary_
     pi = kernel.stationary
     fvals = [np.asarray(fj, dtype=float) for fj in f_list]
     centered = [fv - float(pi @ fv) for fv in fvals]
-    # lhs: backward recursion v = E(prod_{j >= i} X_j | Y_{t_i})
+    powers = _lag_powers(kernel, t_list)
+    # lhs: backward recursion v = E(prod_{j >= i} X_j | Y_{t_i}), powers[0][j] = K^{t_{j+1} - t_j}
     v = centered[-1]
     for j in range(k - 2, -1, -1):
-        v = centered[j] * (np.linalg.matrix_power(kernel.matrix, t_list[j + 1] - t_list[j]) @ v)
+        v = centered[j] * (powers[0][j] @ v)
     lhs = abs(float(pi @ v))
-    phis = [min(_phi_i_exact(kernel, fvals, t_list, i), 1.0) for i in range(k)]
+    phis = [min(_phi_i_exact(kernel, fvals, t_list, i, powers), 1.0) for i in range(k)]
     laws = [FiniteLaw(c, pi) for c in centered]
     bounds = covariance_product_bound(laws, phis, p_list=[float(k)] * k)
     factor = 2.0 ** (k - 1) if corollary_factor else 1.0
@@ -646,6 +667,8 @@ def series_condalpha1(q_func: Callable[[float], float], alpha_values, p: float) 
     alpha_values = np.asarray(alpha_values, dtype=float)
     if np.any((alpha_values < 0) | (alpha_values > 1)):
         raise DependenceError("alpha values must lie in [0, 1]")
+    from scipy.integrate import quad
+
     ks = list(range(1, alpha_values.size + 1))
     t1, t2 = [], []
     for k, al in zip(ks, alpha_values):
@@ -783,7 +806,10 @@ def envelope_contraction_check(kernel: FiniteKernel, g: np.ndarray, p: float) ->
     """Conditional expectation contracts the envelope norm: for X = g(Y_0,
     Y_1) and the conditioning sigma-field generated by Y_0, the norm of
     E(X | Y_0) never exceeds the norm of X.  Both norms are exact on the
-    finite joint law."""
+    finite joint law. The envelope weight is nonincreasing, which the
+    contraction needs, only for p >= 2; smaller p is rejected."""
+    if p < 2.0:
+        raise DependenceError("envelope contraction needs p >= 2")
     g = np.asarray(g, dtype=float)
     if g.shape != (kernel.size, kernel.size):
         raise DependenceError("g must be a states x states value matrix")

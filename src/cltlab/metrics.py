@@ -8,12 +8,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb
+from math import ceil, comb
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import linear_sum_assignment
+from scipy.special import exp1, gamma, gammaincc
 
 from .normal import abs_moment, norm_cdf, norm_pdf, norm_pdf_derivative, norm_quantile
 
@@ -205,6 +204,8 @@ def wasserstein_samples(
     equal_uniform = x.is_uniform() and y.is_uniform() and x.size == y.size
     mono = _monotone_cost(x, y, r)
     if equal_uniform and x.size <= assignment_cap:
+        from scipy.optimize import linear_sum_assignment
+
         cost = np.abs(x.points[:, None] - y.points[None, :]) ** r
         ri, ci = linear_sum_assignment(cost)
         v = float(cost[ri, ci].mean())
@@ -495,6 +496,8 @@ def envelope_norm(q: Callable[[np.ndarray], np.ndarray], p: float, tol: float = 
     vals = np.array([probes[i] * integrand(probes[i]) for i in range(probes.size)])
     if np.all(vals > 0) and np.all(np.diff(vals) >= 0):
         return float("inf")
+    from scipy.integrate import quad
+
     total = 0.0
     for a, b in ((0.0, U_WEIGHT_KINK), (U_WEIGHT_KINK, 1.0)):
         val, _ = quad(integrand, a, b, epsabs=tol, limit=500)
@@ -503,47 +506,48 @@ def envelope_norm(q: Callable[[np.ndarray], np.ndarray], p: float, tol: float = 
 
 
 def envelope_norm_discrete(values: np.ndarray, probs: np.ndarray, p: float) -> float:
-    """Exact envelope norm of a finite law: piecewise-constant quantile of
-    |X| integrated against the weight in closed-ish form (quadrature per piece)."""
+    """Exact envelope norm int_0^1 Q(u) w(u) du of a finite law, Q the
+    piecewise-constant quantile of |X| and w the envelope weight.
+
+    With a_0 >= a_1 >= ... the sorted |x|, c_j their cumulative weights and
+    a_n = 0, summation by parts turns sum_j a_j (W(c_{j+1}) - W(c_j)) into
+    sum_j (a_{j-1} - a_j) W(c_j): nonnegative terms, so pieces of any width
+    keep full relative precision. W is the closed form of
+    _weight_antiderivative."""
     a = np.abs(np.asarray(values, dtype=float))
-    w = np.asarray(probs, dtype=float)
     order = np.argsort(-a)  # quantile of |X| is nonincreasing
-    a, w = a[order], w[order]
-    cw = np.concatenate(([0.0], np.cumsum(w)))
-    cw[-1] = min(cw[-1], 1.0)
-    total = 0.0
-    for i in range(a.size):
-        if a[i] == 0.0 or cw[i + 1] <= cw[i]:
-            continue
-        total += a[i] * _weight_integral(cw[i], cw[i + 1], p)
-    return float(total)
+    a = a[order]
+    c = np.minimum(np.cumsum(np.asarray(probs, dtype=float)[order]), 1.0)
+    steps = a - np.append(a[1:], 0.0)
+    return float(steps @ _weight_antiderivative(c, p))
 
 
-def _weight_integral(a: float, b: float, p: float) -> float:
-    """int_a^b (1 v Phi^{-1}(1-u/2))^{p-2} du, exact by quadrature with the
-    kink split."""
-    total = 0.0
-    kink = U_WEIGHT_KINK
-    segs = []
-    if a < kink:
-        segs.append((a, min(b, kink), True))
-    if b > kink:
-        segs.append((max(a, kink), b, False))
-    for lo, hi, weighted in segs:
-        if hi <= lo:
-            continue
-        if not weighted or abs(p - 2.0) < 1e-15:
-            total += hi - lo
-        else:
-            val, _ = quad(
-                lambda u: float(norm_quantile(1.0 - u / 2.0) ** (p - 2.0)),
-                lo,
-                hi,
-                epsabs=QUAD_ABS_TOL,
-                limit=200,
-            )
-            total += val
-    return total
+def _weight_antiderivative(u, p: float) -> np.ndarray:
+    """W(u) = int_0^u (1 v Phi^{-1}(1 - v/2))^{p-2} dv for u in [0, 1].
+
+    Below the kink, v = 2 Phi(-z) maps the integral onto
+    int_z^inf s^{p-2} 2 phi(s) ds = 2^{(p-2)/2} Gamma((p-1)/2, z^2/2) / sqrt(pi)
+    with z = -Phi^{-1}(u/2) > 1; above it the weight is 1, which adds
+    (u - kink)_+. At p = 2, W(u) = u exactly."""
+    u = np.asarray(u, dtype=float)
+    if abs(p - 2.0) < 1e-15:
+        return u
+    z = -norm_quantile(np.minimum(u, U_WEIGHT_KINK) / 2.0)
+    below = 2.0 ** (0.5 * (p - 2.0)) / np.sqrt(np.pi) * _upper_gamma(0.5 * (p - 1.0), 0.5 * z * z)
+    return below + np.maximum(u - U_WEIGHT_KINK, 0.0)
+
+
+def _upper_gamma(a: float, x):
+    """Gamma(a, x) = int_x^inf t^{a-1} e^{-t} dt for x > 0 and any real a:
+    the regularized scipy form for a > 0, E_1 at a = 0, and below that the
+    recurrence Gamma(b, x) = (Gamma(b + 1, x) - x^b e^{-x}) / b."""
+    steps = max(0, ceil(-a))
+    b = a + steps
+    out = exp1(x) if b == 0 else gammaincc(b, x) * gamma(b)
+    for j in range(steps - 1, -1, -1):
+        b = a + j
+        out = (out - x**b * np.exp(-x)) / b
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -641,6 +645,8 @@ def _smoothing_constant(r: float, p: float) -> float:
         raise MetricsError("requires p >= r")
     if abs(p - r) < 1e-12:
         return 1.0
+    from scipy.integrate import quad
+
     j = int(np.ceil(r)) - 1  # j < r <= j+1
 
     def c_integer(m: int) -> float:
@@ -688,6 +694,8 @@ def _integral_against(law: Law, fvals: Callable[[np.ndarray], np.ndarray]) -> fl
         return float(fvals(law.points) @ law.weights)
     if law.sigma == 0.0:
         return float(fvals(np.array([0.0]))[0])
+    from scipy.integrate import quad
+
     val, _ = quad(lambda x: float(fvals(np.array([x]))[0]) * law.density(x), -10 * law.sigma, 10 * law.sigma, epsabs=1e-11, limit=400)
     return float(val)
 

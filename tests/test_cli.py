@@ -32,9 +32,12 @@ def write_cfg(tmp_path, name="cfg.json", **overrides):
 
 
 def test_cli_import_leaves_scipy_stats_out():
-    # scipy.stats costs about a second at every start and is not needed
+    # scipy.stats costs about a second at every start and is not needed;
+    # scipy.integrate and scipy.optimize load only where quad or the
+    # assignment solver is called
     src = os.path.dirname(os.path.dirname(os.path.abspath(cltlab.__file__)))
-    code = "import sys, cltlab.cli; sys.exit('scipy.stats' in sys.modules)"
+    code = ("import sys, cltlab.cli; "
+            "sys.exit(any(m in sys.modules for m in ('scipy.stats', 'scipy.integrate', 'scipy.optimize')))")
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 

@@ -4,6 +4,7 @@ series, and the coboundary decomposition."""
 import numpy as np
 import pytest
 
+from cltlab import dependence
 from cltlab.dependence import (
     ConditionReport,
     DependenceError,
@@ -25,6 +26,7 @@ from cltlab.dependence import (
     series_condphi,
     series_projective,
 )
+from cltlab.metrics import envelope_norm_discrete
 from cltlab.processes import (
     DavydovChain,
     FiniteKernel,
@@ -32,6 +34,7 @@ from cltlab.processes import (
     IIDBaseline,
     LinearProcess,
     ProcessSpec,
+    _davydov_cache,
     _solve_stationary,
 )
 
@@ -223,6 +226,87 @@ def test_covariance_inequality_random_configs():
         assert res["ok"], res
 
 
+def _phi_i_loop(kernel, f_list, t_list, i):
+    """Reference phi^{(i)}: one forward and one backward pass per threshold
+    combination, with the kernel powers recomputed each time."""
+    pi = kernel.stationary
+    kmat = kernel.matrix
+    rev = (kmat * pi[:, None]).T / pi[:, None]
+    kcount = len(f_list)
+    fvals = [np.asarray(fj, dtype=float) for fj in f_list]
+    h_sets = []
+    for fv in fvals:
+        ind = (fv[:, None] > np.unique(fv)[None, :]).astype(float)
+        h_sets.append(ind - (pi @ ind)[None, :])
+    others = [j for j in range(kcount) if j != i]
+    combos = [()]
+    for j in others:
+        combos = [c + (t,) for c in combos for t in range(h_sets[j].shape[1])]
+    _, group_idx = np.unique(fvals[i], return_inverse=True)
+    ngroups = group_idx.max() + 1
+    group_pi = np.zeros(ngroups)
+    np.add.at(group_pi, group_idx, pi)
+    best = 0.0
+    for combo in combos:
+        h = {j: h_sets[j][:, combo[pos]] for pos, j in enumerate(others)}
+        fw = np.ones(kernel.size)
+        for j in range(kcount - 1, i, -1):
+            fw = np.linalg.matrix_power(kmat, t_list[j] - t_list[j - 1]) @ (h[j] * fw)
+        w = None
+        for j in range(0, i):
+            w = h[j] if w is None else h[j] * w
+            w = np.linalg.matrix_power(rev, t_list[j + 1] - t_list[j]) @ w
+        bw = np.ones(kernel.size) if w is None else w
+        g_cond = bw * fw
+        g_mean = float(pi @ g_cond)
+        cond_atoms = np.zeros(ngroups)
+        np.add.at(cond_atoms, group_idx, pi * g_cond)
+        cond_atoms /= group_pi
+        best = max(best, float(np.abs(cond_atoms - g_mean).max()))
+    return best
+
+
+def _assert_phis_match_loop(ker, fs, ts):
+    powers = dependence._lag_powers(ker, ts)
+    for i in range(len(fs)):
+        got = dependence._phi_i_exact(ker, fs, ts, i, powers)
+        want = _phi_i_loop(ker, fs, ts, i)
+        assert abs(got - want) <= 1e-12 * want + 1e-15, (i, got, want)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_phi_i_matches_loop_on_random_chains(k):
+    rng = np.random.default_rng(40 + k)
+    for _ in range(6):
+        size = int(rng.integers(2, 7))
+        ker = random_kernel(rng, size)
+        # few distinct values: atoms of sigma(X_i) hold several states
+        fs = [rng.integers(-2, 2, size=size).astype(float) for _ in range(k)]
+        ts = np.cumsum(rng.integers(1, 4, size=k)).tolist()
+        _assert_phis_match_loop(ker, fs, ts)
+
+
+def test_phi_i_matches_loop_on_verify_chain():
+    ker, _ = _davydov_cache(DavydovChain(2.5, 0.1, "f1", 24))
+    rng = np.random.default_rng(5)
+    for k, ts in ((2, [3, 7]), (3, [1, 4, 12])):
+        fs = [rng.normal(size=ker.size) for _ in range(k)]
+        fs[0] = np.round(fs[0])  # one functional with tied values
+        _assert_phis_match_loop(ker, fs, ts)
+
+
+@pytest.mark.parametrize("entries", [1, 20])
+def test_phi_i_blocks_match_loop(monkeypatch, entries):
+    # one threshold combination per block, and blocks that split the
+    # combinations of a single variable
+    monkeypatch.setattr(dependence, "PHI_BLOCK_ENTRIES", entries)
+    rng = np.random.default_rng(9)
+    ker = random_kernel(rng, 5)
+    fs = [rng.normal(size=5) for _ in range(4)]
+    fs[2] = np.round(fs[2])
+    _assert_phis_match_loop(ker, fs, [1, 2, 4, 5])
+
+
 def test_covariance_inequality_independent_chain():
     ker = product_kernel(np.array([0.3, 0.7]))
     res = check_covariance_inequality(ker, [np.array([1.0, -1.0])] * 2, [1, 2])
@@ -366,6 +450,33 @@ def test_envelope_contraction_random():
         p = float(rng.uniform(2.1, 3.0))
         out = envelope_contraction_check(ker, g, p)
         assert out["ok"], out
+
+
+def test_envelope_contraction_rejects_p_below_two():
+    ker = three_state_kernel()
+    with pytest.raises(DependenceError, match="p >= 2"):
+        envelope_contraction_check(ker, np.ones((3, 3)), 1.5)
+
+
+def _contraction_sides(ker, g, p):
+    joint = ker.stationary[:, None] * ker.matrix
+    lhs = envelope_norm_discrete((ker.matrix * g).sum(axis=1), ker.stationary, p)
+    return lhs, envelope_norm_discrete(g.ravel(), joint.ravel(), p)
+
+
+def test_envelope_norm_expands_under_conditioning_below_p_two():
+    # X = 1{Y_1 = 0} with Y_1 independent of Y_0 and P(Y_1 = 0) = 0.1, so
+    # E(X | Y_0) = 0.1: the norms are 0.1 W(1) and W(0.1), and for p < 2 the
+    # weight increases, making the average 0.1 W(1) larger than W(0.1)
+    ker = product_kernel(np.array([0.1, 0.9]))
+    g = np.array([[1.0, 0.0], [1.0, 0.0]])
+    lhs, rhs = _contraction_sides(ker, g, 1.5)
+    assert lhs > 1.3 * rhs
+    # at p = 2 both are E|X| = 0.1; above, the weight decreases
+    lhs, rhs = _contraction_sides(ker, g, 2.0)
+    assert lhs == pytest.approx(0.1, abs=1e-15) and rhs == pytest.approx(0.1, abs=1e-15)
+    for p in (2.0, 2.5, 3.0):
+        assert envelope_contraction_check(ker, g, p)["ok"]
 
 
 def test_envelope_contraction_equality_for_measurable():

@@ -408,6 +408,64 @@ class TestEnvelopeNorm:
             assert got == pytest.approx(ref, abs=1e-7)
 
 
+def _envelope_norm_mpmath(values, probs, p):
+    """sum_j a_j int_{c_j}^{c_{j+1}} (1 v Phi^{-1}(1 - u/2))^{p-2} du at 30
+    digits over the sorted |values| a_j and the float cumulative weights c_j;
+    below the kink u* = 2 Phi(-1) the piece integrals are taken in z-space,
+    u = 2 Phi(-z), as int z^{p-2} 2 phi(z) dz."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        p = mp.mpf(p)
+        kink = mp.erfc(1 / mp.sqrt(2))
+
+        def tail(z):  # int_z^inf s^{p-2} 2 phi(s) ds
+            return mp.quad(lambda s: s ** (p - 2) * 2 * mp.npdf(s), [z, z + 1, z + 4, mp.inf])
+
+        def big_w(u):
+            if u == 0:
+                return mp.mpf(0)
+            if u >= kink:
+                return tail(mp.mpf(1)) + (u - kink)
+            z = mp.findroot(lambda t: mp.erfc(t / mp.sqrt(2)) - u, -norm_quantile(float(u) / 2.0))
+            return tail(z)
+
+        a = np.abs(values)
+        order = np.argsort(-a)
+        cw = np.concatenate(([0.0], np.minimum(np.cumsum(probs[order]), 1.0)))
+        ws = [big_w(mp.mpf(float(c))) for c in cw]
+        return sum(mp.mpf(float(x)) * (ws[j + 1] - ws[j]) for j, x in enumerate(a[order]))
+
+
+class TestEnvelopeNormClosedForm:
+    # cumulative weights with pieces narrower than 1e-12, one piece across
+    # the kink and one narrow piece across it
+    KINK = 2.0 * norm_cdf(-1.0)
+    CUTS = np.array([0.0, 0.05, 0.05 + 3e-13, 0.25, KINK - 4e-13, KINK + 4e-13,
+                     0.35, 0.35 + 5e-13, 0.65, 1.0])
+    MAGNITUDES = np.array([5.0, 4.0, 3.5, 3.0, 2.5, 2.0, 1.5, 1.0, 0.25])
+
+    # p = 0.5 takes the incomplete-gamma recurrence below a = 0
+    @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+    def test_matches_mpmath(self, p):
+        probs = np.diff(self.CUTS)
+        # signs and order do not matter: the norm sorts |x|
+        perm = np.random.default_rng(3).permutation(probs.size)
+        signs = np.where(np.arange(probs.size) % 2 == 0, 1.0, -1.0)
+        values, probs = (signs * self.MAGNITUDES)[perm], probs[perm]
+        got = envelope_norm_discrete(values, probs, p)
+        want = float(_envelope_norm_mpmath(values, probs, p))
+        assert got == pytest.approx(want, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("p", [1.0, 2.5])
+    def test_narrow_pieces_against_mpmath(self, p):
+        # a law whose only mass off zero sits in pieces 1e-13 wide
+        probs = np.array([1e-13, 2e-13, 1.0 - 3e-13])
+        values = np.array([3.0, -1.0, 0.0])
+        got = envelope_norm_discrete(values, probs, p)
+        want = float(_envelope_norm_mpmath(values, probs, p))
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
 class TestSeminormAndSmoothing:
     def test_affine_has_zero_seminorm_above_one(self):
         f = GridFunction.from_callable(lambda x: 2.0 * x + 1.0, n=1025)
