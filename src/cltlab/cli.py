@@ -149,7 +149,7 @@ def cmd_simulate(args) -> int:
     outputs = ["trajectories.cltr"]
     save_batch(os.path.join(out_dir, "trajectories.cltr"), batch)
     if "csv" in _formats(args):
-        rows = [(n, rep, float(batch.values(n)[rep])) for n in n_grid for rep in range(m)]
+        rows = [f"{n},{rep},{v:.17g}" for n in n_grid for rep, v in enumerate(batch.values(n).tolist())]
         write_csv(os.path.join(out_dir, "trajectories.csv"), ("n", "replicate", "value"), rows)
         outputs.append("trajectories.csv")
     _finish(out_dir, cfg, digest, started, outputs)

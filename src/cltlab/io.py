@@ -79,11 +79,13 @@ def _fmt(value) -> str:
 
 
 def write_csv(path: str, header, rows) -> None:
-    """Fixed column order and shortest-roundtrip float text, so a rerun with
-    the same seed reproduces the file byte for byte."""
+    """Fixed column order and 17-significant-digit float text (".17g", so
+    0.1 is written 0.10000000000000001), so a rerun with the same seed
+    reproduces the file byte for byte.  A row is a tuple of cells, or a str
+    holding a line the caller already formatted the same way."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(row if isinstance(row, str) else ",".join(_fmt(v) for v in row))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

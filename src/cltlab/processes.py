@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
@@ -368,14 +369,7 @@ def sample_linear_process(spec: LinearProcess, n: int, seed: int, replicate: int
     """X_1..X_n from the truncated convolution of the replicate's innovation
     stream; X_k = sum_{j=-t}^{t} a_j eps_{k-j} by correlating against the
     reversed coefficient kernel."""
-    return _linear_path_values(spec, n, seed, replicate)
-
-
-def _linear_batch(spec: LinearProcess, n: int, seed: int, replicates: range) -> np.ndarray:
-    out = np.empty((len(replicates), n))
-    for row, rep in enumerate(replicates):
-        out[row] = _linear_path_values(spec, n, seed, rep)
-    return out
+    return _linear_path_values(spec.coefficients(), spec.innovation, n, seed, replicate)
 
 
 def apply_h(
@@ -447,21 +441,50 @@ def _centering_constant(base: LinearProcess, h, seed: int, draws: int) -> tuple[
 
 @dataclass(frozen=True)
 class DensityGrid:
-    """Probability density sampled on a uniform grid over [0, 1]."""
+    """Probability density sampled on the uniform grid x = linspace(0, 1, G + 1).
+
+    The interpolation slopes and the trapezoid CDF are built once with the
+    grid, so `at` and `quantile` do no per-call setup."""
 
     x: np.ndarray
     values: np.ndarray
+    _slopes: np.ndarray = field(init=False, repr=False, compare=False)
+    _above: np.ndarray = field(init=False, repr=False, compare=False)
+    _cdf: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        x = np.asarray(self.x, dtype=float)
+        v = np.asarray(self.values, dtype=float)
+        if x.size < 2 or not np.array_equal(x, np.linspace(0.0, 1.0, x.size)) or v.shape != x.shape:
+            raise ProcessError("a density grid is np.linspace(0, 1, G + 1) with one value per node")
+        # np.interp's own slope formula; the trailing 0 makes y = 1 return values[G]
+        slopes = np.append((v[1:] - v[:-1]) / (x[1:] - x[:-1]), 0.0)
+        cdf = np.concatenate(([0.0], np.cumsum((v[1:] + v[:-1]) / 2.0 * np.diff(x))))
+        cdf /= cdf[-1]
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "_slopes", slopes)
+        object.__setattr__(self, "_above", np.append(x[1:], np.inf))
+        object.__setattr__(self, "_cdf", cdf)
 
     def mean_of(self, f) -> float:
         return float(np.trapezoid(f(self.x) * self.values, self.x))
 
-    def draw(self, gen: np.random.Generator, size: int) -> np.ndarray:
-        cdf = np.concatenate(([0.0], np.cumsum((self.values[1:] + self.values[:-1]) / 2.0 * np.diff(self.x))))
-        cdf /= cdf[-1]
-        return np.interp(gen.random(size), cdf, self.x)
+    def quantile(self, u) -> np.ndarray:
+        """Inverse of the trapezoid CDF at probabilities u."""
+        return np.interp(u, self._cdf, self.x)
 
-    def at(self, x) -> np.ndarray:
-        return np.interp(x, self.x, self.values)
+    def at(self, y) -> np.ndarray:
+        """np.interp(y, x, values), bit for bit, for y in [0, 1] and finite
+        values other than -0.0: the node below y comes from indexing the
+        uniform grid (with a one-step guard against rounding in y * G), then
+        np.interp's own formula slope * (y - x[j]) + values[j]."""
+        y = np.asarray(y, dtype=float)
+        x = self.x
+        j = (y * (x.size - 1)).astype(np.intp)
+        j -= x[j] > y
+        j += self._above[j] <= y
+        return self._slopes[j] * (y - x[j]) + self.values[j]
 
 
 def _map_branches(spec: ExpandingMap):
@@ -481,6 +504,18 @@ def _map_branches(spec: ExpandingMap):
             for s, o, lo, hi in zip(spec.slopes, spec.offsets, spec.breakpoints[:-1], spec.breakpoints[1:])
         ]
     raise ProcessError("branch decomposition only for affine-branch maps")
+
+
+def _preimages(spec: ExpandingMap, x) -> list:
+    """(slope, lo, hi, y, valid) per affine branch: y is the preimage of x
+    under the branch, folded into [0, 1], and valid marks the x whose y lies
+    in the branch interval [lo, hi] (within 1e-12)."""
+    out = []
+    for slope, off, lo, hi in _map_branches(spec):
+        y = (x - off) / slope
+        y = y - np.floor(y)  # fold the mod-1 offset back into the branch
+        out.append((slope, lo, hi, y, (y >= lo - 1e-12) & (y <= hi + 1e-12)))
+    return out
 
 
 def _forward(spec: ExpandingMap, x):
@@ -545,14 +580,11 @@ def invariant_density(spec: ExpandingMap, grid_size: int = 2**12, tol: float = 1
             raise ProcessError("gauss-family density implemented for a = 1 only")
         return DensityGrid(x, 1.0 / ((1.0 + x) * np.log(2.0)))
     # transfer-operator power iteration: (Lh)(x) = sum h(y)/|T'(y)| over preimages
-    branches = _map_branches(spec)
+    preimages = _preimages(spec, x)
     h = np.ones_like(x)
     for it in range(10**5):
         new = np.zeros_like(x)
-        for slope, off, lo, hi in branches:
-            y = (x - off) / slope
-            y = y - np.floor(y)  # fold the mod-1 offset back into the branch
-            valid = (y >= lo - 1e-12) & (y <= hi + 1e-12)
+        for slope, lo, hi, y, valid in preimages:
             contrib = np.interp(np.clip(y, lo, hi), x, h) / abs(slope)
             new += np.where(valid, contrib, 0.0)
         new /= np.trapezoid(new, x)
@@ -570,7 +602,6 @@ def transfer_duality_residual(spec: ExpandingMap, h, f, panels: int = 64, nodes:
     branch endpoints; for integer beta and polynomial h, f the quadrature is
     exact to rounding.
     """
-    branches = _map_branches(spec)
     rho = invariant_density(spec)
     gl_x, gl_w = np.polynomial.legendre.leggauss(nodes)
 
@@ -584,16 +615,13 @@ def transfer_duality_residual(spec: ExpandingMap, h, f, panels: int = 64, nodes:
     def kh(x):
         x = np.asarray(x, dtype=float)
         total = np.zeros_like(x)
-        for slope, off, lo, hi in branches:
-            y = (x - off) / slope
-            y = y - np.floor(y)
-            valid = (y >= lo - 1e-12) & (y <= hi + 1e-12)
+        for slope, lo, hi, y, valid in _preimages(spec, x):
             total += np.where(valid, h(np.clip(y, lo, hi)) * rho.at(y) / abs(slope), 0.0)
         return total / np.maximum(rho.at(x), 1e-300)
 
     lhs = integrate(lambda x: kh(x) * f(x) * rho.at(x), 0.0, 1.0)
     rhs = 0.0
-    for slope, off, lo, hi in branches:
+    for slope, off, lo, hi in _map_branches(spec):
         rhs += integrate(lambda x: h(x) * f((slope * x + off) - np.floor(slope * x + off)) * rho.at(x), lo, hi)
     return abs(lhs - rhs)
 
@@ -601,33 +629,30 @@ def transfer_duality_residual(spec: ExpandingMap, h, f, panels: int = 64, nodes:
 def _dual_step(spec: ExpandingMap, x: np.ndarray, u: np.ndarray, density: DensityGrid) -> np.ndarray:
     """One step of the time-reversed chain: draw a preimage of each x with
     the invariant-density weights.  The reversed chain has the same law of
-    partial sums as the forward orbit."""
+    partial sums as the forward orbit.  u < 1, so the branch index is the
+    number of normalized cumulative weights below u."""
     if spec.kind == "gauss":
         # closed-form inverse cdf of the branch index for a = 1
         m = np.ceil((1.0 + x) / (1.0 - u) - x - 1.0)
         m = np.maximum(m, 1.0)
         return 1.0 / (x + m)
-    branches = _map_branches(spec)
+    branches = _preimages(spec, x)
     ys = np.empty((len(branches), x.size))
-    ws = np.empty((len(branches), x.size))
-    for i, (slope, off, lo, hi) in enumerate(branches):
-        y = (x - off) / slope
-        y = y - np.floor(y)
-        valid = (y >= lo - 1e-12) & (y <= hi + 1e-12)
-        y = np.clip(y, lo, hi)
-        ys[i] = y
-        ws[i] = np.where(valid, density.at(y) / abs(slope), 0.0)
-    cum = np.cumsum(ws, axis=0)
-    cum /= cum[-1]
-    pick = (u[None, :] > cum).sum(axis=0)
-    return ys[pick, np.arange(x.size)]
+    cum = []
+    for i, (slope, lo, hi, y, valid) in enumerate(branches):
+        ys[i] = np.clip(y, lo, hi)
+        w = np.where(valid, density.at(ys[i]) / abs(slope), 0.0)
+        cum.append(cum[-1] + w if cum else w)
+    pick = sum(u > c / cum[-1] for c in cum[:-1])
+    return ys.ravel()[pick * x.size + np.arange(x.size)]
 
 
 # ---------------------------------------------------------------------------
 # trajectory batches
 
 
-STEP_BLOCK = 4096  # per-step uniforms are drawn in blocks of this many steps
+STEP_BLOCK = 1024  # per-step uniforms are drawn in blocks of this many steps
+STEP_TILE = 128  # replicates transposed into step-major order at a time
 
 
 @dataclass(frozen=True)
@@ -655,44 +680,49 @@ class TrajectoryBatch:
         return self.sums[n]
 
 
-def _davydov_sums(chain: DavydovChain, n_grid, seed: int, replicates: range) -> np.ndarray:
+def _step_rows(gens: list, n_steps: int):
+    """(t, u_t) for t = 1..n_steps, where u_t holds every replicate's t-th
+    uniform as one contiguous row.  Each replicate's stream is read in blocks
+    of STEP_BLOCK draws, which yields the same doubles as one long draw."""
+    for start in range(0, n_steps, STEP_BLOCK):
+        block = min(STEP_BLOCK, n_steps - start)
+        u = np.empty((block, len(gens)))
+        for col in range(0, len(gens), STEP_TILE):
+            u[:, col:col + STEP_TILE] = np.array([g.random(block) for g in gens[col:col + STEP_TILE]]).T
+        yield from enumerate(u, start + 1)
+
+
+def _davydov_step_tables(chain: DavydovChain) -> tuple:
+    """(cumulative stationary law, f, threshold, up, down): from state index
+    i the chain moves to up[i] when the step's uniform is below threshold[i]
+    and to down[i] otherwise.  State 0 goes to +-1 with threshold 1/2; the
+    boundary states +-n_max have threshold 0 and drop to 0."""
     kernel, f = _davydov_cache(chain)
     zero = kernel.index_of(0)
-    size = kernel.size
-    up_prob = np.zeros(size)
-    up_target = np.full(size, zero, dtype=int)
+    n_max = int(kernel.states.max())
+    threshold = np.zeros(kernel.size)
+    up = np.full(kernel.size, zero)
+    down = np.full(kernel.size, zero)
     for i, s in enumerate(kernel.states):
-        if s == 0:
-            continue
-        nxt = s + 1 if s > 0 else s - 1
-        if abs(nxt) <= kernel.states.max():
-            j = kernel.index_of(nxt)
-            up_prob[i] = kernel.matrix[i, j]
-            up_target[i] = j
-    cum_pi = np.cumsum(kernel.stationary)
-    m = len(replicates)
-    n_top = n_grid[-1]
+        if 0 < abs(s) < n_max:
+            j = i + 1 if s > 0 else i - 1
+            threshold[i], up[i] = kernel.matrix[i, j], j
+    threshold[zero], up[zero], down[zero] = 0.5, zero + 1, zero - 1
+    return np.cumsum(kernel.stationary), f, threshold, up, down
+
+
+def _davydov_sums(tables: tuple, n_grid, seed: int, replicates: range) -> np.ndarray:
+    cum_pi, f, threshold, up, down = tables
     marks = {n: col for col, n in enumerate(n_grid)}
-    idx = np.empty(m, dtype=int)
-    gens = []
-    for row, rep in enumerate(replicates):
-        idx[row] = np.searchsorted(cum_pi, rngmod.stream(seed, rngmod.ROLE_INIT, rep, 0).random())
-        gens.append(rngmod.stream(seed, rngmod.ROLE_STEP, rep, 0))
-    out = np.empty((m, len(n_grid)))
-    total = np.zeros(m)
-    for start in range(0, n_top, STEP_BLOCK):
-        block = min(STEP_BLOCK, n_top - start)
-        u_steps = np.stack([g.random(block) for g in gens])
-        for t in range(block):
-            u = u_steps[:, t]
-            at_zero = idx == zero
-            nxt = np.where(u < up_prob[idx], up_target[idx], zero)
-            nxt = np.where(at_zero, np.where(u < 0.5, zero + 1, zero - 1), nxt)
-            idx = nxt
-            total += f[idx]
-            n_done = start + t + 1
-            if n_done in marks:
-                out[:, marks[n_done]] = total / np.sqrt(n_done)
+    idx = np.searchsorted(cum_pi, [rngmod.stream(seed, rngmod.ROLE_INIT, rep, 0).random() for rep in replicates])
+    gens = [rngmod.stream(seed, rngmod.ROLE_STEP, rep, 0) for rep in replicates]
+    out = np.empty((len(replicates), len(n_grid)))
+    total = np.zeros(len(replicates))
+    for n_done, u in _step_rows(gens, n_grid[-1]):
+        idx = np.where(u < threshold[idx], up[idx], down[idx])
+        total += f[idx]
+        if n_done in marks:
+            out[:, marks[n_done]] = total / np.sqrt(n_done)
     return out
 
 
@@ -706,72 +736,53 @@ def _davydov_cache(chain: DavydovChain):
     return _DAVYDOV_CACHE[key]
 
 
-def _expanding_sums(spec: ExpandingMap, n_grid, seed: int, replicates: range) -> np.ndarray:
-    density = invariant_density(spec)
+def _expanding_sums(spec: ExpandingMap, density: DensityGrid, n_grid, seed: int, replicates: range) -> np.ndarray:
     f = spec.f()
     mu_f = density.mean_of(f)
-    m = len(replicates)
-    n_top = n_grid[-1]
     marks = {n: col for col, n in enumerate(n_grid)}
-    x = np.empty(m)
-    gens = []
-    for row, rep in enumerate(replicates):
-        x[row] = density.draw(rngmod.stream(seed, rngmod.ROLE_INIT, rep, 0), 1)[0]
-        gens.append(rngmod.stream(seed, rngmod.ROLE_STEP, rep, 0))
-    out = np.empty((m, len(n_grid)))
+    x = density.quantile([rngmod.stream(seed, rngmod.ROLE_INIT, rep, 0).random() for rep in replicates])
+    gens = [rngmod.stream(seed, rngmod.ROLE_STEP, rep, 0) for rep in replicates]
+    out = np.empty((len(replicates), len(n_grid)))
     total = f(x) - mu_f
     if 1 in marks:
         out[:, marks[1]] = total
     is_dyadic = spec.kind == "beta" and abs(spec.beta - 2.0) < 1e-15
-    for start in range(0, n_top - 1, STEP_BLOCK):
-        block = min(STEP_BLOCK, n_top - 1 - start)
-        u_steps = np.stack([g.random(block) for g in gens])
-        for t in range(block):
-            if is_dyadic:
-                x = 0.5 * (x + (u_steps[:, t] < 0.5))
-            else:
-                x = _dual_step(spec, x, u_steps[:, t], density)
-            total += f(x) - mu_f
-            n_done = start + t + 2
-            if n_done in marks:
-                out[:, marks[n_done]] = total / np.sqrt(n_done)
+    for t, u in _step_rows(gens, n_grid[-1] - 1):
+        if is_dyadic:
+            x = 0.5 * (x + (u < 0.5))
+        else:
+            x = _dual_step(spec, x, u, density)
+        total += f(x) - mu_f
+        if t + 1 in marks:
+            out[:, marks[t + 1]] = total / np.sqrt(t + 1)
     return out
 
 
-def _iid_sums(fam: IIDBaseline, n_grid, seed: int, replicates: range) -> np.ndarray:
+def _iid_sums(law: InnovationLaw, n_grid, seed: int, replicates: range) -> np.ndarray:
     marks = np.asarray(n_grid)
     out = np.empty((len(replicates), marks.size))
     for row, rep in enumerate(replicates):
         gen = rngmod.stream(seed, rngmod.ROLE_INNOVATION, rep, 0)
-        cs = np.cumsum(fam.law.sample(gen, marks[-1]))
+        cs = np.cumsum(law.sample(gen, marks[-1]))
         out[row] = cs[marks - 1] / np.sqrt(marks)
     return out
 
 
-def _linear_path_values(fam: LinearProcess, n_top: int, seed: int, rep: int) -> np.ndarray:
-    a = fam.coefficients()
-    t = fam.truncation
+def _linear_path_values(a: np.ndarray, law: InnovationLaw, n_top: int, seed: int, rep: int) -> np.ndarray:
+    """X_1..X_n_top for the coefficients a_{-t..t}, from the replicate's
+    innovation stream."""
     gen = rngmod.stream(seed, rngmod.ROLE_INNOVATION, rep, 0)
-    eps = fam.innovation.sample(gen, n_top + 2 * t)
+    eps = law.sample(gen, n_top + a.size - 1)
     return np.convolve(eps, a[::-1], mode="valid")
 
 
-def _linear_sums(fam: LinearProcess, n_grid, seed: int, replicates: range) -> np.ndarray:
+def _linear_sums(a: np.ndarray, law: InnovationLaw, observe, n_grid, seed: int, replicates: range) -> np.ndarray:
+    """Partial sums of observe(X_1..X_n) for a linear process: the path
+    itself, or h(X_k) - E h(V) for a function of one."""
     marks = np.asarray(n_grid)
     out = np.empty((len(replicates), marks.size))
     for row, rep in enumerate(replicates):
-        cs = np.cumsum(_linear_path_values(fam, int(marks[-1]), seed, rep))
-        out[row] = cs[marks - 1] / np.sqrt(marks)
-    return out
-
-
-def _function_of_linear_sums(fam: FunctionOfLinear, n_grid, seed: int, replicates: range, center: float) -> np.ndarray:
-    marks = np.asarray(n_grid)
-    out = np.empty((len(replicates), marks.size))
-    h = fam.h()
-    for row, rep in enumerate(replicates):
-        vals = h(_linear_path_values(fam.base, int(marks[-1]), seed, rep)) - center
-        cs = np.cumsum(vals)
+        cs = np.cumsum(observe(_linear_path_values(a, law, int(marks[-1]), seed, rep)))
         out[row] = cs[marks - 1] / np.sqrt(marks)
     return out
 
@@ -796,29 +807,29 @@ def partial_sums_batch(
     if m * max(n_grid) > budget:
         raise ProcessError(f"batch of {m} x {max(n_grid)} exceeds the memory budget")
     seed = spec.seed if seed is None else seed
+    # per-family tables (coefficients, step tables, invariant density) are
+    # built once here and shared by every replicate chunk
     fam = spec.family
-    center = 0.0
-    if isinstance(fam, FunctionOfLinear):
+    if isinstance(fam, IIDBaseline):
+        chunk_sums = partial(_iid_sums, fam.law)
+    elif isinstance(fam, DavydovChain):
+        chunk_sums = partial(_davydov_sums, _davydov_step_tables(fam))
+    elif isinstance(fam, LinearProcess):
+        chunk_sums = partial(_linear_sums, fam.coefficients(), fam.innovation, lambda v: v)
+    elif isinstance(fam, FunctionOfLinear):
+        h = fam.h()
         key = (id(fam.base.coeff_rule), fam.base.truncation, str(fam.h_rule), fam.gamma, seed)
         if key not in _CENTER_CACHE:
-            _CENTER_CACHE[key] = _centering_constant(fam.base, fam.h(), seed, fam.centering_draws)
+            _CENTER_CACHE[key] = _centering_constant(fam.base, h, seed, fam.centering_draws)
         center = _CENTER_CACHE[key][0]
-    parts = []
-    for start in range(0, m, REPLICATE_CHUNK):
-        reps = range(start, min(start + REPLICATE_CHUNK, m))
-        if isinstance(fam, IIDBaseline):
-            parts.append(_iid_sums(fam, n_grid, seed, reps))
-        elif isinstance(fam, DavydovChain):
-            parts.append(_davydov_sums(fam, n_grid, seed, reps))
-        elif isinstance(fam, LinearProcess):
-            parts.append(_linear_sums(fam, n_grid, seed, reps))
-        elif isinstance(fam, FunctionOfLinear):
-            parts.append(_function_of_linear_sums(fam, n_grid, seed, reps, center))
-        elif isinstance(fam, ExpandingMap):
-            parts.append(_expanding_sums(fam, n_grid, seed, reps))
-        else:
-            raise ProcessError(f"unsupported family: {type(fam).__name__}")
-    table = np.concatenate(parts, axis=0)
+        chunk_sums = partial(_linear_sums, fam.base.coefficients(), fam.base.innovation, lambda v: h(v) - center)
+    elif isinstance(fam, ExpandingMap):
+        chunk_sums = partial(_expanding_sums, fam, invariant_density(fam))
+    else:
+        raise ProcessError(f"unsupported family: {type(fam).__name__}")
+    table = np.concatenate(
+        [chunk_sums(n_grid, seed, range(start, min(start + REPLICATE_CHUNK, m))) for start in range(0, m, REPLICATE_CHUNK)]
+    )
     sums = {n: table[:, col] for col, n in enumerate(n_grid)}
     return TrajectoryBatch(n_grid, m, sums, seed)
 
@@ -843,7 +854,6 @@ def _chain_long_run(kernel: FiniteKernel, f: np.ndarray, lag_cap: int = 4096, to
     sigma2 = float(covs[0] + 2.0 * covs[1:].sum())
 
     def sigma_n2(n: int) -> float:
-        k = np.arange(1, min(n, covs.size - 1) + 0)
         kk = np.arange(1, covs.size)
         w = np.maximum(1.0 - kk / n, 0.0)
         return float(covs[0] + 2.0 * np.sum(w * covs[1:]))
@@ -938,13 +948,9 @@ def _dual_kernel_apply(spec: ExpandingMap, x: np.ndarray, h: np.ndarray, density
             out += w * np.interp(y, x, h)
             wsum += w
         return out / wsum
-    branches = _map_branches(spec)
     out = np.zeros_like(x)
     wsum = np.zeros_like(x)
-    for slope, off, lo, hi in branches:
-        y = (x - off) / slope
-        y = y - np.floor(y)
-        valid = (y >= lo - 1e-12) & (y <= hi + 1e-12)
+    for slope, lo, hi, y, valid in _preimages(spec, x):
         y = np.clip(y, lo, hi)
         w = np.where(valid, density.at(y) / abs(slope), 0.0)
         out += w * np.interp(y, x, h)

@@ -5,6 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cltlab import processes
+from cltlab import rng as rngmod
 from cltlab.processes import (
     DavydovChain,
     DensityGrid,
@@ -27,6 +29,7 @@ from cltlab.processes import (
     sample_chain,
     sample_linear_process,
 )
+from cltlab.processes import _centering_constant, _map_branches
 
 
 class TestInnovationLaw:
@@ -372,3 +375,241 @@ class TestFiniteKernelValidation:
         k = np.eye(2)
         with pytest.raises(ProcessError):
             FiniteKernel(np.array([0, 1]), k, np.array([0.5, 0.5]))
+
+
+# ---------------------------------------------------------------------------
+# Per-step loops as they stood before the step tables were hoisted out of
+# them, kept as references: the batch kernels must reproduce them bit for bit.
+
+
+def _reference_density_draw(density, gen):
+    x, v = density.x, density.values
+    cdf = np.concatenate(([0.0], np.cumsum((v[1:] + v[:-1]) / 2.0 * np.diff(x))))
+    cdf /= cdf[-1]
+    return np.interp(gen.random(1), cdf, x)[0]
+
+
+def _reference_dual_step(spec, x, u, density):
+    if spec.kind == "gauss":
+        m = np.ceil((1.0 + x) / (1.0 - u) - x - 1.0)
+        m = np.maximum(m, 1.0)
+        return 1.0 / (x + m)
+    branches = _map_branches(spec)
+    ys = np.empty((len(branches), x.size))
+    ws = np.empty((len(branches), x.size))
+    for i, (slope, off, lo, hi) in enumerate(branches):
+        y = (x - off) / slope
+        y = y - np.floor(y)
+        valid = (y >= lo - 1e-12) & (y <= hi + 1e-12)
+        y = np.clip(y, lo, hi)
+        ys[i] = y
+        ws[i] = np.where(valid, np.interp(y, density.x, density.values) / abs(slope), 0.0)
+    cum = np.cumsum(ws, axis=0)
+    cum /= cum[-1]
+    pick = (u[None, :] > cum).sum(axis=0)
+    return ys[pick, np.arange(x.size)]
+
+
+def _reference_expanding_sums(spec, n_grid, seed, replicates, step_block=4096):
+    density = invariant_density(spec)
+    f = spec.f()
+    mu_f = density.mean_of(f)
+    m = len(replicates)
+    n_top = n_grid[-1]
+    marks = {n: col for col, n in enumerate(n_grid)}
+    x = np.empty(m)
+    gens = []
+    for row, rep in enumerate(replicates):
+        x[row] = _reference_density_draw(density, rngmod.stream(seed, rngmod.ROLE_INIT, rep, 0))
+        gens.append(rngmod.stream(seed, rngmod.ROLE_STEP, rep, 0))
+    out = np.empty((m, len(n_grid)))
+    total = f(x) - mu_f
+    if 1 in marks:
+        out[:, marks[1]] = total
+    is_dyadic = spec.kind == "beta" and abs(spec.beta - 2.0) < 1e-15
+    for start in range(0, n_top - 1, step_block):
+        block = min(step_block, n_top - 1 - start)
+        u_steps = np.stack([g.random(block) for g in gens])
+        for t in range(block):
+            if is_dyadic:
+                x = 0.5 * (x + (u_steps[:, t] < 0.5))
+            else:
+                x = _reference_dual_step(spec, x, u_steps[:, t], density)
+            total += f(x) - mu_f
+            n_done = start + t + 2
+            if n_done in marks:
+                out[:, marks[n_done]] = total / np.sqrt(n_done)
+    return out
+
+
+def _reference_davydov_sums(chain, n_grid, seed, replicates, step_block=4096):
+    kernel, f = chain.build()
+    zero = kernel.index_of(0)
+    size = kernel.size
+    up_prob = np.zeros(size)
+    up_target = np.full(size, zero, dtype=int)
+    for i, s in enumerate(kernel.states):
+        if s == 0:
+            continue
+        nxt = s + 1 if s > 0 else s - 1
+        if abs(nxt) <= kernel.states.max():
+            j = kernel.index_of(nxt)
+            up_prob[i] = kernel.matrix[i, j]
+            up_target[i] = j
+    cum_pi = np.cumsum(kernel.stationary)
+    m = len(replicates)
+    n_top = n_grid[-1]
+    marks = {n: col for col, n in enumerate(n_grid)}
+    idx = np.empty(m, dtype=int)
+    gens = []
+    for row, rep in enumerate(replicates):
+        idx[row] = np.searchsorted(cum_pi, rngmod.stream(seed, rngmod.ROLE_INIT, rep, 0).random())
+        gens.append(rngmod.stream(seed, rngmod.ROLE_STEP, rep, 0))
+    out = np.empty((m, len(n_grid)))
+    total = np.zeros(m)
+    for start in range(0, n_top, step_block):
+        block = min(step_block, n_top - start)
+        u_steps = np.stack([g.random(block) for g in gens])
+        for t in range(block):
+            u = u_steps[:, t]
+            at_zero = idx == zero
+            nxt = np.where(u < up_prob[idx], up_target[idx], zero)
+            nxt = np.where(at_zero, np.where(u < 0.5, zero + 1, zero - 1), nxt)
+            idx = nxt
+            total += f[idx]
+            n_done = start + t + 1
+            if n_done in marks:
+                out[:, marks[n_done]] = total / np.sqrt(n_done)
+    return out
+
+
+def _reference_linear_path(fam, n_top, seed, rep):
+    a = fam.coefficients()
+    gen = rngmod.stream(seed, rngmod.ROLE_INNOVATION, rep, 0)
+    eps = fam.innovation.sample(gen, n_top + 2 * fam.truncation)
+    return np.convolve(eps, a[::-1], mode="valid")
+
+
+def _reference_linear_sums(fam, n_grid, seed, replicates):
+    marks = np.asarray(n_grid)
+    out = np.empty((len(replicates), marks.size))
+    for row, rep in enumerate(replicates):
+        cs = np.cumsum(_reference_linear_path(fam, int(marks[-1]), seed, rep))
+        out[row] = cs[marks - 1] / np.sqrt(marks)
+    return out
+
+
+def _reference_function_of_linear_sums(fam, n_grid, seed, replicates):
+    center = _centering_constant(fam.base, fam.h(), seed, fam.centering_draws)[0]
+    marks = np.asarray(n_grid)
+    out = np.empty((len(replicates), marks.size))
+    h = fam.h()
+    for row, rep in enumerate(replicates):
+        cs = np.cumsum(h(_reference_linear_path(fam.base, int(marks[-1]), seed, rep)) - center)
+        out[row] = cs[marks - 1] / np.sqrt(marks)
+    return out
+
+
+def _reference_iid_sums(fam, n_grid, seed, replicates):
+    marks = np.asarray(n_grid)
+    out = np.empty((len(replicates), marks.size))
+    for row, rep in enumerate(replicates):
+        cs = np.cumsum(fam.law.sample(rngmod.stream(seed, rngmod.ROLE_INNOVATION, rep, 0), marks[-1]))
+        out[row] = cs[marks - 1] / np.sqrt(marks)
+    return out
+
+
+_GEOMETRIC = LinearProcess(lambda j: 0.5**j if j >= 0 else 0.0, truncation=24)
+_MAP_GRID = (1, 5, 16, 41)
+_CHAIN_GRID = (8, 33, 41)
+_REFERENCE_CASES = {
+    "davydov-f1": (DavydovChain(2.5, 0.1, "f1", n_max=60), _CHAIN_GRID, _reference_davydov_sums),
+    "davydov-f2": (DavydovChain(2.7, 0.3, "f2", n_max=60), _CHAIN_GRID, _reference_davydov_sums),
+    "beta-2.5": (ExpandingMap("beta", beta=2.5), _MAP_GRID, _reference_expanding_sums),
+    "gauss": (ExpandingMap("gauss", a=1.0), _MAP_GRID, _reference_expanding_sums),
+    "piecewise-affine": (
+        ExpandingMap("piecewise_affine", breakpoints=(0.0, 0.4, 1.0), slopes=(2.5, 5.0 / 3.0), offsets=(0.0, -2.0 / 3.0)),
+        _MAP_GRID,
+        _reference_expanding_sums,
+    ),
+    "doubling": (ExpandingMap("beta", beta=2.0), _MAP_GRID, _reference_expanding_sums),
+    "linear": (_GEOMETRIC, _CHAIN_GRID, _reference_linear_sums),
+    "function-of-linear": (
+        FunctionOfLinear(_GEOMETRIC, "abs_power", 1.0, 0.0, centering_draws=10**5),
+        _CHAIN_GRID,
+        _reference_function_of_linear_sums,
+    ),
+    "iid": (IIDBaseline(InnovationLaw("symmetric_pareto", q=3.0)), _CHAIN_GRID, _reference_iid_sums),
+}
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+class TestBatchKernelsMatchReference:
+    """partial_sums_batch against the reference loops, bit for bit, under any
+    replicate chunking and any step blocking."""
+
+    M = 400
+    SEED = 13
+
+    @pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
+    def test_bit_identical_under_chunking_and_blocking(self, case, monkeypatch):
+        fam, n_grid, reference = _REFERENCE_CASES[case]
+        expect = reference(fam, n_grid, self.SEED, range(self.M))
+        settings = [(processes.REPLICATE_CHUNK, processes.STEP_BLOCK)]
+        settings += [(chunk, processes.STEP_BLOCK) for chunk in (100, 333)]
+        settings += [(processes.REPLICATE_CHUNK, block) for block in (1, 7, 4096)]
+        for chunk, block in settings:
+            monkeypatch.setattr(processes, "REPLICATE_CHUNK", chunk)
+            monkeypatch.setattr(processes, "STEP_BLOCK", block)
+            batch = partial_sums_batch(ProcessSpec(fam), n_grid, self.M, seed=self.SEED)
+            for col, n in enumerate(n_grid):
+                assert np.array_equal(_bits(batch.values(n)), _bits(expect[:, col])), (case, chunk, block, n)
+
+    def test_reference_blocking_is_itself_invariant(self):
+        # the old column-major loop read each stream in blocks too: a short
+        # block gives the same doubles as one long draw
+        chain = _REFERENCE_CASES["davydov-f1"][0]
+        a = _reference_davydov_sums(chain, _CHAIN_GRID, 3, range(120))
+        b = _reference_davydov_sums(chain, _CHAIN_GRID, 3, range(120), step_block=5)
+        assert np.array_equal(a, b)
+
+
+class TestDensityGridInterpolation:
+    """DensityGrid.at indexes the uniform grid directly; it must equal
+    np.interp bit for bit on [0, 1]."""
+
+    @pytest.mark.parametrize("grid_size", [4096, 1000, 7, 1])
+    def test_equals_np_interp(self, grid_size):
+        gen = np.random.default_rng(grid_size)
+        x = np.linspace(0.0, 1.0, grid_size + 1)
+        values = gen.random(x.size) * 3.0
+        values[gen.integers(0, x.size)] = 0.0
+        grid = DensityGrid(x, values)
+        pts = np.concatenate(
+            (
+                gen.random(20000),
+                x,
+                np.nextafter(x, -np.inf)[1:],
+                np.nextafter(x, np.inf)[:-1],
+                [0.0, 1.0, 5e-324, np.nextafter(1.0, 0.0)],
+            )
+        )
+        assert np.array_equal(_bits(grid.at(pts)), _bits(np.interp(pts, x, values)))
+
+    def test_invariant_density_of_beta_map(self):
+        d = invariant_density(ExpandingMap("beta", beta=2.5))
+        pts = np.concatenate((np.random.default_rng(1).random(50000), d.x, [0.0, 1.0]))
+        assert np.array_equal(_bits(d.at(pts)), _bits(np.interp(pts, d.x, d.values)))
+
+    def test_quantile_matches_trapezoid_cdf(self):
+        d = invariant_density(ExpandingMap("beta", beta=2.5))
+        gen_a, gen_b = np.random.default_rng(4), np.random.default_rng(4)
+        draws = list(d.quantile(gen_a.random(50)))
+        assert draws == [_reference_density_draw(d, gen_b) for _ in range(50)]
+
+    def test_rejects_non_uniform_grid(self):
+        with pytest.raises(ProcessError):
+            DensityGrid(np.array([0.0, 0.3, 1.0]), np.ones(3))
