@@ -375,7 +375,6 @@ def _check_window(cfg: dict, section: dict) -> dict:
 def _check_coboundary(cfg: dict, section: dict) -> dict:
     tol = cfg["tolerances"]["coboundary"]
     rule = lambda j: 0.5**j if j >= 0 else 0.0
-    rule.config = {"rule": "geometric", "ratio": 0.5, "scale": 1.0}
     dec = coboundary(LinearProcess(rule, InnovationLaw("gaussian"), truncation=64))
     res = dec.identity_check(256, cfg["seed"])
     if res["max_residual"] > tol:

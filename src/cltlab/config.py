@@ -202,7 +202,6 @@ def build_coeff_rule(section: dict) -> Callable[[int], float]:
         def fn(j: int) -> float:
             return table.get(j, 0.0)
 
-    fn.config = dict(section)  # type: ignore[attr-defined]
     return fn
 
 
@@ -259,38 +258,6 @@ def build_process(cfg: dict) -> ProcessSpec:
         return ProcessSpec(fam, seed=seed, p_moment=p_moment)
     except ProcessError as exc:
         raise ConfigError(f"'process': {exc}") from exc
-
-
-def process_to_config(spec: ProcessSpec) -> dict:
-    """Declarative form of a ProcessSpec; inverse of build_process for every
-    family whose coefficient rule was built from a config."""
-    fam = spec.family
-    if isinstance(fam, DavydovChain):
-        section = {"family": "davydov", "p": fam.p, "eps": fam.eps,
-                   "functional": fam.functional, "n_max": fam.n_max}
-    elif isinstance(fam, (LinearProcess, FunctionOfLinear)):
-        base = fam if isinstance(fam, LinearProcess) else fam.base
-        coeffs = getattr(base.coeff_rule, "config", None)
-        if coeffs is None:
-            raise ConfigError("coefficient rule was not built from a config; cannot serialize")
-        section = {"family": "linear", "coeffs": coeffs, "truncation": base.truncation,
-                   "innovation": {"kind": base.innovation.kind, "q": base.innovation.q}}
-        if isinstance(fam, FunctionOfLinear):
-            section.update(family="function_of_linear", h_rule=fam.h_rule, gamma=fam.gamma,
-                           alpha=fam.alpha, centering_draws=fam.centering_draws)
-    elif isinstance(fam, ExpandingMap):
-        section = {"family": "expanding_map", "kind": fam.kind, "beta": fam.beta, "a": fam.a,
-                   "breakpoints": list(fam.breakpoints), "slopes": list(fam.slopes),
-                   "offsets": list(fam.offsets), "observable": fam.observable,
-                   "burn_in": fam.burn_in}
-        if callable(fam.observable):
-            raise ConfigError("callable observable cannot be serialized")
-    elif isinstance(fam, IIDBaseline):
-        section = {"family": "iid",
-                   "innovation": {"kind": fam.law.kind, "q": fam.law.q}}
-    else:
-        raise ConfigError(f"unsupported family: {type(fam).__name__}")
-    return {"seed": spec.seed, "process": section}
 
 
 def build_plan(cfg: dict) -> ExperimentPlan:

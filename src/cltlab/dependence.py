@@ -761,16 +761,25 @@ class CoboundaryDecomposition:
     spec: LinearProcess
     big_a: float
     tolerance: float = 1e-8
+    # the coefficients a_{-t..t} and their tail sums, computed once
+    _a: np.ndarray = field(init=False, repr=False, compare=False)
+    _tail_t: np.ndarray = field(init=False, repr=False, compare=False)
+    _tail_q: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        a = self.spec.coefficients()
+        object.__setattr__(self, "_a", a)
+        # T_k = sum_{j>=k} a_j and Q_k = sum_{j<=-k} a_j, indexed as in z_value
+        object.__setattr__(self, "_tail_t", np.concatenate((np.cumsum(a[::-1])[::-1], [0.0])))
+        object.__setattr__(self, "_tail_q", np.concatenate(([0.0], np.cumsum(a))))
 
     def d_sequence(self, eps: np.ndarray) -> np.ndarray:
         return self.big_a * np.asarray(eps, dtype=float)
 
     def z_value(self, i: int, eps: np.ndarray, origin: int) -> float:
         """Z_i from innovations indexed eps[m + origin] = eps_m."""
-        a = self.spec.coefficients()
         t = self.spec.truncation
-        tail_t = np.concatenate((np.cumsum(a[::-1])[::-1], [0.0]))  # T_k = sum_{j>=k} a_j
-        tail_q = np.concatenate(([0.0], np.cumsum(a)))  # Q_k = sum_{j<=-k} a_j at index
+        tail_t, tail_q = self._tail_t, self._tail_q
         total = 0.0
         for m in range(i - t, i):  # past: T_{i-m} with 1 <= i-m <= t
             total += float(tail_t[(i - m) + t]) * eps[m + origin]
@@ -783,13 +792,12 @@ class CoboundaryDecomposition:
         gen = rngmod.stream(seed, rngmod.ROLE_INNOVATION, replicate, n)
         eps = self.spec.innovation.sample(gen, n + 4 * t + 2)
         origin = 2 * t  # eps[m + origin] = eps_m for m in 1-2t .. n+2t+2-2t
-        a = self.spec.coefficients()
+        a = self._a
         x = np.array([float(a @ eps[k - t + origin : k + t + 1 + origin][::-1]) for k in range(1, n + 1)])
         s = np.cumsum(x)
         m = self.big_a * np.cumsum(eps[origin + 1 : origin + n + 1])
-        resid = np.array(
-            [abs(s[k - 1] - m[k - 1] - self.z_value(1, eps, origin) + self.z_value(k + 1, eps, origin)) for k in range(1, n + 1)]
-        )
+        z_1 = self.z_value(1, eps, origin)
+        resid = np.array([abs(s[k - 1] - m[k - 1] - z_1 + self.z_value(k + 1, eps, origin)) for k in range(1, n + 1)])
         return {"max_residual": float(resid.max()), "ok": bool(resid.max() <= self.tolerance)}
 
 

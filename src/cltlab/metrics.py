@@ -12,7 +12,6 @@ from math import ceil, comb
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.special import exp1, gamma, gammaincc
 
 from .normal import abs_moment, norm_cdf, norm_pdf, norm_pdf_derivative, norm_quantile
 
@@ -83,10 +82,6 @@ class EmpiricalDistribution:
 
     def is_uniform(self) -> bool:
         return bool(np.allclose(self.weights, 1.0 / self.size, rtol=0, atol=1e-14))
-
-    def abs_quantile(self) -> "EmpiricalDistribution":
-        """Law of |X| as an empirical distribution."""
-        return EmpiricalDistribution(np.abs(self.points), self.weights)
 
 
 @dataclass(frozen=True)
@@ -479,7 +474,7 @@ def _envelope_weight(u):
     return np.maximum(1.0, norm_quantile(1.0 - np.asarray(u) / 2.0))
 
 
-U_WEIGHT_KINK = 2.0 * (1.0 - norm_cdf(1.0))  # weight equals 1 above this u
+U_WEIGHT_KINK = 0.31731050786291415  # 2 (1 - Phi(1)): the weight equals 1 above this u
 
 
 def envelope_norm(q: Callable[[np.ndarray], np.ndarray], p: float, tol: float = QUAD_ABS_TOL) -> float:
@@ -541,6 +536,8 @@ def _upper_gamma(a: float, x):
     """Gamma(a, x) = int_x^inf t^{a-1} e^{-t} dt for x > 0 and any real a:
     the regularized scipy form for a > 0, E_1 at a = 0, and below that the
     recurrence Gamma(b, x) = (Gamma(b + 1, x) - x^b e^{-x}) / b."""
+    from scipy.special import exp1, gamma, gammaincc
+
     steps = max(0, ceil(-a))
     b = a + steps
     out = exp1(x) if b == 0 else gammaincc(b, x) * gamma(b)
@@ -685,8 +682,6 @@ def smoothing_lemma_check(f: GridFunction, r: float, p: float, t: float) -> dict
 
 # ---------------------------------------------------------------------------
 # Zolotarev ideal distance
-
-RIO_CONSTANT = 32.0  # W_r^r <= 32 zeta_r (Rio 2007); exposed, literature-dependent
 
 
 def _integral_against(law: Law, fvals: Callable[[np.ndarray], np.ndarray]) -> float:

@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammaln, ndtr, ndtri
 
 
 def norm_cdf(x):
     """Standard normal d.f., accurate to full double precision."""
+    from scipy.special import ndtr
+
     return ndtr(x)
 
 
 def norm_quantile(u):
     """Inverse of the standard normal d.f."""
+    from scipy.special import ndtri
+
     return ndtri(u)
 
 
@@ -25,6 +28,8 @@ def abs_moment(r: float) -> float:
     """E|Y|^r for Y standard normal, any r > -1."""
     if r <= -1:
         raise ValueError("absolute moment requires r > -1")
+    from scipy.special import gammaln
+
     # E|Y|^r = 2^{r/2} Gamma((r+1)/2) / sqrt(pi)
     return float(np.exp(0.5 * r * np.log(2.0) + gammaln((r + 1) / 2.0) - 0.5 * np.log(np.pi)))
 

@@ -13,8 +13,6 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from . import rng as rngmod
 
@@ -96,8 +94,7 @@ class FiniteKernel:
             raise ProcessError("rows must sum to 1 within 1e-12")
         if np.max(np.abs(pi @ k - pi)) > 1e-12:
             raise ProcessError("stationary vector residual exceeds 1e-12")
-        ncomp, _ = connected_components(csr_matrix(k > 0), connection="strong")
-        if ncomp != 1:
+        if not _strongly_connected(k > 0):
             raise ProcessError("kernel is not irreducible")
         object.__setattr__(self, "states", s)
         object.__setattr__(self, "matrix", k)
@@ -122,6 +119,25 @@ class FiniteKernel:
         for _ in range(n):
             v = self.matrix @ v
         return v
+
+
+def _strongly_connected(adj: np.ndarray) -> bool:
+    """Whether the digraph with boolean adjacency matrix adj has one strong
+    component: state 0 reaches every state along adj and along its transpose
+    (frontier breadth-first search). False for the empty graph."""
+    n = adj.shape[0]
+    if n == 0:
+        return False
+    for edges in (adj, adj.T):
+        seen = np.zeros(n, dtype=bool)
+        seen[0] = True
+        frontier = seen.copy()
+        while frontier.any():
+            frontier = edges[frontier].any(axis=0) & ~seen
+            seen |= frontier
+        if not seen.all():
+            return False
+    return True
 
 
 def _solve_stationary(k: np.ndarray) -> np.ndarray:
@@ -369,7 +385,8 @@ def sample_linear_process(spec: LinearProcess, n: int, seed: int, replicate: int
     """X_1..X_n from the truncated convolution of the replicate's innovation
     stream; X_k = sum_{j=-t}^{t} a_j eps_{k-j} by correlating against the
     reversed coefficient kernel."""
-    return _linear_path_values(spec.coefficients(), spec.innovation, n, seed, replicate)
+    gen = rngmod.stream(seed, rngmod.ROLE_INNOVATION, replicate, 0)
+    return _linear_path_values(spec.coefficients(), spec.innovation, n, gen)
 
 
 def apply_h(
@@ -714,8 +731,8 @@ def _davydov_step_tables(chain: DavydovChain) -> tuple:
 def _davydov_sums(tables: tuple, n_grid, seed: int, replicates: range) -> np.ndarray:
     cum_pi, f, threshold, up, down = tables
     marks = {n: col for col, n in enumerate(n_grid)}
-    idx = np.searchsorted(cum_pi, [rngmod.stream(seed, rngmod.ROLE_INIT, rep, 0).random() for rep in replicates])
-    gens = [rngmod.stream(seed, rngmod.ROLE_STEP, rep, 0) for rep in replicates]
+    idx = np.searchsorted(cum_pi, [g.random() for g in rngmod.streams(seed, rngmod.ROLE_INIT, replicates)])
+    gens = rngmod.streams(seed, rngmod.ROLE_STEP, replicates)
     out = np.empty((len(replicates), len(n_grid)))
     total = np.zeros(len(replicates))
     for n_done, u in _step_rows(gens, n_grid[-1]):
@@ -740,8 +757,8 @@ def _expanding_sums(spec: ExpandingMap, density: DensityGrid, n_grid, seed: int,
     f = spec.f()
     mu_f = density.mean_of(f)
     marks = {n: col for col, n in enumerate(n_grid)}
-    x = density.quantile([rngmod.stream(seed, rngmod.ROLE_INIT, rep, 0).random() for rep in replicates])
-    gens = [rngmod.stream(seed, rngmod.ROLE_STEP, rep, 0) for rep in replicates]
+    x = density.quantile([g.random() for g in rngmod.streams(seed, rngmod.ROLE_INIT, replicates)])
+    gens = rngmod.streams(seed, rngmod.ROLE_STEP, replicates)
     out = np.empty((len(replicates), len(n_grid)))
     total = f(x) - mu_f
     if 1 in marks:
@@ -761,17 +778,15 @@ def _expanding_sums(spec: ExpandingMap, density: DensityGrid, n_grid, seed: int,
 def _iid_sums(law: InnovationLaw, n_grid, seed: int, replicates: range) -> np.ndarray:
     marks = np.asarray(n_grid)
     out = np.empty((len(replicates), marks.size))
-    for row, rep in enumerate(replicates):
-        gen = rngmod.stream(seed, rngmod.ROLE_INNOVATION, rep, 0)
+    for row, gen in enumerate(rngmod.streams(seed, rngmod.ROLE_INNOVATION, replicates)):
         cs = np.cumsum(law.sample(gen, marks[-1]))
         out[row] = cs[marks - 1] / np.sqrt(marks)
     return out
 
 
-def _linear_path_values(a: np.ndarray, law: InnovationLaw, n_top: int, seed: int, rep: int) -> np.ndarray:
+def _linear_path_values(a: np.ndarray, law: InnovationLaw, n_top: int, gen: np.random.Generator) -> np.ndarray:
     """X_1..X_n_top for the coefficients a_{-t..t}, from the replicate's
-    innovation stream."""
-    gen = rngmod.stream(seed, rngmod.ROLE_INNOVATION, rep, 0)
+    innovation stream gen."""
     eps = law.sample(gen, n_top + a.size - 1)
     return np.convolve(eps, a[::-1], mode="valid")
 
@@ -781,8 +796,8 @@ def _linear_sums(a: np.ndarray, law: InnovationLaw, observe, n_grid, seed: int, 
     itself, or h(X_k) - E h(V) for a function of one."""
     marks = np.asarray(n_grid)
     out = np.empty((len(replicates), marks.size))
-    for row, rep in enumerate(replicates):
-        cs = np.cumsum(observe(_linear_path_values(a, law, int(marks[-1]), seed, rep)))
+    for row, gen in enumerate(rngmod.streams(seed, rngmod.ROLE_INNOVATION, replicates)):
+        cs = np.cumsum(observe(_linear_path_values(a, law, int(marks[-1]), gen)))
         out[row] = cs[marks - 1] / np.sqrt(marks)
     return out
 
@@ -818,11 +833,13 @@ def partial_sums_batch(
         chunk_sums = partial(_linear_sums, fam.coefficients(), fam.innovation, lambda v: v)
     elif isinstance(fam, FunctionOfLinear):
         h = fam.h()
-        key = (id(fam.base.coeff_rule), fam.base.truncation, str(fam.h_rule), fam.gamma, seed)
+        a = fam.base.coefficients()
+        # keyed by value: everything _centering_constant reads
+        key = (a.tobytes(), fam.base.innovation, fam.h_rule, fam.gamma, fam.centering_draws, seed)
         if key not in _CENTER_CACHE:
             _CENTER_CACHE[key] = _centering_constant(fam.base, h, seed, fam.centering_draws)
         center = _CENTER_CACHE[key][0]
-        chunk_sums = partial(_linear_sums, fam.base.coefficients(), fam.base.innovation, lambda v: h(v) - center)
+        chunk_sums = partial(_linear_sums, a, fam.base.innovation, lambda v: h(v) - center)
     elif isinstance(fam, ExpandingMap):
         chunk_sums = partial(_expanding_sums, fam, invariant_density(fam))
     else:

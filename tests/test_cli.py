@@ -31,15 +31,33 @@ def write_cfg(tmp_path, name="cfg.json", **overrides):
     return str(path), cfg
 
 
+def _src_env():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cltlab.__file__)))
+    return dict(os.environ, PYTHONPATH=src)
+
+
 def test_cli_import_leaves_scipy_stats_out():
     # scipy.stats costs about a second at every start and is not needed;
-    # scipy.integrate and scipy.optimize load only where quad or the
-    # assignment solver is called
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cltlab.__file__)))
-    code = ("import sys, cltlab.cli; "
-            "sys.exit(any(m in sys.modules for m in ('scipy.stats', 'scipy.integrate', 'scipy.optimize')))")
-    env = dict(os.environ, PYTHONPATH=src)
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    # scipy.special, scipy.integrate, scipy.optimize and scipy.sparse load
+    # only in the functions that compute with them
+    heavy = ("scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.special", "scipy.sparse", "scipy.linalg")
+    code = f"import sys, cltlab.cli; sys.exit(any(m in sys.modules for m in {heavy!r}))"
+    assert subprocess.run([sys.executable, "-c", code], env=_src_env()).returncode == 0
+
+
+def test_simulate_davydov_loads_no_scipy(tmp_path):
+    cfg_path, _ = write_cfg(
+        tmp_path,
+        process={"family": "davydov", "p": 2.5, "eps": 0.1, "functional": "f1", "n_max": 40},
+        simulate={"n_grid": [16, 32], "replicates": 100},
+    )
+    code = (
+        "import sys; from cltlab.cli import main; "
+        f"code = main(['simulate', '--config', {cfg_path!r}, '--out', {str(tmp_path / 'out')!r}]); "
+        "sys.exit(code or 10 * any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"
+    )
+    assert subprocess.run([sys.executable, "-c", code], env=_src_env()).returncode == 0
+    assert os.path.exists(tmp_path / "out" / "trajectories.csv")
 
 
 # ---------------------------------------------------------------------------

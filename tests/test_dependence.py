@@ -431,6 +431,28 @@ def test_coboundary_identity_small_residual():
     assert abs(dec.big_a - (2.0 / (1 - 0.5) - 1.0)) < 1e-5  # sum of 0.5^|j|
 
 
+def _z_value_recomputed(dec, i, eps, origin):
+    # z_value as it stood when it rebuilt the coefficients and tail sums per call
+    a = dec.spec.coefficients()
+    t = dec.spec.truncation
+    tail_t = np.concatenate((np.cumsum(a[::-1])[::-1], [0.0]))
+    tail_q = np.concatenate(([0.0], np.cumsum(a)))
+    total = 0.0
+    for m in range(i - t, i):
+        total += float(tail_t[(i - m) + t]) * eps[m + origin]
+    for m in range(i, i + t):
+        total -= float(tail_q[t - (m - i + 1) + 1]) * eps[m + origin]
+    return total
+
+
+def test_coboundary_z_value_from_cached_tails_is_bit_identical():
+    lp = LinearProcess(lambda j: 0.7 ** abs(j) if j < 0 else 0.5**j, InnovationLaw("uniform"), truncation=80)
+    dec = coboundary(lp)
+    eps = np.random.default_rng(4).standard_normal(200 + 4 * 80 + 2)
+    for i in range(1, 202):
+        assert dec.z_value(i, eps, 160) == _z_value_recomputed(dec, i, eps, 160)
+
+
 def test_coboundary_d_sequence_scaling():
     lp = LinearProcess(lambda j: 1.0 if j == 0 else 0.0, InnovationLaw("rademacher"), truncation=4)
     dec = coboundary(lp)

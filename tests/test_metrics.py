@@ -30,6 +30,7 @@ from cltlab.metrics import (
     wasserstein_vs_gaussian_counts,
     zolotarev,
 )
+from cltlab.metrics import U_WEIGHT_KINK
 from cltlab.normal import abs_moment, norm_cdf, norm_pdf, norm_quantile
 
 
@@ -455,6 +456,10 @@ class TestEnvelopeNormClosedForm:
         got = envelope_norm_discrete(values, probs, p)
         want = float(_envelope_norm_mpmath(values, probs, p))
         assert got == pytest.approx(want, rel=1e-13, abs=0)
+
+    def test_kink_constant_is_the_formula_bit_for_bit(self):
+        # the literal keeps scipy.special out of the import of cltlab.metrics
+        assert np.float64(U_WEIGHT_KINK).tobytes() == np.float64(2.0 * (1.0 - norm_cdf(1.0))).tobytes()
 
     @pytest.mark.parametrize("p", [1.0, 2.5])
     def test_narrow_pieces_against_mpmath(self, p):

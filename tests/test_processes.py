@@ -4,6 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cltlab import processes
 from cltlab import rng as rngmod
@@ -29,7 +32,7 @@ from cltlab.processes import (
     sample_chain,
     sample_linear_process,
 )
-from cltlab.processes import _centering_constant, _map_branches
+from cltlab.processes import _centering_constant, _map_branches, _strongly_connected
 
 
 class TestInnovationLaw:
@@ -375,6 +378,77 @@ class TestFiniteKernelValidation:
         k = np.eye(2)
         with pytest.raises(ProcessError):
             FiniteKernel(np.array([0, 1]), k, np.array([0.5, 0.5]))
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError):
+            FiniteKernel(np.array([], dtype=int), np.zeros((0, 0)), np.array([]))
+
+
+def _scipy_strongly_connected(adj):
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    return connected_components(csr_matrix(adj), connection="strong")[0] == 1
+
+
+class TestStronglyConnected:
+    """The numpy reachability check against scipy's strong components."""
+
+    @given(st.integers(1, 9).flatmap(lambda n: hnp.arrays(bool, (n, n))))
+    @settings(max_examples=300, deadline=None)
+    def test_random_digraphs(self, adj):
+        assert _strongly_connected(adj) == _scipy_strongly_connected(adj)
+
+    @pytest.mark.parametrize("adj", [
+        np.zeros((1, 1), dtype=bool),  # n = 1 without a self-loop
+        np.ones((1, 1), dtype=bool),
+        np.eye(4, dtype=bool),  # self-loops only
+        np.eye(5, k=1, dtype=bool),  # one-way chain 0 -> 1 -> ... -> 4
+        np.eye(5, k=-1, dtype=bool),  # one-way chain 4 -> ... -> 0
+        np.eye(5, k=1, dtype=bool) | np.eye(5, k=-4, dtype=bool),  # the chain closed into a cycle
+        np.eye(5, k=1, dtype=bool) | np.eye(5, k=-1, dtype=bool),  # two-way chain
+    ], ids=["n1", "n1-loop", "self-loops", "chain-up", "chain-down", "cycle", "two-way"])
+    def test_edge_cases(self, adj):
+        assert _strongly_connected(adj) == _scipy_strongly_connected(adj)
+
+    def test_empty_graph(self):
+        assert not _strongly_connected(np.zeros((0, 0), dtype=bool))
+
+    def test_davydov_kernel(self):
+        kernel, _ = DavydovChain(2.5, 0.1, n_max=60).build()
+        adj = kernel.matrix > 0
+        assert _strongly_connected(adj) and _scipy_strongly_connected(adj)
+        adj[:, kernel.index_of(0)] = False  # nothing returns to 0
+        assert not _strongly_connected(adj) and not _scipy_strongly_connected(adj)
+
+
+class TestCenteringCache:
+    """The function-of-linear centering constant is cached by value: specs
+    that differ only in the innovation law or in centering_draws get their
+    own constant, as in a run with a cleared cache."""
+
+    RULE = staticmethod(lambda j: 0.5**j if j >= 0 else 0.0)
+
+    def _spec(self, innovation="gaussian", draws=20_000, rule=None):
+        base = LinearProcess(rule or self.RULE, InnovationLaw(innovation), truncation=24)
+        return ProcessSpec(FunctionOfLinear(base, "abs_power", 1.0, 0.0, centering_draws=draws), seed=3)
+
+    def test_specs_do_not_share_a_constant(self, monkeypatch):
+        monkeypatch.setattr(processes, "_CENTER_CACHE", {})
+        specs = [self._spec(), self._spec("uniform"), self._spec(draws=30_000)]
+        in_one_process = [partial_sums_batch(spec, (4, 16), 100).values(16) for spec in specs]
+        for spec, got in zip(specs, in_one_process):
+            processes._CENTER_CACHE.clear()
+            np.testing.assert_array_equal(got, partial_sums_batch(spec, (4, 16), 100).values(16))
+        assert len({v.tobytes() for v in in_one_process}) == 3
+
+    def test_equal_specs_share_a_constant(self, monkeypatch):
+        monkeypatch.setattr(processes, "_CENTER_CACHE", {})
+        first = partial_sums_batch(self._spec(), (4, 16), 100).values(16)
+        # another function object with the same coefficients
+        again = partial_sums_batch(self._spec(rule=lambda j: 0.5**j if j >= 0 else 0.0), (4, 16), 100).values(16)
+        assert len(processes._CENTER_CACHE) == 1
+        np.testing.assert_array_equal(first, again)
 
 
 # ---------------------------------------------------------------------------
