@@ -25,6 +25,7 @@ from .config import (
     simulate_params,
 )
 from .dependence import (
+    PowerQuantile,
     check_covariance_inequality,
     coboundary,
     envelope_contraction_check,
@@ -241,7 +242,7 @@ def _run_condition(cid: str, cfg: dict, section: dict, c1c2: dict | None):
             raise ConfigError("'conditions.alpha_decay' must be positive and "
                               "'conditions.q_moment' above 2")
         alpha = [0.25 * k**-a for k in range(1, n_terms + 1)]
-        reps = series_condalpha1(lambda u: u ** (-1.0 / b), alpha, p)
+        reps = series_condalpha1(PowerQuantile(1.0 / b), alpha, p)
         return [(cid, name, reps[name]) for name in ("log_weighted", "p_norm")]
     # condphi
     c = float(section.get("phi_decay", 2.0))

@@ -12,8 +12,17 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from . import rng as rngmod
-from .metrics import envelope_norm_discrete
-from .processes import FiniteKernel, LinearProcess, ProcessError
+from .metrics import _upper_gamma, envelope_norm_discrete
+from .processes import (
+    DavydovChain,
+    FiniteKernel,
+    IIDBaseline,
+    LinearProcess,
+    ProcessError,
+    ProcessSpec,
+    _chain_long_run,
+    _davydov_cache,
+)
 
 EXACT_ENUM_CAP = 22  # state count up to which the event sup is enumerated
 PHI_BLOCK_ENTRIES = 2**18  # states x threshold combinations per _phi_i_exact block
@@ -90,13 +99,6 @@ def _threshold_indicators(values: np.ndarray) -> np.ndarray:
     """Columns are 1_{v <= x} for each distinct threshold x."""
     xs = np.unique(values)
     return (values[:, None] <= xs[None, :]).astype(float)
-
-
-def _dobrushin(kernel: np.ndarray) -> float:
-    """Dobrushin contraction coefficient max_{s,s'} TV(K(s,.), K(s',.))."""
-    k = kernel
-    diffs = 0.5 * np.abs(k[:, None, :] - k[None, :, :]).sum(axis=2)
-    return float(diffs.max())
 
 
 def phi_coeff(
@@ -417,18 +419,24 @@ def check_covariance_inequality(kernel: FiniteKernel, f_list, t_list, corollary_
 # conditional second moments and condition series
 
 
-def conditional_second_moment(kernel: FiniteKernel, f: np.ndarray, n: int, cap: int = 10**6) -> np.ndarray:
-    """E(S_n^2 | Y_0 = s) for S_n = sum_{i<=n} f(Y_i), exact by the
-    first-step recursion T_{m+1} = K(f^2 + 2 f h_m + T_m)."""
-    if n < 1 or n > cap:
-        raise DependenceError("n out of range")
-    f = np.asarray(f, dtype=float)
+def _second_moments(kernel: FiniteKernel, f: np.ndarray, n: int):
+    """E(S_m^2 | Y_0 = s) for m = 1..n, S_m = sum_{i<=m} f(Y_i), exact by the
+    first-step recursion T_{m+1} = K(f^2 + 2 f h_m + T_m), h_{m+1} = K(f + h_m)."""
     t = np.zeros(kernel.size)
     h = np.zeros(kernel.size)
     f2 = f * f
     for _ in range(n):
         t = kernel.apply(f2 + 2.0 * f * h + t)
         h = kernel.apply(f + h)
+        yield t
+
+
+def conditional_second_moment(kernel: FiniteKernel, f: np.ndarray, n: int, cap: int = 10**6) -> np.ndarray:
+    """E(S_n^2 | Y_0 = s) for S_n = sum_{i<=n} f(Y_i)."""
+    if n < 1 or n > cap:
+        raise DependenceError("n out of range")
+    for t in _second_moments(kernel, np.asarray(f, dtype=float), n):
+        pass
     return t
 
 
@@ -484,12 +492,8 @@ def _report(cid, n_values, terms, extra=None) -> ConditionReport:
 
 
 def _chain_f(spec) -> tuple[FiniteKernel, np.ndarray]:
-    from .processes import DavydovChain, ProcessSpec
-
     fam = spec.family if isinstance(spec, ProcessSpec) else spec
     if isinstance(fam, DavydovChain):
-        from .processes import _davydov_cache
-
         return _davydov_cache(fam)
     if isinstance(fam, tuple) and isinstance(fam[0], FiniteKernel):
         return fam
@@ -500,12 +504,6 @@ def _lp_norm_discrete(values: np.ndarray, probs: np.ndarray, p: float) -> float:
     return float((probs @ np.abs(values) ** p) ** (1.0 / p))
 
 
-def _chain_sigma2(kernel: FiniteKernel, f: np.ndarray) -> float:
-    from .processes import _chain_long_run
-
-    return _chain_long_run(kernel, f)[0]
-
-
 def series_C1_C2(spec, p: float, n_terms: int, outer: int = 1000, seed: int = 0) -> dict:
     """Terms of the two normalized-conditional-variance series: the envelope
     norm weighted by n^{-(2-p/2)} and the L^{p/2} norm weighted by n^{-2/p}.
@@ -513,8 +511,6 @@ def series_C1_C2(spec, p: float, n_terms: int, outer: int = 1000, seed: int = 0)
     Chains are exact; linear processes use outer Monte Carlo over pasts with
     the inner conditional expectation in closed form.
     """
-    from .processes import DavydovChain, IIDBaseline, ProcessSpec
-
     fam = spec.family if isinstance(spec, ProcessSpec) else spec
     ns = list(range(1, n_terms + 1))
     if isinstance(fam, IIDBaseline):
@@ -527,15 +523,10 @@ def series_C1_C2(spec, p: float, n_terms: int, outer: int = 1000, seed: int = 0)
         return _series_c1c2_linear(fam, p, ns, outer, seed)
     kernel, f = _chain_f(spec)
     f = f - float(kernel.stationary @ f)
-    sigma2 = _chain_sigma2(kernel, f)
+    sigma2 = _chain_long_run(kernel, f)[0]
     pi = kernel.stationary
-    t = np.zeros(kernel.size)
-    h = np.zeros(kernel.size)
-    f2 = f * f
     c1, c2 = [], []
-    for n in ns:
-        t = kernel.apply(f2 + 2.0 * f * h + t)
-        h = kernel.apply(f + h)
+    for n, t in zip(ns, _second_moments(kernel, f, n_terms)):
         dev = t / n - sigma2
         c1.append(n ** (-(2.0 - p / 2.0)) * envelope_norm_discrete(dev, pi, p))
         c2.append(n ** (-2.0 / p) * _lp_norm_discrete(dev, pi, p / 2.0) ** 1.0)
@@ -575,8 +566,6 @@ def series_projective(spec, which: str, p: float, n_terms: int, mc: int = 10**5,
     """Term sequences of the projective conditions: convergence of the
     adapted/anticipative series in L^p, and the conditional-variance series
     centered at the finite-n variance."""
-    from .processes import ProcessSpec
-
     fam = spec.family if isinstance(spec, ProcessSpec) else spec
     ns = list(range(1, n_terms + 1))
     if isinstance(fam, LinearProcess):
@@ -615,13 +604,8 @@ def series_projective(spec, which: str, p: float, n_terms: int, mc: int = 10**5,
     if which in ("Cond2cob", "Cond2cobp3"):
         q = p / 2.0 if which == "Cond2cob" else 1.5
         weight = (lambda n: n ** (-2.0 + p / 2.0)) if which == "Cond2cob" else (lambda n: n**-0.5)
-        t = np.zeros(kernel.size)
-        h = np.zeros(kernel.size)
-        f2 = fc * fc
         terms = []
-        for n in ns:
-            t = kernel.apply(f2 + 2.0 * fc * h + t)
-            h = kernel.apply(fc + h)
+        for n, t in zip(ns, _second_moments(kernel, fc, n_terms)):
             sigma_n2 = float(pi @ t) / n
             terms.append(weight(n) * _lp_norm_discrete(t / n - sigma_n2, pi, q))
         return _report(which, ns, terms)
@@ -660,37 +644,61 @@ def _series_projective_linear(fam: LinearProcess, which: str, p: float, ns, mc: 
     raise DependenceError(f"condition {which} not available for linear processes")
 
 
-def series_condalpha1(q_func: Callable[[float], float], alpha_values, p: float) -> dict:
-    """The two integral series driven by the strong-mixing coefficients: the
+@dataclass(frozen=True)
+class PowerQuantile:
+    """Upper-tail quantile Q(u) = u^{-exponent} for u < support and 0 from
+    there on. Exponent 1/b is the quantile of a Pareto tail with moments of
+    order below b; exponent 0 is a variable of modulus 1 that is nonzero
+    with probability support."""
+
+    exponent: float
+    support: float = 1.0
+
+    def __post_init__(self):
+        if self.exponent < 0 or not 0 < self.support <= 1:
+            raise DependenceError("need exponent >= 0 and support in (0, 1]")
+
+    def log_weighted_integral(self, alpha: np.ndarray, p: float) -> np.ndarray:
+        """int_0^alpha max(1, log(1/u))^c Q(u)^2 du with c = (p - 2)/2, in
+        closed form: with lam = 1 - 2 exponent and A = min(alpha, support),
+        u = e^{-t} turns the part below e^{-1} into
+        Gamma(c + 1, lam log(1/min(A, e^{-1}))) / lam^{c + 1}, and the part
+        above adds (A^lam - e^{-lam}) / lam. Infinite when lam <= 0."""
+        a = np.minimum(alpha, self.support)
+        lam = 1.0 - 2.0 * self.exponent
+        out = np.where(a > 0, np.inf, 0.0)
+        if lam > 0:
+            pos = a > 0
+            c = 0.5 * (p - 2.0)
+            below = _upper_gamma(c + 1.0, lam * np.maximum(-np.log(a[pos]), 1.0)) / lam ** (c + 1.0)
+            out[pos] = below + np.maximum(a[pos] ** lam - np.exp(-lam), 0.0) / lam
+        return out
+
+    def power_integral(self, alpha: np.ndarray, p: float) -> np.ndarray:
+        """int_0^alpha Q(u)^p du = A^{1 - p exponent} / (1 - p exponent) with
+        A = min(alpha, support); infinite when p exponent >= 1."""
+        a = np.minimum(alpha, self.support)
+        lam = 1.0 - p * self.exponent
+        if lam <= 0:
+            return np.where(a > 0, np.inf, 0.0)
+        return a**lam / lam
+
+
+def series_condalpha1(q: PowerQuantile, alpha_values, p: float) -> dict:
+    """The two integral series driven by the strong-mixing coefficients
+    through Rio's quantile covariance inequality (Ann. IHP 1993): the
     log-weighted Q^2 integral with weight k^{-(2-p/2)}, and the Q^p integral
-    to the 2/p with weight k^{-2/p}."""
+    to the 2/p with weight k^{-2/p}. Both integrals are closed forms of the
+    power-law quantile q."""
     alpha_values = np.asarray(alpha_values, dtype=float)
     if np.any((alpha_values < 0) | (alpha_values > 1)):
         raise DependenceError("alpha values must lie in [0, 1]")
-    from scipy.integrate import quad
-
-    ks = list(range(1, alpha_values.size + 1))
-    t1, t2 = [], []
-    for k, al in zip(ks, alpha_values):
-        if al == 0.0:
-            t1.append(0.0)
-            t2.append(0.0)
-            continue
-        i1, _ = quad(
-            lambda u: max(1.0, np.log(1.0 / u)) ** ((p - 2.0) / 2.0) * q_func(u) ** 2,
-            0.0,
-            al,
-            limit=300,
-        )
-        i2, _ = quad(lambda u: q_func(u) ** p, 0.0, al, limit=300)
-        if not np.isfinite(i2):
-            t2.append(np.inf)
-        else:
-            t2.append(k ** (-2.0 / p) * i2 ** (2.0 / p))
-        t1.append(k ** (-(2.0 - p / 2.0)) * (i1 if np.isfinite(i1) else np.inf))
+    ks = np.arange(1, alpha_values.size + 1)
+    t1 = ks ** (-(2.0 - p / 2.0)) * q.log_weighted_integral(alpha_values, p)
+    t2 = ks ** (-2.0 / p) * q.power_integral(alpha_values, p) ** (2.0 / p)
     return {
-        "log_weighted": _report("condalpha1-a", ks, t1),
-        "p_norm": _report("condalpha1-b", ks, t2),
+        "log_weighted": _report("condalpha1-a", ks.tolist(), t1.tolist()),
+        "p_norm": _report("condalpha1-b", ks.tolist(), t2.tolist()),
     }
 
 
@@ -713,38 +721,33 @@ def an_bn(coeff_rule: Callable[[int], float], n: int, support: int = 4096, tail_
     """A_n (squared window sums of the recentred coefficients, by the
     three-block identity) and the tail-sum majorant B_n with A_n <= 4 B_n.
     Includes the two one-sided square-tail sums of the classical martingale
-    approximation condition."""
+    approximation condition. Every window sum is a difference of prefix sums."""
     l = support
     a = np.array([coeff_rule(j) for j in range(-l, l + 1)])
     probe = np.abs(np.array([coeff_rule(j) for j in list(range(l + 1, l + 129)) + list(range(-l - 128, -l))]))
     certified = float((probe**2).sum()) <= tail_tol and float(probe.sum() ** 2) <= tail_tol
     cs = np.concatenate(([0.0], np.cumsum(a)))
 
-    def window(lo, hi):  # sum a_l over lo..hi clipped to the support
-        lo = max(lo, -l)
-        hi = min(hi, l)
-        if hi < lo:
-            return 0.0
-        return float(cs[hi + l + 1] - cs[lo + l])
+    def window(lo, hi):  # sum a_l over lo..hi clipped to the support, elementwise
+        lo = np.maximum(lo, -l)
+        hi = np.minimum(hi, l)
+        return np.where(hi >= lo, cs[np.maximum(hi + l + 1, 0)] - cs[np.minimum(lo + l, 2 * l + 1)], 0.0)
 
-    # block 1: j in 1..n
-    b1 = sum(((window(-l, -j) + window(n + 1 - j, l)) ** 2 for j in range(1, n + 1)))
-    # blocks 2 and 3: windows sliding off either end
-    b2 = sum((window(i, n + i - 1) ** 2 for i in range(1, l + 1)))
-    b3 = sum((window(-i - n + 1, -i) ** 2 for i in range(1, l + 1)))
-    a_n = b1 + b2 + b3
+    j = np.arange(1, n + 1)
+    i = np.arange(1, l + 1)
+    # block 1: j in 1..n; blocks 2 and 3: windows sliding off either end
+    b1 = float((((window(-l, -j) + window(n + 1 - j, l)) ** 2)).sum())
+    b2 = float((window(i, n + i - 1) ** 2).sum())
+    b3 = float((window(-i - n + 1, -i) ** 2).sum())
+    # T_k = sum_{m >= k} |a_m| and Q_k = sum_{m <= -k} |a_m| for k = 1..n
     absa = np.abs(a)
-    t_tail = np.concatenate((np.cumsum(absa[::-1])[::-1], [0.0]))  # T_i from index i
-    big_t = lambda i: float(t_tail[min(i + l, 2 * l + 1)]) if i >= -l else float(t_tail[0])
+    t_tail = np.concatenate((np.cumsum(absa[::-1])[::-1], [0.0]))
     q_tail = np.concatenate(([0.0], np.cumsum(absa)))
-    big_q = lambda i: float(q_tail[max(-i + l + 1, 0)])  # sum |a_l|, l <= -i
-    b_n = sum(big_t(k) ** 2 + big_q(k) ** 2 for k in range(1, n + 1))
-    heyde_a = sum(window(m, l) ** 2 for m in range(1, l + 1))
-    heyde_b = sum(window(-l, -m) ** 2 for m in range(1, l + 1))
+    b_n = float((t_tail[np.minimum(j + l, 2 * l + 1)] ** 2 + q_tail[np.maximum(l + 1 - j, 0)] ** 2).sum())
     return {
-        "A_n": a_n,
+        "A_n": b1 + b2 + b3,
         "B_n": b_n,
-        "heyde_tails": (heyde_a, heyde_b),
+        "heyde_tails": (float((window(i, l) ** 2).sum()), float((window(-l, -i) ** 2).sum())),
         "tail_certified": certified,
     }
 

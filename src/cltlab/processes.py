@@ -82,10 +82,18 @@ class FiniteKernel:
     matrix: np.ndarray
     stationary: np.ndarray
 
+    # column i holds row i's nonzero columns in increasing order and their
+    # weights, padded with zero-weight columns to the largest nonzero count
+    # of any row; slot-major, so apply sums whole contiguous rows
+    _cols: np.ndarray = field(init=False, repr=False, compare=False)
+    _weights: np.ndarray = field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
         k = np.asarray(self.matrix, dtype=float)
         s = np.asarray(self.states, dtype=int)
         pi = np.asarray(self.stationary, dtype=float)
+        if s.size == 0:
+            raise ProcessError("kernel needs at least one state")
         if k.shape != (s.size, s.size):
             raise ProcessError("matrix shape must match the state count")
         if np.any(k < -1e-15):
@@ -96,9 +104,13 @@ class FiniteKernel:
             raise ProcessError("stationary vector residual exceeds 1e-12")
         if not _strongly_connected(k > 0):
             raise ProcessError("kernel is not irreducible")
+        width = int(np.count_nonzero(k, axis=1).max())
+        cols = np.argsort(k == 0, axis=1, kind="stable")[:, :width]
         object.__setattr__(self, "states", s)
         object.__setattr__(self, "matrix", k)
         object.__setattr__(self, "stationary", pi)
+        object.__setattr__(self, "_cols", np.ascontiguousarray(cols.T))
+        object.__setattr__(self, "_weights", np.ascontiguousarray(np.take_along_axis(k, cols, axis=1).T))
 
     @property
     def size(self) -> int:
@@ -111,14 +123,9 @@ class FiniteKernel:
         return idx
 
     def apply(self, f: np.ndarray) -> np.ndarray:
-        """(Kf)(s) = sum_j K(s, j) f(j)."""
-        return self.matrix @ np.asarray(f, dtype=float)
-
-    def power_apply(self, f: np.ndarray, n: int) -> np.ndarray:
-        v = np.asarray(f, dtype=float)
-        for _ in range(n):
-            v = self.matrix @ v
-        return v
+        """(Kf)(s) = sum_j K(s, j) f(j), summed over the nonzero K(s, j) only
+        and in column order, so the result is the same under any BLAS."""
+        return (self._weights * np.asarray(f, dtype=float)[self._cols]).sum(axis=0)
 
 
 def _strongly_connected(adj: np.ndarray) -> bool:
@@ -209,8 +216,11 @@ def davydov_kernel(a_rule: Callable[[int], float], n_max: int) -> FiniteKernel:
     prods = np.cumprod(a[1:])
     if prods.size >= 8 and prods[-1] > 0.5 * prods[prods.size // 2]:
         warnings.warn("prefix products of a_n are not visibly summable on the truncated range", RuntimeWarning)
-    pi = _solve_stationary(k)
-    return FiniteKernel(states, k, pi)
+    # renewal structure: the only way into n >= 2 is from n - 1, so
+    # pi(+-n) = pi(0) / 2 * a_1 ... a_{n-1} for 1 <= n <= n_max
+    half = 0.5 * np.concatenate(([1.0], prods))
+    pi = np.concatenate((half[::-1], [1.0], half))
+    return FiniteKernel(states, k, pi / pi.sum())
 
 
 def mds_functional(kind: str, kernel: FiniteKernel, a_rule: Optional[Callable[[int], float]] = None) -> np.ndarray:

@@ -18,6 +18,7 @@ from scipy.stats import norm
 
 from cltlab.dependence import (
     DependenceError,
+    PowerQuantile,
     alpha1_bruteforce,
     alpha1_exact,
     an_bn,
@@ -179,7 +180,7 @@ def test_06_drift_chain_rates_and_condition():
     # like k^{1 - p/2} (log k)^{-p/2 - eps} and the observable is bounded
     kernel, _ = _davydov_cache(chain)
     q1 = float(kernel.stationary[kernel.index_of(1)] + kernel.stationary[kernel.index_of(-1)])
-    q_func = lambda u: 1.0 if u < q1 else 0.0
+    q_func = PowerQuantile(0.0, support=q1)  # Q(u) = 1 for u < q1, else 0
     alpha = [0.25] + [
         min(0.25, k**-0.25 * np.log(k) ** -1.35) for k in range(2, 61)
     ]

@@ -222,6 +222,37 @@ def test_conditions_thread_count_does_not_change_output(tmp_path):
             == open(os.path.join(out2, "conditions.csv"), "rb").read())
 
 
+DAVYDOV_CONDITIONS = {
+    "seed": 0,
+    "process": {"family": "davydov", "p": 2.5, "eps": 0.1, "functional": "f1", "n_max": 400},
+    "conditions": {"ids": ["C1", "C2", "Cond1cob", "Cond2cob", "Condcobp3adap", "Cond2cobp3",
+                           "condalpha1", "condphi"], "p": 2.5, "n_terms": 256},
+}
+
+
+def _conditions_subprocess(tmp_path, name: str, blas_threads: str) -> bytes:
+    """conditions.csv of a fresh interpreter running all eight ids on the
+    n_max = 400 Davydov chain; the exit code also fails when the run loaded
+    scipy.integrate."""
+    cfg_path = tmp_path / "davydov.json"
+    cfg_path.write_text(json.dumps(DAVYDOV_CONDITIONS))
+    out = str(tmp_path / name)
+    code = (
+        "import sys; from cltlab.cli import main; "
+        f"code = main(['conditions', '--config', {str(cfg_path)!r}, '--out', {out!r}]); "
+        "sys.exit(code or 10 * ('scipy.integrate' in sys.modules))"
+    )
+    env = dict(_src_env(), OPENBLAS_NUM_THREADS=blas_threads, OMP_NUM_THREADS=blas_threads)
+    assert subprocess.run([sys.executable, "-c", code], env=env, capture_output=True).returncode == 0
+    return open(os.path.join(out, "conditions.csv"), "rb").read()
+
+
+def test_conditions_csv_independent_of_blas_threads(tmp_path):
+    # the kernel apply and the stationary law go through no BLAS call whose
+    # summation order depends on the thread count
+    assert _conditions_subprocess(tmp_path, "one", "1") == _conditions_subprocess(tmp_path, "two", "2")
+
+
 # ---------------------------------------------------------------------------
 # verify
 

@@ -10,6 +10,7 @@ from cltlab.dependence import (
     DependenceError,
     DependenceProfile,
     FiniteLaw,
+    PowerQuantile,
     alpha1_bruteforce,
     alpha1_exact,
     an_bn,
@@ -361,7 +362,7 @@ def test_linear_projective_series_geometric():
 
 
 def test_condalpha1_verdicts():
-    q = lambda u: u ** (-1.0 / 3.0)
+    q = PowerQuantile(1.0 / 3.0)  # Q(u) = u^{-1/3}
     fast = [k**-2.0 for k in range(1, 40)]
     out = series_condalpha1(q, fast, 2.5)
     assert out["log_weighted"].verdict == "converged"
@@ -369,6 +370,51 @@ def test_condalpha1_verdicts():
     slow = [1.0] * 39  # no mixing: terms decay like k^{-2/p} only
     out = series_condalpha1(q, slow, 2.5)
     assert out["p_norm"].verdict == "diverging"
+
+
+@pytest.mark.parametrize("p", [2.2, 2.5, 3.0])
+@pytest.mark.parametrize("b", [3.0, 4.0, 8.0])
+def test_condalpha1_closed_form_matches_mpmath(p, b):
+    # [DERIVED] 30-digit quadrature of the defining integrals after u = v^k,
+    # k = 1 / (1 - 2/b), which turns u^{-2/b} du into k dv; the alphas
+    # straddle the kink of max(1, log(1/u)) at u = e^{-1}
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    alphas = np.array([1e-6, 0.1, 0.25, 0.5, 1.0])
+    q = PowerQuantile(1.0 / b)
+    log_weighted = q.log_weighted_integral(alphas, p)
+    power = q.power_integral(alphas, p)
+    c, k, e = mp.mpf(p - 2.0) / 2, 1 / (1 - 2 / mp.mpf(b)), p / mp.mpf(b)
+    for al, got1, got2 in zip(alphas, log_weighted, power):
+        top, kink = mp.mpf(al) ** (1 / k), mp.exp(-1 / k)
+        want1 = mp.quad(lambda v: k * max(1, k * mp.log(1 / v)) ** c, [0, top] if top <= kink else [0, kink, top])
+        assert abs(got1 - float(want1)) <= 1e-13 * float(want1)
+        if e < 1:
+            want2 = mp.mpf(al) ** (1 - e) / (1 - e)
+            assert abs(got2 - float(want2)) <= 1e-13 * float(want2)
+        else:  # Q^p is not integrable at 0
+            assert got2 == np.inf
+
+
+def test_condalpha1_infinite_moment_diverges():
+    out = series_condalpha1(PowerQuantile(1.0 / 3.0), [k**-2.0 for k in range(1, 40)], 3.0)
+    assert all(t == np.inf for t in out["p_norm"].terms)
+    assert out["p_norm"].verdict == "diverging"
+    assert np.all(np.isfinite(out["log_weighted"].terms))
+    assert np.array_equal(PowerQuantile(0.5).log_weighted_integral(np.array([0.0, 0.1]), 2.5), [0.0, np.inf])
+
+
+def test_condalpha1_bounded_quantile():
+    # [DERIVED] Q = 1 on [0, 0.2): int_0^alpha Q^p = min(alpha, 0.2); below
+    # e^{-1} the log-weighted integral at c = 1 is int_{log 1/A}^inf t e^{-t} dt
+    q = PowerQuantile(0.0, support=0.2)
+    alphas = np.array([0.0, 0.1, 0.2, 0.9])
+    assert np.allclose(q.power_integral(alphas, 2.5), [0.0, 0.1, 0.2, 0.2], rtol=1e-15, atol=0)
+    big_a = np.array([0.1, 0.2, 0.2])
+    want = big_a * (1.0 - np.log(big_a))
+    assert np.allclose(q.log_weighted_integral(alphas[1:], 4.0), want, rtol=1e-14, atol=0)
+    with pytest.raises(DependenceError):
+        PowerQuantile(0.25, support=0.0)
 
 
 def test_condphi_exponent_and_verdicts():
@@ -409,6 +455,36 @@ def test_an_matches_direct_window_oracle():
             direct += (c - (big_a if 1 <= j <= n else 0.0)) ** 2
         assert abs(res["A_n"] - direct) < 1e-10 * max(1.0, direct)
         assert res["A_n"] <= 4.0 * res["B_n"] + 1e-12
+
+
+def _an_bn_by_windows(rule, n, support):
+    """A_n, B_n and the Heyde tails with one window sum per index (the loop
+    form the prefix-sum expressions replace)."""
+    l = support
+    cs = np.concatenate(([0.0], np.cumsum([rule(j) for j in range(-l, l + 1)])))
+    absa = np.abs([rule(j) for j in range(-l, l + 1)])
+
+    def window(lo, hi):
+        lo, hi = max(lo, -l), min(hi, l)
+        return float(cs[hi + l + 1] - cs[lo + l]) if hi >= lo else 0.0
+
+    a_n = (sum((window(-l, -j) + window(n + 1 - j, l)) ** 2 for j in range(1, n + 1))
+           + sum(window(i, n + i - 1) ** 2 for i in range(1, l + 1))
+           + sum(window(-i - n + 1, -i) ** 2 for i in range(1, l + 1)))
+    b_n = sum(float(absa[k + l:].sum()) ** 2 + float(absa[: max(l + 1 - k, 0)].sum()) ** 2 for k in range(1, n + 1))
+    heyde = (sum(window(m, l) ** 2 for m in range(1, l + 1)), sum(window(-l, -m) ** 2 for m in range(1, l + 1)))
+    return a_n, b_n, heyde
+
+
+@pytest.mark.parametrize("n", [1, 7, 64, 300, 700])
+def test_an_bn_matches_window_loop(n):
+    # the support is 300, so n = 300 and 700 take windows past both ends
+    rule = lambda j: 0.0 if j == 0 else np.sign(np.sin(j)) / abs(j) ** 1.5
+    res = an_bn(rule, n, support=300)
+    a_n, b_n, heyde = _an_bn_by_windows(rule, n, 300)
+    assert res["A_n"] == pytest.approx(a_n, rel=1e-13)
+    assert res["B_n"] == pytest.approx(b_n, rel=1e-13)
+    assert res["heyde_tails"] == pytest.approx(heyde, rel=1e-13)
 
 
 def test_heyde_tails_geometric_closed_form():

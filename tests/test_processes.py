@@ -119,6 +119,16 @@ class TestDavydovKernel:
         with pytest.raises(ProcessError):
             davydov_kernel(lambda i: 0.5 if i == 0 else 0.4, 10)
 
+    @pytest.mark.parametrize("p, eps, n_max", [(2.5, 0.1, 400), (3.0, 0.5, 120), (2.1, 1.0, 40)])
+    def test_renewal_stationary_law(self, p, eps, n_max):
+        # [DERIVED] the product-formula law solves pi K = pi to rounding and
+        # agrees with the LU solve of the same kernel
+        k = davydov_kernel(lambda i: davydov_schedule(p, eps, i), n_max)
+        pi = k.stationary
+        assert np.max(np.abs(pi @ k.matrix - pi)) <= 1e-15
+        lu = processes._solve_stationary(k.matrix)
+        assert np.max(np.abs(pi - lu) / lu) <= 1e-9
+
 
 class TestMdsFunctional:
     def test_f1_values(self):
@@ -380,8 +390,47 @@ class TestFiniteKernelValidation:
             FiniteKernel(np.array([0, 1]), k, np.array([0.5, 0.5]))
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ProcessError, match="at least one state"):
             FiniteKernel(np.array([], dtype=int), np.zeros((0, 0)), np.array([]))
+
+
+def _random_kernel_with_apply_input(size: int, dense: bool, seed: int):
+    """An irreducible kernel (a cycle plus random edges) with at most four
+    nonzeros per row, and a vector spanning six decades."""
+    gen = np.random.default_rng(seed)
+    k = np.zeros((size, size))
+    k[np.arange(size), (np.arange(size) + 1) % size] = 1.0
+    if dense:
+        k += gen.random((size, size))
+    else:
+        for row in range(size):
+            k[row, gen.choice(size, size=min(size, 3), replace=False)] += gen.random(min(size, 3))
+    k += 0.05 * (k > 0)  # no transition weight below about 0.05 / 5
+    k /= k.sum(axis=1, keepdims=True)
+    f = gen.normal(size=size) * 10.0 ** gen.uniform(-3.0, 3.0, size)
+    return FiniteKernel(np.arange(size), k, processes._solve_stationary(k)), f
+
+
+class TestFiniteKernelApply:
+    @given(st.integers(1, 4), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_dense_matches_matvec(self, size, seed):
+        # [DERIVED] with m <= 4 terms per row, both sums lie within m u of the
+        # exact one relative to |K| |f| (u = 2^-53), so within 1e-15 of each other
+        k, f = _random_kernel_with_apply_input(size, True, seed)
+        assert np.all(np.abs(k.apply(f) - k.matrix @ f) <= 1e-15 * (np.abs(k.matrix) @ np.abs(f)))
+
+    @given(st.integers(1, 40), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_sparse_matches_matvec(self, size, seed):
+        k, f = _random_kernel_with_apply_input(size, False, seed)
+        assert np.all(np.abs(k.apply(f) - k.matrix @ f) <= 1e-15 * (np.abs(k.matrix) @ np.abs(f)))
+
+    def test_davydov_rows_have_two_entries(self):
+        k = davydov_kernel(lambda i: davydov_schedule(2.5, 0.1, i), 400)
+        assert k._cols.shape == (2, k.size)
+        f = np.random.default_rng(4).normal(size=k.size)
+        assert np.max(np.abs(k.apply(f) - k.matrix @ f)) <= 1e-15 * np.max(np.abs(f))
 
 
 def _scipy_strongly_connected(adj):
