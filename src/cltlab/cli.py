@@ -15,7 +15,6 @@ from . import __version__
 from .config import (
     CALIBRATE_KEYS,
     CONDITIONS_KEYS,
-    DEFAULT_BUDGET,
     VERIFY_KEYS,
     ConfigError,
     _check_keys,
@@ -48,6 +47,8 @@ from .io import (
 )
 from .metrics import GridFunction, smoothing_lemma_check
 from .processes import (
+    DEFAULT_BUDGET,
+    BudgetError,
     DavydovChain,
     FiniteKernel,
     InnovationLaw,
@@ -63,10 +64,6 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_CONFIG = 2
 EXIT_BUDGET = 3
-
-
-class BudgetError(RuntimeError):
-    pass
 
 
 def _now() -> str:
@@ -126,15 +123,6 @@ def _formats(args) -> set:
     return {"csv", "json", "svg"} if args.format == "all" else {args.format}
 
 
-def _check_budget(cfg: dict, m: int, n_max: int) -> None:
-    budget = cfg.get("budget", DEFAULT_BUDGET)
-    if m * n_max > budget:
-        raise BudgetError(
-            f"requested {m} replicates x n = {n_max} exceeds the budget of "
-            f"{budget} replicate-steps; raise 'budget' or shrink the plan"
-        )
-
-
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -143,10 +131,9 @@ def cmd_simulate(args) -> int:
     cfg = _load(args)
     spec = build_process(cfg)
     n_grid, m = simulate_params(cfg)
-    _check_budget(cfg, m, max(n_grid))
     out_dir, digest = _prepare_out(args, cfg)
     started = _now()
-    batch = partial_sums_batch(spec, n_grid, m, seed=cfg["seed"])
+    batch = partial_sums_batch(spec, n_grid, m, seed=cfg["seed"], budget=cfg.get("budget", DEFAULT_BUDGET))
     outputs = ["trajectories.cltr"]
     save_batch(os.path.join(out_dir, "trajectories.cltr"), batch)
     if "csv" in _formats(args):
@@ -165,12 +152,11 @@ def cmd_simulate(args) -> int:
 def cmd_rates(args) -> int:
     cfg = _load(args)
     plan = build_plan(cfg)
-    _check_budget(cfg, plan.m, max(plan.n_grid))
     out_dir, digest = _prepare_out(args, cfg)
     started = _now()
     if plan.calibration:  # warm the floor cache in parallel; values are cached by key
         _pool_map(lambda r: calibration_floor(plan.m, r), list(plan.r_list), args.threads)
-    result = run_experiment(plan)
+    result = run_experiment(plan, budget=cfg.get("budget", DEFAULT_BUDGET))
     outputs = []
     fmts = _formats(args)
     if "csv" in fmts:
@@ -521,12 +507,6 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except ProcessError as exc:
-        if "budget" in str(exc):
-            print(f"budget error: {exc}", file=sys.stderr)
-            return EXIT_BUDGET
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except Exception as exc:  # noqa: BLE001 - the CLI boundary maps to exit 1
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -26,15 +26,6 @@ class ConfigError(ValueError):
 
 TOP_KEYS = {"seed", "out", "budget", "tolerances", "process", "simulate", "rates",
             "conditions", "verify", "calibrate"}
-PROCESS_KEYS = {
-    "davydov": {"family", "p", "eps", "functional", "n_max", "schedule"},
-    "linear": {"family", "coeffs", "innovation", "truncation"},
-    "function_of_linear": {"family", "coeffs", "innovation", "truncation",
-                           "h_rule", "gamma", "alpha", "centering_draws"},
-    "expanding_map": {"family", "kind", "beta", "a", "breakpoints", "slopes",
-                      "offsets", "observable", "burn_in"},
-    "iid": {"family", "innovation"},
-}
 COEFF_KEYS = {
     "geometric": {"rule", "ratio", "scale"},
     "power": {"rule", "exponent", "scale"},
@@ -47,18 +38,8 @@ CONDITIONS_KEYS = {"ids", "p", "n_terms", "s", "alpha_decay", "q_moment",
                    "phi_decay", "mc", "outer"}
 VERIFY_KEYS = {"checks", "cases", "perturb_kernel"}
 CALIBRATE_KEYS = {"replicates", "r_list", "reps"}
-TOLERANCE_KEYS = {"coboundary", "duality", "envelope_slack", "covariance_slack",
-                  "smoothing_slack"}
-
-DEFAULT_TOLERANCES = {
-    "coboundary": 1e-8,
-    "duality": 1e-8,
-    "envelope_slack": 1e-9,
-    "covariance_slack": 1e-9,
-    "smoothing_slack": 1e-3,
-}
-
-DEFAULT_BUDGET = 2 * 10**9  # replicates x largest grid point
+# the allowed 'tolerances' keys are exactly the ones with a default
+DEFAULT_TOLERANCES = {"coboundary": 1e-8, "duality": 1e-8, "envelope_slack": 1e-9}
 
 
 def _check_keys(section: dict, allowed: set, where: str) -> None:
@@ -94,7 +75,7 @@ def load_config(path: str) -> dict:
         raise ConfigError("'config.seed' must be a nonnegative integer")
     tol = dict(DEFAULT_TOLERANCES)
     if "tolerances" in raw:
-        _check_keys(raw["tolerances"], TOLERANCE_KEYS, "tolerances")
+        _check_keys(raw["tolerances"], set(DEFAULT_TOLERANCES), "tolerances")
         for key, val in raw["tolerances"].items():
             if not isinstance(val, (int, float)) or val <= 0:
                 raise ConfigError(f"'tolerances.{key}' must be a positive number")
@@ -110,9 +91,9 @@ def _validate_process(section: dict) -> None:
     if not isinstance(section, dict):
         raise ConfigError("'process' must be an object")
     family = _require(section, "family", "process")
-    if family not in PROCESS_KEYS:
-        raise ConfigError(f"unknown 'process.family' {family!r}; allowed: {sorted(PROCESS_KEYS)}")
-    _check_keys(section, PROCESS_KEYS[family], "process")
+    if family not in FAMILIES:
+        raise ConfigError(f"unknown 'process.family' {family!r}; allowed: {sorted(FAMILIES)}")
+    _check_keys(section, FAMILIES[family][0], "process")
     if family == "davydov":
         _validate_davydov(section)
     if "coeffs" in section:
@@ -216,46 +197,42 @@ def build_innovation(section: Optional[dict]) -> InnovationLaw:
         raise ConfigError(f"'process.innovation': {exc}") from exc
 
 
+def _linear(section: dict) -> LinearProcess:
+    return LinearProcess(build_coeff_rule(_require(section, "coeffs", "process")),
+                         build_innovation(section.get("innovation")),
+                         int(section.get("truncation", 64)))
+
+
+_LINEAR_KEYS = {"family", "coeffs", "innovation", "truncation"}
+
+# family name -> (allowed 'process' keys, builder of the family from the section)
+FAMILIES = {
+    "davydov": ({"family", "p", "eps", "functional", "n_max", "schedule"},
+                lambda s: DavydovChain(float(s["p"]), float(s["eps"]), s.get("functional", "f1"),
+                                       int(s.get("n_max", 400)))),
+    "linear": (_LINEAR_KEYS, _linear),
+    "function_of_linear": (_LINEAR_KEYS | {"h_rule", "gamma", "alpha", "centering_draws"},
+                           lambda s: FunctionOfLinear(_linear(s), s.get("h_rule", "identity"),
+                                                      float(s.get("gamma", 1.0)), float(s.get("alpha", 0.0)),
+                                                      int(s.get("centering_draws", 10**7)))),
+    "expanding_map": ({"family", "kind", "beta", "a", "breakpoints", "slopes", "offsets", "observable"},
+                      lambda s: ExpandingMap(_require(s, "kind", "process"), beta=float(s.get("beta", 2.0)),
+                                             a=float(s.get("a", 1.0)),
+                                             breakpoints=tuple(s.get("breakpoints", ())),
+                                             slopes=tuple(s.get("slopes", ())),
+                                             offsets=tuple(s.get("offsets", ())),
+                                             observable=s.get("observable", "identity"))),
+    "iid": ({"family", "innovation"}, lambda s: IIDBaseline(build_innovation(s.get("innovation")))),
+}
+
+
 def build_process(cfg: dict) -> ProcessSpec:
     """ProcessSpec from the validated 'process' section plus the global seed."""
     if "process" not in cfg:
         raise ConfigError("missing required key 'config.process'")
     section = cfg["process"]
-    family = section["family"]
-    seed = cfg["seed"]
     try:
-        if family == "davydov":
-            fam = DavydovChain(float(section["p"]), float(section["eps"]),
-                               section.get("functional", "f1"), int(section.get("n_max", 400)))
-            p_moment = float(section["p"])
-        elif family == "linear":
-            fam = LinearProcess(build_coeff_rule(_require(section, "coeffs", "process")),
-                                build_innovation(section.get("innovation")),
-                                int(section.get("truncation", 64)))
-            p_moment = 3.0
-        elif family == "function_of_linear":
-            base = LinearProcess(build_coeff_rule(_require(section, "coeffs", "process")),
-                                 build_innovation(section.get("innovation")),
-                                 int(section.get("truncation", 64)))
-            fam = FunctionOfLinear(base, section.get("h_rule", "identity"),
-                                   float(section.get("gamma", 1.0)),
-                                   float(section.get("alpha", 0.0)),
-                                   int(section.get("centering_draws", 10**7)))
-            p_moment = 3.0
-        elif family == "expanding_map":
-            fam = ExpandingMap(_require(section, "kind", "process"),
-                               beta=float(section.get("beta", 2.0)),
-                               a=float(section.get("a", 1.0)),
-                               breakpoints=tuple(section.get("breakpoints", ())),
-                               slopes=tuple(section.get("slopes", ())),
-                               offsets=tuple(section.get("offsets", ())),
-                               observable=section.get("observable", "identity"),
-                               burn_in=int(section.get("burn_in", 1000)))
-            p_moment = 3.0
-        else:
-            fam = IIDBaseline(build_innovation(section.get("innovation")))
-            p_moment = 3.0
-        return ProcessSpec(fam, seed=seed, p_moment=p_moment)
+        return ProcessSpec(FAMILIES[section["family"]][1](section), seed=cfg["seed"])
     except ProcessError as exc:
         raise ConfigError(f"'process': {exc}") from exc
 

@@ -18,9 +18,7 @@ from .processes import (
     FiniteKernel,
     IIDBaseline,
     LinearProcess,
-    ProcessError,
     ProcessSpec,
-    _chain_long_run,
     _davydov_cache,
 )
 
@@ -491,12 +489,9 @@ def _report(cid, n_values, terms, extra=None) -> ConditionReport:
     return ConditionReport(cid, tuple(n_values), tuple(terms), ps, verdict, diag)
 
 
-def _chain_f(spec) -> tuple[FiniteKernel, np.ndarray]:
-    fam = spec.family if isinstance(spec, ProcessSpec) else spec
-    if isinstance(fam, DavydovChain):
-        return _davydov_cache(fam)
-    if isinstance(fam, tuple) and isinstance(fam[0], FiniteKernel):
-        return fam
+def _chain_f(spec: ProcessSpec) -> tuple[FiniteKernel, np.ndarray]:
+    if isinstance(spec.family, DavydovChain):
+        return _davydov_cache(spec.family)
     raise DependenceError("spec does not describe a finite chain")
 
 
@@ -504,14 +499,14 @@ def _lp_norm_discrete(values: np.ndarray, probs: np.ndarray, p: float) -> float:
     return float((probs @ np.abs(values) ** p) ** (1.0 / p))
 
 
-def series_C1_C2(spec, p: float, n_terms: int, outer: int = 1000, seed: int = 0) -> dict:
+def series_C1_C2(spec: ProcessSpec, p: float, n_terms: int, outer: int = 1000, seed: int = 0) -> dict:
     """Terms of the two normalized-conditional-variance series: the envelope
     norm weighted by n^{-(2-p/2)} and the L^{p/2} norm weighted by n^{-2/p}.
 
     Chains are exact; linear processes use outer Monte Carlo over pasts with
     the inner conditional expectation in closed form.
     """
-    fam = spec.family if isinstance(spec, ProcessSpec) else spec
+    fam = spec.family
     ns = list(range(1, n_terms + 1))
     if isinstance(fam, IIDBaseline):
         zero = [0.0] * n_terms
@@ -523,7 +518,7 @@ def series_C1_C2(spec, p: float, n_terms: int, outer: int = 1000, seed: int = 0)
         return _series_c1c2_linear(fam, p, ns, outer, seed)
     kernel, f = _chain_f(spec)
     f = f - float(kernel.stationary @ f)
-    sigma2 = _chain_long_run(kernel, f)[0]
+    sigma2 = fam.long_run_variance(spec.seed)["sigma2"]
     pi = kernel.stationary
     c1, c2 = [], []
     for n, t in zip(ns, _second_moments(kernel, f, n_terms)):
@@ -542,17 +537,16 @@ def _series_c1c2_linear(fam: LinearProcess, p: float, ns, outer: int, seed: int)
     past = fam.innovation.sample(gen, outer * t).reshape(outer, t)  # eps_{1-t}..eps_0
     c1, c2 = [], []
     uw = np.full(outer, 1.0 / outer)
+    cs = np.concatenate(([0.0], np.cumsum(a)))
+
+    def window(j, n):  # c_j(n) = sum_{k=1..n} a_{k-j}, elementwise in j
+        lo = np.maximum(1 - j, -t)
+        hi = np.minimum(n - j, t)
+        return np.where(hi >= lo, cs[np.clip(hi + t + 1, 0, 2 * t + 1)] - cs[np.clip(lo + t, 0, 2 * t + 1)], 0.0)
+
     for n in ns:
-        # c_j(n) = sum_{k=1..n} a_{k-j}; past indices j = 1-t..0
-        cs = np.concatenate(([0.0], np.cumsum(a)))
-        j_past = np.arange(1 - t, 1)
-        lo = np.maximum(1 - j_past, -t)
-        hi = np.minimum(n - j_past, t)
-        c_past = np.where(hi >= lo, cs[np.clip(hi + t + 1, 0, 2 * t + 1)] - cs[np.clip(lo + t, 0, 2 * t + 1)], 0.0)
-        j_fut = np.arange(1, n + t + 1)
-        lo = np.maximum(1 - j_fut, -t)
-        hi = np.minimum(n - j_fut, t)
-        c_fut = np.where(hi >= lo, cs[np.clip(hi + t + 1, 0, 2 * t + 1)] - cs[np.clip(lo + t, 0, 2 * t + 1)], 0.0)
+        c_past = window(np.arange(1 - t, 1), n)  # past indices j = 1-t..0
+        c_fut = window(np.arange(1, n + t + 1), n)
         future_var = var_eps * float((c_fut**2).sum())
         pvals = past @ c_past
         dev = (pvals**2 + future_var) / n - sigma2
@@ -562,11 +556,11 @@ def _series_c1c2_linear(fam: LinearProcess, p: float, ns, outer: int, seed: int)
             "C2": _report("C2", ns, c2, {"outer": outer, "inner": "closed-form"})}
 
 
-def series_projective(spec, which: str, p: float, n_terms: int, mc: int = 10**5, seed: int = 0) -> ConditionReport:
+def series_projective(spec: ProcessSpec, which: str, p: float, n_terms: int, mc: int = 10**5, seed: int = 0) -> ConditionReport:
     """Term sequences of the projective conditions: convergence of the
     adapted/anticipative series in L^p, and the conditional-variance series
     centered at the finite-n variance."""
-    fam = spec.family if isinstance(spec, ProcessSpec) else spec
+    fam = spec.family
     ns = list(range(1, n_terms + 1))
     if isinstance(fam, LinearProcess):
         return _series_projective_linear(fam, which, p, ns, mc, seed)
@@ -764,14 +758,12 @@ class CoboundaryDecomposition:
     spec: LinearProcess
     big_a: float
     tolerance: float = 1e-8
-    # the coefficients a_{-t..t} and their tail sums, computed once
-    _a: np.ndarray = field(init=False, repr=False, compare=False)
+    # the tail sums of the coefficients a_{-t..t}, computed once
     _tail_t: np.ndarray = field(init=False, repr=False, compare=False)
     _tail_q: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = self.spec.coefficients()
-        object.__setattr__(self, "_a", a)
         # T_k = sum_{j>=k} a_j and Q_k = sum_{j<=-k} a_j, indexed as in z_value
         object.__setattr__(self, "_tail_t", np.concatenate((np.cumsum(a[::-1])[::-1], [0.0])))
         object.__setattr__(self, "_tail_q", np.concatenate(([0.0], np.cumsum(a))))
@@ -795,7 +787,7 @@ class CoboundaryDecomposition:
         gen = rngmod.stream(seed, rngmod.ROLE_INNOVATION, replicate, n)
         eps = self.spec.innovation.sample(gen, n + 4 * t + 2)
         origin = 2 * t  # eps[m + origin] = eps_m for m in 1-2t .. n+2t+2-2t
-        a = self._a
+        a = self.spec.coefficients()
         x = np.array([float(a @ eps[k - t + origin : k + t + 1 + origin][::-1]) for k in range(1, n + 1)])
         s = np.cumsum(x)
         m = self.big_a * np.cumsum(eps[origin + 1 : origin + n + 1])

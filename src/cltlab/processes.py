@@ -8,20 +8,25 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Protocol, Union
 
 import numpy as np
 
 from . import rng as rngmod
 
-DEFAULT_BATCH_BUDGET = 2**31  # elements of M * max(n) allowed per batch call
+DEFAULT_BUDGET = 2 * 10**9  # replicates x largest grid point allowed per batch
 REPLICATE_CHUNK = 2048
+COEFF_TAIL_TOL = 1e-10  # l2 mass allowed in the probed coefficient tail
 
 
 class ProcessError(ValueError):
     pass
+
+
+class BudgetError(ProcessError):
+    """A batch asks for more replicate-steps than its budget."""
 
 
 # ---------------------------------------------------------------------------
@@ -289,24 +294,63 @@ class DavydovChain:
         f = mds_functional(self.functional, kernel, self.a_rule())
         return kernel, f
 
+    def batch_sums(self, seed: int):
+        return partial(_davydov_sums, _davydov_step_tables(self))
+
+    def long_run_variance(self, seed: int) -> dict:
+        kernel, f = _davydov_cache(self)
+        pi = kernel.stationary
+        return _covariance_series(
+            f - float(pi @ f), kernel.apply, lambda u, v: float(pi @ (u * v)), lag_cap=4096, tol=1e-14, min_lags=8
+        )
+
 
 @dataclass(frozen=True)
 class LinearProcess:
     """Two-sided moving average X_k = sum_j a_j eps_{k-j}, truncated to
-    |j| <= truncation."""
+    |j| <= truncation. The coefficients are evaluated once, at construction,
+    which also rejects a rule whose probed tail exceeds COEFF_TAIL_TOL."""
 
     coeff_rule: Callable[[int], float]
     innovation: InnovationLaw = InnovationLaw("gaussian")
     truncation: int = 64
-    tail_tol: float = 1e-10
+    _a: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def coefficients(self) -> np.ndarray:
+    def __post_init__(self):
         t = self.truncation
         a = np.array([self.coeff_rule(j) for j in range(-t, t + 1)])
         probe = np.array([self.coeff_rule(j) for j in list(range(t + 1, t + 257)) + list(range(-t - 256, -t))])
-        if np.sum(probe**2) > self.tail_tol:
+        if np.sum(probe**2) > COEFF_TAIL_TOL:
             raise ProcessError("coefficient tail above the l2 truncation tolerance")
-        return a
+        a.flags.writeable = False
+        object.__setattr__(self, "_a", a)
+
+    def coefficients(self) -> np.ndarray:
+        """a_{-t..t} as a read-only array."""
+        return self._a
+
+    def batch_sums(self, seed: int):
+        return partial(_linear_sums, self._a, self.innovation, lambda v: v)
+
+    def long_run_variance(self, seed: int) -> dict:
+        a = self._a
+        t = self.truncation
+        var_eps = self.innovation.variance
+        sigma2 = float(a.sum()) ** 2 * var_eps
+        cs = np.concatenate(([0.0], np.cumsum(a)))  # over j index -t..t
+
+        def sigma_n2(n: int) -> float:
+            # Var(S_n)/n = Var(eps)/n * sum_j (sum_{k=1..n} a_{k-j})^2
+            total = 0.0
+            for j in range(1 - t, n + t + 1):
+                lo = max(1 - j, -t)
+                hi = min(n - j, t)
+                if hi < lo:
+                    continue
+                total += (cs[hi + t + 1] - cs[lo + t]) ** 2
+            return var_eps * total / n
+
+        return {"sigma2": sigma2, "sigma_n2": sigma_n2, "method": "closed-form"}
 
 
 @dataclass(frozen=True)
@@ -327,6 +371,27 @@ class FunctionOfLinear:
             return lambda x: np.abs(x) ** g
         raise ProcessError(f"unknown h_rule: {self.h_rule}")
 
+    def batch_sums(self, seed: int):
+        h = self.h()
+        a = self.base.coefficients()
+        # keyed by value: everything _centering_constant reads
+        key = (a.tobytes(), self.base.innovation, self.h_rule, self.gamma, self.centering_draws, seed)
+        if key not in _CENTER_CACHE:
+            _CENTER_CACHE[key] = _centering_constant(self.base, h, seed, self.centering_draws)
+        center = _CENTER_CACHE[key][0]
+        return partial(_linear_sums, a, self.base.innovation, lambda v: h(v) - center)
+
+    def long_run_variance(self, seed: int) -> dict:
+        # no closed form: batch-means estimate on one long path
+        n_total, n_batch = 2**18, 2**12
+        base = sample_linear_process(self.base, n_total, seed)
+        res = apply_h(base, self.h_rule, self.gamma, self.alpha, base=self.base, seed=seed, draws=10**6)
+        v = res["values"].reshape(-1, n_batch)
+        means = v.sum(axis=1) / np.sqrt(n_batch)
+        sigma2 = float(np.var(means))
+        stderr = float(sigma2 * np.sqrt(2.0 / (means.size - 1)))
+        return {"sigma2": sigma2, "sigma_n2": lambda n: sigma2, "method": "batch-means", "stderr": stderr}
+
 
 @dataclass(frozen=True)
 class ExpandingMap:
@@ -343,7 +408,6 @@ class ExpandingMap:
     slopes: tuple = ()
     offsets: tuple = ()
     observable: Union[str, Callable[[np.ndarray], np.ndarray]] = "identity"
-    burn_in: int = 1000
 
     def __post_init__(self):
         if self.kind not in ("beta", "gauss", "piecewise_affine"):
@@ -367,24 +431,49 @@ class ExpandingMap:
             return lambda x: np.asarray(x, dtype=float)
         raise ProcessError(f"unknown observable: {self.observable}")
 
+    def batch_sums(self, seed: int):
+        return partial(_expanding_sums, self, invariant_density(self))
+
+    def long_run_variance(self, seed: int) -> dict:
+        density = invariant_density(self)
+        f = self.f()
+        x, w = density.x, density.values
+        # dual-kernel power iteration on the grid: (Kh)(x) = E[h(prev) | x]
+        return _covariance_series(
+            f(x) - density.mean_of(f), lambda h: _dual_kernel_apply(self, x, h, density),
+            lambda u, v: float(np.trapezoid(u * v * w, x)), lag_cap=200, tol=1e-13,
+        )
+
 
 @dataclass(frozen=True)
 class IIDBaseline:
     law: InnovationLaw = InnovationLaw("gaussian")
 
+    def batch_sums(self, seed: int):
+        # the linear process with a = [1.0]: a convolution with one unit
+        # coefficient returns the innovations exactly
+        return partial(_linear_sums, np.ones(1), self.law, lambda v: v)
 
-Family = Union[DavydovChain, LinearProcess, FunctionOfLinear, ExpandingMap, IIDBaseline]
+    def long_run_variance(self, seed: int) -> dict:
+        v = self.law.variance
+        return {"sigma2": v, "sigma_n2": lambda n: v, "method": "closed-form"}
+
+
+class Family(Protocol):
+    """batch_sums(seed): the kernel (n_grid, seed, replicates) -> normalized
+    sums, one row per replicate, with its per-batch tables built.
+    long_run_variance(seed): sigma2, sigma_n2(n), method, and a stderr when
+    the value is estimated."""
+
+    def batch_sums(self, seed: int) -> Callable[[tuple, int, range], np.ndarray]: ...
+
+    def long_run_variance(self, seed: int) -> dict: ...
 
 
 @dataclass(frozen=True)
 class ProcessSpec:
     family: Family
     seed: int = 0
-    p_moment: float = 3.0
-
-    def __post_init__(self):
-        if not (2.0 < self.p_moment <= 3.0):
-            raise ProcessError("p_moment must lie in (2, 3]")
 
 
 # ---------------------------------------------------------------------------
@@ -753,14 +842,10 @@ def _davydov_sums(tables: tuple, n_grid, seed: int, replicates: range) -> np.nda
     return out
 
 
-_DAVYDOV_CACHE: dict = {}
-
-
-def _davydov_cache(chain: DavydovChain):
-    key = (chain.p, chain.eps, chain.functional, chain.n_max)
-    if key not in _DAVYDOV_CACHE:
-        _DAVYDOV_CACHE[key] = chain.build()
-    return _DAVYDOV_CACHE[key]
+@cache
+def _davydov_cache(chain: DavydovChain) -> tuple[FiniteKernel, np.ndarray]:
+    """The chain's kernel and functional, built once per distinct chain."""
+    return chain.build()
 
 
 def _expanding_sums(spec: ExpandingMap, density: DensityGrid, n_grid, seed: int, replicates: range) -> np.ndarray:
@@ -782,15 +867,6 @@ def _expanding_sums(spec: ExpandingMap, density: DensityGrid, n_grid, seed: int,
         total += f(x) - mu_f
         if t + 1 in marks:
             out[:, marks[t + 1]] = total / np.sqrt(t + 1)
-    return out
-
-
-def _iid_sums(law: InnovationLaw, n_grid, seed: int, replicates: range) -> np.ndarray:
-    marks = np.asarray(n_grid)
-    out = np.empty((len(replicates), marks.size))
-    for row, gen in enumerate(rngmod.streams(seed, rngmod.ROLE_INNOVATION, replicates)):
-        cs = np.cumsum(law.sample(gen, marks[-1]))
-        out[row] = cs[marks - 1] / np.sqrt(marks)
     return out
 
 
@@ -820,40 +896,24 @@ def partial_sums_batch(
     n_grid,
     m: int,
     seed: Optional[int] = None,
-    budget: int = DEFAULT_BATCH_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> TrajectoryBatch:
     """M replicates of n^{-1/2} S_n for each n, each replicate reading one
-    common path from its counter-based stream keyed by (seed, replicate)."""
+    common path from its counter-based stream keyed by (seed, replicate).
+    A batch of more than budget replicate-steps (M x largest n) raises
+    BudgetError before any work."""
     n_grid = tuple(int(v) for v in n_grid)
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])) or n_grid[0] < 1:
         raise ProcessError("n_grid must be strictly increasing and positive")
     if m < 100:
         raise ProcessError("need at least 100 replicates")
     if m * max(n_grid) > budget:
-        raise ProcessError(f"batch of {m} x {max(n_grid)} exceeds the memory budget")
+        raise BudgetError(f"requested {m} replicates x n = {max(n_grid)} exceeds the budget of "
+                          f"{budget} replicate-steps; raise 'budget' or shrink the plan")
     seed = spec.seed if seed is None else seed
     # per-family tables (coefficients, step tables, invariant density) are
     # built once here and shared by every replicate chunk
-    fam = spec.family
-    if isinstance(fam, IIDBaseline):
-        chunk_sums = partial(_iid_sums, fam.law)
-    elif isinstance(fam, DavydovChain):
-        chunk_sums = partial(_davydov_sums, _davydov_step_tables(fam))
-    elif isinstance(fam, LinearProcess):
-        chunk_sums = partial(_linear_sums, fam.coefficients(), fam.innovation, lambda v: v)
-    elif isinstance(fam, FunctionOfLinear):
-        h = fam.h()
-        a = fam.base.coefficients()
-        # keyed by value: everything _centering_constant reads
-        key = (a.tobytes(), fam.base.innovation, fam.h_rule, fam.gamma, fam.centering_draws, seed)
-        if key not in _CENTER_CACHE:
-            _CENTER_CACHE[key] = _centering_constant(fam.base, h, seed, fam.centering_draws)
-        center = _CENTER_CACHE[key][0]
-        chunk_sums = partial(_linear_sums, a, fam.base.innovation, lambda v: h(v) - center)
-    elif isinstance(fam, ExpandingMap):
-        chunk_sums = partial(_expanding_sums, fam, invariant_density(fam))
-    else:
-        raise ProcessError(f"unsupported family: {type(fam).__name__}")
+    chunk_sums = spec.family.batch_sums(seed)
     table = np.concatenate(
         [chunk_sums(n_grid, seed, range(start, min(start + REPLICATE_CHUNK, m))) for start in range(0, m, REPLICATE_CHUNK)]
     )
@@ -865,101 +925,35 @@ def partial_sums_batch(
 # long-run variances
 
 
-def _chain_long_run(kernel: FiniteKernel, f: np.ndarray, lag_cap: int = 4096, tol: float = 1e-14):
-    pi = kernel.stationary
-    fc = f - float(pi @ f)
-    var0 = float(pi @ (fc * fc))
+def _covariance_series(fc: np.ndarray, apply, inner, lag_cap: int, tol: float, min_lags: int = 0) -> dict:
+    """Kernel-power long-run variance record: sigma2 = c_0 + 2 sum_k c_k and
+    sigma_n2(n) = c_0 + 2 sum_k (1 - k/n)_+ c_k, from the lag covariances
+    c_k = inner(fc, apply^k fc) of the centered observable fc. The sum stops
+    at the first |c_k| below tol * c_0 once there are more than min_lags
+    terms, or after lag_cap lags."""
+    var0 = inner(fc, fc)
     covs = [var0]
-    v = fc.copy()
+    v = fc
     for _ in range(lag_cap):
-        v = kernel.apply(v)
-        c = float(pi @ (fc * v))
+        v = apply(v)
+        c = inner(fc, v)
         covs.append(c)
-        if abs(c) < tol * max(var0, 1e-300) and len(covs) > 8:
+        if abs(c) < tol * max(var0, 1e-300) and len(covs) > min_lags:
             break
     covs = np.array(covs)
     sigma2 = float(covs[0] + 2.0 * covs[1:].sum())
 
     def sigma_n2(n: int) -> float:
         kk = np.arange(1, covs.size)
-        w = np.maximum(1.0 - kk / n, 0.0)
-        return float(covs[0] + 2.0 * np.sum(w * covs[1:]))
+        return float(covs[0] + 2.0 * np.sum(np.maximum(1.0 - kk / n, 0.0) * covs[1:]))
 
-    return sigma2, sigma_n2
+    return {"sigma2": sigma2, "sigma_n2": sigma_n2, "method": "kernel-power"}
 
 
 def long_run_variance(spec: ProcessSpec) -> dict:
-    """sigma^2 = lim Var(S_n)/n and the exact finite-n variance function,
-    by the closed form available for each family."""
-    fam = spec.family
-    if isinstance(fam, IIDBaseline):
-        v = fam.law.variance
-        return {"sigma2": v, "sigma_n2": lambda n: v, "method": "closed-form"}
-    if isinstance(fam, DavydovChain):
-        kernel, f = _davydov_cache(fam)
-        sigma2, sigma_n2 = _chain_long_run(kernel, f)
-        return {"sigma2": sigma2, "sigma_n2": sigma_n2, "method": "kernel-power"}
-    if isinstance(fam, LinearProcess):
-        a = fam.coefficients()
-        t = fam.truncation
-        var_eps = fam.innovation.variance
-        big_a = float(a.sum())
-        sigma2 = big_a**2 * var_eps
-
-        def sigma_n2(n: int) -> float:
-            # Var(S_n)/n = Var(eps)/n * sum_j (sum_{k=1..n} a_{k-j})^2
-            cs = np.concatenate(([0.0], np.cumsum(a)))  # over j index -t..t
-            total = 0.0
-            for j in range(1 - t, n + t + 1):
-                lo = max(1 - j, -t)
-                hi = min(n - j, t)
-                if hi < lo:
-                    continue
-                total += (cs[hi + t + 1] - cs[lo + t]) ** 2
-            return var_eps * total / n
-
-        return {"sigma2": sigma2, "sigma_n2": sigma_n2, "method": "closed-form"}
-    if isinstance(fam, ExpandingMap):
-        density = invariant_density(fam)
-        f = fam.f()
-        mu_f = density.mean_of(f)
-        x = density.x
-        fc = f(x) - mu_f
-        w = density.values
-        var0 = float(np.trapezoid(fc * fc * w, x))
-        covs = [var0]
-        # dual-kernel power iteration on the grid: (Kh)(x) = E[h(prev) | x]
-        h = fc.copy()
-        for _ in range(200):
-            h = _dual_kernel_apply(fam, x, h, density)
-            c = float(np.trapezoid(fc * h * w, x))
-            covs.append(c)
-            if abs(c) < 1e-13 * max(var0, 1e-300):
-                break
-        covs = np.array(covs)
-        sigma2 = float(covs[0] + 2.0 * covs[1:].sum())
-
-        def sigma_n2(n: int) -> float:
-            kk = np.arange(1, covs.size)
-            return float(covs[0] + 2.0 * np.sum(np.maximum(1.0 - kk / n, 0.0) * covs[1:]))
-
-        return {"sigma2": sigma2, "sigma_n2": sigma_n2, "method": "kernel-power"}
-    if isinstance(fam, FunctionOfLinear):
-        # no closed form: batch-means estimate on one long path
-        n_total, n_batch = 2**18, 2**12
-        base = sample_linear_process(fam.base, n_total, spec.seed)
-        res = apply_h(base, fam.h_rule, fam.gamma, fam.alpha, base=fam.base, seed=spec.seed, draws=10**6)
-        v = res["values"].reshape(-1, n_batch)
-        means = v.sum(axis=1) / np.sqrt(n_batch)
-        sigma2 = float(np.var(means))
-        stderr = float(sigma2 * np.sqrt(2.0 / (means.size - 1)))
-        return {
-            "sigma2": sigma2,
-            "sigma_n2": lambda n: sigma2,
-            "method": "batch-means",
-            "stderr": stderr,
-        }
-    raise ProcessError(f"unsupported family: {type(fam).__name__}")
+    """sigma^2 = lim Var(S_n)/n and the finite-n variance function, by the
+    closed form, kernel power series or estimate of the spec's family."""
+    return spec.family.long_run_variance(spec.seed)
 
 
 def _dual_kernel_apply(spec: ExpandingMap, x: np.ndarray, h: np.ndarray, density: DensityGrid) -> np.ndarray:

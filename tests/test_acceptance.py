@@ -168,7 +168,7 @@ def test_06_drift_chain_rates_and_condition():
     start = time.monotonic()
     chain = DavydovChain(2.5, 0.1, "f1", n_max=400)
     plan = ExperimentPlan(
-        ProcessSpec(chain, p_moment=2.5), p=2.5, r_list=(1.0, 2.5),
+        ProcessSpec(chain), p=2.5, r_list=(1.0, 2.5),
         n_grid=tuple(2**k for k in range(6, 15)), m=10**4, target="sigma_n2", seed=3,
     )
     res = run_experiment(plan)
@@ -336,7 +336,7 @@ def test_13_transfer_duality():
 
 def test_14_doubling_map_rate():
     start = time.monotonic()
-    spec = ProcessSpec(ExpandingMap("beta", beta=2.0, observable="identity"), p_moment=3.0)
+    spec = ProcessSpec(ExpandingMap("beta", beta=2.0, observable="identity"))
     plan = ExperimentPlan(spec, p=3.0, r_list=(1.0,),
                           n_grid=tuple(2**k for k in range(6, 14)), m=10**4, seed=11)
     res = run_experiment(plan)

@@ -11,9 +11,10 @@ import pytest
 
 import cltlab
 from cltlab.cli import main
+from cltlab.config import FAMILIES, build_process, load_config
 from cltlab.experiments import calibration_floor
 from cltlab.io import IOError_, RunManifest, config_digest, load_batch, read_manifest
-from cltlab.processes import IIDBaseline, InnovationLaw, ProcessSpec, partial_sums_batch
+from cltlab.processes import IIDBaseline, InnovationLaw, ProcessSpec, long_run_variance, partial_sums_batch
 
 
 def write_cfg(tmp_path, name="cfg.json", **overrides):
@@ -125,6 +126,70 @@ def test_budget_violation_exit_3(tmp_path, capsys):
     cfg_path, _ = write_cfg(tmp_path, budget=1000)
     assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 3
     assert "budget" in capsys.readouterr().err
+
+
+def test_rates_budget_violation_exit_3(tmp_path, capsys):
+    cfg_path, _ = write_cfg(tmp_path, budget=1000)
+    assert main(["rates", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 3
+    assert "exceeds the budget of 1000 replicate-steps" in capsys.readouterr().err
+
+
+def test_simulate_passes_config_budget_down(tmp_path, monkeypatch):
+    # the config budget reaches the batch, with no lower cap of its own
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("budget"))
+        return partial_sums_batch(*args, **kwargs)
+
+    monkeypatch.setattr("cltlab.cli.partial_sums_batch", spy)
+    cfg_path, _ = write_cfg(tmp_path, budget=3_000_000_000)
+    assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 0
+    assert seen == [3_000_000_000]
+
+
+@pytest.mark.parametrize(
+    "override, key",
+    [
+        ({"process": {"family": "expanding_map", "kind": "beta", "burn_in": 1000}}, "process.burn_in"),
+        ({"tolerances": {"smoothing_slack": 1e-3}}, "tolerances.smoothing_slack"),
+        ({"tolerances": {"covariance_slack": 1e-9}}, "tolerances.covariance_slack"),
+    ],
+)
+def test_removed_keys_exit_2(tmp_path, capsys, override, key):
+    cfg_path, _ = write_cfg(tmp_path, **override)
+    assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    assert f"unknown key '{key}'" in capsys.readouterr().err
+
+
+def test_slow_coefficient_tail_is_a_config_error(tmp_path, capsys):
+    cfg_path, _ = write_cfg(tmp_path, process={"family": "linear",
+                                               "coeffs": {"rule": "power", "exponent": -1.01}})
+    assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    assert "coefficient tail" in capsys.readouterr().err
+
+
+# a minimal 'process' section for every registered family
+FAMILY_SECTIONS = {
+    "davydov": {"p": 2.5, "eps": 0.1, "n_max": 24},
+    "linear": {"coeffs": {"rule": "geometric", "ratio": 0.5}, "truncation": 40},
+    "function_of_linear": {"coeffs": {"rule": "finite", "values": {"0": 1.0, "1": 0.5}},
+                           "truncation": 2, "h_rule": "abs_power", "centering_draws": 10**4},
+    "expanding_map": {"kind": "beta", "beta": 2.5},
+    "iid": {},
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_every_registered_family_simulates(tmp_path, family):
+    cfg_path, _ = write_cfg(tmp_path, process={"family": family, **FAMILY_SECTIONS[family]},
+                            simulate={"n_grid": [4, 16], "replicates": 100})
+    out = str(tmp_path / "out")
+    assert main(["simulate", "--config", cfg_path, "--out", out]) == 0
+    batch = load_batch(os.path.join(out, "trajectories.cltr"))
+    assert batch.m == 100 and np.all(np.isfinite(batch.values(16)))
+    lrv = long_run_variance(build_process(load_config(cfg_path)))
+    assert np.isfinite(lrv["sigma2"]) and lrv["sigma2"] > 0
 
 
 # ---------------------------------------------------------------------------

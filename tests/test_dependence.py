@@ -324,7 +324,7 @@ def test_covariance_inequality_rejects_bad_lags():
 
 
 def test_mds_chain_projective_terms_vanish():
-    spec = ProcessSpec(DavydovChain(2.5, 0.1, "f1", n_max=200), p_moment=2.5)
+    spec = ProcessSpec(DavydovChain(2.5, 0.1, "f1", n_max=200))
     rep = series_projective(spec, "Cond1cob", 2.5, 30)
     assert rep.verdict == "converged"
     assert max(rep.terms) < 1e-12  # martingale differences project to zero
@@ -337,7 +337,7 @@ def test_iid_conditional_variance_series_zero():
 
 
 def test_davydov_conditional_variance_series():
-    spec = ProcessSpec(DavydovChain(2.5, 0.1, "f1", n_max=400), p_moment=2.5)
+    spec = ProcessSpec(DavydovChain(2.5, 0.1, "f1", n_max=400))
     out = series_C1_C2(spec, 2.5, 80)
     assert out["C1"].verdict == "converged"
     assert out["C2"].verdict == "converged"

@@ -202,6 +202,16 @@ class TestLinearProcess:
         with pytest.raises(ProcessError):
             LinearProcess(lambda j: 1.0 / (1 + abs(j)), truncation=8).coefficients()
 
+    def test_coefficients_evaluated_once_and_read_only(self):
+        calls = []
+        lp = LinearProcess(lambda j: calls.append(j) or (0.5**j if j >= 0 else 0.0), truncation=30)
+        first = len(calls)
+        assert first == 61 + 512  # a_{-t..t} and the 512-lag tail probe
+        a = lp.coefficients()
+        assert lp.coefficients() is a and len(calls) == first
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+
 
 class TestApplyH:
     def test_identity_recentres(self):
@@ -309,6 +319,11 @@ class TestPartialSumsBatch:
     def test_memory_guard(self):
         spec = ProcessSpec(IIDBaseline(), seed=0)
         with pytest.raises(ProcessError):
+            partial_sums_batch(spec, [2**20], 10**4, budget=10**6)
+
+    def test_budget_error_names_the_budget(self):
+        spec = ProcessSpec(IIDBaseline(), seed=0)
+        with pytest.raises(processes.BudgetError, match="exceeds the budget of 1000000 replicate-steps"):
             partial_sums_batch(spec, [2**20], 10**4, budget=10**6)
 
     def test_grid_must_increase(self):
