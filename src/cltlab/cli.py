@@ -6,7 +6,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
 import numpy as np
@@ -25,6 +24,7 @@ from .config import (
 )
 from .dependence import (
     PowerQuantile,
+    UnsupportedFamilyError,
     check_covariance_inequality,
     coboundary,
     envelope_contraction_check,
@@ -70,16 +70,8 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _pool_map(fn, items, threads: int):
-    """Map preserving input order; results are reduced identically for any
-    thread count."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _prepare_out(args, cfg: dict) -> tuple:
+    """(out_dir, config digest, start time); refuses a directory holding another config's run."""
     out_dir = args.out or cfg.get("out") or "cltlab-out"
     os.makedirs(out_dir, exist_ok=True)
     digest = config_digest(cfg)
@@ -92,7 +84,7 @@ def _prepare_out(args, cfg: dict) -> tuple:
                 f"{old.config_digest[:12]}..., which does not match this config "
                 f"({digest[:12]}...); choose a fresh --out or restore the config"
             )
-    return out_dir, digest
+    return out_dir, digest, _now()
 
 
 def _finish(out_dir: str, cfg: dict, digest: str, started: str, outputs: list) -> None:
@@ -123,6 +115,20 @@ def _formats(args) -> set:
     return {"csv", "json", "svg"} if args.format == "all" else {args.format}
 
 
+def _write_table(out_dir: str, stem: str, header: tuple, rows: list, fmts: set) -> list:
+    """rows as <stem>.csv and as <stem>.json {"table": [row objects]}, each
+    if fmts asks for it; returns the names written."""
+    outputs = []
+    if "csv" in fmts:
+        write_csv(os.path.join(out_dir, f"{stem}.csv"), header, rows)
+        outputs.append(f"{stem}.csv")
+    if "json" in fmts:
+        write_json(os.path.join(out_dir, f"{stem}.json"),
+                   {"table": [dict(zip(header, row)) for row in rows]})
+        outputs.append(f"{stem}.json")
+    return outputs
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -131,8 +137,7 @@ def cmd_simulate(args) -> int:
     cfg = _load(args)
     spec = build_process(cfg)
     n_grid, m = simulate_params(cfg)
-    out_dir, digest = _prepare_out(args, cfg)
-    started = _now()
+    out_dir, digest, started = _prepare_out(args, cfg)
     batch = partial_sums_batch(spec, n_grid, m, seed=cfg["seed"], budget=cfg.get("budget", DEFAULT_BUDGET))
     outputs = ["trajectories.cltr"]
     save_batch(os.path.join(out_dir, "trajectories.cltr"), batch)
@@ -152,23 +157,14 @@ def cmd_simulate(args) -> int:
 def cmd_rates(args) -> int:
     cfg = _load(args)
     plan = build_plan(cfg)
-    out_dir, digest = _prepare_out(args, cfg)
-    started = _now()
-    if plan.calibration:  # warm the floor cache in parallel; values are cached by key
-        _pool_map(lambda r: calibration_floor(plan.m, r), list(plan.r_list), args.threads)
+    out_dir, digest, started = _prepare_out(args, cfg)
     result = run_experiment(plan, budget=cfg.get("budget", DEFAULT_BUDGET))
     outputs = []
     fmts = _formats(args)
     if "csv" in fmts:
-        rows = [
-            (pt["n"], pt["r"], pt["value"], pt["mc_stderr"], pt["floor"], pt["kolmogorov"], pt["sigma"])
-            for pt in result.points
-        ]
-        write_csv(
-            os.path.join(out_dir, "rates.csv"),
-            ("n", "r", "value", "mc_stderr", "floor", "kolmogorov", "sigma"),
-            rows,
-        )
+        header = ("n", "r", "value", "mc_stderr", "floor", "kolmogorov", "sigma")
+        write_csv(os.path.join(out_dir, "rates.csv"), header,
+                  [tuple(pt[key] for key in header) for pt in result.points])
         outputs.append("rates.csv")
     if "json" in fmts:
         write_json(
@@ -205,22 +201,18 @@ VALID_CONDITIONS = ("C1", "C2", "Cond1cob", "Cond2cob", "Condcobp3adap",
                     "Cond2cobp3", "condalpha1", "condphi")
 
 
-def _series_c1c2(cfg: dict, section: dict) -> dict:
-    return series_C1_C2(build_process(cfg), float(section.get("p", 2.5)),
-                        int(section.get("n_terms", 64)),
-                        outer=int(section.get("outer", 1000)), seed=cfg["seed"])
-
-
-def _run_condition(cid: str, cfg: dict, section: dict, c1c2: dict | None):
+def _run_condition(cid: str, spec, cfg: dict, section: dict, c1c2: dict) -> list:
+    """(component, report) pairs of one id; c1c2 keeps the one series_C1_C2 run for C1 and C2."""
     p = float(section.get("p", 2.5))
     n_terms = int(section.get("n_terms", 64))
     if cid in ("C1", "C2"):
-        return [(cid, "", c1c2[cid])]
+        if not c1c2:
+            c1c2.update(series_C1_C2(spec, p, n_terms, outer=int(section.get("outer", 1000)),
+                                     seed=cfg["seed"]))
+        return [("", c1c2[cid])]
     if cid in ("Cond1cob", "Cond2cob", "Condcobp3adap", "Cond2cobp3"):
-        spec = build_process(cfg)
-        rep = series_projective(spec, cid, p, n_terms, mc=int(section.get("mc", 10**5)),
-                                seed=cfg["seed"])
-        return [(cid, "", rep)]
+        return [("", series_projective(spec, cid, p, n_terms, mc=int(section.get("mc", 10**5)),
+                                       seed=cfg["seed"]))]
     if cid == "condalpha1":
         a = float(section.get("alpha_decay", 2.0))
         b = float(section.get("q_moment", 4.0))
@@ -229,12 +221,14 @@ def _run_condition(cid: str, cfg: dict, section: dict, c1c2: dict | None):
                               "'conditions.q_moment' above 2")
         alpha = [0.25 * k**-a for k in range(1, n_terms + 1)]
         reps = series_condalpha1(PowerQuantile(1.0 / b), alpha, p)
-        return [(cid, name, reps[name]) for name in ("log_weighted", "p_norm")]
+        return [(name, reps[name]) for name in ("log_weighted", "p_norm")]
     # condphi
     c = float(section.get("phi_decay", 2.0))
     s = float(section.get("s", max(p, 2.5)))
+    if s < p:
+        raise ConfigError("'conditions.s' must be at least 'conditions.p'")
     phi2 = [min(1.0, k**-c) for k in range(1, n_terms + 1)]
-    return [(cid, "", series_condphi(phi2, p, s))]
+    return [("", series_condphi(phi2, p, s))]
 
 
 def cmd_conditions(args) -> int:
@@ -254,26 +248,20 @@ def cmd_conditions(args) -> int:
                 f"unknown condition id {cid!r} in 'conditions.ids'; valid ids: "
                 f"{list(VALID_CONDITIONS)}"
             )
-    out_dir, digest = _prepare_out(args, cfg)
-    started = _now()
-    # one series_C1_C2 run yields both C1 and C2
-    c1c2 = _series_c1c2(cfg, section) if {"C1", "C2"} & set(ids) else None
-    groups = _pool_map(lambda cid: _run_condition(cid, cfg, section, c1c2), list(ids), args.threads)
-    rows = []
-    for group in groups:
-        for cid, component, rep in group:
-            rows.append((cid, component, rep.verdict, len(rep.terms),
-                         float(rep.terms[-1]), float(rep.partial_sums[-1])))
-    outputs = []
-    fmts = _formats(args)
+    # condalpha1 and condphi are series over declared rates; every other id reads the process
+    spec = None if {"condalpha1", "condphi"}.issuperset(ids) else build_process(cfg)
+    out_dir, digest, started = _prepare_out(args, cfg)
+    rows, c1c2 = [], {}
+    for cid in ids:
+        try:
+            group = _run_condition(cid, spec, cfg, section, c1c2)
+        except UnsupportedFamilyError as exc:
+            raise ConfigError(f"condition {cid!r} has no series for process family "
+                              f"{cfg['process']['family']!r}: {exc}") from exc
+        rows += [(cid, component, rep.verdict, len(rep.terms), float(rep.terms[-1]),
+                  float(rep.partial_sums[-1])) for component, rep in group]
     header = ("id", "component", "verdict", "n_terms", "last_term", "partial_sum")
-    if "csv" in fmts:
-        write_csv(os.path.join(out_dir, "conditions.csv"), header, rows)
-        outputs.append("conditions.csv")
-    if "json" in fmts:
-        write_json(os.path.join(out_dir, "conditions.json"),
-                   {"table": [dict(zip(header, row)) for row in rows]})
-        outputs.append("conditions.json")
+    outputs = _write_table(out_dir, "conditions", header, rows, _formats(args))
     _finish(out_dir, cfg, digest, started, outputs)
     width = max(len(r[0]) + len(r[1]) for r in rows) + 1
     for row in rows:
@@ -407,19 +395,12 @@ def cmd_verify(args) -> int:
             raise ConfigError(
                 f"unknown check {name!r} in 'verify.checks'; valid: {list(VERIFY_CHECKS)}"
             )
-    out_dir, digest = _prepare_out(args, cfg)
-    started = _now()
-    results = _pool_map(lambda n: (n, VERIFY_CHECKS[n](cfg, section)), list(names), args.threads)
-    rows = [(name, "pass" if res["passed"] else "fail", res["detail"]) for name, res in results]
-    outputs = []
-    fmts = _formats(args)
-    if "csv" in fmts:
-        write_csv(os.path.join(out_dir, "verify.csv"), ("check", "status", "detail"), rows)
-        outputs.append("verify.csv")
-    if "json" in fmts:
-        write_json(os.path.join(out_dir, "verify.json"),
-                   {"table": [dict(zip(("check", "status", "detail"), row)) for row in rows]})
-        outputs.append("verify.json")
+    out_dir, digest, started = _prepare_out(args, cfg)
+    rows = []
+    for name in names:
+        res = VERIFY_CHECKS[name](cfg, section)
+        rows.append((name, "pass" if res["passed"] else "fail", res["detail"]))
+    outputs = _write_table(out_dir, "verify", ("check", "status", "detail"), rows, _formats(args))
     _finish(out_dir, cfg, digest, started, outputs)
     failed = [row for row in rows if row[1] == "fail"]
     for row in rows:
@@ -441,23 +422,14 @@ def cmd_calibrate(args) -> int:
     ms = [int(m) for m in section.get("replicates", (10**3, 10**4))]
     rs = [float(r) for r in section.get("r_list", (1.0, 2.0))]
     reps = int(section.get("reps", 100))
-    out_dir, digest = _prepare_out(args, cfg)
-    started = _now()
-    cells = [(m, r) for m in ms for r in rs]
-    floors = _pool_map(lambda cell: calibration_floor(cell[0], cell[1], reps=reps), cells,
-                       args.threads)
-    rows = [(m, r, fl["mean"], fl["stderr"]) for (m, r), fl in zip(cells, floors)]
-    outputs = []
-    fmts = _formats(args)
-    if "csv" in fmts:
-        write_csv(os.path.join(out_dir, "calibration.csv"),
-                  ("replicates", "r", "floor_mean", "floor_stderr"), rows)
-        outputs.append("calibration.csv")
-    if "json" in fmts:
-        write_json(os.path.join(out_dir, "calibration.json"),
-                   {"table": [dict(zip(("replicates", "r", "floor_mean", "floor_stderr"), row))
-                              for row in rows]})
-        outputs.append("calibration.json")
+    out_dir, digest, started = _prepare_out(args, cfg)
+    rows = []
+    for m in ms:
+        for r in rs:
+            floor = calibration_floor(m, r, reps=reps)
+            rows.append((m, r, floor["mean"], floor["stderr"]))
+    outputs = _write_table(out_dir, "calibration", ("replicates", "r", "floor_mean", "floor_stderr"),
+                           rows, _formats(args))
     _finish(out_dir, cfg, digest, started, outputs)
     for row in rows:
         print(f"m = {row[0]:<8} r = {row[1]:<4g} floor = {row[2]:.6g} +/- {row[3]:.2g}")
@@ -485,7 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="path to the JSON run configuration")
         p.add_argument("--out", help="output directory (default from config or ./cltlab-out)")
-        p.add_argument("--threads", type=int, default=1, help="worker pool size")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--format", choices=("csv", "json", "svg", "all"), default="all")
         if name == "verify":
@@ -496,9 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
     try:
         return args.handler(args)
     except ConfigError as exc:

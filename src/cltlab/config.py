@@ -54,6 +54,11 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
+def _check_positive(value, where: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
+        raise ConfigError(f"'{where}' must be a positive number")
+
+
 def load_config(path: str) -> dict:
     """Parse and validate a JSON run configuration.
 
@@ -73,12 +78,13 @@ def load_config(path: str) -> dict:
     seed = _require(raw, "seed", "config")
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ConfigError("'config.seed' must be a nonnegative integer")
+    if "budget" in raw:
+        _check_positive(raw["budget"], "config.budget")
     tol = dict(DEFAULT_TOLERANCES)
     if "tolerances" in raw:
         _check_keys(raw["tolerances"], set(DEFAULT_TOLERANCES), "tolerances")
         for key, val in raw["tolerances"].items():
-            if not isinstance(val, (int, float)) or val <= 0:
-                raise ConfigError(f"'tolerances.{key}' must be a positive number")
+            _check_positive(val, f"tolerances.{key}")
             tol[key] = float(val)
     raw = dict(raw)
     raw["tolerances"] = tol

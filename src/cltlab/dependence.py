@@ -30,6 +30,10 @@ class DependenceError(ValueError):
     pass
 
 
+class UnsupportedFamilyError(DependenceError):
+    """The condition has no series algorithm for the spec's process family."""
+
+
 # ---------------------------------------------------------------------------
 # alpha coefficient
 
@@ -492,7 +496,7 @@ def _report(cid, n_values, terms, extra=None) -> ConditionReport:
 def _chain_f(spec: ProcessSpec) -> tuple[FiniteKernel, np.ndarray]:
     if isinstance(spec.family, DavydovChain):
         return _davydov_cache(spec.family)
-    raise DependenceError("spec does not describe a finite chain")
+    raise UnsupportedFamilyError("spec does not describe a finite chain")
 
 
 def _lp_norm_discrete(values: np.ndarray, probs: np.ndarray, p: float) -> float:
@@ -635,7 +639,7 @@ def _series_projective_linear(fam: LinearProcess, which: str, p: float, ns, mc: 
             w = np.array([tail[min(n + m_ + t, 2 * t + 1)] for m_ in range(0, t + 1)])
             terms.append((1.0 / n) * lp_of_coeffs(w, 3.0))
         return _report("Condcobp3adap", ns, terms)
-    raise DependenceError(f"condition {which} not available for linear processes")
+    raise UnsupportedFamilyError(f"condition {which} not available for linear processes")
 
 
 @dataclass(frozen=True)

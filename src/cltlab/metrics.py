@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import ceil, comb
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -132,7 +132,6 @@ class DistanceEstimate:
     lower: float
     upper: float
     method: str  # exact-monotone | assignment-exact | quadrature | dictionary-lower
-    mc_stderr: Optional[float] = None
 
     def __post_init__(self):
         if not (self.lower <= self.value + 1e-12 and self.value <= self.upper + 1e-12):
@@ -557,7 +556,6 @@ class GridFunction:
 
     grid: np.ndarray
     values: np.ndarray
-    derivative_order: int = 0
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
@@ -633,7 +631,7 @@ def gaussian_smooth(f: GridFunction, t: float) -> GridFunction:
     if f.grid.size <= 2 * k + 2:
         raise MetricsError("grid too short for the smoothing kernel")
     vals = np.convolve(f.values, w, mode="valid")
-    return GridFunction(f.grid[k:-k], vals, f.derivative_order)
+    return GridFunction(f.grid[k:-k], vals)
 
 
 def _smoothing_constant(r: float, p: float) -> float:

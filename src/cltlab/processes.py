@@ -361,6 +361,9 @@ class FunctionOfLinear:
     alpha: float
     centering_draws: int = 10**7
 
+    def __post_init__(self):
+        _check_modulus(self.h(), self.gamma, self.alpha)
+
     def h(self) -> Callable[[np.ndarray], np.ndarray]:
         if callable(self.h_rule):
             return self.h_rule
@@ -382,11 +385,10 @@ class FunctionOfLinear:
         return partial(_linear_sums, a, self.base.innovation, lambda v: h(v) - center)
 
     def long_run_variance(self, seed: int) -> dict:
-        # no closed form: batch-means estimate on one long path
+        # no closed form: batch-means estimate on one long path; the variance
+        # of the batch means does not move with a shift, so h is not centered
         n_total, n_batch = 2**18, 2**12
-        base = sample_linear_process(self.base, n_total, seed)
-        res = apply_h(base, self.h_rule, self.gamma, self.alpha, base=self.base, seed=seed, draws=10**6)
-        v = res["values"].reshape(-1, n_batch)
+        v = self.h()(sample_linear_process(self.base, n_total, seed)).reshape(-1, n_batch)
         means = v.sum(axis=1) / np.sqrt(n_batch)
         sigma2 = float(np.var(means))
         stderr = float(sigma2 * np.sqrt(2.0 / (means.size - 1)))
@@ -501,12 +503,11 @@ def apply_h(
 
     The centering constant is a Monte Carlo estimate over fresh draws of the
     stationary marginal when the base process is supplied, otherwise the
-    sample mean of the inputs.  The declared modulus bound
-    w_h(t, M) <= C t^gamma M^alpha is spot-checked on a grid.
+    sample mean of the inputs.  Building the FunctionOfLinear spot-checks the
+    declared modulus bound w_h(t, M) <= C t^gamma M^alpha on a grid.
     """
     fol = FunctionOfLinear(base if base is not None else LinearProcess(lambda j: 1.0 if j == 0 else 0.0), h_rule, gamma, alpha)
     h = fol.h()
-    _check_modulus(h, gamma, alpha)
     vals = h(np.asarray(base_values, dtype=float))
     if base is not None:
         center, stderr = _centering_constant(base, h, seed, draws)

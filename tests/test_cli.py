@@ -134,6 +134,40 @@ def test_rates_budget_violation_exit_3(tmp_path, capsys):
     assert "exceeds the budget of 1000 replicate-steps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "override, key",
+    [({"budget": value}, "config.budget") for value in ("abc", True, 0, -5, None)]
+    + [({"tolerances": {"duality": True}}, "tolerances.duality")],
+)
+def test_value_must_be_a_positive_number(tmp_path, capsys, override, key):
+    cfg_path, _ = write_cfg(tmp_path, **override)
+    assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    assert f"'{key}' must be a positive number" in capsys.readouterr().err
+
+
+def test_over_budget_rates_computes_no_floor(tmp_path, monkeypatch):
+    # the budget check comes before any calibration work
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return calibration_floor(*args, **kwargs)
+
+    monkeypatch.setattr("cltlab.cli.calibration_floor", spy)
+    monkeypatch.setattr("cltlab.experiments.calibration_floor", spy)
+    cfg_path, _ = write_cfg(tmp_path, budget=1000)
+    assert main(["rates", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 3
+    assert calls == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "rates", "conditions", "verify", "calibrate"])
+def test_threads_flag_is_rejected(tmp_path, command):
+    cfg_path, _ = write_cfg(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg_path, "--out", str(tmp_path / "o"), "--threads", "2"])
+    assert exc.value.code == 2
+
+
 def test_simulate_passes_config_budget_down(tmp_path, monkeypatch):
     # the config budget reaches the batch, with no lower cap of its own
     seen = []
@@ -277,14 +311,23 @@ def test_empty_condition_list_exit_2(tmp_path, capsys):
     assert "nonempty" in capsys.readouterr().err
 
 
-def test_conditions_thread_count_does_not_change_output(tmp_path):
-    cfg_path, _ = write_cfg(tmp_path, conditions={"ids": ["C1", "C2", "condalpha1", "condphi"],
-                                                  "p": 2.5, "n_terms": 16})
-    out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
-    assert main(["conditions", "--config", cfg_path, "--out", out1, "--threads", "1"]) == 0
-    assert main(["conditions", "--config", cfg_path, "--out", out2, "--threads", "4"]) == 0
-    assert (open(os.path.join(out1, "conditions.csv"), "rb").read()
-            == open(os.path.join(out2, "conditions.csv"), "rb").read())
+@pytest.mark.parametrize(
+    "override, names",
+    [
+        ({"process": {"family": "expanding_map", "kind": "beta", "beta": 2.0},
+          "conditions": {"ids": ["C1"], "n_terms": 8}}, ("'C1'", "'expanding_map'")),
+        ({"conditions": {"ids": ["Cond1cob"], "n_terms": 8}}, ("'Cond1cob'", "'iid'")),
+        ({"process": {"family": "linear", "coeffs": {"rule": "geometric", "ratio": 0.5}},
+          "conditions": {"ids": ["Cond2cob"], "n_terms": 8}}, ("'Cond2cob'", "'linear'")),
+        ({"conditions": {"ids": ["condphi"], "p": 2.5, "s": 2.2, "n_terms": 8}}, ("'conditions.s'",)),
+    ],
+)
+def test_condition_without_algorithm_exit_2(tmp_path, capsys, override, names):
+    # the exit code comes from the error type: no series for the family is a config error
+    cfg_path, _ = write_cfg(tmp_path, **override)
+    assert main(["conditions", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and all(name in err for name in names)
 
 
 DAVYDOV_CONDITIONS = {
@@ -325,7 +368,7 @@ def test_conditions_csv_independent_of_blas_threads(tmp_path):
 def test_verify_default_suite_passes(tmp_path):
     cfg_path, _ = write_cfg(tmp_path)
     out = str(tmp_path / "out")
-    assert main(["verify", "--config", cfg_path, "--out", out, "--threads", "4"]) == 0
+    assert main(["verify", "--config", cfg_path, "--out", out]) == 0
     lines = open(os.path.join(out, "verify.csv")).read().splitlines()
     assert len(lines) == 7  # header + six checks
     assert all(line.split(",")[1] == "pass" for line in lines[1:])

@@ -239,6 +239,11 @@ class TestApplyH:
             # a jump function has unbounded modulus ratio as t -> 0
             apply_h(np.ones(10), lambda x: (x > 0).astype(float), 1.0, 0.0)
 
+    def test_modulus_checked_at_construction(self):
+        lp = LinearProcess(lambda j: 1.0 if j == 0 else 0.0, truncation=2)
+        with pytest.raises(ProcessError, match="modulus"):
+            FunctionOfLinear(lp, lambda x: (x > 0).astype(float), 1.0, 0.0)
+
 
 class TestExpandingMaps:
     def test_beta2_rational_orbit_exact(self):
@@ -387,6 +392,16 @@ class TestLongRunVariance:
         lv = long_run_variance(ProcessSpec(fol))
         assert lv["method"] == "batch-means"
         assert lv["sigma2"] == pytest.approx(1.0, rel=0.3)
+
+    def test_function_of_linear_variance_needs_no_centering(self, monkeypatch):
+        # the variance of the batch means does not move with a shift of h
+        def boom(*args, **kwargs):
+            raise AssertionError("centering constant estimated")
+
+        monkeypatch.setattr(processes, "_centering_constant", boom)
+        lp = LinearProcess(lambda j: 0.5**j if j >= 0 else 0.0, truncation=64)
+        lv = long_run_variance(ProcessSpec(FunctionOfLinear(lp, "abs_power", 1.0, 0.0), seed=0))
+        assert lv["method"] == "batch-means" and lv["sigma2"] > 0.0
 
 
 class TestFiniteKernelValidation:
