@@ -12,15 +12,14 @@ import numpy as np
 
 from . import __version__
 from .config import (
-    CALIBRATE_KEYS,
-    CONDITIONS_KEYS,
-    VERIFY_KEYS,
     ConfigError,
-    _check_keys,
     build_plan,
     build_process,
+    calibrate_params,
+    conditions_params,
     load_config,
     simulate_params,
+    verify_params,
 )
 from .dependence import (
     PowerQuantile,
@@ -201,60 +200,35 @@ VALID_CONDITIONS = ("C1", "C2", "Cond1cob", "Cond2cob", "Condcobp3adap",
                     "Cond2cobp3", "condalpha1", "condphi")
 
 
-def _run_condition(cid: str, spec, cfg: dict, section: dict, c1c2: dict) -> list:
+def _run_condition(cid: str, spec, cfg: dict, params: dict, c1c2: dict) -> list:
     """(component, report) pairs of one id; c1c2 keeps the one series_C1_C2 run for C1 and C2."""
-    p = float(section.get("p", 2.5))
-    n_terms = int(section.get("n_terms", 64))
+    p, n_terms = params["p"], params["n_terms"]
     if cid in ("C1", "C2"):
         if not c1c2:
-            c1c2.update(series_C1_C2(spec, p, n_terms, outer=int(section.get("outer", 1000)),
-                                     seed=cfg["seed"]))
+            c1c2.update(series_C1_C2(spec, p, n_terms, outer=params["outer"], seed=cfg["seed"]))
         return [("", c1c2[cid])]
     if cid in ("Cond1cob", "Cond2cob", "Condcobp3adap", "Cond2cobp3"):
-        return [("", series_projective(spec, cid, p, n_terms, mc=int(section.get("mc", 10**5)),
-                                       seed=cfg["seed"]))]
+        return [("", series_projective(spec, cid, p, n_terms, mc=params["mc"], seed=cfg["seed"]))]
     if cid == "condalpha1":
-        a = float(section.get("alpha_decay", 2.0))
-        b = float(section.get("q_moment", 4.0))
-        if a <= 0 or b <= 2:
-            raise ConfigError("'conditions.alpha_decay' must be positive and "
-                              "'conditions.q_moment' above 2")
-        alpha = [0.25 * k**-a for k in range(1, n_terms + 1)]
-        reps = series_condalpha1(PowerQuantile(1.0 / b), alpha, p)
+        alpha = [0.25 * k**-params["alpha_decay"] for k in range(1, n_terms + 1)]
+        reps = series_condalpha1(PowerQuantile(1.0 / params["q_moment"]), alpha, p)
         return [(name, reps[name]) for name in ("log_weighted", "p_norm")]
     # condphi
-    c = float(section.get("phi_decay", 2.0))
-    s = float(section.get("s", max(p, 2.5)))
-    if s < p:
-        raise ConfigError("'conditions.s' must be at least 'conditions.p'")
-    phi2 = [min(1.0, k**-c) for k in range(1, n_terms + 1)]
-    return [("", series_condphi(phi2, p, s))]
+    phi2 = [min(1.0, k**-params["phi_decay"]) for k in range(1, n_terms + 1)]
+    return [("", series_condphi(phi2, p, params["s"]))]
 
 
 def cmd_conditions(args) -> int:
     cfg = _load(args)
-    if "conditions" not in cfg:
-        raise ConfigError("missing required key 'config.conditions'")
-    section = cfg["conditions"]
-    _check_keys(section, CONDITIONS_KEYS, "conditions")
-    ids = section.get("ids")
-    if not ids:
-        raise ConfigError(
-            f"'conditions.ids' must be a nonempty list; valid ids: {list(VALID_CONDITIONS)}"
-        )
-    for cid in ids:
-        if cid not in VALID_CONDITIONS:
-            raise ConfigError(
-                f"unknown condition id {cid!r} in 'conditions.ids'; valid ids: "
-                f"{list(VALID_CONDITIONS)}"
-            )
+    params = conditions_params(cfg, VALID_CONDITIONS)
+    ids = params["ids"]
     # condalpha1 and condphi are series over declared rates; every other id reads the process
     spec = None if {"condalpha1", "condphi"}.issuperset(ids) else build_process(cfg)
     out_dir, digest, started = _prepare_out(args, cfg)
     rows, c1c2 = [], {}
     for cid in ids:
         try:
-            group = _run_condition(cid, spec, cfg, section, c1c2)
+            group = _run_condition(cid, spec, cfg, params, c1c2)
         except UnsupportedFamilyError as exc:
             raise ConfigError(f"condition {cid!r} has no series for process family "
                               f"{cfg['process']['family']!r}: {exc}") from exc
@@ -283,11 +257,10 @@ def _verify_chain(perturb: float):
     return kernel, f
 
 
-def _check_covariance(cfg: dict, section: dict) -> dict:
-    cases = int(section.get("cases", 25))
-    perturb = float(section.get("perturb_kernel", 0.0))
+def _check_covariance(cfg: dict, params: dict) -> dict:
+    cases = params["cases"]
     try:
-        kernel, _ = _verify_chain(perturb)
+        kernel, _ = _verify_chain(params["perturb_kernel"])
     except ProcessError as exc:
         return {"passed": False, "detail": f"kernel invariant violated: {exc}"}
     gen = np.random.default_rng(cfg["seed"])
@@ -305,8 +278,8 @@ def _check_covariance(cfg: dict, section: dict) -> dict:
     return {"passed": True, "detail": f"{cases} cases, worst lhs/bound ratio {worst:.3g}"}
 
 
-def _check_envelope(cfg: dict, section: dict) -> dict:
-    cases = int(section.get("cases", 25))
+def _check_envelope(cfg: dict, params: dict) -> dict:
+    cases = params["cases"]
     slack = cfg["tolerances"]["envelope_slack"]
     kernel, _ = _verify_chain(0.0)
     gen = np.random.default_rng(cfg["seed"] + 1)
@@ -321,7 +294,7 @@ def _check_envelope(cfg: dict, section: dict) -> dict:
     return {"passed": True, "detail": f"{cases} cases contracted"}
 
 
-def _check_smoothing(cfg: dict, section: dict) -> dict:
+def _check_smoothing(cfg: dict, params: dict) -> dict:
     cases = [(r, p, t) for r in (0.5, 1.0, 1.5, 2.0) for p in (2.0, 2.5, 3.0)
              for t in (0.25, 1.0) if p >= r]
     f = GridFunction.from_callable(lambda x: np.abs(x), lo=-12.0, hi=12.0, n=2**14 + 1)
@@ -334,7 +307,7 @@ def _check_smoothing(cfg: dict, section: dict) -> dict:
     return {"passed": True, "detail": f"{len(cases)} (r, p, t) cases bounded"}
 
 
-def _check_window(cfg: dict, section: dict) -> dict:
+def _check_window(cfg: dict, params: dict) -> dict:
     rules = {"geometric": lambda j: 0.6**j if j >= 0 else 0.0,
              "power": lambda j: float(j) ** -2.0 if j >= 1 else (1.0 if j == 0 else 0.0)}
     for name, rule in rules.items():
@@ -347,7 +320,7 @@ def _check_window(cfg: dict, section: dict) -> dict:
     return {"passed": True, "detail": "A_n <= 4 B_n for all rules and n"}
 
 
-def _check_coboundary(cfg: dict, section: dict) -> dict:
+def _check_coboundary(cfg: dict, params: dict) -> dict:
     tol = cfg["tolerances"]["coboundary"]
     rule = lambda j: 0.5**j if j >= 0 else 0.0
     dec = coboundary(LinearProcess(rule, InnovationLaw("gaussian"), truncation=64))
@@ -358,7 +331,7 @@ def _check_coboundary(cfg: dict, section: dict) -> dict:
     return {"passed": True, "detail": f"max residual {res['max_residual']:.3g}"}
 
 
-def _check_duality(cfg: dict, section: dict) -> dict:
+def _check_duality(cfg: dict, params: dict) -> dict:
     tol = cfg["tolerances"]["duality"]
     spec = ExpandingMap("beta", beta=2.0)
     worst = 0.0
@@ -387,18 +360,11 @@ def cmd_verify(args) -> int:
             print(name)
         return EXIT_OK
     cfg = _load(args)
-    section = cfg.get("verify", {})
-    _check_keys(section, VERIFY_KEYS, "verify")
-    names = section.get("checks", list(VERIFY_CHECKS))
-    for name in names:
-        if name not in VERIFY_CHECKS:
-            raise ConfigError(
-                f"unknown check {name!r} in 'verify.checks'; valid: {list(VERIFY_CHECKS)}"
-            )
+    params = verify_params(cfg, VERIFY_CHECKS)
     out_dir, digest, started = _prepare_out(args, cfg)
     rows = []
-    for name in names:
-        res = VERIFY_CHECKS[name](cfg, section)
+    for name in params["checks"]:
+        res = VERIFY_CHECKS[name](cfg, params)
         rows.append((name, "pass" if res["passed"] else "fail", res["detail"]))
     outputs = _write_table(out_dir, "verify", ("check", "status", "detail"), rows, _formats(args))
     _finish(out_dir, cfg, digest, started, outputs)
@@ -415,13 +381,7 @@ def cmd_verify(args) -> int:
 
 def cmd_calibrate(args) -> int:
     cfg = _load(args)
-    if "calibrate" not in cfg:
-        raise ConfigError("missing required key 'config.calibrate'")
-    section = cfg["calibrate"]
-    _check_keys(section, CALIBRATE_KEYS, "calibrate")
-    ms = [int(m) for m in section.get("replicates", (10**3, 10**4))]
-    rs = [float(r) for r in section.get("r_list", (1.0, 2.0))]
-    reps = int(section.get("reps", 100))
+    ms, rs, reps = calibrate_params(cfg)
     out_dir, digest, started = _prepare_out(args, cfg)
     rows = []
     for m in ms:

@@ -1,10 +1,14 @@
 """Structured run configuration: JSON parsing, strict key validation, and
-construction of process and experiment objects from declarative sections."""
+construction of process and experiment objects from declarative sections.
+Every config value is read through `read`, which names the offending key."""
 
 from __future__ import annotations
 
 import json
-from typing import Callable, Optional
+import re
+import sys
+from functools import partial
+from typing import Callable
 
 from .experiments import DEFAULT_N_GRID, ExperimentError, ExperimentPlan
 from .processes import (
@@ -41,6 +45,45 @@ CALIBRATE_KEYS = {"replicates", "r_list", "reps"}
 # the allowed 'tolerances' keys are exactly the ones with a default
 DEFAULT_TOLERANCES = {"coboundary": 1e-8, "duality": 1e-8, "envelope_slack": 1e-9}
 
+_REQUIRED = object()
+_KINDS = {float: "a finite number", int: "an integer", bool: "true or false",
+          str: "a string", dict: "an object"}
+
+
+def read(section: dict, where: str, key: str, default=_REQUIRED, kind=float,
+         ok: Callable = None, need: str = None, many: bool = False):
+    """section[key], or default when the key is absent, as kind: float takes
+    a finite real, int a JSON integer, bool only true or false, str a string
+    and dict an object; a bool is never a number. With many the value is a
+    nonempty list, read element by element into a tuple. ok(value) is the
+    range check and need says what it asks for. Raises ConfigError naming
+    where.key."""
+    name = f"{where}.{key}"
+    if key not in section:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing required key '{name}'")
+        return default
+    value = section[key]
+    if not many:
+        return _typed(value, name, kind, ok, need)
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"'{name}' must be a nonempty list, not {value!r}")
+    return tuple(_typed(v, f"{name}[{i}]", kind, ok, need) for i, v in enumerate(value))
+
+
+def _typed(value, name: str, kind, ok, need):
+    if isinstance(value, bool) and kind is not bool:
+        good = False
+    elif kind is float:
+        good = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    else:
+        good = isinstance(value, kind)
+    if good:
+        typed = float(value) if kind is float else value
+        if ok is None or ok(typed):
+            return typed
+    raise ConfigError(f"'{name}' must be {need or _KINDS[kind]}, not {value!r}")
+
 
 def _check_keys(section: dict, allowed: set, where: str) -> None:
     for key in section:
@@ -48,15 +91,15 @@ def _check_keys(section: dict, allowed: set, where: str) -> None:
             raise ConfigError(f"unknown key '{where}.{key}'; allowed: {sorted(allowed)}")
 
 
-def _require(section: dict, key: str, where: str):
-    if key not in section:
-        raise ConfigError(f"missing required key '{where}.{key}'")
-    return section[key]
+def _section(cfg: dict, name: str, allowed: set, default=_REQUIRED) -> dict:
+    """The top-level object cfg[name], its keys checked against allowed."""
+    section = read(cfg, "config", name, default, dict)
+    _check_keys(section, allowed, name)
+    return section
 
 
-def _check_positive(value, where: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
-        raise ConfigError(f"'{where}' must be a positive number")
+def _positive(v) -> bool:
+    return v > 0
 
 
 def load_config(path: str) -> dict:
@@ -64,6 +107,7 @@ def load_config(path: str) -> dict:
 
     Every key is checked against the schema; unknown or missing keys are hard
     errors so a config never silently falls back to defaults it did not name.
+    The process is built once here, so every process value is checked too.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -75,116 +119,43 @@ def load_config(path: str) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
     _check_keys(raw, TOP_KEYS, "config")
-    seed = _require(raw, "seed", "config")
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError("'config.seed' must be a nonnegative integer")
-    if "budget" in raw:
-        _check_positive(raw["budget"], "config.budget")
-    tol = dict(DEFAULT_TOLERANCES)
-    if "tolerances" in raw:
-        _check_keys(raw["tolerances"], set(DEFAULT_TOLERANCES), "tolerances")
-        for key, val in raw["tolerances"].items():
-            _check_positive(val, f"tolerances.{key}")
-            tol[key] = float(val)
+    read(raw, "config", "seed", kind=int, ok=lambda v: v >= 0, need="a nonnegative integer")
+    read(raw, "config", "budget", None, ok=_positive, need="a positive number")
+    read(raw, "config", "out", None, str)
+    tol = _section(raw, "tolerances", set(DEFAULT_TOLERANCES), {})
     raw = dict(raw)
-    raw["tolerances"] = tol
+    raw["tolerances"] = {key: read(tol, "tolerances", key, val, ok=_positive, need="a positive number")
+                         for key, val in DEFAULT_TOLERANCES.items()}
     if "process" in raw:
-        _validate_process(raw["process"])
+        build_process(raw)
     return raw
 
 
-def _validate_process(section: dict) -> None:
-    if not isinstance(section, dict):
-        raise ConfigError("'process' must be an object")
-    family = _require(section, "family", "process")
-    if family not in FAMILIES:
-        raise ConfigError(f"unknown 'process.family' {family!r}; allowed: {sorted(FAMILIES)}")
-    _check_keys(section, FAMILIES[family][0], "process")
-    if family == "davydov":
-        _validate_davydov(section)
-    if "coeffs" in section:
-        _validate_coeffs(section["coeffs"])
-    if "innovation" in section:
-        _check_keys(section["innovation"], INNOVATION_KEYS, "process.innovation")
-
-
-def _validate_davydov(section: dict) -> None:
-    p = _require(section, "p", "process")
-    eps = _require(section, "eps", "process")
-    if not (2.0 < p <= 3.0):
-        raise ConfigError("'process.p' must lie in (2, 3]")
-    if not eps > 0:
-        raise ConfigError("'process.eps' must be positive")
-    schedule = section.get("schedule")
-    if schedule is None:
-        return
-    # an explicit schedule pins the up-step probabilities the config expects;
-    # it must satisfy the drift invariant and match the (p, eps) formula
-    if not isinstance(schedule, list) or not schedule:
-        raise ConfigError("'process.schedule' must be a nonempty list of probabilities")
-    for i, a_n in enumerate(schedule):
-        if i == 0:
-            if abs(a_n - 0.5) > 1e-12:
-                raise ConfigError("'process.schedule[0]' must equal 1/2")
-        elif not (0.5 <= a_n < 1.0):
-            raise ConfigError(
-                f"'process.schedule[{i}]' = {a_n} violates the invariant 1/2 <= a_n < 1"
-            )
-    for i, a_n in enumerate(schedule):
-        want = davydov_schedule(p, eps, i)
-        if abs(a_n - want) > 1e-9:
-            raise ConfigError(
-                f"'process.schedule[{i}]' = {a_n} does not match the drift formula "
-                f"value {want:.12g} for the given p and eps"
-            )
-
-
-def _validate_coeffs(section: dict) -> None:
-    if not isinstance(section, dict):
-        raise ConfigError("'process.coeffs' must be an object")
-    rule = _require(section, "rule", "process.coeffs")
-    if rule not in COEFF_KEYS:
-        raise ConfigError(f"unknown 'process.coeffs.rule' {rule!r}; allowed: {sorted(COEFF_KEYS)}")
+def build_coeff_rule(section: dict) -> Callable[[int], float]:
+    """Coefficient rule a_j from its declarative 'process.coeffs' form."""
+    get = partial(read, section, "process.coeffs")
+    rule = get("rule", kind=str, ok=COEFF_KEYS.__contains__, need=f"one of {sorted(COEFF_KEYS)}")
     _check_keys(section, COEFF_KEYS[rule], "process.coeffs")
     if rule == "geometric":
-        ratio = _require(section, "ratio", "process.coeffs")
-        if not (0.0 <= abs(ratio) < 1.0):
-            raise ConfigError("'process.coeffs.ratio' must have modulus below 1")
-    elif rule == "power":
-        expo = _require(section, "exponent", "process.coeffs")
-        if expo >= -1.0:
-            raise ConfigError("'process.coeffs.exponent' must be below -1 for a summable tail")
-    else:
-        values = _require(section, "values", "process.coeffs")
-        if not isinstance(values, dict) or not values:
-            raise ConfigError("'process.coeffs.values' must map lag -> coefficient")
-        for lag in values:
-            try:
-                int(lag)
-            except ValueError:
-                raise ConfigError(f"'process.coeffs.values' key {lag!r} is not an integer lag")
-
-
-def build_coeff_rule(section: dict) -> Callable[[int], float]:
-    """Coefficient rule a_j from its declarative form; the form is attached
-    for round-trip serialization."""
-    rule = section["rule"]
-    if rule == "geometric":
-        ratio = float(section["ratio"])
-        scale = float(section.get("scale", 1.0))
+        ratio = get("ratio", ok=lambda v: abs(v) < 1.0, need="a number of modulus below 1")
+        scale = get("scale", 1.0)
 
         def fn(j: int) -> float:
             return scale * ratio**j if j >= 0 else 0.0
 
     elif rule == "power":
-        expo = float(section["exponent"])
-        scale = float(section.get("scale", 1.0))
+        expo = get("exponent", ok=lambda v: v < -1.0, need="a number below -1 for a summable tail")
+        scale = get("scale", 1.0)
 
         def fn(j: int) -> float:
             return scale * float(j) ** expo if j >= 1 else (scale if j == 0 else 0.0)
 
     else:
-        table = {int(k): float(v) for k, v in section["values"].items()}
+        values = get("values", kind=dict, ok=bool, need="an object mapping lag -> coefficient")
+        for lag in values:
+            if not re.fullmatch(r"-?[0-9]+", lag):
+                raise ConfigError(f"'process.coeffs.values' key {lag!r} is not an integer lag")
+        table = {int(lag): read(values, "process.coeffs.values", lag) for lag in values}
 
         def fn(j: int) -> float:
             return table.get(j, 0.0)
@@ -192,91 +163,139 @@ def build_coeff_rule(section: dict) -> Callable[[int], float]:
     return fn
 
 
-def build_innovation(section: Optional[dict]) -> InnovationLaw:
+def build_innovation(section) -> InnovationLaw:
+    """InnovationLaw from a 'process.innovation' object; Gaussian when None."""
     if section is None:
         return InnovationLaw("gaussian")
+    _check_keys(section, INNOVATION_KEYS, "process.innovation")
+    get = partial(read, section, "process.innovation")
     try:
-        return InnovationLaw(section["kind"], q=section.get("q"))
-    except KeyError:
-        raise ConfigError("missing required key 'process.innovation.kind'")
+        return InnovationLaw(get("kind", kind=str), q=get("q", None))
     except ProcessError as exc:
         raise ConfigError(f"'process.innovation': {exc}") from exc
 
 
-def _linear(section: dict) -> LinearProcess:
-    return LinearProcess(build_coeff_rule(_require(section, "coeffs", "process")),
-                         build_innovation(section.get("innovation")),
-                         int(section.get("truncation", 64)))
+def _davydov(s: dict) -> DavydovChain:
+    get = partial(read, s, "process")
+    p = get("p", ok=lambda v: 2.0 < v <= 3.0, need="a number in (2, 3]")
+    eps = get("eps", ok=_positive, need="a positive number")
+    # an explicit schedule pins the up-step probabilities the config expects;
+    # it must satisfy the drift invariant and match the (p, eps) formula
+    for i, a_n in enumerate(get("schedule", (), many=True)):
+        if i > 0 and not (0.5 <= a_n < 1.0):
+            raise ConfigError(f"'process.schedule[{i}]' = {a_n} violates the invariant 1/2 <= a_n < 1")
+        want = davydov_schedule(p, eps, i)
+        if abs(a_n - want) > 1e-9:
+            raise ConfigError(f"'process.schedule[{i}]' = {a_n} does not match the drift formula "
+                              f"value {want:.12g} for the given p and eps")
+    return DavydovChain(p, eps, get("functional", "f1", str), get("n_max", 400, int))
+
+
+def _linear(s: dict) -> LinearProcess:
+    get = partial(read, s, "process")
+    return LinearProcess(build_coeff_rule(get("coeffs", kind=dict)),
+                         build_innovation(get("innovation", None, dict)),
+                         get("truncation", 64, int, lambda t: t >= 0, "a nonnegative integer"))
+
+
+def _function_of_linear(s: dict) -> FunctionOfLinear:
+    get = partial(read, s, "process")
+    return FunctionOfLinear(_linear(s), get("h_rule", "identity", str), get("gamma", 1.0), get("alpha", 0.0),
+                            get("centering_draws", 10**7, int, _positive, "a positive integer"))
+
+
+def _expanding_map(s: dict) -> ExpandingMap:
+    get = partial(read, s, "process")
+    return ExpandingMap(get("kind", kind=str), beta=get("beta", 2.0), a=get("a", 1.0),
+                        breakpoints=get("breakpoints", (), many=True), slopes=get("slopes", (), many=True),
+                        offsets=get("offsets", (), many=True), observable=get("observable", "identity", str))
 
 
 _LINEAR_KEYS = {"family", "coeffs", "innovation", "truncation"}
 
 # family name -> (allowed 'process' keys, builder of the family from the section)
 FAMILIES = {
-    "davydov": ({"family", "p", "eps", "functional", "n_max", "schedule"},
-                lambda s: DavydovChain(float(s["p"]), float(s["eps"]), s.get("functional", "f1"),
-                                       int(s.get("n_max", 400)))),
+    "davydov": ({"family", "p", "eps", "functional", "n_max", "schedule"}, _davydov),
     "linear": (_LINEAR_KEYS, _linear),
-    "function_of_linear": (_LINEAR_KEYS | {"h_rule", "gamma", "alpha", "centering_draws"},
-                           lambda s: FunctionOfLinear(_linear(s), s.get("h_rule", "identity"),
-                                                      float(s.get("gamma", 1.0)), float(s.get("alpha", 0.0)),
-                                                      int(s.get("centering_draws", 10**7)))),
+    "function_of_linear": (_LINEAR_KEYS | {"h_rule", "gamma", "alpha", "centering_draws"}, _function_of_linear),
     "expanding_map": ({"family", "kind", "beta", "a", "breakpoints", "slopes", "offsets", "observable"},
-                      lambda s: ExpandingMap(_require(s, "kind", "process"), beta=float(s.get("beta", 2.0)),
-                                             a=float(s.get("a", 1.0)),
-                                             breakpoints=tuple(s.get("breakpoints", ())),
-                                             slopes=tuple(s.get("slopes", ())),
-                                             offsets=tuple(s.get("offsets", ())),
-                                             observable=s.get("observable", "identity"))),
-    "iid": ({"family", "innovation"}, lambda s: IIDBaseline(build_innovation(s.get("innovation")))),
+                      _expanding_map),
+    "iid": ({"family", "innovation"},
+            lambda s: IIDBaseline(build_innovation(read(s, "process", "innovation", None, dict)))),
 }
 
 
 def build_process(cfg: dict) -> ProcessSpec:
-    """ProcessSpec from the validated 'process' section plus the global seed."""
-    if "process" not in cfg:
-        raise ConfigError("missing required key 'config.process'")
-    section = cfg["process"]
+    """ProcessSpec from the 'process' section plus the global seed."""
+    section = read(cfg, "config", "process", kind=dict)
+    family = read(section, "process", "family", kind=str, ok=FAMILIES.__contains__,
+                  need=f"one of {sorted(FAMILIES)}")
+    keys, build = FAMILIES[family]
+    _check_keys(section, keys, "process")
     try:
-        return ProcessSpec(FAMILIES[section["family"]][1](section), seed=cfg["seed"])
+        return ProcessSpec(build(section), seed=cfg["seed"])
     except ProcessError as exc:
         raise ConfigError(f"'process': {exc}") from exc
 
 
 def build_plan(cfg: dict) -> ExperimentPlan:
     """ExperimentPlan from the 'rates' section and the shared process."""
-    if "rates" not in cfg:
-        raise ConfigError("missing required key 'config.rates'")
-    section = cfg["rates"]
-    _check_keys(section, RATES_KEYS, "rates")
+    section = _section(cfg, "rates", RATES_KEYS)
     spec = build_process(cfg)
-    p = float(_require(section, "p", "rates"))
-    r_list = tuple(float(r) for r in _require(section, "r_list", "rates"))
-    if not r_list:
-        raise ConfigError("'rates.r_list' must be nonempty")
-    n_grid = tuple(int(n) for n in section.get("n_grid", DEFAULT_N_GRID))
-    m = int(section.get("replicates", 10**4))
+    get = partial(read, section, "rates")
     try:
-        return ExperimentPlan(spec, p, r_list, n_grid=n_grid, m=m,
-                              target=section.get("target", "sigma2"),
-                              seed=cfg["seed"],
-                              calibration=bool(section.get("calibration", True)))
+        return ExperimentPlan(spec, get("p"), get("r_list", many=True),
+                              n_grid=get("n_grid", DEFAULT_N_GRID, int, _positive, "a positive integer", many=True),
+                              m=get("replicates", 10**4, int, lambda m: m >= 100, "an integer >= 100"),
+                              target=get("target", "sigma2", str), seed=cfg["seed"],
+                              calibration=get("calibration", True, bool))
     except ExperimentError as exc:
         raise ConfigError(f"'rates': {exc}") from exc
 
 
 def simulate_params(cfg: dict) -> tuple:
-    if "simulate" not in cfg:
-        raise ConfigError("missing required key 'config.simulate'")
-    section = cfg["simulate"]
-    _check_keys(section, SIMULATE_KEYS, "simulate")
-    n_grid = tuple(int(n) for n in _require(section, "n_grid", "simulate"))
-    m = int(_require(section, "replicates", "simulate"))
-    if m < 100:
-        raise ConfigError("'simulate.replicates' must be >= 100")
-    if not n_grid or sorted(n_grid) != list(n_grid):
-        raise ConfigError("'simulate.n_grid' must be a nondecreasing nonempty list")
-    return n_grid, m
+    """(n_grid, replicates) of the 'simulate' section."""
+    get = partial(read, _section(cfg, "simulate", SIMULATE_KEYS), "simulate")
+    n_grid = get("n_grid", kind=int, ok=_positive, need="a positive integer", many=True)
+    if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
+        raise ConfigError(f"'simulate.n_grid' must be strictly increasing, not {list(n_grid)}")
+    return n_grid, get("replicates", kind=int, ok=lambda m: m >= 100, need="an integer >= 100")
+
+
+def conditions_params(cfg: dict, valid) -> dict:
+    """The 'conditions' values by key, defaults filled in; 'ids' are names from valid."""
+    get = partial(read, _section(cfg, "conditions", CONDITIONS_KEYS), "conditions")
+    p = get("p", 2.5, ok=_positive, need="a positive number")
+    return {
+        "ids": get("ids", kind=str, ok=valid.__contains__, need=f"one of {list(valid)}", many=True),
+        "p": p,
+        "n_terms": get("n_terms", 64, int, _positive, "a positive integer"),
+        "s": get("s", max(p, 2.5), ok=lambda s: s >= p and s > 1, need="a number above 1 and at least 'conditions.p'"),
+        "alpha_decay": get("alpha_decay", 2.0, ok=_positive, need="a positive number"),
+        "q_moment": get("q_moment", 4.0, ok=lambda b: b > 2, need="a number above 2"),
+        "phi_decay": get("phi_decay", 2.0),
+        "mc": get("mc", 10**5, int, _positive, "a positive integer"),
+        "outer": get("outer", 1000, int, _positive, "a positive integer"),
+    }
+
+
+def verify_params(cfg: dict, valid) -> dict:
+    """The 'verify' values by key, defaults filled in; 'checks' are names
+    from valid, all of them by default."""
+    get = partial(read, _section(cfg, "verify", VERIFY_KEYS, {}), "verify")
+    return {
+        "checks": get("checks", tuple(valid), str, valid.__contains__, f"one of {list(valid)}", many=True),
+        "cases": get("cases", 25, int, _positive, "a positive integer"),
+        "perturb_kernel": get("perturb_kernel", 0.0),
+    }
+
+
+def calibrate_params(cfg: dict) -> tuple:
+    """(replicate counts, r values, reps) of the 'calibrate' section."""
+    get = partial(read, _section(cfg, "calibrate", CALIBRATE_KEYS), "calibrate")
+    return (get("replicates", (10**3, 10**4), int, lambda m: m >= 100, "an integer >= 100", many=True),
+            get("r_list", (1.0, 2.0), ok=_positive, need="a positive number", many=True),
+            get("reps", 100, int, lambda n: n >= 2, "an integer >= 2"))
 
 
 def canonical_json(cfg: dict) -> str:

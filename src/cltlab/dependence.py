@@ -6,8 +6,9 @@ decomposition of linear processes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .processes import (
     LinearProcess,
     ProcessSpec,
     _davydov_cache,
+    window_sums,
 )
 
 EXACT_ENUM_CAP = 22  # state count up to which the event sup is enumerated
@@ -261,9 +263,6 @@ class FiniteLaw:
     def q_function(self):
         return _upper_quantile(self.points, self.probs)
 
-    def norm(self, p: float) -> float:
-        return float((self.probs @ np.abs(self.points) ** p) ** (1.0 / p))
-
 
 def covariance_product_bound(
     laws: Sequence[FiniteLaw],
@@ -311,7 +310,7 @@ def covariance_product_bound(
             raise DependenceError("Holder exponents must satisfy sum 1/p_i = 1")
         h = 2.0**k
         for law, phi, p in zip(laws, phis, p_list):
-            h *= phi ** (1.0 / p) * law.norm(p)
+            h *= phi ** (1.0 / p) * _lp_norm_discrete(law.points, law.probs, p)
         out["holder_form"] = float(h)
     return out
 
@@ -528,29 +527,21 @@ def series_C1_C2(spec: ProcessSpec, p: float, n_terms: int, outer: int = 1000, s
     for n, t in zip(ns, _second_moments(kernel, f, n_terms)):
         dev = t / n - sigma2
         c1.append(n ** (-(2.0 - p / 2.0)) * envelope_norm_discrete(dev, pi, p))
-        c2.append(n ** (-2.0 / p) * _lp_norm_discrete(dev, pi, p / 2.0) ** 1.0)
+        c2.append(n ** (-2.0 / p) * _lp_norm_discrete(dev, pi, p / 2.0))
     return {"C1": _report("C1", ns, c1), "C2": _report("C2", ns, c2)}
 
 
 def _series_c1c2_linear(fam: LinearProcess, p: float, ns, outer: int, seed: int) -> dict:
-    a = fam.coefficients()
     t = fam.truncation
     var_eps = fam.innovation.variance
-    sigma2 = float(a.sum()) ** 2 * var_eps
+    sigma2 = fam.long_run_variance(seed)["sigma2"]
     gen = rngmod.stream(seed, rngmod.ROLE_CALIBRATION, 0, 0)
     past = fam.innovation.sample(gen, outer * t).reshape(outer, t)  # eps_{1-t}..eps_0
     c1, c2 = [], []
     uw = np.full(outer, 1.0 / outer)
-    cs = np.concatenate(([0.0], np.cumsum(a)))
-
-    def window(j, n):  # c_j(n) = sum_{k=1..n} a_{k-j}, elementwise in j
-        lo = np.maximum(1 - j, -t)
-        hi = np.minimum(n - j, t)
-        return np.where(hi >= lo, cs[np.clip(hi + t + 1, 0, 2 * t + 1)] - cs[np.clip(lo + t, 0, 2 * t + 1)], 0.0)
-
     for n in ns:
-        c_past = window(np.arange(1 - t, 1), n)  # past indices j = 1-t..0
-        c_fut = window(np.arange(1, n + t + 1), n)
+        c = fam.window(n)
+        c_past, c_fut = c[:t], c[t:]  # j = 1-t..0 and j = 1..n+t
         future_var = var_eps * float((c_fut**2).sum())
         pvals = past @ c_past
         dev = (pvals**2 + future_var) / n - sigma2
@@ -573,15 +564,14 @@ def series_projective(spec: ProcessSpec, which: str, p: float, n_terms: int, mc:
     fc = f - float(pi @ f)
     if which == "Cond1cob":
         terms = []
-        v = fc.copy()
+        v = fc
         for n in ns:
-            v = kernel.apply(v) if n > 1 else kernel.apply(fc)
+            v = kernel.apply(v)
             terms.append(_lp_norm_discrete(v, pi, p))
         # anticipative half vanishes for adapted chain observables
         return _report("Cond1cob", ns, terms, {"anticipative_terms": 0.0})
     if which == "Condcobp3adap":
         # g_n(s) = sum_{k >= n} E(X_k | Y_0 = s), geometric tail summed out
-        tails = []
         v = kernel.apply(fc)
         total = np.zeros(kernel.size)
         k = 1
@@ -724,13 +714,7 @@ def an_bn(coeff_rule: Callable[[int], float], n: int, support: int = 4096, tail_
     a = np.array([coeff_rule(j) for j in range(-l, l + 1)])
     probe = np.abs(np.array([coeff_rule(j) for j in list(range(l + 1, l + 129)) + list(range(-l - 128, -l))]))
     certified = float((probe**2).sum()) <= tail_tol and float(probe.sum() ** 2) <= tail_tol
-    cs = np.concatenate(([0.0], np.cumsum(a)))
-
-    def window(lo, hi):  # sum a_l over lo..hi clipped to the support, elementwise
-        lo = np.maximum(lo, -l)
-        hi = np.minimum(hi, l)
-        return np.where(hi >= lo, cs[np.maximum(hi + l + 1, 0)] - cs[np.minimum(lo + l, 2 * l + 1)], 0.0)
-
+    window = partial(window_sums, np.concatenate(([0.0], np.cumsum(a))), -l)  # window(lo, hi)
     j = np.arange(1, n + 1)
     i = np.arange(1, l + 1)
     # block 1: j in 1..n; blocks 2 and 3: windows sliding off either end

@@ -3,8 +3,7 @@ and their Gaussian limit, exponent fits, and the distance-cascade bounds."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +16,6 @@ from .metrics import (
     prokhorov_bound,
     wasserstein_vs_gaussian,
     wasserstein_vs_gaussian_counts,
-    zolotarev,
 )
 from .processes import DEFAULT_BUDGET, ProcessSpec, long_run_variance, partial_sums_batch
 
@@ -54,8 +52,9 @@ class ExperimentPlan:
             raise ExperimentError("target sigma_n2 is required when any r > 2")
         if self.target not in ("sigma2", "sigma_n2"):
             raise ExperimentError(f"unknown target: {self.target}")
-        if sorted(self.n_grid) != list(self.n_grid) or any(n & (n - 1) for n in self.n_grid):
-            raise ExperimentError("n_grid must be increasing powers of two")
+        n_grid = self.n_grid
+        if any(b <= a for a, b in zip(n_grid, n_grid[1:])) or any(n < 1 or n & (n - 1) for n in n_grid):
+            raise ExperimentError("n_grid must be strictly increasing powers of two")
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ All operations are pure; distributions are immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import ceil, comb
 from typing import Callable, Union
@@ -429,9 +429,12 @@ def kolmogorov(x: Law, g: Law) -> float:
         elif law.sigma == 0.0:
             pts.append(np.array([0.0]))
     if not pts:
-        # two diffuse Gaussians: sup attained where densities cross; scan
-        grid = np.linspace(-12 * max(x.sigma, g.sigma, 1e-12), 12 * max(x.sigma, g.sigma, 1e-12), 20001)
-        return float(np.max(np.abs(x.cdf(grid) - g.cdf(grid))))
+        # two diffuse Gaussians: the sup is at the density crossing x*
+        lo, hi = sorted((x.sigma, g.sigma))
+        if lo == hi:
+            return 0.0
+        cross = lo * hi * np.sqrt(2.0 * np.log(hi / lo) / (hi * hi - lo * lo))
+        return float(abs(x.cdf(cross) - g.cdf(cross)))
     pts = np.unique(np.concatenate(pts))
     gaps = [np.abs(x.cdf(pts) - g.cdf(pts))]
     # the sup is attained either at a breakpoint or as a left limit there

@@ -286,6 +286,12 @@ class DavydovChain:
     functional: str = "f1"  # f1 | f2
     n_max: int = 400
 
+    def __post_init__(self):
+        if self.n_max < 4:
+            raise ProcessError("n_max must be >= 4")
+        if self.functional not in ("f1", "f2"):
+            raise ProcessError(f"unknown functional kind: {self.functional}")
+
     def a_rule(self) -> Callable[[int], float]:
         return lambda i: davydov_schedule(self.p, self.eps, i)
 
@@ -333,24 +339,21 @@ class LinearProcess:
         return partial(_linear_sums, self._a, self.innovation, lambda v: v)
 
     def long_run_variance(self, seed: int) -> dict:
-        a = self._a
-        t = self.truncation
         var_eps = self.innovation.variance
-        sigma2 = float(a.sum()) ** 2 * var_eps
-        cs = np.concatenate(([0.0], np.cumsum(a)))  # over j index -t..t
+        sigma2 = float(self._a.sum()) ** 2 * var_eps
 
         def sigma_n2(n: int) -> float:
-            # Var(S_n)/n = Var(eps)/n * sum_j (sum_{k=1..n} a_{k-j})^2
-            total = 0.0
-            for j in range(1 - t, n + t + 1):
-                lo = max(1 - j, -t)
-                hi = min(n - j, t)
-                if hi < lo:
-                    continue
-                total += (cs[hi + t + 1] - cs[lo + t]) ** 2
-            return var_eps * total / n
+            # Var(S_n)/n = Var(eps)/n * sum_j c_j(n)^2
+            return var_eps * float(np.sum(self.window(n) ** 2)) / n
 
         return {"sigma2": sigma2, "sigma_n2": sigma_n2, "method": "closed-form"}
+
+    def window(self, n: int) -> np.ndarray:
+        """c_j(n) = sum_{k=1..n} a_{k-j} for j = 1-t..n+t, the weight of
+        eps_j in S_n."""
+        t = self.truncation
+        j = np.arange(1 - t, n + t + 1)
+        return window_sums(np.concatenate(([0.0], np.cumsum(self._a))), -t, 1 - j, n - j)
 
 
 @dataclass(frozen=True)
@@ -399,7 +402,7 @@ class FunctionOfLinear:
 class ExpandingMap:
     """Uniformly expanding interval map with an observable.
 
-    kind: beta (T(x) = beta x mod 1), gauss (T(x) = a(1/x - 1) mod 1),
+    kind: beta (T(x) = beta x mod 1), gauss (T(x) = a(1/x - 1) mod 1, a = 1 only),
     piecewise_affine (full branches, T(x) = slope_k x + offset_k mod 1).
     """
 
@@ -416,8 +419,10 @@ class ExpandingMap:
             raise ProcessError(f"unknown map kind: {self.kind}")
         if self.kind == "beta" and self.beta <= 1.0:
             raise ProcessError("beta must exceed 1")
-        if self.kind == "gauss" and self.a <= 0.0:
-            raise ProcessError("a must be positive")
+        if self.kind == "gauss" and abs(self.a - 1.0) > 1e-15:
+            raise ProcessError("gauss map implemented for a = 1 only")
+        if not callable(self.observable) and self.observable != "identity":
+            raise ProcessError(f"unknown observable: {self.observable}")
         if self.kind == "piecewise_affine":
             if len(self.slopes) == 0 or len(self.breakpoints) != len(self.slopes) + 1:
                 raise ProcessError("need k slopes and k+1 breakpoints")
@@ -429,9 +434,7 @@ class ExpandingMap:
     def f(self) -> Callable[[np.ndarray], np.ndarray]:
         if callable(self.observable):
             return self.observable
-        if self.observable == "identity":
-            return lambda x: np.asarray(x, dtype=float)
-        raise ProcessError(f"unknown observable: {self.observable}")
+        return lambda x: np.asarray(x, dtype=float)
 
     def batch_sums(self, seed: int):
         return partial(_expanding_sums, self, invariant_density(self))
@@ -488,6 +491,16 @@ def sample_linear_process(spec: LinearProcess, n: int, seed: int, replicate: int
     reversed coefficient kernel."""
     gen = rngmod.stream(seed, rngmod.ROLE_INNOVATION, replicate, 0)
     return _linear_path_values(spec.coefficients(), spec.innovation, n, gen)
+
+
+def window_sums(cs: np.ndarray, first: int, lo, hi) -> np.ndarray:
+    """sum_{l=lo..hi} a_l, elementwise in lo and hi, from the prefix sums
+    cs = [0, a_first, a_first + a_{first+1}, ...] of the coefficients
+    a_first..a_last; lags outside first..last count as zero."""
+    top = cs.size - 1
+    lo = np.maximum(lo, first)
+    hi = np.minimum(hi, first + top - 1)
+    return np.where(hi >= lo, cs[np.clip(hi - first + 1, 0, top)] - cs[np.clip(lo - first, 0, top)], 0.0)
 
 
 def apply_h(
@@ -693,8 +706,6 @@ def invariant_density(spec: ExpandingMap, grid_size: int = 2**12, tol: float = 1
     if spec.kind == "beta" and abs(spec.beta - round(spec.beta)) < 1e-15:
         return DensityGrid(x, np.ones_like(x))
     if spec.kind == "gauss":
-        if abs(spec.a - 1.0) > 1e-15:
-            raise ProcessError("gauss-family density implemented for a = 1 only")
         return DensityGrid(x, 1.0 / ((1.0 + x) * np.log(2.0)))
     # transfer-operator power iteration: (Lh)(x) = sum h(y)/|T'(y)| over preimages
     preimages = _preimages(spec, x)

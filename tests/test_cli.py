@@ -450,3 +450,55 @@ def test_digest_is_content_hash():
     cfg = {"seed": 1, "a": [1, 2]}
     assert config_digest(cfg) == config_digest({"a": [1, 2], "seed": 1})
     assert config_digest(cfg) != config_digest({"seed": 2, "a": [1, 2]})
+
+
+# ---------------------------------------------------------------------------
+# malformed values: each is a config error naming its key, before any output
+
+
+DAVYDOV = {"family": "davydov", "p": 2.5, "eps": 0.1, "n_max": 24}
+LINEAR = {"family": "linear", "coeffs": {"rule": "geometric", "ratio": 0.5}, "truncation": 40}
+MALFORMED = [
+    ("simulate", {"process": dict(DAVYDOV, p="2.5")}, "process.p"),
+    ("simulate", {"process": dict(DAVYDOV, eps="x")}, "process.eps"),
+    ("simulate", {"process": dict(DAVYDOV, n_max=2)}, "n_max"),
+    ("simulate", {"process": dict(DAVYDOV, functional="f9")}, "functional"),
+    ("simulate", {"process": dict(LINEAR, coeffs={"rule": "geometric", "ratio": "0.5"})}, "process.coeffs.ratio"),
+    ("simulate", {"process": dict(LINEAR, coeffs={"rule": "power", "exponent": "x"})}, "process.coeffs.exponent"),
+    ("simulate", {"process": dict(LINEAR, coeffs={"rule": "finite", "values": {"0": "abc"}})},
+     "process.coeffs.values.0"),
+    ("simulate", {"process": dict(LINEAR, truncation=-1)}, "process.truncation"),
+    ("simulate", {"process": dict(LINEAR, family="function_of_linear", gamma="x")}, "process.gamma"),
+    ("simulate", {"process": {"family": "expanding_map", "kind": "beta", "beta": "x"}}, "process.beta"),
+    ("simulate", {"process": {"family": "expanding_map", "kind": "beta", "observable": "square"}}, "observable"),
+    ("simulate", {"process": {"family": "expanding_map", "kind": "gauss", "a": 2}}, "a = 1"),
+    ("simulate", {"process": {"family": "iid", "innovation": {"kind": "symmetric_pareto", "q": "x"}}},
+     "process.innovation.q"),
+    ("simulate", {"simulate": {"n_grid": [4, 4], "replicates": 200}}, "simulate.n_grid"),
+    ("simulate", {"simulate": {"n_grid": [64, 128], "replicates": 150.7}}, "simulate.replicates"),
+    ("rates", {"rates": {"p": 3.0, "r_list": ["a"], "n_grid": [64, 128, 256], "replicates": 500}}, "rates.r_list"),
+    ("rates", {"rates": {"p": 3.0, "r_list": [1.0], "n_grid": [64, 128, 256], "replicates": "x"}},
+     "rates.replicates"),
+    ("rates", {"rates": {"p": 3.0, "r_list": [1.0], "n_grid": [64, 128, 256], "replicates": 500,
+                         "calibration": "false"}}, "rates.calibration"),
+    ("conditions", {"conditions": {"ids": ["C1"], "n_terms": "x"}}, "conditions.n_terms"),
+    ("conditions", {"conditions": {"ids": ["C1"], "p": "x", "n_terms": 8}}, "conditions.p"),
+    ("conditions", {"conditions": {"ids": ["C1"], "outer": "x", "n_terms": 8}}, "conditions.outer"),
+    ("conditions", {"conditions": {"ids": ["condphi"], "p": 0.5, "s": 1, "n_terms": 8}}, "conditions.s"),
+    ("simulate", {"budget": 10**400}, "config.budget"),
+    ("verify", {"verify": {"checks": ["partial-sum-window"], "cases": "x"}}, "verify.cases"),
+    ("verify", {"verify": {"checks": ["covariance-inequality"], "cases": 1, "perturb_kernel": "x"}},
+     "verify.perturb_kernel"),
+    ("calibrate", {"calibrate": {"replicates": [200], "r_list": [1.0], "reps": "x"}}, "calibrate.reps"),
+    ("calibrate", {"calibrate": {"replicates": ["x"], "r_list": [1.0], "reps": 20}}, "calibrate.replicates"),
+]
+
+
+@pytest.mark.parametrize("command, override, key", MALFORMED, ids=[case[2] for case in MALFORMED])
+def test_malformed_value_exit_2_naming_key(tmp_path, capsys, command, override, key):
+    cfg_path, _ = write_cfg(tmp_path, **override)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+    assert not out.exists()

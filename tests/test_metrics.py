@@ -352,6 +352,22 @@ class TestKolmogorovProkhorov:
         got = kolmogorov(EmpiricalDistribution([0.0]), GaussianLaw(1.0))
         assert got == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("s1, s2", [(1.0, 1.02), (1.0, 1.5), (0.5, 2.0), (1.0, 10.0), (1.5, 1.5)])
+    def test_gaussian_pair_is_exact(self, s1, s2):
+        # [DERIVED] the densities of N(0, a^2) and N(0, b^2) cross at
+        # x* = ab sqrt(2 log(b/a) / (b^2 - a^2)), where |F - G| peaks
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        a, b = sorted((mpmath.mpf(s1), mpmath.mpf(s2)))
+        if a == b:
+            want = 0.0
+        else:
+            x = a * b * mpmath.sqrt(2 * mpmath.log(b / a) / (b**2 - a**2))
+            want = float(mpmath.ncdf(x / a) - mpmath.ncdf(x / b))
+        got = kolmogorov(GaussianLaw(s1), GaussianLaw(s2))
+        assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+        assert kolmogorov(GaussianLaw(s2), GaussianLaw(s1)) == got
+
     def test_empirical_pair(self):
         x = EmpiricalDistribution([0.0, 1.0, 2.0])
         y = EmpiricalDistribution([0.5, 1.5, 2.5])

@@ -1,5 +1,6 @@
 """Unit tests for the process generators and their exact structure."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -381,6 +382,19 @@ class TestLongRunVariance:
         lp = LinearProcess(lambda j: 0.5**j if 0 <= j <= 40 else 0.0, truncation=45)
         lv = long_run_variance(ProcessSpec(lp))
         assert lv["sigma_n2"](2**14) == pytest.approx(lv["sigma2"], rel=1e-2)
+
+    @pytest.mark.parametrize("n", [4096, 16384, 65536])
+    def test_linear_sigma_n2_is_the_exact_sum(self, n):
+        # Var(S_n)/n = (1/n) sum_j c_j(n)^2 over the window sums c_j(n) of
+        # a_{-t..t}; a running float sum of the squares drifts with n
+        t = 512
+        lp = LinearProcess(lambda j: (-0.9) ** j if j >= 0 else 0.0, truncation=t)
+        cs = np.concatenate(([0.0], np.cumsum(lp.coefficients())))
+        j = np.arange(1 - t, n + t + 1)
+        lo, hi = np.maximum(1 - j, -t), np.minimum(n - j, t)
+        want = math.fsum(((cs[hi + t + 1] - cs[lo + t]) ** 2).tolist()) / n
+        got = long_run_variance(ProcessSpec(lp))["sigma_n2"](n)
+        assert abs(got - want) <= 1e-15 * want
 
     def test_doubling_map_quarter(self):
         lv = long_run_variance(ProcessSpec(ExpandingMap("beta", beta=2.0)))
