@@ -206,20 +206,23 @@ def _function_of_linear(s: dict) -> FunctionOfLinear:
 
 def _expanding_map(s: dict) -> ExpandingMap:
     get = partial(read, s, "process")
-    return ExpandingMap(get("kind", kind=str), beta=get("beta", 2.0), a=get("a", 1.0),
+    kind = get("kind", kind=str, ok=MAP_KEYS.__contains__, need=f"one of {sorted(MAP_KEYS)}")
+    _check_keys(s, {"family", "kind", "observable"} | MAP_KEYS[kind], "process")
+    return ExpandingMap(kind, beta=get("beta", 2.0), a=get("a", 1.0),
                         breakpoints=get("breakpoints", (), many=True), slopes=get("slopes", (), many=True),
                         offsets=get("offsets", (), many=True), observable=get("observable", "identity", str))
 
 
 _LINEAR_KEYS = {"family", "coeffs", "innovation", "truncation"}
+# map kind -> the 'process' keys it reads besides family, kind and observable
+MAP_KEYS = {"beta": {"beta"}, "gauss": {"a"}, "piecewise_affine": {"breakpoints", "slopes", "offsets"}}
 
 # family name -> (allowed 'process' keys, builder of the family from the section)
 FAMILIES = {
     "davydov": ({"family", "p", "eps", "functional", "n_max", "schedule"}, _davydov),
     "linear": (_LINEAR_KEYS, _linear),
     "function_of_linear": (_LINEAR_KEYS | {"h_rule", "gamma", "alpha", "centering_draws"}, _function_of_linear),
-    "expanding_map": ({"family", "kind", "beta", "a", "breakpoints", "slopes", "offsets", "observable"},
-                      _expanding_map),
+    "expanding_map": ({"family", "kind", "observable"}.union(*MAP_KEYS.values()), _expanding_map),
     "iid": ({"family", "innovation"},
             lambda s: IIDBaseline(build_innovation(read(s, "process", "innovation", None, dict)))),
 }

@@ -103,19 +103,17 @@ class FiniteKernel:
             raise ProcessError("matrix shape must match the state count")
         if np.any(k < -1e-15):
             raise ProcessError("negative transition probability")
-        if np.max(np.abs(k.sum(axis=1) - 1.0)) > 1e-12:
-            raise ProcessError("rows must sum to 1 within 1e-12")
-        if np.max(np.abs(pi @ k - pi)) > 1e-12:
-            raise ProcessError("stationary vector residual exceeds 1e-12")
+        width = int(np.count_nonzero(k, axis=1).max())
+        cols = np.ascontiguousarray(np.argsort(k == 0, axis=1, kind="stable")[:, :width].T)
+        weights = np.ascontiguousarray(np.take_along_axis(k, cols.T, axis=1).T)
+        _check_rows(cols, weights, pi)
         if not _strongly_connected(k > 0):
             raise ProcessError("kernel is not irreducible")
-        width = int(np.count_nonzero(k, axis=1).max())
-        cols = np.argsort(k == 0, axis=1, kind="stable")[:, :width]
         object.__setattr__(self, "states", s)
         object.__setattr__(self, "matrix", k)
         object.__setattr__(self, "stationary", pi)
-        object.__setattr__(self, "_cols", np.ascontiguousarray(cols.T))
-        object.__setattr__(self, "_weights", np.ascontiguousarray(np.take_along_axis(k, cols, axis=1).T))
+        object.__setattr__(self, "_cols", cols)
+        object.__setattr__(self, "_weights", weights)
 
     @property
     def size(self) -> int:
@@ -131,6 +129,22 @@ class FiniteKernel:
         """(Kf)(s) = sum_j K(s, j) f(j), summed over the nonzero K(s, j) only
         and in column order, so the result is the same under any BLAS."""
         return (self._weights * np.asarray(f, dtype=float)[self._cols]).sum(axis=0)
+
+
+def _check_rows(cols: np.ndarray, weights: np.ndarray, pi: np.ndarray) -> None:
+    """The kernel checks on slot-major rows (column i of cols and weights
+    holds row i's targets and probabilities): every row sums to 1 and
+    pi K = pi, each within 1e-12."""
+    if np.max(np.abs(weights.sum(axis=0) - 1.0)) > 1e-12:
+        raise ProcessError("rows must sum to 1 within 1e-12")
+    if np.max(np.abs(np.bincount(cols.ravel(), (weights * pi).ravel(), pi.size) - pi)) > 1e-12:
+        raise ProcessError("stationary vector residual exceeds 1e-12")
+
+
+def _check_mean_zero(kf: np.ndarray) -> None:
+    """Kf on the interior states must vanish within 1e-12."""
+    if np.max(np.abs(kf)) > 1e-12:
+        raise ProcessError(f"conditional-mean residual {np.max(np.abs(kf)):.2e} exceeds 1e-12 on interior states")
 
 
 def _strongly_connected(adj: np.ndarray) -> bool:
@@ -189,13 +203,12 @@ def _schedule_crossover(p: float, eps: float) -> int:
     raise ProcessError("schedule never reaches 1/2")
 
 
-def davydov_kernel(a_rule: Callable[[int], float], n_max: int) -> FiniteKernel:
-    """Truncated kernel of the drift-to-zero integer chain.
-
-    From state n > 0 the chain moves to n+1 with probability a_n and drops
-    to 0 otherwise (mirrored for n < 0); from 0 it moves to +-1 with equal
-    probability.  Boundary rows at +-n_max are redirected wholly to 0.
-    """
+def _renewal_chain(a_rule: Callable[[int], float], n_max: int, functional: str = "f1") -> tuple:
+    """(pi, f, threshold, moves) of the drift-to-zero chain on -n_max..n_max
+    (state s at index n_max + s) from its schedule a_0..a_{n_max-1} alone,
+    all checked: the renewal stationary law pi, the functional f, and two
+    entries per row, moves[0, i] with probability threshold[i] and
+    moves[1, i] otherwise."""
     if n_max < 4:
         raise ProcessError("n_max must be >= 4")
     a = np.array([a_rule(i) for i in range(n_max)])
@@ -203,29 +216,50 @@ def davydov_kernel(a_rule: Callable[[int], float], n_max: int) -> FiniteKernel:
         raise ProcessError("a_0 must equal 1/2")
     if np.any(a[1:] < 0.5) or np.any(a[1:] >= 1.0):
         raise ProcessError("need 1/2 <= a_n < 1 for n >= 1")
-    states = np.arange(-n_max, n_max + 1)
-    size = states.size
-    zero = n_max  # index of state 0
-    k = np.zeros((size, size))
-    k[zero, zero + 1] = 0.5
-    k[zero, zero - 1] = 0.5
-    for n in range(1, n_max):
-        k[zero + n, zero + n + 1] = a[n]
-        k[zero + n, zero] = 1.0 - a[n]
-        k[zero - n, zero - n - 1] = a[n]
-        k[zero - n, zero] = 1.0 - a[n]
-    k[zero + n_max, zero] = 1.0
-    k[zero - n_max, zero] = 1.0
     # recurrence diagnostic: sum of prefix products of a_k over the truncated
     # range should be visibly summable (ratio test on the last terms)
     prods = np.cumprod(a[1:])
     if prods.size >= 8 and prods[-1] > 0.5 * prods[prods.size // 2]:
         warnings.warn("prefix products of a_n are not visibly summable on the truncated range", RuntimeWarning)
-    # renewal structure: the only way into n >= 2 is from n - 1, so
-    # pi(+-n) = pi(0) / 2 * a_1 ... a_{n-1} for 1 <= n <= n_max
+    # the only way into n >= 2 is from n - 1: pi(+-n) = pi(0) / 2 * a_1 ... a_{n-1}
     half = 0.5 * np.concatenate(([1.0], prods))
     pi = np.concatenate((half[::-1], [1.0], half))
-    return FiniteKernel(states, k, pi / pi.sum())
+    pi /= pi.sum()
+    f = np.zeros(pi.size)
+    if functional == "f1":
+        f[n_max + 1], f[n_max - 1] = 1.0, -1.0
+    elif functional == "f2":
+        f[n_max] = 1.0
+        f[n_max + 2:] = 1.0 - 1.0 / a[1:]
+        f[:n_max - 1] = f[:n_max + 1:-1]
+    else:
+        raise ProcessError(f"unknown functional kind: {functional}")
+    # from 0 to +-1 with probability 1/2; up one step away from 0 with
+    # probability a_|s|, else to 0; the boundary states +-n_max drop to 0
+    i = np.arange(pi.size)
+    threshold = np.concatenate(([0.0], a[:0:-1], [0.5], a[1:], [0.0]))
+    moves = np.stack((i + np.sign(i - n_max), np.full(pi.size, n_max)))
+    moves[:, n_max] = n_max + 1, n_max - 1
+    moves[0, [0, -1]] = n_max
+    weights = np.stack((threshold, 1.0 - threshold))
+    _check_rows(moves, weights, pi)
+    _check_mean_zero((weights * f[moves]).sum(axis=0)[1:-1])
+    return pi, f, threshold, moves
+
+
+def davydov_kernel(a_rule: Callable[[int], float], n_max: int) -> FiniteKernel:
+    """Truncated kernel of the drift-to-zero integer chain.
+
+    From state n > 0 the chain moves to n+1 with probability a_n and drops
+    to 0 otherwise (mirrored for n < 0); from 0 it moves to +-1 with equal
+    probability.  Boundary rows at +-n_max are redirected wholly to 0.
+    """
+    pi, _, threshold, moves = _renewal_chain(a_rule, n_max)
+    rows = np.arange(pi.size)
+    k = np.zeros((pi.size, pi.size))
+    k[rows, moves[1]] = 1.0 - threshold
+    k[rows, moves[0]] += threshold
+    return FiniteKernel(np.arange(-n_max, n_max + 1), k, pi)
 
 
 def mds_functional(kind: str, kernel: FiniteKernel, a_rule: Optional[Callable[[int], float]] = None) -> np.ndarray:
@@ -234,28 +268,13 @@ def mds_functional(kind: str, kernel: FiniteKernel, a_rule: Optional[Callable[[i
     f1 is +-1 at +-1 and zero elsewhere; f2 is 1 at 0, 0 at +-1, and
     1 - 1/a_n at +-(n+1).
     """
-    states = kernel.states
-    n_max = int(states.max())
+    n_max = int(kernel.states.max())
     zero = kernel.index_of(0)
-    f = np.zeros(kernel.size)
-    if kind == "f1":
-        f[zero + 1] = 1.0
-        f[zero - 1] = -1.0
-    elif kind == "f2":
-        if a_rule is None:
-            # recover a_n from the kernel itself
-            a_rule = lambda n: kernel.matrix[zero + n, zero + n + 1] if n >= 1 else 0.5
-        f[zero] = 1.0
-        for n in range(1, n_max):
-            v = 1.0 - 1.0 / a_rule(n)
-            f[zero + n + 1] = v
-            f[zero - n - 1] = v
-    else:
-        raise ProcessError(f"unknown functional kind: {kind}")
-    interior = np.abs(states) < n_max
-    resid = np.max(np.abs(kernel.apply(f)[interior]))
-    if resid > 1e-12:
-        raise ProcessError(f"conditional-mean residual {resid:.2e} exceeds 1e-12 on interior states")
+    if a_rule is None:
+        # recover a_n from the kernel itself
+        a_rule = lambda n: kernel.matrix[zero + n, zero + n + 1] if n >= 1 else 0.5
+    f = _renewal_chain(a_rule, n_max, kind)[1]
+    _check_mean_zero(kernel.apply(f)[np.abs(kernel.states) < n_max])
     return f
 
 
@@ -313,8 +332,9 @@ class DavydovChain:
 
 @dataclass(frozen=True)
 class LinearProcess:
-    """Two-sided moving average X_k = sum_j a_j eps_{k-j}, truncated to
-    |j| <= truncation. The coefficients are evaluated once, at construction,
+    """Two-sided moving average X_k = sum_j a_j eps_{k+j}, truncated to
+    |j| <= truncation (reflecting the iid eps gives the same law as the sum
+    over eps_{k-j}). The coefficients are evaluated once, at construction,
     which also rejects a rule whose probed tail exceeds COEFF_TAIL_TOL."""
 
     coeff_rule: Callable[[int], float]
@@ -336,7 +356,7 @@ class LinearProcess:
         return self._a
 
     def batch_sums(self, seed: int):
-        return partial(_linear_sums, self._a, self.innovation, lambda v: v)
+        return partial(_window_sums_kernel, self)
 
     def long_run_variance(self, seed: int) -> dict:
         var_eps = self.innovation.variance
@@ -487,8 +507,8 @@ class ProcessSpec:
 
 def sample_linear_process(spec: LinearProcess, n: int, seed: int, replicate: int = 0) -> np.ndarray:
     """X_1..X_n from the truncated convolution of the replicate's innovation
-    stream; X_k = sum_{j=-t}^{t} a_j eps_{k-j} by correlating against the
-    reversed coefficient kernel."""
+    stream eps_{1-t}, eps_{2-t}, ...: X_k = sum_{j=-t}^{t} a_j eps_{k+j},
+    by correlating against the coefficients."""
     gen = rngmod.stream(seed, rngmod.ROLE_INNOVATION, replicate, 0)
     return _linear_path_values(spec.coefficients(), spec.innovation, n, gen)
 
@@ -779,7 +799,7 @@ def _dual_step(spec: ExpandingMap, x: np.ndarray, u: np.ndarray, density: Densit
 # trajectory batches
 
 
-STEP_BLOCK = 1024  # per-step uniforms are drawn in blocks of this many steps
+STEP_BLOCK = 512  # per-step uniforms are drawn in blocks of this many steps
 STEP_TILE = 128  # replicates transposed into step-major order at a time
 
 
@@ -810,44 +830,43 @@ class TrajectoryBatch:
 
 def _step_rows(gens: list, n_steps: int):
     """(t, u_t) for t = 1..n_steps, where u_t holds every replicate's t-th
-    uniform as one contiguous row.  Each replicate's stream is read in blocks
-    of STEP_BLOCK draws, which yields the same doubles as one long draw."""
-    for start in range(0, n_steps, STEP_BLOCK):
-        block = min(STEP_BLOCK, n_steps - start)
-        u = np.empty((block, len(gens)))
+    uniform as one contiguous row of a reused (STEP_BLOCK, replicates)
+    buffer, so a row is valid until the next one is drawn. Each replicate's
+    stream is read in blocks of STEP_BLOCK draws, which yields the same
+    doubles as one long draw."""
+    rows = min(STEP_BLOCK, n_steps)
+    u = np.empty((rows, len(gens)))
+    tile = np.empty((STEP_TILE, rows))
+    for start in range(0, n_steps, rows):
+        block = min(rows, n_steps - start)
         for col in range(0, len(gens), STEP_TILE):
-            u[:, col:col + STEP_TILE] = np.array([g.random(block) for g in gens[col:col + STEP_TILE]]).T
-        yield from enumerate(u, start + 1)
+            part = gens[col:col + STEP_TILE]
+            for r, g in enumerate(part):
+                g.random(out=tile[r, :block])
+            u[:block, col:col + len(part)] = tile[:len(part), :block].T
+        yield from enumerate(u[:block], start + 1)
 
 
 def _davydov_step_tables(chain: DavydovChain) -> tuple:
-    """(cumulative stationary law, f, threshold, up, down): from state index
-    i the chain moves to up[i] when the step's uniform is below threshold[i]
-    and to down[i] otherwise.  State 0 goes to +-1 with threshold 1/2; the
-    boundary states +-n_max have threshold 0 and drop to 0."""
-    kernel, f = _davydov_cache(chain)
-    zero = kernel.index_of(0)
-    n_max = int(kernel.states.max())
-    threshold = np.zeros(kernel.size)
-    up = np.full(kernel.size, zero)
-    down = np.full(kernel.size, zero)
-    for i, s in enumerate(kernel.states):
-        if 0 < abs(s) < n_max:
-            j = i + 1 if s > 0 else i - 1
-            threshold[i], up[i] = kernel.matrix[i, j], j
-    threshold[zero], up[zero], down[zero] = 0.5, zero + 1, zero - 1
-    return np.cumsum(kernel.stationary), f, threshold, up, down
+    """(cumulative stationary law, f, threshold, moves) from the schedule
+    alone, without the dense kernel: from state index i the chain moves to
+    moves[2i] when the step's uniform is below threshold[i] and to
+    moves[2i + 1] otherwise."""
+    pi, f, threshold, moves = _renewal_chain(chain.a_rule(), chain.n_max, chain.functional)
+    return np.cumsum(pi), f, threshold, np.ascontiguousarray(moves.T).ravel()
 
 
 def _davydov_sums(tables: tuple, n_grid, seed: int, replicates: range) -> np.ndarray:
-    cum_pi, f, threshold, up, down = tables
+    cum_pi, f, threshold, moves = tables
     marks = {n: col for col, n in enumerate(n_grid)}
     idx = np.searchsorted(cum_pi, [g.random() for g in rngmod.streams(seed, rngmod.ROLE_INIT, replicates)])
     gens = rngmod.streams(seed, rngmod.ROLE_STEP, replicates)
     out = np.empty((len(replicates), len(n_grid)))
     total = np.zeros(len(replicates))
+    thr, down = np.empty(len(replicates)), np.empty(len(replicates), dtype=bool)
     for n_done, u in _step_rows(gens, n_grid[-1]):
-        idx = np.where(u < threshold[idx], up[idx], down[idx])
+        np.greater_equal(u, np.take(threshold, idx, out=thr), out=down)
+        idx = moves[2 * idx + down]
         total += f[idx]
         if n_done in marks:
             out[:, marks[n_done]] = total / np.sqrt(n_done)
@@ -889,9 +908,24 @@ def _linear_path_values(a: np.ndarray, law: InnovationLaw, n_top: int, gen: np.r
     return np.convolve(eps, a[::-1], mode="valid")
 
 
+def _window_sums_kernel(spec: LinearProcess, n_grid, seed: int, replicates: range) -> np.ndarray:
+    """n^{-1/2} S_n of a linear process with S_n = sum_m w_n[m] eps[m] over
+    the replicate's innovation draw eps: w_n is window(n) reversed, since
+    the path reads the stream as X_k = sum_j a_j eps_{k+j}. The row sums
+    are numpy reductions, never a BLAS product, so they do not depend on
+    the thread count."""
+    spill = spec.coefficients().size - 1
+    weights = np.zeros((len(n_grid), n_grid[-1] + spill))
+    for row, n in enumerate(n_grid):
+        weights[row, :n + spill] = spec.window(n)[::-1]
+    gens = rngmod.streams(seed, rngmod.ROLE_INNOVATION, replicates)
+    sums = [np.sum(weights * spec.innovation.sample(gen, weights.shape[1]), axis=1) for gen in gens]
+    return np.array(sums) / np.sqrt(n_grid)
+
+
 def _linear_sums(a: np.ndarray, law: InnovationLaw, observe, n_grid, seed: int, replicates: range) -> np.ndarray:
-    """Partial sums of observe(X_1..X_n) for a linear process: the path
-    itself, or h(X_k) - E h(V) for a function of one."""
+    """Partial sums of observe(X_1..X_n) along the path of a linear process:
+    h(X_k) - E h(V) for a function of one, X_k itself for the iid baseline."""
     marks = np.asarray(n_grid)
     out = np.empty((len(replicates), marks.size))
     for row, gen in enumerate(rngmod.streams(seed, rngmod.ROLE_INNOVATION, replicates)):

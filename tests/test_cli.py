@@ -32,6 +32,10 @@ def write_cfg(tmp_path, name="cfg.json", **overrides):
     return str(path), cfg
 
 
+DAVYDOV = {"family": "davydov", "p": 2.5, "eps": 0.1, "n_max": 24}
+LINEAR = {"family": "linear", "coeffs": {"rule": "geometric", "ratio": 0.5}, "truncation": 40}
+
+
 def _src_env():
     src = os.path.dirname(os.path.dirname(os.path.abspath(cltlab.__file__)))
     return dict(os.environ, PYTHONPATH=src)
@@ -361,6 +365,21 @@ def test_conditions_csv_independent_of_blas_threads(tmp_path):
     assert _conditions_subprocess(tmp_path, "one", "1") == _conditions_subprocess(tmp_path, "two", "2")
 
 
+def test_linear_trajectories_independent_of_blas_threads(tmp_path):
+    # the window sums are numpy reductions, never a BLAS product
+    cfg_path, _ = write_cfg(tmp_path, process=dict(LINEAR, truncation=64),
+                            simulate={"n_grid": [256, 1024], "replicates": 300})
+    code = "import sys; from cltlab.cli import main; sys.exit(main(sys.argv[1:]))"
+    files = []
+    for threads in ("1", "2"):
+        out = str(tmp_path / threads)
+        env = dict(_src_env(), OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        argv = [sys.executable, "-c", code, "simulate", "--config", cfg_path, "--out", out, "--format", "csv"]
+        assert subprocess.run(argv, env=env, capture_output=True).returncode == 0
+        files.append(open(os.path.join(out, "trajectories.csv"), "rb").read())
+    assert files[0] == files[1]
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -455,9 +474,6 @@ def test_digest_is_content_hash():
 # ---------------------------------------------------------------------------
 # malformed values: each is a config error naming its key, before any output
 
-
-DAVYDOV = {"family": "davydov", "p": 2.5, "eps": 0.1, "n_max": 24}
-LINEAR = {"family": "linear", "coeffs": {"rule": "geometric", "ratio": 0.5}, "truncation": 40}
 MALFORMED = [
     ("simulate", {"process": dict(DAVYDOV, p="2.5")}, "process.p"),
     ("simulate", {"process": dict(DAVYDOV, eps="x")}, "process.eps"),
@@ -502,3 +518,34 @@ def test_malformed_value_exit_2_naming_key(tmp_path, capsys, command, override, 
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# expanding-map keys: each kind takes only the keys it reads
+
+
+MAPS = {
+    "beta": {"family": "expanding_map", "kind": "beta", "beta": 2.5},
+    "gauss": {"family": "expanding_map", "kind": "gauss", "a": 1.0},
+    "piecewise_affine": {"family": "expanding_map", "kind": "piecewise_affine", "breakpoints": [0.0, 0.4, 1.0],
+                         "slopes": [2.5, 5.0 / 3.0], "offsets": [0.0, -2.0 / 3.0]},
+}
+STRAY = {"beta": 2.5, "a": 1.0, "breakpoints": [0.0, 1.0], "slopes": [2.0], "offsets": [0.0]}
+STRAY_CASES = [(kind, key) for kind in MAPS for key in STRAY if key not in MAPS[kind]]
+
+
+@pytest.mark.parametrize("kind, key", STRAY_CASES, ids=[f"{kind}-{key}" for kind, key in STRAY_CASES])
+def test_map_key_the_kind_does_not_read_exits_2(tmp_path, capsys, kind, key):
+    cfg_path, _ = write_cfg(tmp_path, process=dict(MAPS[kind], **{key: STRAY[key]}))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"process.{key}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", sorted(MAPS))
+def test_map_kind_with_its_own_keys_runs(tmp_path, kind):
+    cfg_path, _ = write_cfg(tmp_path, process=dict(MAPS[kind], observable="identity"),
+                            simulate={"n_grid": [4, 8], "replicates": 100})
+    assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 0

@@ -1,6 +1,7 @@
 """Unit tests for the process generators and their exact structure."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -658,6 +659,21 @@ def _reference_linear_path(fam, n_top, seed, rep):
 
 
 def _reference_linear_sums(fam, n_grid, seed, replicates):
+    # S_n = sum_m w_n[m] eps[m] with w_n the reversed window, zero-padded to
+    # the longest draw, one replicate and one n at a time
+    spill = 2 * fam.truncation
+    out = np.empty((len(replicates), len(n_grid)))
+    for row, rep in enumerate(replicates):
+        eps = fam.innovation.sample(rngmod.stream(seed, rngmod.ROLE_INNOVATION, rep, 0), n_grid[-1] + spill)
+        for col, n in enumerate(n_grid):
+            w = np.zeros(eps.size)
+            w[: n + spill] = fam.window(n)[::-1]
+            out[row, col] = np.sum(w * eps) / np.sqrt(n)
+    return out
+
+
+def _reference_linear_path_sums(fam, n_grid, seed, replicates):
+    # the cumulative sum of the convolved path
     marks = np.asarray(n_grid)
     out = np.empty((len(replicates), marks.size))
     for row, rep in enumerate(replicates):
@@ -742,6 +758,130 @@ class TestBatchKernelsMatchReference:
         a = _reference_davydov_sums(chain, _CHAIN_GRID, 3, range(120))
         b = _reference_davydov_sums(chain, _CHAIN_GRID, 3, range(120), step_block=5)
         assert np.array_equal(a, b)
+
+
+class TestLinearWindowSums:
+    """Linear partial sums come from the window weights, not the path."""
+
+    TWO_SIDED = LinearProcess(lambda j: 0.6**j if j >= 0 else 0.3 * 0.5 ** (-j), truncation=40)
+
+    def test_matches_path_cumsum(self):
+        grid = (8, 100, 1000, 4096)
+        batch = partial_sums_batch(ProcessSpec(self.TWO_SIDED), grid, 200, seed=4)
+        expect = _reference_linear_path_sums(self.TWO_SIDED, grid, 4, range(200))
+        for col, n in enumerate(grid):
+            assert np.max(np.abs(batch.values(n) - expect[:, col])) <= 1e-13
+
+    def test_within_rounding_of_the_exact_sum(self):
+        # err_n = |computed S_n - exact S_n| / sum_m |w_n[m] eps[m]| with
+        # exact rational arithmetic. Each replicate is within 4 units of
+        # rounding; from n = 256 the RMS over replicates is below 2e-17,
+        # where the cumulative sum of the path is at 4e-17 to 6e-17. The grid
+        # points are powers of 4, so sqrt(n) is a power of two and
+        # value * sqrt(n) is the computed S_n exactly.
+        grid, reps = (16, 64, 256, 1024, 4096), 16
+        fam = self.TWO_SIDED
+        batch = partial_sums_batch(ProcessSpec(fam), grid, 100, seed=9)
+        draws = [fam.innovation.sample(rngmod.stream(9, rngmod.ROLE_INNOVATION, rep, 0), grid[-1] + 80)
+                 for rep in range(reps)]
+        for n in grid:
+            w = fam.window(n)[::-1].tolist()
+            err = []
+            for rep, eps in enumerate(draws):
+                terms = [Fraction(x) * Fraction(e) for x, e in zip(w, eps.tolist())]
+                got = Fraction(float(batch.values(n)[rep] * np.sqrt(n)))
+                err.append(float(abs(got - sum(terms)) / sum(abs(t) for t in terms)))
+            assert max(err) <= 4 * 2.0**-53, n
+            if n >= 256:
+                assert math.sqrt(np.mean(np.square(err))) <= 2e-17, n
+
+    def test_orientation_of_the_sampler(self):
+        # causal a = (1, 1/2, 1/4, 1/8) on eps = 1, 2, ...: the sampler reads
+        # X_k = sum_j a_j eps_{k+j} (8.875 at k = 1), not eps_{k-j} (6.125),
+        # which is why the window weights are reversed
+        class Counting:
+            def standard_normal(self, size):
+                return np.arange(1.0, size + 1.0)
+
+        lp = LinearProcess(lambda j: 0.5**j if 0 <= j <= 3 else 0.0, truncation=3)
+        x = processes._linear_path_values(lp.coefficients(), lp.innovation, 10, Counting())
+        eps = np.arange(1.0, 17.0)  # eps_m sits at index m + 2
+        assert x[0] == 8.875
+        assert np.array_equal(x, [sum(0.5**j * eps[k + 2 + j] for j in range(4)) for k in range(1, 11)])
+        for n in (1, 4, 10):
+            assert np.sum(lp.window(n)[::-1] * eps[: n + 6]) == x[:n].sum()
+            assert np.sum(lp.window(n) * eps[: n + 6]) != x[:n].sum()
+
+
+class TestDavydovStepTables:
+    """The sampler's step tables come from the schedule, not the dense kernel."""
+
+    @staticmethod
+    def _from_dense_kernel(chain):
+        kernel, f = chain.build()
+        zero = kernel.index_of(0)
+        n_max = int(kernel.states.max())
+        threshold = np.zeros(kernel.size)
+        up = np.full(kernel.size, zero)
+        down = np.full(kernel.size, zero)
+        for i, s in enumerate(kernel.states):
+            if 0 < abs(s) < n_max:
+                j = i + 1 if s > 0 else i - 1
+                threshold[i], up[i] = kernel.matrix[i, j], j
+        threshold[zero], up[zero], down[zero] = 0.5, zero + 1, zero - 1
+        return np.cumsum(kernel.stationary), f, threshold, np.column_stack((up, down)).ravel()
+
+    @pytest.mark.parametrize("functional", ["f1", "f2"])
+    @pytest.mark.parametrize("p, eps, n_max", [(2.5, 0.1, 60), (2.7, 0.3, 400), (3.0, 0.5, 4)])
+    def test_equal_to_dense_kernel_tables(self, p, eps, n_max, functional):
+        chain = DavydovChain(p, eps, functional, n_max)
+        got = processes._davydov_step_tables(chain)
+        want = self._from_dense_kernel(chain)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g.view(np.int64), w.view(np.int64))
+
+    @staticmethod
+    def _chain(rule, n_max=40):
+        class Ruled(DavydovChain):
+            def a_rule(self):
+                return rule
+
+        return Ruled(2.5, 0.1, "f2", n_max)
+
+    def test_schedule_errors_and_warning_from_the_shared_helper(self):
+        with pytest.raises(ProcessError, match="a_0"):
+            processes._davydov_step_tables(self._chain(lambda i: 0.6))
+        with pytest.raises(ProcessError, match="1/2 <= a_n < 1"):
+            processes._davydov_step_tables(self._chain(lambda i: 0.5 if i == 0 else 0.4))
+        with pytest.warns(RuntimeWarning, match="not visibly summable"):
+            processes._davydov_step_tables(self._chain(lambda i: 0.5 if i == 0 else 0.99))
+        with pytest.warns(RuntimeWarning, match="not visibly summable"):
+            davydov_kernel(lambda i: 0.5 if i == 0 else 0.99, 40)
+
+    def test_batch_builds_no_dense_kernel(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(processes, "davydov_kernel", lambda *a: calls.append(a))
+        processes._davydov_cache.cache_clear()
+        partial_sums_batch(ProcessSpec(DavydovChain(2.6, 0.2, "f2", 90)), (8, 64), 100, seed=1)
+        assert calls == []
+
+
+class TestStepBufferMemory:
+    """A batch holds one STEP_BLOCK x REPLICATE_CHUNK buffer of uniforms."""
+
+    @pytest.mark.parametrize(
+        "fam", [DavydovChain(2.5, 0.1, "f1", 400), ExpandingMap("beta", beta=2.5)], ids=["davydov", "beta-2.5"]
+    )
+    def test_traced_peak(self, fam):
+        spec = ProcessSpec(fam)
+        partial_sums_batch(spec, (4, 8), 100, seed=0)  # build the cached tables outside the trace
+        tracemalloc.start()
+        try:
+            partial_sums_batch(spec, (512, 2048), 2048, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * processes.STEP_BLOCK * processes.REPLICATE_CHUNK * 8 + 2 * 2**20
 
 
 class TestDensityGridInterpolation:
