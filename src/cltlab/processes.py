@@ -6,6 +6,7 @@ stationary laws, invariant densities, long-run variances).
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass, field
 from functools import cache, partial
@@ -195,8 +196,10 @@ def davydov_schedule(p: float, eps: float, i: int) -> float:
     return 1.0 - (p / (2.0 * i)) * (1.0 + (1.0 + eps) / np.log(i))
 
 
+@cache
 def _schedule_crossover(p: float, eps: float) -> int:
-    """Smallest i >= 2 at which the schedule formula stays >= 1/2."""
+    """Smallest i >= 2 at which the schedule formula stays >= 1/2, scanned
+    once per (p, eps): a chain's schedule asks for it at every state."""
     for i in range(2, 10**6):
         if 1.0 - (p / (2.0 * i)) * (1.0 + (1.0 + eps) / np.log(i)) >= 0.5:
             return i
@@ -812,7 +815,7 @@ class TrajectoryBatch:
     numbers), so distance curves share their sampling noise across n and
     slope fits see the rate, not the noise.  Streams are keyed by
     (seed, role, replicate), making the batch bit-identical under any
-    replicate chunking or thread count."""
+    replicate chunking, thread count or CPU count."""
 
     n_grid: tuple
     m: int
@@ -935,6 +938,16 @@ def _linear_sums(a: np.ndarray, law: InnovationLaw, observe, n_grid, seed: int, 
 
 
 _CENTER_CACHE: dict = {}
+_WORKER_SUMS = None  # a forked worker's chunk kernel, set by its pool initializer
+
+
+def _install_sums(chunk_sums) -> None:
+    global _WORKER_SUMS
+    _WORKER_SUMS = chunk_sums
+
+
+def _worker_part(n_grid: tuple, seed: int, replicates: range) -> np.ndarray:
+    return _WORKER_SUMS(n_grid, seed, replicates)
 
 
 def partial_sums_batch(
@@ -947,7 +960,16 @@ def partial_sums_batch(
     """M replicates of n^{-1/2} S_n for each n, each replicate reading one
     common path from its counter-based stream keyed by (seed, replicate).
     A batch of more than budget replicate-steps (M x largest n) raises
-    BudgetError before any work."""
+    BudgetError before any work.
+
+    The replicates are split into equal parts, about REPLICATE_CHUNK each,
+    whose count is a multiple of the workers: one per CPU this process may
+    run on, at most one per part. This process computes the first share of
+    parts itself while forked workers compute the rest, and the rows are
+    joined in replicate order, so the batch does not depend on the CPU
+    count. With one worker nothing is forked. Computing a share, rather than
+    waiting, also leaves malloc's thresholds where a serial batch leaves
+    them, which the metric stages after a batch are sensitive to."""
     n_grid = tuple(int(v) for v in n_grid)
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])) or n_grid[0] < 1:
         raise ProcessError("n_grid must be strictly increasing and positive")
@@ -958,11 +980,33 @@ def partial_sums_batch(
                           f"{budget} replicate-steps; raise 'budget' or shrink the plan")
     seed = spec.seed if seed is None else seed
     # per-family tables (coefficients, step tables, invariant density) are
-    # built once here and shared by every replicate chunk
+    # built once here, before any fork, and shared by every part
     chunk_sums = spec.family.batch_sums(seed)
-    table = np.concatenate(
-        [chunk_sums(n_grid, seed, range(start, min(start + REPLICATE_CHUNK, m))) for start in range(0, m, REPLICATE_CHUNK)]
-    )
+    chunks = -(-m // REPLICATE_CHUNK)
+    # a platform without sched_getaffinity runs serially (it may not fork)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, chunks)
+    own = -(-chunks // workers)  # parts per worker
+    parts = own * workers
+    bounds = [m * i // parts for i in range(parts + 1)]
+    ranges = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    pool = None
+    if workers > 1:
+        # imported here, so a serial run loads neither module. Fork, not
+        # spawn: it hands the kernel, whose closures may not pickle, to the
+        # workers as is, and the pool forks them all before it starts its
+        # own thread
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
+        pool = ProcessPoolExecutor(workers - 1, mp_context=get_context("fork"),
+                                   initializer=_install_sums, initargs=(chunk_sums,))
+    try:
+        futures = [pool.submit(_worker_part, n_grid, seed, r) for r in ranges[own:]]
+        table = np.concatenate([chunk_sums(n_grid, seed, r) for r in ranges[:own]] + [f.result() for f in futures])
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     sums = {n: table[:, col] for col, n in enumerate(n_grid)}
     return TrajectoryBatch(n_grid, m, sums, seed)
 

@@ -50,6 +50,15 @@ def test_cli_import_leaves_scipy_stats_out():
     assert subprocess.run([sys.executable, "-c", code], env=_src_env()).returncode == 0
 
 
+def test_cli_import_and_verify_list_load_no_process_pool():
+    # the worker pool's modules load only in a batch that forks
+    pool = ("multiprocessing", "concurrent.futures")
+    for call in ("", "cltlab.cli.main(['verify', '--list']); "):
+        code = f"import sys, cltlab.cli; {call}sys.exit(any(m in sys.modules for m in {pool!r}))"
+        result = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True)
+        assert result.returncode == 0, call
+
+
 def test_simulate_davydov_loads_no_scipy(tmp_path):
     cfg_path, _ = write_cfg(
         tmp_path,

@@ -1,6 +1,10 @@
 """Unit tests for the process generators and their exact structure."""
 
+import json
 import math
+import multiprocessing
+import os
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -12,6 +16,7 @@ from hypothesis.extra import numpy as hnp
 
 from cltlab import processes
 from cltlab import rng as rngmod
+from cltlab.cli import main
 from cltlab.processes import (
     DavydovChain,
     DensityGrid,
@@ -760,6 +765,97 @@ class TestBatchKernelsMatchReference:
         assert np.array_equal(a, b)
 
 
+def _use_cpus(monkeypatch, cpus: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+class _FailingFamily:
+    """Zero sums, except that parts starting at or past `bad` raise."""
+
+    def __init__(self, bad: int):
+        self.bad = bad
+
+    def batch_sums(self, seed: int):
+        def chunk_sums(n_grid, seed, replicates):
+            if replicates.start >= self.bad:
+                raise ProcessError(f"part from replicate {replicates.start} failed")
+            return np.zeros((len(replicates), len(n_grid)))
+
+        return chunk_sums
+
+
+class TestParallelParts:
+    """partial_sums_batch splits the replicates over the CPUs it may run on:
+    its own share in this process, the rest in forked workers."""
+
+    M = 401  # prime: no part count divides it
+    SEED = 13
+
+    @pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
+    def test_bit_identical_on_any_cpu_count(self, case, monkeypatch):
+        fam, n_grid, reference = _REFERENCE_CASES[case]
+        expect = reference(fam, n_grid, self.SEED, range(self.M))
+        for chunk in (100, 333):
+            monkeypatch.setattr(processes, "REPLICATE_CHUNK", chunk)
+            for cpus in (1, 2, 3):
+                _use_cpus(monkeypatch, cpus)
+                batch = partial_sums_batch(ProcessSpec(fam), n_grid, self.M, seed=self.SEED)
+                for col, n in enumerate(n_grid):
+                    assert np.array_equal(_bits(batch.values(n)), _bits(expect[:, col])), (case, chunk, cpus, n)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus, m", [(1, 5000), (2, 2048), (3, 100)])
+    def test_one_worker_forks_nothing(self, cpus, m, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was made")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        _use_cpus(monkeypatch, cpus)
+        batch = partial_sums_batch(ProcessSpec(IIDBaseline()), (4, 8), m, seed=2)
+        assert batch.values(8).shape == (m,)
+
+    def test_worker_error_reraised_in_the_parent(self, monkeypatch):
+        # 4 parts of 100 on 2 CPUs: this process runs replicates 0..199, the
+        # worker the parts from 200 and 300, and the first to fail is 200
+        monkeypatch.setattr(processes, "REPLICATE_CHUNK", 100)
+        _use_cpus(monkeypatch, 2)
+        with pytest.raises(ProcessError) as info:
+            partial_sums_batch(ProcessSpec(_FailingFamily(bad=200)), (4, 8), 400, seed=1)
+        assert type(info.value) is ProcessError
+        assert str(info.value) == "part from replicate 200 failed"
+        assert multiprocessing.active_children() == []
+        batch = partial_sums_batch(ProcessSpec(_FailingFamily(bad=400)), (4, 8), 400, seed=1)
+        assert not batch.values(8).any()
+        assert multiprocessing.active_children() == []
+
+    def test_cli_exit_code_same_on_any_cpu_count(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "seed": 3,
+            "process": {"family": "davydov", "p": 2.5, "eps": 0.1, "n_max": 24},
+            "simulate": {"n_grid": [8, 16], "replicates": 400},
+        }))
+        davydov_sums = processes._davydov_sums
+
+        def failing(tables, n_grid, seed, replicates):
+            if replicates.start >= 200:
+                raise ProcessError(f"part from replicate {replicates.start} failed")
+            return davydov_sums(tables, n_grid, seed, replicates)
+
+        monkeypatch.setattr(processes, "_davydov_sums", failing)
+        monkeypatch.setattr(processes, "REPLICATE_CHUNK", 100)
+        outcomes = []
+        for cpus in (1, 2):
+            _use_cpus(monkeypatch, cpus)
+            code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / f"out{cpus}")])
+            outcomes.append((code, capsys.readouterr().err))
+            assert multiprocessing.active_children() == []
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == 1 and "part from replicate 200 failed" in outcomes[0][1]
+
+
 class TestLinearWindowSums:
     """Linear partial sums come from the window weights, not the path."""
 
@@ -857,6 +953,20 @@ class TestDavydovStepTables:
             processes._davydov_step_tables(self._chain(lambda i: 0.5 if i == 0 else 0.99))
         with pytest.warns(RuntimeWarning, match="not visibly summable"):
             davydov_kernel(lambda i: 0.5 if i == 0 else 0.99, 40)
+
+    def test_crossover_scanned_once_per_schedule(self, monkeypatch):
+        chain = DavydovChain(2.5, 0.1, "f1", 10**5)
+        processes._schedule_crossover.cache_clear()
+        start = time.perf_counter()
+        got = processes._davydov_step_tables(chain)
+        elapsed = time.perf_counter() - start
+        assert processes._schedule_crossover.cache_info().misses == 1
+        assert elapsed < 1.0
+        # the uncached scan, run again at every state, builds the same tables
+        monkeypatch.setattr(processes, "_schedule_crossover", processes._schedule_crossover.__wrapped__)
+        want = processes._davydov_step_tables(chain)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g.view(np.int64), w.view(np.int64))
 
     def test_batch_builds_no_dense_kernel(self, monkeypatch):
         calls = []
