@@ -13,7 +13,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import rng as rngmod
-from .metrics import _upper_gamma, envelope_norm_discrete
+from .metrics import envelope_norm_discrete
+from .normal import upper_gamma
 from .processes import (
     DavydovChain,
     FiniteKernel,
@@ -361,10 +362,13 @@ def _phi_i_exact(kernel: FiniteKernel, f_list, t_list, i: int, powers: tuple) ->
     for fv in fvals:
         ind = (fv[:, None] > np.unique(fv)[None, :]).astype(float)
         h_sets.append(ind - (pi @ ind)[None, :])
-    # E(. | X_i) on each atom of sigma(X_i) (states with one value of f_i)
+    # E(. | X_i) on each atom of sigma(X_i) (states with one value of f_i);
+    # when every atom is a single state it is g itself, row for row
     _, group_idx = np.unique(fvals[i], return_inverse=True)
-    atoms = (np.arange(group_idx.max() + 1)[:, None] == group_idx[None, :]) * pi[None, :]
-    atoms /= atoms.sum(axis=1, keepdims=True)
+    singletons = group_idx.max() + 1 == size
+    if not singletons:
+        atoms = (np.arange(group_idx.max() + 1)[:, None] == group_idx[None, :]) * pi[None, :]
+        atoms /= atoms.sum(axis=1, keepdims=True)
     others = [j for j in range(k) if j != i]
     width = max(1, PHI_BLOCK_ENTRIES // size)
     blocks = {}
@@ -379,7 +383,11 @@ def _phi_i_exact(kernel: FiniteKernel, f_list, t_list, i: int, powers: tuple) ->
         fw = _threshold_chain(size, [(h[j], fwd[j - 1]) for j in range(k - 1, i, -1)])
         bw = _threshold_chain(size, [(h[j], bwd[j]) for j in range(i)])
         g = (bw[:, :, None] * fw[:, None, :]).reshape(size, -1)
-        best = max(best, float(np.abs(atoms @ g - pi @ g).max()))
+        cond = g if singletons else atoms @ g
+        mean = pi @ g
+        # max |cond - mean| by column extremes: rounded subtraction is
+        # monotone, so this is bit for bit the max over every entry
+        best = max(best, float((cond.max(axis=0) - mean).max()), float((mean - cond.min(axis=0)).max()))
     return best
 
 
@@ -658,7 +666,7 @@ class PowerQuantile:
         if lam > 0:
             pos = a > 0
             c = 0.5 * (p - 2.0)
-            below = _upper_gamma(c + 1.0, lam * np.maximum(-np.log(a[pos]), 1.0)) / lam ** (c + 1.0)
+            below = upper_gamma(c + 1.0, lam * np.maximum(-np.log(a[pos]), 1.0)) / lam ** (c + 1.0)
             out[pos] = below + np.maximum(a[pos] ** lam - np.exp(-lam), 0.0) / lam
         return out
 

@@ -8,12 +8,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import ceil, comb
+from math import comb
 from typing import Callable, Union
 
 import numpy as np
 
-from .normal import abs_moment, norm_cdf, norm_pdf, norm_pdf_derivative, norm_quantile
+from .normal import (abs_moment, norm_cdf, norm_pdf, norm_pdf_derivative, norm_quantile,
+                     norm_quantile_lower, upper_gamma)
 
 QUAD_ABS_TOL = 1e-10
 PANEL_CAP = 10**6
@@ -472,34 +473,7 @@ def kolmogorov_from_prokhorov(pi: float, sigma: float) -> float:
 # envelope norm
 
 
-def _envelope_weight(u):
-    return np.maximum(1.0, norm_quantile(1.0 - np.asarray(u) / 2.0))
-
-
 U_WEIGHT_KINK = 0.31731050786291415  # 2 (1 - Phi(1)): the weight equals 1 above this u
-
-
-def envelope_norm(q: Callable[[np.ndarray], np.ndarray], p: float, tol: float = QUAD_ABS_TOL) -> float:
-    """Weighted L^1 norm of a quantile function against the Gaussian-quantile
-    weight (1 v Phi^{-1}(1-u/2))^{p-2}.  Returns +inf when the integral
-    diverges at 0."""
-
-    def integrand(u):
-        return float(_envelope_weight(u) ** (p - 2.0) * q(u))
-
-    # blow-up check near u = 0: if u * weight(u)^{p-2} * q(u) does not
-    # decay along a dyadic probe sequence, the integral diverges.
-    probes = 10.0 ** np.arange(-4, -13, -2)
-    vals = np.array([probes[i] * integrand(probes[i]) for i in range(probes.size)])
-    if np.all(vals > 0) and np.all(np.diff(vals) >= 0):
-        return float("inf")
-    from scipy.integrate import quad
-
-    total = 0.0
-    for a, b in ((0.0, U_WEIGHT_KINK), (U_WEIGHT_KINK, 1.0)):
-        val, _ = quad(integrand, a, b, epsabs=tol, limit=500)
-        total += val
-    return float(total)
 
 
 def envelope_norm_discrete(values: np.ndarray, probs: np.ndarray, p: float) -> float:
@@ -529,24 +503,9 @@ def _weight_antiderivative(u, p: float) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if abs(p - 2.0) < 1e-15:
         return u
-    z = -norm_quantile(np.minimum(u, U_WEIGHT_KINK) / 2.0)
-    below = 2.0 ** (0.5 * (p - 2.0)) / np.sqrt(np.pi) * _upper_gamma(0.5 * (p - 1.0), 0.5 * z * z)
+    z = -norm_quantile_lower(np.minimum(u, U_WEIGHT_KINK) / 2.0)
+    below = 2.0 ** (0.5 * (p - 2.0)) / np.sqrt(np.pi) * upper_gamma(0.5 * (p - 1.0), 0.5 * z * z)
     return below + np.maximum(u - U_WEIGHT_KINK, 0.0)
-
-
-def _upper_gamma(a: float, x):
-    """Gamma(a, x) = int_x^inf t^{a-1} e^{-t} dt for x > 0 and any real a:
-    the regularized scipy form for a > 0, E_1 at a = 0, and below that the
-    recurrence Gamma(b, x) = (Gamma(b + 1, x) - x^b e^{-x}) / b."""
-    from scipy.special import exp1, gamma, gammaincc
-
-    steps = max(0, ceil(-a))
-    b = a + steps
-    out = exp1(x) if b == 0 else gammaincc(b, x) * gamma(b)
-    for j in range(steps - 1, -1, -1):
-        b = a + j
-        out = (out - x**b * np.exp(-x)) / b
-    return out
 
 
 # ---------------------------------------------------------------------------

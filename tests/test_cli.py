@@ -74,6 +74,29 @@ def test_simulate_davydov_loads_no_scipy(tmp_path):
     assert os.path.exists(tmp_path / "out" / "trajectories.csv")
 
 
+CHECK_COMMANDS = {
+    "conditions": {
+        "process": {"family": "davydov", "p": 2.5, "eps": 0.1, "functional": "f1", "n_max": 40},
+        "conditions": {"ids": ["C1", "C2", "Cond1cob", "Cond2cob", "Condcobp3adap", "Cond2cobp3",
+                               "condalpha1", "condphi"], "p": 2.5, "n_terms": 16},
+    },
+    "verify": {"verify": {"checks": ["covariance-inequality", "envelope-contraction", "partial-sum-window",
+                                     "coboundary-residual", "kernel-duality"], "cases": 3}},
+}
+
+
+@pytest.mark.parametrize("command", sorted(CHECK_COMMANDS))
+def test_check_commands_load_no_scipy(tmp_path, command):
+    # the envelope weight and the exact kernels need numpy only
+    cfg_path, _ = write_cfg(tmp_path, **CHECK_COMMANDS[command])
+    code = (
+        "import sys; from cltlab.cli import main; "
+        f"code = main([{command!r}, '--config', {cfg_path!r}, '--out', {str(tmp_path / 'out')!r}]); "
+        "sys.exit(code or 10 * any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"
+    )
+    assert subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True).returncode == 0
+
+
 # ---------------------------------------------------------------------------
 # simulate
 

@@ -1,6 +1,8 @@
 """Tests for dependence coefficients, covariance inequalities, condition
 series, and the coboundary decomposition."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -306,6 +308,58 @@ def test_phi_i_blocks_match_loop(monkeypatch, entries):
     fs = [rng.normal(size=5) for _ in range(4)]
     fs[2] = np.round(fs[2])
     _assert_phis_match_loop(ker, fs, [1, 2, 4, 5])
+
+
+def _phi_i_dense(kernel, f_list, t_list, i, powers):
+    """The block loop of _phi_i_exact reducing each block the dense way:
+    every conditional expectation as atoms @ g and the max of
+    |atoms @ g - pi @ g| over every entry."""
+    pi, size = kernel.stationary, kernel.size
+    fwd, bwd = powers
+    fvals = [np.asarray(fj, dtype=float) for fj in f_list]
+    k = len(fvals)
+    h_sets = []
+    for fv in fvals:
+        ind = (fv[:, None] > np.unique(fv)[None, :]).astype(float)
+        h_sets.append(ind - (pi @ ind)[None, :])
+    _, group_idx = np.unique(fvals[i], return_inverse=True)
+    atoms = (np.arange(group_idx.max() + 1)[:, None] == group_idx[None, :]) * pi[None, :]
+    atoms /= atoms.sum(axis=1, keepdims=True)
+    others = [j for j in range(k) if j != i]
+    width = max(1, dependence.PHI_BLOCK_ENTRIES // size)
+    blocks = {}
+    for j in sorted(others, key=lambda j: abs(j - i)):
+        count = h_sets[j].shape[1]
+        step = min(count, width)
+        blocks[j] = [slice(lo, lo + step) for lo in range(0, count, step)]
+        width = max(1, width // step)
+    best = 0.0
+    for pick in itertools.product(*(blocks[j] for j in others)):
+        h = {j: h_sets[j][:, cols] for j, cols in zip(others, pick)}
+        fw = dependence._threshold_chain(size, [(h[j], fwd[j - 1]) for j in range(k - 1, i, -1)])
+        bw = dependence._threshold_chain(size, [(h[j], bwd[j]) for j in range(i)])
+        g = (bw[:, :, None] * fw[:, None, :]).reshape(size, -1)
+        best = max(best, float(np.abs(atoms @ g - pi @ g).max()))
+    return best
+
+
+@pytest.mark.parametrize("entries", [1, 20, dependence.PHI_BLOCK_ENTRIES])
+@pytest.mark.parametrize("tied", [False, True])
+def test_phi_i_column_reduction_is_bitwise(monkeypatch, entries, tied):
+    # singleton atoms skip atoms @ g; both reduce by column extremes
+    monkeypatch.setattr(dependence, "PHI_BLOCK_ENTRIES", entries)
+    rng = np.random.default_rng(11 + tied)
+    for _ in range(4):
+        size = int(rng.integers(3, 9))
+        ker = random_kernel(rng, size)
+        k = int(rng.integers(2, 5))
+        fs = [rng.normal(size=size) for _ in range(k)]
+        if tied:
+            fs = [np.round(f) for f in fs]
+        ts = np.cumsum(rng.integers(1, 4, size=k)).tolist()
+        powers = dependence._lag_powers(ker, ts)
+        for i in range(k):
+            assert dependence._phi_i_exact(ker, fs, ts, i, powers) == _phi_i_dense(ker, fs, ts, i, powers)
 
 
 def test_covariance_inequality_independent_chain():
