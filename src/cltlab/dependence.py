@@ -80,22 +80,6 @@ def alpha1_exact(kernel: FiniteKernel, n: int, restarts: int = 64, seed: int = 0
     return {"lower": best, "upper": upper, "method": "lower-heuristic"}
 
 
-def alpha1_bruteforce(kernel: FiniteKernel, n: int) -> float:
-    """Literal sup over all event pairs; exponential cost, testing only."""
-    pi = kernel.stationary
-    kn = np.linalg.matrix_power(kernel.matrix, n)
-    d = pi[:, None] * kn - np.outer(pi, pi)
-    size = kernel.size
-    best = 0.0
-    for ia in range(1 << size):
-        a = [(ia >> s) & 1 for s in range(size)]
-        row = np.array(a, dtype=float) @ d
-        for ib in range(1 << size):
-            b = np.array([(ib >> s) & 1 for s in range(size)], dtype=float)
-            best = max(best, abs(float(row @ b)))
-    return best
-
-
 # ---------------------------------------------------------------------------
 # phi coefficients
 
@@ -153,58 +137,6 @@ def phi_coeff(
     tail = 2.0 * phi1_at(tail_matrix)
     method = "exact" if tail <= best + 1e-15 else "lower-heuristic"
     return {"value": best, "method": method, "gap_tail_bound": tail}
-
-
-def phi1_bruteforce(kernel: FiniteKernel, n: int, f: Optional[np.ndarray] = None) -> float:
-    """Direct definition scan of sup_{x, y0} |P(Y_n <= x | y0) - P(Y_n <= x)|."""
-    values = kernel.states.astype(float) if f is None else np.asarray(f, dtype=float)
-    kn = np.linalg.matrix_power(kernel.matrix, n)
-    pi = kernel.stationary
-    best = 0.0
-    for x in np.unique(values):
-        ind = (values <= x).astype(float)
-        base = float(pi @ ind)
-        for s in range(kernel.size):
-            best = max(best, abs(float(kn[s] @ ind) - base))
-    return best
-
-
-@dataclass(frozen=True)
-class DependenceProfile:
-    """alpha_1 / phi_1 / phi_2 sequences over lead times with method tags."""
-
-    n_values: tuple
-    alpha1: tuple
-    phi1: tuple
-    phi2: tuple
-    methods: tuple  # per-entry tags (alpha, phi1, phi2)
-
-    def __post_init__(self):
-        arrs = {"alpha1": self.alpha1, "phi1": self.phi1, "phi2": self.phi2}
-        for name, arr in arrs.items():
-            a = np.asarray(arr)
-            if np.any((a < -1e-15) | (a > 1.0 + 1e-12)):
-                raise DependenceError(f"{name} entries must lie in [0, 1]")
-        if np.any(np.asarray(self.phi1) > np.asarray(self.phi2) + 1e-12):
-            raise DependenceError("phi1 must not exceed phi2")
-        for name, arr in arrs.items():
-            exact = [v for v, m in zip(arr, self.methods) if m == "exact"]
-            if np.any(np.diff(exact) > 1e-12):
-                raise DependenceError(f"exact {name} entries must be nonincreasing")
-
-
-def dependence_profile(kernel: FiniteKernel, n_values, f=None, gap_cap: int = 64) -> DependenceProfile:
-    al, p1, p2, tags = [], [], [], []
-    for n in n_values:
-        a = alpha1_exact(kernel, n)
-        r1 = phi_coeff(kernel, n, k=1, f=f, gap_cap=gap_cap)
-        r2 = phi_coeff(kernel, n, k=2, f=f, gap_cap=gap_cap)
-        al.append(a.get("value", a["lower"]))
-        p1.append(r1["value"])
-        p2.append(r2["value"])
-        tag = "exact" if a["method"] == r2["method"] == "exact" else "lower-heuristic"
-        tags.append(tag)
-    return DependenceProfile(tuple(n_values), tuple(al), tuple(p1), tuple(p2), tuple(tags))
 
 
 # ---------------------------------------------------------------------------
@@ -438,15 +370,6 @@ def _second_moments(kernel: FiniteKernel, f: np.ndarray, n: int):
         t = kernel.apply(f2 + 2.0 * f * h + t)
         h = kernel.apply(f + h)
         yield t
-
-
-def conditional_second_moment(kernel: FiniteKernel, f: np.ndarray, n: int, cap: int = 10**6) -> np.ndarray:
-    """E(S_n^2 | Y_0 = s) for S_n = sum_{i<=n} f(Y_i)."""
-    if n < 1 or n > cap:
-        raise DependenceError("n out of range")
-    for t in _second_moments(kernel, np.asarray(f, dtype=float), n):
-        pass
-    return t
 
 
 @dataclass(frozen=True)
@@ -763,9 +686,6 @@ class CoboundaryDecomposition:
         # T_k = sum_{j>=k} a_j and Q_k = sum_{j<=-k} a_j, indexed as in z_value
         object.__setattr__(self, "_tail_t", np.concatenate((np.cumsum(a[::-1])[::-1], [0.0])))
         object.__setattr__(self, "_tail_q", np.concatenate(([0.0], np.cumsum(a))))
-
-    def d_sequence(self, eps: np.ndarray) -> np.ndarray:
-        return self.big_a * np.asarray(eps, dtype=float)
 
     def z_value(self, i: int, eps: np.ndarray, origin: int) -> float:
         """Z_i from innovations indexed eps[m + origin] = eps_m."""

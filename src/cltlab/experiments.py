@@ -1,5 +1,5 @@
 """Rate-measurement harness: distance curves between normalized partial sums
-and their Gaussian limit, exponent fits, and the distance-cascade bounds."""
+and their Gaussian limit, and exponent fits."""
 
 from __future__ import annotations
 
@@ -12,8 +12,6 @@ from .metrics import (
     EmpiricalDistribution,
     GaussianLaw,
     kolmogorov,
-    kolmogorov_from_prokhorov,
-    prokhorov_bound,
     wasserstein_vs_gaussian,
     wasserstein_vs_gaussian_counts,
 )
@@ -269,34 +267,3 @@ def spearman_rho(x, y) -> float:
     rx = _average_ranks(np.asarray(x, dtype=float))
     ry = _average_ranks(np.asarray(y, dtype=float))
     return float(np.corrcoef(rx, ry)[0, 1])
-
-
-def berry_esseen_cascade(result: RateFitResult) -> dict:
-    """Chain the coupling distance at r = p - 2 through the weak-convergence
-    metric into a uniform-distance bound, next to the directly measured
-    uniform distance and the classical comparison exponent."""
-    p = result.plan.p
-    r = p - 2.0
-    pts = [pt for pt in result.points if abs(pt["r"] - r) < 1e-12]
-    if not pts:
-        raise ExperimentError("result does not contain the r = p - 2 curve")
-    rows = []
-    for pt in pts:
-        w = pt["value"]
-        pi_b = prokhorov_bound(w, r)
-        ks_bound = kolmogorov_from_prokhorov(pi_b, pt["sigma"]) if pt["sigma"] > 0 else 0.0
-        rows.append(
-            {
-                "n": pt["n"],
-                "w_value": w,
-                "prokhorov_bound": pi_b,
-                "kolmogorov_bound": ks_bound,
-                "kolmogorov_measured": pt["kolmogorov"],
-            }
-        )
-    return {
-        "rows": rows,
-        "cascade_exponent": -(p - 2.0) / (2.0 * (p - 1.0)),
-        "comparison_exponent": -(p - 2.0) / (2.0 * (p + 1.0)),
-        "log_factor": bool(p == 3.0),
-    }

@@ -31,7 +31,7 @@ class MetricsError(ValueError):
 
 @dataclass(frozen=True)
 class EmpiricalDistribution:
-    """Sorted weighted sample with exact generalized-inverse quantiles."""
+    """Sorted weighted sample with its cumulative weights."""
 
     points: np.ndarray
     weights: np.ndarray
@@ -61,14 +61,6 @@ class EmpiricalDistribution:
     def cumweights(self) -> np.ndarray:
         return np.minimum(np.cumsum(self.weights), 1.0)
 
-    def quantile(self, u):
-        """Smallest point whose cumulative weight is >= u."""
-        u = np.asarray(u, dtype=float)
-        cw = self.cumweights
-        idx = np.searchsorted(cw, u - 1e-15, side="left")
-        idx = np.clip(idx, 0, self.size - 1)
-        return self.points[idx]
-
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         idx = np.searchsorted(self.points, x, side="right")
@@ -94,11 +86,6 @@ class GaussianLaw:
     def __post_init__(self):
         if self.sigma < 0:
             raise MetricsError("sigma must be >= 0")
-
-    def quantile(self, u):
-        if self.sigma == 0.0:
-            return np.zeros_like(np.asarray(u, dtype=float))
-        return self.sigma * norm_quantile(u)
 
     def cdf(self, x):
         if self.sigma == 0.0:
@@ -418,7 +405,7 @@ def wasserstein(x: Law, y: Law, r: float) -> DistanceEstimate:
 
 
 # ---------------------------------------------------------------------------
-# Kolmogorov / Prokhorov chain
+# Kolmogorov distance
 
 
 def kolmogorov(x: Law, g: Law) -> float:
@@ -451,22 +438,6 @@ def _cdf_left(law: Law, pts: np.ndarray) -> np.ndarray:
     idx = np.searchsorted(law.points, pts, side="left")
     cw = np.concatenate(([0.0], law.cumweights))
     return cw[idx]
-
-
-def prokhorov_bound(w: float, r: float) -> float:
-    """Prokhorov distance bound Pi <= W_r^{1/(r+1)}, valid for 0 < r <= 1."""
-    if not (0 < r <= 1):
-        raise MetricsError("prokhorov_bound requires r in (0, 1]")
-    if w < 0:
-        raise MetricsError("w must be >= 0")
-    return float(w ** (1.0 / (r + 1.0)))
-
-
-def kolmogorov_from_prokhorov(pi: float, sigma: float) -> float:
-    """Kolmogorov distance bound (1 + sigma^{-1}(2 pi)^{-1/2}) * Pi."""
-    if sigma <= 0:
-        raise MetricsError("sigma must be positive")
-    return float((1.0 + 1.0 / (sigma * np.sqrt(2.0 * np.pi))) * pi)
 
 
 # ---------------------------------------------------------------------------

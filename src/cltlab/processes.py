@@ -10,7 +10,6 @@ import os
 import warnings
 from dataclasses import dataclass, field
 from functools import cache, partial
-from fractions import Fraction
 from typing import Callable, Optional, Protocol, Union
 
 import numpy as np
@@ -39,7 +38,8 @@ class InnovationLaw:
     """Centered innovation law with closed-form variance.
 
     kinds: gaussian, rademacher, uniform (on [-sqrt(3), sqrt(3)]), and
-    symmetric_pareto with tail index q (moments of order < q only).
+    symmetric_pareto with tail index q (moments of order < q only), the one
+    kind that takes q.
     """
 
     kind: str
@@ -51,17 +51,14 @@ class InnovationLaw:
         if self.kind == "symmetric_pareto":
             if self.q is None or self.q <= 2.0:
                 raise ProcessError("symmetric_pareto needs tail index q > 2")
+        elif self.q is not None:
+            raise ProcessError(f"kind {self.kind} takes no tail index q")
 
     @property
     def variance(self) -> float:
         if self.kind in ("gaussian", "rademacher", "uniform"):
             return 1.0
         return self.q / (self.q - 2.0)
-
-    def has_moment(self, order: float) -> bool:
-        if self.kind == "symmetric_pareto":
-            return order < self.q
-        return True
 
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
         if self.kind == "gaussian":
@@ -167,18 +164,6 @@ def _strongly_connected(adj: np.ndarray) -> bool:
     return True
 
 
-def _solve_stationary(k: np.ndarray) -> np.ndarray:
-    n = k.shape[0]
-    a = k.T - np.eye(n)
-    a[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    pi = np.linalg.solve(a, b)
-    pi = np.maximum(pi, 0.0)
-    pi = pi @ k  # one power-iteration refinement
-    return pi / pi.sum()
-
-
 def davydov_schedule(p: float, eps: float, i: int) -> float:
     """Up-step probability a_i: 1/2 below the crossover index i0 and
     1 - (p/2i)(1 + (1+eps)/log i) above it."""
@@ -250,51 +235,23 @@ def _renewal_chain(a_rule: Callable[[int], float], n_max: int, functional: str =
     return pi, f, threshold, moves
 
 
-def davydov_kernel(a_rule: Callable[[int], float], n_max: int) -> FiniteKernel:
-    """Truncated kernel of the drift-to-zero integer chain.
+def davydov_kernel(a_rule: Callable[[int], float], n_max: int,
+                   functional: str = "f1") -> tuple[FiniteKernel, np.ndarray]:
+    """Truncated kernel of the drift-to-zero integer chain and its
+    functional, both from one checked pass over the schedule.
 
     From state n > 0 the chain moves to n+1 with probability a_n and drops
     to 0 otherwise (mirrored for n < 0); from 0 it moves to +-1 with equal
     probability.  Boundary rows at +-n_max are redirected wholly to 0.
+    f1 is +-1 at +-1 and zero elsewhere; f2 is 1 at 0, 0 at +-1, and
+    1 - 1/a_n at +-(n+1). Both have zero conditional mean off the boundary.
     """
-    pi, _, threshold, moves = _renewal_chain(a_rule, n_max)
+    pi, f, threshold, moves = _renewal_chain(a_rule, n_max, functional)
     rows = np.arange(pi.size)
     k = np.zeros((pi.size, pi.size))
     k[rows, moves[1]] = 1.0 - threshold
     k[rows, moves[0]] += threshold
-    return FiniteKernel(np.arange(-n_max, n_max + 1), k, pi)
-
-
-def mds_functional(kind: str, kernel: FiniteKernel, a_rule: Optional[Callable[[int], float]] = None) -> np.ndarray:
-    """State functions with zero conditional mean under the chain kernel.
-
-    f1 is +-1 at +-1 and zero elsewhere; f2 is 1 at 0, 0 at +-1, and
-    1 - 1/a_n at +-(n+1).
-    """
-    n_max = int(kernel.states.max())
-    zero = kernel.index_of(0)
-    if a_rule is None:
-        # recover a_n from the kernel itself
-        a_rule = lambda n: kernel.matrix[zero + n, zero + n + 1] if n >= 1 else 0.5
-    f = _renewal_chain(a_rule, n_max, kind)[1]
-    _check_mean_zero(kernel.apply(f)[np.abs(kernel.states) < n_max])
-    return f
-
-
-def sample_chain(kernel: FiniteKernel, n: int, seed: int, replicate: int = 0) -> np.ndarray:
-    """One stationary path of length n+1 (Y_0 ~ pi, then n kernel steps)."""
-    gen_init = rngmod.stream(seed, rngmod.ROLE_INIT, replicate, n)
-    gen_step = rngmod.stream(seed, rngmod.ROLE_STEP, replicate, n)
-    cum_pi = np.cumsum(kernel.stationary)
-    row_cum = np.cumsum(kernel.matrix, axis=1)
-    idx = int(np.searchsorted(cum_pi, gen_init.random()))
-    path = np.empty(n + 1, dtype=int)
-    path[0] = kernel.states[idx]
-    u = gen_step.random(n)
-    for t in range(n):
-        idx = int(np.searchsorted(row_cum[idx], u[t]))
-        path[t + 1] = kernel.states[idx]
-    return path
+    return FiniteKernel(np.arange(-n_max, n_max + 1), k, pi), f
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +275,7 @@ class DavydovChain:
         return lambda i: davydov_schedule(self.p, self.eps, i)
 
     def build(self) -> tuple[FiniteKernel, np.ndarray]:
-        kernel = davydov_kernel(self.a_rule(), self.n_max)
-        f = mds_functional(self.functional, kernel, self.a_rule())
-        return kernel, f
+        return davydov_kernel(self.a_rule(), self.n_max, self.functional)
 
     def batch_sums(self, seed: int):
         return partial(_davydov_sums, _davydov_step_tables(self))
@@ -526,33 +481,6 @@ def window_sums(cs: np.ndarray, first: int, lo, hi) -> np.ndarray:
     return np.where(hi >= lo, cs[np.clip(hi - first + 1, 0, top)] - cs[np.clip(lo - first, 0, top)], 0.0)
 
 
-def apply_h(
-    base_values: np.ndarray,
-    h_rule,
-    gamma: float,
-    alpha: float,
-    base: Optional[LinearProcess] = None,
-    seed: int = 0,
-    draws: int = 10**7,
-) -> dict:
-    """Centered observables h(V_k) - E h(V).
-
-    The centering constant is a Monte Carlo estimate over fresh draws of the
-    stationary marginal when the base process is supplied, otherwise the
-    sample mean of the inputs.  Building the FunctionOfLinear spot-checks the
-    declared modulus bound w_h(t, M) <= C t^gamma M^alpha on a grid.
-    """
-    fol = FunctionOfLinear(base if base is not None else LinearProcess(lambda j: 1.0 if j == 0 else 0.0), h_rule, gamma, alpha)
-    h = fol.h()
-    vals = h(np.asarray(base_values, dtype=float))
-    if base is not None:
-        center, stderr = _centering_constant(base, h, seed, draws)
-    else:
-        center = float(np.mean(vals))
-        stderr = float(np.std(vals) / np.sqrt(vals.size))
-    return {"values": vals - center, "centering": center, "centering_stderr": stderr}
-
-
 def _check_modulus(h, gamma: float, alpha: float) -> None:
     """Reject h whose continuity modulus blows past t^gamma M^alpha."""
     for m in (1.0, 2.0, 4.0):
@@ -659,63 +587,17 @@ def _map_branches(spec: ExpandingMap):
     raise ProcessError("branch decomposition only for affine-branch maps")
 
 
-def _preimages(spec: ExpandingMap, x) -> list:
-    """(slope, lo, hi, y, valid) per affine branch: y is the preimage of x
-    under the branch, folded into [0, 1], and valid marks the x whose y lies
-    in the branch interval [lo, hi] (within 1e-12)."""
-    out = []
+def _branch_weights(spec: ExpandingMap, x: np.ndarray, rho):
+    """(y, w) per affine branch, one array each: y is the preimage of x
+    under the branch, folded into [0, 1] and clipped to the branch interval
+    [lo, hi], and w = rho(y) / |slope| where the folded preimage lies in
+    [lo, hi] (within 1e-12), 0 elsewhere."""
     for slope, off, lo, hi in _map_branches(spec):
         y = (x - off) / slope
         y = y - np.floor(y)  # fold the mod-1 offset back into the branch
-        out.append((slope, lo, hi, y, (y >= lo - 1e-12) & (y <= hi + 1e-12)))
-    return out
-
-
-def _forward(spec: ExpandingMap, x):
-    x = np.asarray(x, dtype=np.longdouble)
-    if spec.kind == "beta":
-        y = spec.beta * x
-        return np.asarray(y - np.floor(y), dtype=np.longdouble)
-    if spec.kind == "gauss":
-        with np.errstate(divide="ignore"):
-            y = spec.a * (1.0 / x - 1.0)
-        y = np.where(x == 0, 0.0, y)
-        return np.asarray(y - np.floor(y), dtype=np.longdouble)
-    s = np.zeros_like(x)
-    for slope, off, lo, hi in _map_branches(spec):
-        mask = (x >= lo) & (x < hi)
-        y = slope * x[mask] + off
-        s[mask] = y - np.floor(y)
-    return s
-
-
-def iterate_map(spec: ExpandingMap, x0, n: int) -> np.ndarray:
-    """Orbit x0, T x0, ..., T^n x0.
-
-    For beta maps with integer beta and rational x0 (a Fraction) the orbit
-    is exact; otherwise it is an extended-precision pseudo-orbit, which for
-    expanding maps shadows a true orbit but not the one started at x0.
-    """
-    exact = (
-        spec.kind == "beta"
-        and isinstance(x0, Fraction)
-        and abs(spec.beta - round(spec.beta)) < 1e-15
-    )
-    if exact:
-        b = int(round(spec.beta))
-        orbit = [x0]
-        x = x0
-        for _ in range(n):
-            x = (b * x) % 1
-            orbit.append(x)
-        return np.array([float(v) for v in orbit])
-    x = np.longdouble(x0)
-    orbit = np.empty(n + 1, dtype=np.longdouble)
-    orbit[0] = x
-    for t in range(n):
-        x = _forward(spec, x)
-        orbit[t + 1] = x
-    return np.asarray(orbit, dtype=float)
+        valid = (y >= lo - 1e-12) & (y <= hi + 1e-12)
+        y = np.clip(y, lo, hi)
+        yield y, np.where(valid, rho(y) / abs(slope), 0.0)
 
 
 def invariant_density(spec: ExpandingMap, grid_size: int = 2**12, tol: float = 1e-10) -> DensityGrid:
@@ -731,13 +613,9 @@ def invariant_density(spec: ExpandingMap, grid_size: int = 2**12, tol: float = 1
     if spec.kind == "gauss":
         return DensityGrid(x, 1.0 / ((1.0 + x) * np.log(2.0)))
     # transfer-operator power iteration: (Lh)(x) = sum h(y)/|T'(y)| over preimages
-    preimages = _preimages(spec, x)
     h = np.ones_like(x)
     for it in range(10**5):
-        new = np.zeros_like(x)
-        for slope, lo, hi, y, valid in preimages:
-            contrib = np.interp(np.clip(y, lo, hi), x, h) / abs(slope)
-            new += np.where(valid, contrib, 0.0)
+        new = sum(w for _, w in _branch_weights(spec, x, lambda y: np.interp(y, x, h)))
         new /= np.trapezoid(new, x)
         if np.max(np.abs(new - h)) < tol:
             return DensityGrid(x, new)
@@ -765,9 +643,7 @@ def transfer_duality_residual(spec: ExpandingMap, h, f, panels: int = 64, nodes:
 
     def kh(x):
         x = np.asarray(x, dtype=float)
-        total = np.zeros_like(x)
-        for slope, lo, hi, y, valid in _preimages(spec, x):
-            total += np.where(valid, h(np.clip(y, lo, hi)) * rho.at(y) / abs(slope), 0.0)
+        total = sum(h(y) * w for y, w in _branch_weights(spec, x, rho.at))
         return total / np.maximum(rho.at(x), 1e-300)
 
     lhs = integrate(lambda x: kh(x) * f(x) * rho.at(x), 0.0, 1.0)
@@ -787,15 +663,12 @@ def _dual_step(spec: ExpandingMap, x: np.ndarray, u: np.ndarray, density: Densit
         m = np.ceil((1.0 + x) / (1.0 - u) - x - 1.0)
         m = np.maximum(m, 1.0)
         return 1.0 / (x + m)
-    branches = _preimages(spec, x)
-    ys = np.empty((len(branches), x.size))
-    cum = []
-    for i, (slope, lo, hi, y, valid) in enumerate(branches):
-        ys[i] = np.clip(y, lo, hi)
-        w = np.where(valid, density.at(ys[i]) / abs(slope), 0.0)
+    ys, cum = [], []
+    for y, w in _branch_weights(spec, x, density.at):
+        ys.append(y)
         cum.append(cum[-1] + w if cum else w)
     pick = sum(u > c / cum[-1] for c in cum[:-1])
-    return ys.ravel()[pick * x.size + np.arange(x.size)]
+    return np.concatenate(ys)[pick * x.size + np.arange(x.size)]
 
 
 # ---------------------------------------------------------------------------
@@ -1061,9 +934,7 @@ def _dual_kernel_apply(spec: ExpandingMap, x: np.ndarray, h: np.ndarray, density
         return out / wsum
     out = np.zeros_like(x)
     wsum = np.zeros_like(x)
-    for slope, lo, hi, y, valid in _preimages(spec, x):
-        y = np.clip(y, lo, hi)
-        w = np.where(valid, density.at(y) / abs(slope), 0.0)
+    for y, w in _branch_weights(spec, x, density.at):
         out += w * np.interp(y, x, h)
         wsum += w
     return out / np.maximum(wsum, 1e-300)

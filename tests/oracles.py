@@ -1,0 +1,68 @@
+"""Brute-force references the tests compare the library against: literal
+definitions at exponential or per-step cost, kept out of the package."""
+
+import numpy as np
+
+from cltlab import rng as rngmod
+from cltlab.processes import FiniteKernel
+
+
+def _solve_stationary(k: np.ndarray) -> np.ndarray:
+    """Stationary law of the row-stochastic matrix k by one linear solve and
+    one power-iteration refinement."""
+    n = k.shape[0]
+    a = k.T - np.eye(n)
+    a[-1, :] = 1.0
+    b = np.zeros(n)
+    b[-1] = 1.0
+    pi = np.linalg.solve(a, b)
+    pi = np.maximum(pi, 0.0)
+    pi = pi @ k  # one power-iteration refinement
+    return pi / pi.sum()
+
+
+def sample_chain(kernel: FiniteKernel, n: int, seed: int, replicate: int = 0) -> np.ndarray:
+    """One stationary path of length n+1 (Y_0 ~ pi, then n kernel steps)."""
+    gen_init = rngmod.stream(seed, rngmod.ROLE_INIT, replicate, n)
+    gen_step = rngmod.stream(seed, rngmod.ROLE_STEP, replicate, n)
+    cum_pi = np.cumsum(kernel.stationary)
+    row_cum = np.cumsum(kernel.matrix, axis=1)
+    idx = int(np.searchsorted(cum_pi, gen_init.random()))
+    path = np.empty(n + 1, dtype=int)
+    path[0] = kernel.states[idx]
+    u = gen_step.random(n)
+    for t in range(n):
+        idx = int(np.searchsorted(row_cum[idx], u[t]))
+        path[t + 1] = kernel.states[idx]
+    return path
+
+
+def alpha1_bruteforce(kernel: FiniteKernel, n: int) -> float:
+    """Literal sup over all event pairs of the strong mixing coefficient
+    between Y_0 and Y_n."""
+    pi = kernel.stationary
+    kn = np.linalg.matrix_power(kernel.matrix, n)
+    d = pi[:, None] * kn - np.outer(pi, pi)
+    size = kernel.size
+    best = 0.0
+    for ia in range(1 << size):
+        a = [(ia >> s) & 1 for s in range(size)]
+        row = np.array(a, dtype=float) @ d
+        for ib in range(1 << size):
+            b = np.array([(ib >> s) & 1 for s in range(size)], dtype=float)
+            best = max(best, abs(float(row @ b)))
+    return best
+
+
+def phi1_bruteforce(kernel: FiniteKernel, n: int, f=None) -> float:
+    """Direct definition scan of sup_{x, y0} |P(Y_n <= x | y0) - P(Y_n <= x)|."""
+    values = kernel.states.astype(float) if f is None else np.asarray(f, dtype=float)
+    kn = np.linalg.matrix_power(kernel.matrix, n)
+    pi = kernel.stationary
+    best = 0.0
+    for x in np.unique(values):
+        ind = (values <= x).astype(float)
+        base = float(pi @ ind)
+        for s in range(kernel.size):
+            best = max(best, abs(float(kn[s] @ ind) - base))
+    return best

@@ -19,13 +19,11 @@ from scipy.stats import norm
 from cltlab.dependence import (
     DependenceError,
     PowerQuantile,
-    alpha1_bruteforce,
     alpha1_exact,
     an_bn,
     check_covariance_inequality,
     coboundary,
     envelope_contraction_check,
-    phi1_bruteforce,
     phi_coeff,
     series_condalpha1,
 )
@@ -48,9 +46,9 @@ from cltlab.processes import (
     LinearProcess,
     ProcessSpec,
     _davydov_cache,
-    _solve_stationary,
     transfer_duality_residual,
 )
+from oracles import _solve_stationary, alpha1_bruteforce, phi1_bruteforce
 
 GEOM_HALF = lambda j: 0.5**j if j >= 0 else 0.0
 

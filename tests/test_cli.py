@@ -232,6 +232,17 @@ def test_removed_keys_exit_2(tmp_path, capsys, override, key):
     assert f"unknown key '{key}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["gaussian", "rademacher", "uniform"])
+def test_tail_index_for_a_kind_without_one_exits_2(tmp_path, capsys, kind):
+    # only symmetric_pareto reads q; any other kind used to drop it silently
+    cfg_path, _ = write_cfg(tmp_path, process={"family": "iid", "innovation": {"kind": kind, "q": 4.5}})
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "process.innovation" in err
+    assert not out.exists()
+
+
 def test_slow_coefficient_tail_is_a_config_error(tmp_path, capsys):
     cfg_path, _ = write_cfg(tmp_path, process={"family": "linear",
                                                "coeffs": {"rule": "power", "exponent": -1.01}})

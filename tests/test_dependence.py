@@ -10,19 +10,15 @@ from cltlab import dependence
 from cltlab.dependence import (
     ConditionReport,
     DependenceError,
-    DependenceProfile,
     FiniteLaw,
     PowerQuantile,
-    alpha1_bruteforce,
+    _second_moments,
     alpha1_exact,
     an_bn,
     check_covariance_inequality,
     coboundary,
-    conditional_second_moment,
     covariance_product_bound,
-    dependence_profile,
     envelope_contraction_check,
-    phi1_bruteforce,
     phi_coeff,
     series_C1_C2,
     series_condalpha1,
@@ -38,8 +34,8 @@ from cltlab.processes import (
     LinearProcess,
     ProcessSpec,
     _davydov_cache,
-    _solve_stationary,
 )
+from oracles import _solve_stationary, alpha1_bruteforce, phi1_bruteforce
 
 
 def random_kernel(rng, size):
@@ -150,13 +146,19 @@ def test_phi_zero_for_independent_product():
 
 
 def test_dependence_profile_invariants():
+    # alpha_1, phi_1 and phi_2 lie in [0, 1], phi_1 <= phi_2, and the exact
+    # entries do not increase with the lead time n
     rng = np.random.default_rng(2)
     ker = random_kernel(rng, 5)
-    prof = dependence_profile(ker, [1, 2, 4], gap_cap=30)
-    assert prof.methods == ("exact",) * 3
-    assert np.all(np.diff(prof.alpha1) <= 1e-12)
-    with pytest.raises(DependenceError):
-        DependenceProfile((1,), (0.1,), (0.5,), (0.4,), ("exact",))
+    alpha = [alpha1_exact(ker, n) for n in (1, 2, 4)]
+    phi1 = [phi_coeff(ker, n, k=1, gap_cap=30) for n in (1, 2, 4)]
+    phi2 = [phi_coeff(ker, n, k=2, gap_cap=30) for n in (1, 2, 4)]
+    for series in (alpha, phi1, phi2):
+        assert [res["method"] for res in series] == ["exact"] * 3
+        values = np.array([res["value"] for res in series])
+        assert np.all((values >= 0.0) & (values <= 1.0))
+        assert np.all(np.diff(values) <= 1e-12)
+    assert all(a["value"] <= b["value"] + 1e-12 for a, b in zip(phi1, phi2))
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +171,7 @@ def test_conditional_second_moment_path_enumeration():
     f = np.array([1.0, -1.0, 0.5])
     n = 4
     k = ker.matrix
-    got = conditional_second_moment(ker, f, n)
+    got = list(_second_moments(ker, f, n))[-1]
     for s in range(3):
         total = 0.0
         for path in np.ndindex(*(3,) * n):
@@ -187,7 +189,7 @@ def test_conditional_second_moment_path_enumeration():
 def test_conditional_second_moment_one_step():
     ker = three_state_kernel()
     f = np.array([2.0, 0.0, -1.0])
-    assert np.allclose(conditional_second_moment(ker, f, 1), ker.apply(f * f))  # [TRIVIAL]
+    assert np.allclose(next(_second_moments(ker, f, 1)), ker.apply(f * f))  # [TRIVIAL]
 
 
 # ---------------------------------------------------------------------------
@@ -581,13 +583,6 @@ def test_coboundary_z_value_from_cached_tails_is_bit_identical():
     eps = np.random.default_rng(4).standard_normal(200 + 4 * 80 + 2)
     for i in range(1, 202):
         assert dec.z_value(i, eps, 160) == _z_value_recomputed(dec, i, eps, 160)
-
-
-def test_coboundary_d_sequence_scaling():
-    lp = LinearProcess(lambda j: 1.0 if j == 0 else 0.0, InnovationLaw("rademacher"), truncation=4)
-    dec = coboundary(lp)
-    eps = np.array([1.0, -1.0])
-    assert np.allclose(dec.d_sequence(eps), eps)  # [TRIVIAL] A = 1
 
 
 # ---------------------------------------------------------------------------

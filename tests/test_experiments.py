@@ -9,7 +9,6 @@ from cltlab.experiments import (
     BOOTSTRAP_RESAMPLES,
     ExperimentError,
     ExperimentPlan,
-    berry_esseen_cascade,
     calibration_floor,
     _bootstrap_stderr,
     run_experiment,
@@ -222,24 +221,3 @@ def test_consistency_detects_excess_growth():
 def test_consistency_single_point_inconclusive():
     out = upper_bound_consistency([64.0], [0.1], -0.5)
     assert out["verdict"] == "inconclusive"
-
-
-# ---------------------------------------------------------------------------
-# distance cascade
-
-
-def test_cascade_requires_matching_r():
-    # a p = 2.5 result without the r = 0.5 curve cannot be cascaded
-    plan = small_plan(p=2.5, r_list=(1.0,))
-    with pytest.raises(ExperimentError):
-        berry_esseen_cascade(run_experiment(plan))
-
-
-def test_cascade_bounds_dominate_measured():
-    plan = small_plan(p=2.5, r_list=(0.5,), m=1000)
-    out = berry_esseen_cascade(run_experiment(plan))
-    assert abs(out["cascade_exponent"] + 1.0 / 6.0) < 1e-15  # [PAPER] p = 2.5
-    assert abs(out["comparison_exponent"] + 1.0 / 14.0) < 1e-15  # [DERIVED]
-    for row in out["rows"]:
-        assert row["kolmogorov_measured"] <= row["kolmogorov_bound"] + 1e-12
-        assert row["prokhorov_bound"] == pytest.approx(row["w_value"] ** (1.0 / 1.5))

@@ -19,9 +19,7 @@ from cltlab.metrics import (
     gaussian_panel_integrals,
     gaussian_smooth,
     kolmogorov,
-    kolmogorov_from_prokhorov,
     lambda_seminorm,
-    prokhorov_bound,
     smoothing_lemma_check,
     wasserstein,
     wasserstein_samples,
@@ -47,13 +45,6 @@ class TestEmpiricalDistribution:
         d = EmpiricalDistribution([3.0, 1.0, 2.0])
         assert np.allclose(d.points, [1.0, 2.0, 3.0])
         assert d.is_uniform()
-
-    def test_quantile_inverse(self):
-        d = EmpiricalDistribution([0.0, 1.0], [0.25, 0.75])
-        assert d.quantile(0.1) == 0.0
-        assert d.quantile(0.25) == 0.0
-        assert d.quantile(0.3) == 1.0
-        assert d.quantile(1.0) == 1.0
 
     def test_bad_weights(self):
         with pytest.raises(MetricsError):
@@ -371,17 +362,6 @@ class TestKolmogorovProkhorov:
         x = EmpiricalDistribution([0.0, 1.0, 2.0])
         y = EmpiricalDistribution([0.5, 1.5, 2.5])
         assert kolmogorov(x, y) == pytest.approx(1.0 / 3.0, abs=1e-12)
-
-    def test_prokhorov_chain(self):
-        w = 0.04
-        pi = prokhorov_bound(w, 1.0)
-        assert pi == pytest.approx(0.2)
-        k = kolmogorov_from_prokhorov(pi, 1.0)
-        assert k == pytest.approx((1.0 + 1.0 / np.sqrt(2 * np.pi)) * 0.2)
-
-    def test_prokhorov_rejects_large_r(self):
-        with pytest.raises(MetricsError):
-            prokhorov_bound(0.1, 1.5)
 
 
 class TestEnvelopeNorm:

@@ -28,18 +28,15 @@ from cltlab.processes import (
     LinearProcess,
     ProcessError,
     ProcessSpec,
-    apply_h,
     davydov_kernel,
     davydov_schedule,
     invariant_density,
-    iterate_map,
     long_run_variance,
-    mds_functional,
     partial_sums_batch,
-    sample_chain,
     sample_linear_process,
 )
-from cltlab.processes import _centering_constant, _map_branches, _strongly_connected
+from cltlab.processes import _centering_constant, _map_branches, _renewal_chain, _strongly_connected
+from oracles import _solve_stationary, sample_chain
 
 
 class TestInnovationLaw:
@@ -49,11 +46,6 @@ class TestInnovationLaw:
         assert InnovationLaw("uniform").variance == 1.0
         # [DERIVED] |eps| = U^{-1/q} has E eps^2 = q/(q-2)
         assert InnovationLaw("symmetric_pareto", q=3.0).variance == pytest.approx(3.0)
-
-    def test_pareto_moments(self):
-        law = InnovationLaw("symmetric_pareto", q=3.0)
-        assert law.has_moment(2.5)
-        assert not law.has_moment(3.0)
 
     def test_empirical_moments(self):
         rng = np.random.default_rng(0)
@@ -95,7 +87,7 @@ class TestDavydovSchedule:
 
 class TestDavydovKernel:
     def test_rows_and_center(self):
-        k = davydov_kernel(lambda i: 0.5, 10)
+        k, _ = davydov_kernel(lambda i: 0.5, 10)
         assert np.allclose(k.matrix.sum(axis=1), 1.0)
         zero = k.index_of(0)
         assert k.matrix[zero, zero] == 0.0  # no holding at 0
@@ -103,19 +95,19 @@ class TestDavydovKernel:
 
     def test_stationary_matches_power_iteration(self):
         # [DERIVED] power-iteration oracle
-        k = davydov_kernel(lambda i: 0.5, 12)
+        k, _ = davydov_kernel(lambda i: 0.5, 12)
         v = np.full(k.size, 1.0 / k.size)
         for _ in range(10**4):
             v = v @ k.matrix
         assert np.max(np.abs(v - k.stationary)) < 1e-10
 
     def test_boundary_redirected(self):
-        k = davydov_kernel(lambda i: 0.5, 8)
+        k, _ = davydov_kernel(lambda i: 0.5, 8)
         top = k.index_of(8)
         assert k.matrix[top, k.index_of(0)] == 1.0
 
     def test_symmetry(self):
-        k = davydov_kernel(lambda i: davydov_schedule(2.5, 0.1, i), 50)
+        k, _ = davydov_kernel(lambda i: davydov_schedule(2.5, 0.1, i), 50)
         pi = k.stationary
         flipped = pi[::-1]
         assert np.allclose(pi, flipped, atol=1e-14)
@@ -130,25 +122,25 @@ class TestDavydovKernel:
     def test_renewal_stationary_law(self, p, eps, n_max):
         # [DERIVED] the product-formula law solves pi K = pi to rounding and
         # agrees with the LU solve of the same kernel
-        k = davydov_kernel(lambda i: davydov_schedule(p, eps, i), n_max)
+        k, _ = davydov_kernel(lambda i: davydov_schedule(p, eps, i), n_max)
         pi = k.stationary
         assert np.max(np.abs(pi @ k.matrix - pi)) <= 1e-15
-        lu = processes._solve_stationary(k.matrix)
+        lu = _solve_stationary(k.matrix)
         assert np.max(np.abs(pi - lu) / lu) <= 1e-9
 
 
 class TestMdsFunctional:
     def test_f1_values(self):
-        k = davydov_kernel(lambda i: 0.5, 10)
-        f = mds_functional("f1", k)
+        k, _ = davydov_kernel(lambda i: 0.5, 10)
+        f = _renewal_chain(lambda i: 0.5, 10, "f1")[1]
         z = k.index_of(0)
         assert f[z] == 0.0
         assert f[z + 1] == 1.0 and f[z - 1] == -1.0
         assert np.all(f[z + 2 :] == 0.0)
 
     def test_f2_values(self):
-        k = davydov_kernel(lambda i: 0.5, 10)
-        f = mds_functional("f2", k)
+        k, _ = davydov_kernel(lambda i: 0.5, 10)
+        f = _renewal_chain(lambda i: 0.5, 10, "f2")[1]
         z = k.index_of(0)
         assert f[z] == 1.0
         assert f[z + 1] == 0.0
@@ -156,27 +148,27 @@ class TestMdsFunctional:
 
     def test_zero_conditional_mean_interior(self):
         rule = lambda i: davydov_schedule(2.7, 0.3, i)
-        k = davydov_kernel(rule, 30)
+        k, _ = davydov_kernel(rule, 30)
         for kind in ("f1", "f2"):
-            f = mds_functional(kind, k, rule)
+            f = _renewal_chain(rule, 30, kind)[1]
             interior = np.abs(k.states) < 30
             assert np.max(np.abs(k.apply(f)[interior])) <= 1e-12
 
 
 class TestSampleChain:
     def test_path_in_state_set(self):
-        k = davydov_kernel(lambda i: 0.5, 6)
+        k, _ = davydov_kernel(lambda i: 0.5, 6)
         path = sample_chain(k, 500, seed=9)
         assert np.all(np.isin(path, k.states))
 
     def test_replay(self):
-        k = davydov_kernel(lambda i: 0.5, 6)
+        k, _ = davydov_kernel(lambda i: 0.5, 6)
         a = sample_chain(k, 200, seed=3)
         b = sample_chain(k, 200, seed=3)
         assert np.array_equal(a, b)
 
     def test_frequencies_match_stationary(self):
-        k = davydov_kernel(lambda i: 0.5, 6)
+        k, _ = davydov_kernel(lambda i: 0.5, 6)
         path = sample_chain(k, 200000, seed=1)
         for s in (-1, 0, 1):
             freq = np.mean(path == s)
@@ -221,30 +213,35 @@ class TestLinearProcess:
 
 
 class TestApplyH:
+    """The centered observables h(X_k) - E h(V) of a function of a linear
+    process, and the modulus check of h."""
+
     def test_identity_recentres(self):
         lp = LinearProcess(lambda j: 1.0 if j == 0 else 0.0, truncation=2)
-        x = sample_linear_process(lp, 1000, seed=7)
-        res = apply_h(x, "identity", 1.0, 0.0, base=lp, seed=7, draws=10**5)
-        assert abs(res["centering"]) < 5 * res["centering_stderr"] + 1e-2
-        assert np.allclose(res["values"], x - res["centering"])
+        fol = FunctionOfLinear(lp, "identity", 1.0, 0.0, centering_draws=10**5)
+        center, stderr = _centering_constant(lp, fol.h(), 7, 10**5)
+        assert abs(center) < 5 * stderr + 1e-2
+        got = partial_sums_batch(ProcessSpec(fol, seed=7), [1], 100).values(1)
+        want = [sample_linear_process(lp, 1, seed=7, replicate=rep)[0] - center for rep in range(100)]
+        assert np.array_equal(got, want)
 
     def test_constant_h_gives_zeros(self):
-        res = apply_h(np.ones(100), lambda x: np.zeros_like(x) + 2.0, 1.0, 0.0)
-        assert np.allclose(res["values"], 0.0)
+        lp = LinearProcess(lambda j: 1.0 if j == 0 else 0.0, truncation=2)
+        fol = FunctionOfLinear(lp, lambda x: np.zeros_like(x) + 2.0, 1.0, 0.0, centering_draws=1000)
+        assert np.all(partial_sums_batch(ProcessSpec(fol), [1, 8], 100).values(8) == 0.0)
 
     def test_abs_power_centering_reproducible(self):
         # [DERIVED] independent MC run agrees within 4 joint stderr
         lp = LinearProcess(lambda j: 1.0 if j == 0 else 0.0, truncation=2)
-        x = sample_linear_process(lp, 100, seed=0)
-        r1 = apply_h(x, "abs_power", 0.8, 0.0, base=lp, seed=1, draws=2 * 10**5)
-        r2 = apply_h(x, "abs_power", 0.8, 0.0, base=lp, seed=2, draws=2 * 10**5)
-        joint = np.hypot(r1["centering_stderr"], r2["centering_stderr"])
-        assert abs(r1["centering"] - r2["centering"]) < 4 * joint
+        h = FunctionOfLinear(lp, "abs_power", 0.8, 0.0).h()
+        (c1, s1), (c2, s2) = (_centering_constant(lp, h, seed, 2 * 10**5) for seed in (1, 2))
+        assert abs(c1 - c2) < 4 * np.hypot(s1, s2)
 
     def test_modulus_violation_rejected(self):
-        with pytest.raises(ProcessError):
-            # a jump function has unbounded modulus ratio as t -> 0
-            apply_h(np.ones(10), lambda x: (x > 0).astype(float), 1.0, 0.0)
+        lp = LinearProcess(lambda j: 1.0 if j == 0 else 0.0, truncation=2)
+        with pytest.raises(ProcessError, match="modulus"):
+            # |x|^(1/4) declared Lipschitz: the modulus ratio grows as t -> 0
+            FunctionOfLinear(lp, lambda x: np.abs(x) ** 0.25, 1.0, 0.0)
 
     def test_modulus_checked_at_construction(self):
         lp = LinearProcess(lambda j: 1.0 if j == 0 else 0.0, truncation=2)
@@ -253,22 +250,6 @@ class TestApplyH:
 
 
 class TestExpandingMaps:
-    def test_beta2_rational_orbit_exact(self):
-        em = ExpandingMap("beta", beta=2.0)
-        orbit = iterate_map(em, Fraction(1, 3), 6)
-        assert np.allclose(orbit, [1 / 3, 2 / 3] * 3 + [1 / 3])
-
-    def test_orbit_stays_in_unit_interval(self):
-        em = ExpandingMap("beta", beta=np.sqrt(5.0))
-        orbit = iterate_map(em, 0.37, 500)
-        assert np.all((orbit >= 0) & (orbit < 1))
-
-    def test_gauss_fixed_point(self):
-        # [DERIVED] x = 1/x - 1 has root sqrt(2) - 1
-        em = ExpandingMap("gauss", a=1.0)
-        orbit = iterate_map(em, np.sqrt(2.0) - 1.0, 8)
-        assert np.allclose(orbit, np.sqrt(2.0) - 1.0, atol=1e-9)
-
     def test_doubling_density_is_lebesgue(self):
         d = invariant_density(ExpandingMap("beta", beta=2.0))
         assert np.allclose(d.values, 1.0)
@@ -458,7 +439,7 @@ def _random_kernel_with_apply_input(size: int, dense: bool, seed: int):
     k += 0.05 * (k > 0)  # no transition weight below about 0.05 / 5
     k /= k.sum(axis=1, keepdims=True)
     f = gen.normal(size=size) * 10.0 ** gen.uniform(-3.0, 3.0, size)
-    return FiniteKernel(np.arange(size), k, processes._solve_stationary(k)), f
+    return FiniteKernel(np.arange(size), k, _solve_stationary(k)), f
 
 
 class TestFiniteKernelApply:
@@ -477,7 +458,7 @@ class TestFiniteKernelApply:
         assert np.all(np.abs(k.apply(f) - k.matrix @ f) <= 1e-15 * (np.abs(k.matrix) @ np.abs(f)))
 
     def test_davydov_rows_have_two_entries(self):
-        k = davydov_kernel(lambda i: davydov_schedule(2.5, 0.1, i), 400)
+        k, _ = davydov_kernel(lambda i: davydov_schedule(2.5, 0.1, i), 400)
         assert k._cols.shape == (2, k.size)
         f = np.random.default_rng(4).normal(size=k.size)
         assert np.max(np.abs(k.apply(f) - k.matrix @ f)) <= 1e-15 * np.max(np.abs(f))
