@@ -33,7 +33,7 @@ from .dependence import (
     series_condphi,
     series_projective,
 )
-from .experiments import calibration_floor, run_experiment, theoretical_exponent
+from .experiments import FLOOR_FACTOR, MIN_FIT_POINTS, calibration_floor, run_experiment, theoretical_exponent
 from .io import (
     RunManifest,
     config_digest,
@@ -188,7 +188,11 @@ def cmd_rates(args) -> int:
         outputs.append("rates.svg")
     _finish(out_dir, cfg, digest, started, outputs)
     for r, fit in sorted(result.fits.items()):
-        print(f"r = {r:g}: slope = {fit['slope']}, verdict = {fit['verdict']}")
+        why = ""
+        if fit["slope"] is None:
+            why = (f"; n_used = {fit['n_used']} of {len(plan.n_grid)} points above {FLOOR_FACTOR:g} x floor;"
+                   f" a fit needs {MIN_FIT_POINTS}")
+        print(f"r = {r:g}: slope = {fit['slope']}, verdict = {fit['verdict']}{why}")
     return EXIT_OK
 
 

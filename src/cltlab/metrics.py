@@ -119,7 +119,7 @@ class DistanceEstimate:
     value: float
     lower: float
     upper: float
-    method: str  # exact-monotone | assignment-exact | quadrature | dictionary-lower
+    method: str  # exact-monotone | assignment-exact | quadrature | quadrature-capped | dictionary-lower
 
     def __post_init__(self):
         if not (self.lower <= self.value + 1e-12 and self.value <= self.upper + 1e-12):
@@ -198,68 +198,146 @@ def wasserstein_samples(
     return DistanceEstimate(mono, 0.0, mono, "quadrature")
 
 
-_GL_LO = np.polynomial.legendre.leggauss(8)
-_GL_HI = np.polynomial.legendre.leggauss(16)
+_GL = (np.polynomial.legendre.leggauss(8), np.polynomial.legendre.leggauss(16))  # coarse, fine
 
 
-def _panel_integrals(lo, hi, xval, sigma, r, nodes, wts):
-    """Vectorized Gauss-Legendre integral of |x - sigma*Phi^{-1}(u)|^r per panel."""
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    u = mid[:, None] + half[:, None] * nodes[None, :]
-    u = np.clip(u, 1e-300, 1.0 - 1e-16)  # keep Phi^{-1} finite at float endpoints
-    vals = np.abs(xval[:, None] - sigma * norm_quantile(u)) ** r
-    return half * (vals @ wts)
+def _node_quantiles(half, mid, nodes, out):
+    """Phi^{-1} at the Gauss-Legendre nodes of the panels mid +- half, in out."""
+    np.multiply(half[:, None], nodes, out=out)
+    out += mid[:, None]
+    np.clip(out, 1e-300, 1.0 - 1e-16, out=out)  # keep Phi^{-1} finite at float endpoints
+    return norm_quantile(out, out=out)
 
 
-def _integrate_piecewise_gaussian(lo, hi, xval, sigma, r, tol=QUAD_ABS_TOL):
-    """Adaptive panel integration of sum_i int_{lo_i}^{hi_i} |x_i - sigma Phi^{-1}(u)|^r du."""
+class _Buffers:
+    """One work array per node set, grown on demand and reused by every round."""
+
+    def __init__(self):
+        self.flat = [np.empty(0) for _ in _GL]
+
+    def rows(self, i: int, n: int) -> np.ndarray:
+        k = _GL[i][0].size
+        if self.flat[i].size < n * k:
+            self.flat[i] = np.empty(2 * n * k)
+        return self.flat[i][: n * k].reshape(n, k)
+
+
+def _weight_panels(cw):
+    """The panels [lo, hi] of nonzero width between cumulative weights, and
+    the mask of the sample points they keep."""
+    lo = np.concatenate(([0.0], cw[:-1]))
+    hi = cw.copy()
+    hi[-1] = 1.0
+    keep = hi > lo
+    return lo[keep], hi[keep], keep
+
+
+class PanelGrid:
+    """The quadrature panels of one cumulative-weight vector, Phi^{-1} at their
+    coarse and fine Gauss-Legendre nodes, and the work buffers. Samples with
+    these weights share one: their first round reads the quantiles of every
+    panel that no sign change splits from the tables, the same values."""
+
+    def __init__(self):
+        self.cw = None
+        self.buffers = _Buffers()
+
+    def panels(self, cw):
+        """lo, hi and keep of cw; the first call fixes cw and builds the tables."""
+        if self.cw is None:
+            self.cw = cw
+            self.lo, self.hi, self.keep = _weight_panels(cw)
+            half, mid = 0.5 * (self.hi - self.lo), 0.5 * (self.hi + self.lo)
+            self.tables = [_node_quantiles(half, mid, nodes, np.empty((half.size, nodes.size))) for nodes, _ in _GL]
+        elif not np.array_equal(cw, self.cw):
+            raise MetricsError("the panel grid was built for other cumulative weights")
+        return self.lo, self.hi, self.keep
+
+
+def _integrate_piecewise_gaussian(lo, hi, xval, sigma, r, buffers, first=None, tol=QUAD_ABS_TOL):
+    """Adaptive panel integration of sum_i int_{lo_i}^{hi_i} |x_i - sigma Phi^{-1}(u)|^r du.
+
+    Returns the integral and whether it stopped unrefined: at PANEL_CAP
+    panels or after 60 rounds, the last split's panels enter at their fine
+    sums. first = (tables, rows) says that the first round's leading
+    rows.size panels are grid panels whose node quantiles are
+    tables[i][rows]."""
     total = 0.0
     npanels = lo.size
     for _ in range(60):
-        coarse = _panel_integrals(lo, hi, xval, sigma, r, *_GL_LO)
-        fine = _panel_integrals(lo, hi, xval, sigma, r, *_GL_HI)
+        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+        coarse = _round_sums(0, half, mid, xval, sigma, r, buffers, first)
+        fine = _round_sums(1, half, mid, xval, sigma, r, buffers, first)
+        first = None
         err = np.abs(fine - coarse)
         budget = tol * np.maximum(1.0, (hi - lo) / max(hi.max() - lo.min(), 1e-300))
         bad = err > np.maximum(budget, 1e-16)
         total += float(fine[~bad].sum())
         if not bad.any():
-            return total
+            return total, False
         lo_b, hi_b, x_b = lo[bad], hi[bad], xval[bad]
-        mid = 0.5 * (lo_b + hi_b)
-        lo = np.concatenate([lo_b, mid])
-        hi = np.concatenate([mid, hi_b])
+        cut = 0.5 * (lo_b + hi_b)
+        lo = np.concatenate([lo_b, cut])
+        hi = np.concatenate([cut, hi_b])
         xval = np.concatenate([x_b, x_b])
         npanels += lo.size
         if npanels > PANEL_CAP:
-            total += float(_panel_integrals(lo, hi, xval, sigma, r, *_GL_HI).sum())
-            return total
-    total += float(_panel_integrals(lo, hi, xval, sigma, r, *_GL_HI).sum())
-    return total
+            break
+    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+    return total + float(_round_sums(1, half, mid, xval, sigma, r, buffers).sum()), True
 
 
-def _quadrature_cost(points: np.ndarray, cw: np.ndarray, sigma: float, r: float) -> float:
+def _round_sums(i, half, mid, xval, sigma, r, buffers, first=None):
+    """Gauss-Legendre integral of |x - sigma*Phi^{-1}(u)|^r per panel with
+    node set i (0 coarse, 1 fine), computed in place in one buffer."""
+    nodes, wts = _GL[i]
+    q = buffers.rows(i, half.size)
+    done = 0
+    if first is not None:
+        tables, rows = first
+        done = rows.size
+        # rows are in range; mode "clip" writes straight into the buffer
+        np.take(tables[i], rows, axis=0, out=q[:done], mode="clip")
+    _node_quantiles(half[done:], mid[done:], nodes, q[done:])
+    q *= sigma
+    np.subtract(xval[:, None], q, out=q)
+    np.abs(q, out=q)
+    q **= r
+    return half * (q @ wts)
+
+
+def _quadrature_cost(points: np.ndarray, cw: np.ndarray, sigma: float, r: float, grid: PanelGrid | None = None):
     """int_0^1 |F^{-1}(u) - sigma Phi^{-1}(u)|^r du for sorted points with
-    cumulative weights cw, by adaptive panel quadrature (sigma > 0)."""
-    lo = np.concatenate(([0.0], cw[:-1]))
-    hi = cw.copy()
-    hi[-1] = 1.0
-    xval = points.copy()
-    keep = hi > lo
-    lo, hi, xval = lo[keep], hi[keep], xval[keep]
-    # split panels at the sign change of x - sigma * Phi^{-1}(u)
+    cumulative weights cw, by adaptive panel quadrature (sigma > 0), and
+    whether the quadrature stopped unrefined. A grid of the same cw supplies
+    the first round's quantiles of the panels left whole."""
+    if grid is None:
+        lo, hi, keep = _weight_panels(cw)
+        buffers = _Buffers()
+    else:
+        lo, hi, keep = grid.panels(cw)
+        buffers = grid.buffers
+    xval = points[keep]
+    # split panels at the sign change of x - sigma * Phi^{-1}(u); the panels
+    # left whole come first
     ustar = norm_cdf(xval / sigma)
     inside = (ustar > lo) & (ustar < hi)
     if inside.any():
         lo = np.concatenate([lo[~inside], lo[inside], ustar[inside]])
         hi = np.concatenate([hi[~inside], ustar[inside], hi[inside]])
         xval = np.concatenate([xval[~inside], xval[inside], xval[inside]])
-    return _integrate_piecewise_gaussian(lo, hi, xval, sigma, r)
+    first = None if grid is None else (grid.tables, np.flatnonzero(~inside))
+    return _integrate_piecewise_gaussian(lo, hi, xval, sigma, r, buffers, first)
 
 
-def wasserstein_vs_gaussian(x: EmpiricalDistribution, g: GaussianLaw, r: float) -> DistanceEstimate:
+def wasserstein_vs_gaussian(x: EmpiricalDistribution, g: GaussianLaw, r: float,
+                            grid: PanelGrid | None = None) -> DistanceEstimate:
     """W_r between a weighted sample and a centered Gaussian, by piecewise
-    quadrature of the quantile formula.
+    quadrature of the quantile formula: method "quadrature", or
+    "quadrature-capped" when the refinement stopped at PANEL_CAP or its round
+    limit. Against a point mass (sigma = 0) it is the exact sum,
+    "exact-monotone". A PanelGrid passed with every sample of the same
+    weights shares the first round's node quantiles among them, bit for bit.
 
     The panel tolerance QUAD_ABS_TOL stops refining the two log-singular end
     panels early: at r = 1, M = 10^4 the integral is low by about 4e-11
@@ -272,12 +350,13 @@ def wasserstein_vs_gaussian(x: EmpiricalDistribution, g: GaussianLaw, r: float) 
         v = float(np.sum(x.weights * np.abs(x.points) ** r))
         v = v ** (1.0 / r) if r >= 1.0 else v
         return DistanceEstimate(v, v, v, "exact-monotone")
-    integral = _quadrature_cost(x.points, x.cumweights, sigma, r)
+    integral, capped = _quadrature_cost(x.points, x.cumweights, sigma, r, grid)
+    method = "quadrature-capped" if capped else "quadrature"
     if r >= 1.0:
         v = integral ** (1.0 / r)
-        return DistanceEstimate(v, v, v, "exact-monotone")
+        return DistanceEstimate(v, v, v, method)
     # monotone coupling not proven optimal for concave costs against a diffuse law
-    return DistanceEstimate(integral, 0.0, integral, "quadrature")
+    return DistanceEstimate(integral, 0.0, integral, method)
 
 
 def gaussian_panel_integrals(lo, hi, x, sigma: float, r: int) -> np.ndarray:
@@ -378,7 +457,7 @@ def wasserstein_vs_gaussian_counts(points: np.ndarray, counts: np.ndarray, g: Ga
         for i, row in enumerate(counts):
             keep = row > 0
             cw = np.minimum(np.cumsum(row[keep] / m), 1.0)
-            cost[i] = _quadrature_cost(points[keep], cw, sigma, r)
+            cost[i] = _quadrature_cost(points[keep], cw, sigma, r)[0]
     return cost ** (1.0 / r) if r >= 1.0 else cost
 
 

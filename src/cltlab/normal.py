@@ -6,10 +6,12 @@ from math import ceil, gamma
 
 import numpy as np
 
-# Two normal quantiles, on purpose. norm_quantile serves `rates`: the README
-# run evaluates it 25.6 million times, and there scipy's ndtri (about 22 ms
-# per 10^6 values on a 2-core Xeon) beats the numpy AS 241 of
-# norm_quantile_lower (80-90 ms) by about 1.5 s. The envelope weight of
+# Two normal quantiles, on purpose. norm_quantile serves `rates`, which loads
+# scipy.special for ndtr in any case. The README run evaluates it about 2.1
+# million times, where scipy's ndtri takes about 0.05 s on a 2-core Xeon and
+# the numpy AS 241 of norm_quantile_lower about 0.3 s for the lower tail
+# alone; AS 241 also equals ndtri bit for bit on only about a third of the
+# values, so a switch would move every rate value. The envelope weight of
 # `conditions` and `verify` needs a few thousand lower-tail values, where the
 # 0.3 s import of scipy.special costs more than the arithmetic; it uses
 # norm_quantile_lower and upper_gamma, which need numpy only.
@@ -22,11 +24,11 @@ def norm_cdf(x):
     return ndtr(x)
 
 
-def norm_quantile(u):
-    """Inverse of the standard normal d.f."""
+def norm_quantile(u, out=None):
+    """Inverse of the standard normal d.f., written to out when given."""
     from scipy.special import ndtri
 
-    return ndtri(u)
+    return ndtri(u, out=out)
 
 
 # Wichura, Algorithm AS 241 (PPND16), Appl. Statist. 37 (1988) 477-484;

@@ -329,6 +329,18 @@ def test_rates_outputs_and_reproducibility(tmp_path):
     read_manifest(out1).check(out1)
 
 
+def test_rates_says_why_a_slope_is_missing(tmp_path, capsys):
+    # three grid points can never give the four a fit needs
+    cfg_path, _ = write_cfg(tmp_path)
+    out = str(tmp_path / "out")
+    assert main(["rates", "--config", cfg_path, "--out", out]) == 0
+    fit = json.load(open(os.path.join(out, "rates.json")))["fits"]["1.0"]
+    assert fit["slope"] is None
+    line = capsys.readouterr().out.strip()
+    assert line.startswith("r = 1: slope = None, verdict = ")
+    assert line.endswith(f"; n_used = {fit['n_used']} of 3 points above 3 x floor; a fit needs 4")
+
+
 # ---------------------------------------------------------------------------
 # conditions
 
@@ -469,6 +481,22 @@ def test_calibrate_matches_direct_call(tmp_path):
     direct = calibration_floor(200, 1.0, reps=20)
     assert float(row[2]) == direct["mean"]
     assert float(row[3]) == direct["stderr"]
+
+
+def test_calibrate_csv_independent_of_blas_threads(tmp_path):
+    # the panel sums are BLAS matrix-vector products; at m = 10^4 the default
+    # OpenBLAS threads split them, and no output bit may depend on that
+    cfg_path, _ = write_cfg(tmp_path, calibrate={"replicates": [1000, 10000], "r_list": [1.0, 2.0], "reps": 5})
+    code = "import sys; from cltlab.cli import main; sys.exit(main(sys.argv[1:]))"
+    default = {k: v for k, v in _src_env().items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    files = []
+    for name, env in (("one", dict(default, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")), ("default", default)):
+        out = str(tmp_path / name)
+        argv = [sys.executable, "-c", code, "calibrate", "--config", cfg_path, "--out", out, "--format", "csv"]
+        assert subprocess.run(argv, env=env, capture_output=True).returncode == 0
+        files.append(open(os.path.join(out, "calibration.csv"), "rb").read())
+    assert len(files[0].splitlines()) == 5
+    assert files[0] == files[1]
 
 
 # ---------------------------------------------------------------------------

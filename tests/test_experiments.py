@@ -78,6 +78,24 @@ def test_floor_cached_and_deterministic():
     assert a is b
 
 
+@pytest.mark.parametrize("r", [1.0, 1.5, 2.0, 3.0])
+def test_floor_equals_a_loop_of_point_distances_bit_for_bit(monkeypatch, r):
+    # the floor shares one node-quantile table among its replicates; three
+    # sample sizes in one process would show a table kept across sizes
+    monkeypatch.setattr(experiments, "_FLOOR_CACHE", {})
+    g = GaussianLaw(1.0)
+    for m in (100, 1000, 10**4):
+        vals = np.array([
+            wasserstein_vs_gaussian(
+                EmpiricalDistribution(rngmod.stream(2024, rngmod.ROLE_CALIBRATION, i, m).standard_normal(m)), g, r
+            ).value
+            for i in range(5)
+        ])
+        floor = calibration_floor(m, r, reps=5)
+        assert floor["mean"] == float(vals.mean())
+        assert floor["stderr"] == float(vals.std(ddof=1) / np.sqrt(5))
+
+
 # ---------------------------------------------------------------------------
 # experiment runs
 

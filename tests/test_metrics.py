@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from cltlab import metrics
 from cltlab.metrics import (
     DistanceEstimate,
     EmpiricalDistribution,
     GaussianLaw,
     GridFunction,
     MetricsError,
+    PanelGrid,
     envelope_norm_discrete,
     gaussian_gaussian_distance,
     gaussian_panel_integrals,
@@ -170,6 +172,45 @@ class TestWassersteinVsGaussian:
         a = wasserstein_vs_gaussian(x, GaussianLaw(1.0), 1.0).value
         b = wasserstein_samples(x, g_grid, 1.0).value
         assert a == pytest.approx(b, abs=1e-4)
+
+
+    def test_method_names_the_quadrature(self):
+        # the r >= 1 value is the adaptive quadrature, which is low by about
+        # 7e-9 relative, not an exact coupling; a point mass is exact
+        x = EmpiricalDistribution(np.random.default_rng(4).standard_normal(200))
+        for r in (0.5, 1.0, 2.0, 3.0):
+            assert wasserstein_vs_gaussian(x, GaussianLaw(1.0), r).method == "quadrature"
+        assert wasserstein_vs_gaussian(x, GaussianLaw(0.0), 2.0).method == "exact-monotone"
+
+    def test_panel_cap_exit_is_tagged(self, monkeypatch):
+        # the unrefined sum at the panel cap is reported, not hidden
+        x = EmpiricalDistribution(np.random.default_rng(4).standard_normal(200))
+        full = wasserstein_vs_gaussian(x, GaussianLaw(1.0), 1.0)
+        monkeypatch.setattr(metrics, "PANEL_CAP", 1)
+        capped = wasserstein_vs_gaussian(x, GaussianLaw(1.0), 1.0)
+        assert capped.method == "quadrature-capped"
+        assert capped.value == pytest.approx(full.value, rel=1e-3)  # one round, unrefined
+
+    @pytest.mark.parametrize("sigma, r", [(1.0, 1.0), (0.7, 0.5), (1.3, 1.5), (2.0, 3.0)])
+    def test_panel_grid_changes_no_bit(self, sigma, r):
+        # one grid serves samples of the same weights; the value is bit for
+        # bit the one computed without it
+        rng = np.random.default_rng(8)
+        w = rng.uniform(0.1, 1.0, 300)
+        w /= w.sum()
+        xs = [EmpiricalDistribution(np.sort(rng.standard_normal(300) * 1.2), w) for _ in range(3)]
+        grid = PanelGrid()
+        for x in xs:
+            got = wasserstein_vs_gaussian(x, GaussianLaw(sigma), r, grid).value
+            assert got == wasserstein_vs_gaussian(x, GaussianLaw(sigma), r).value
+
+    def test_panel_grid_of_other_weights_rejected(self):
+        # a grid is fixed by the first sample's weights and never aliases others
+        rng = np.random.default_rng(4)
+        grid = PanelGrid()
+        wasserstein_vs_gaussian(EmpiricalDistribution(rng.standard_normal(300)), GaussianLaw(1.0), 1.0, grid)
+        with pytest.raises(MetricsError, match="other cumulative weights"):
+            wasserstein_vs_gaussian(EmpiricalDistribution(rng.standard_normal(200)), GaussianLaw(1.0), 1.0, grid)
 
 
 class TestGaussianPanels:
