@@ -40,11 +40,14 @@ class EmpiricalDistribution:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 1 or pts.size == 0:
             raise MetricsError("empirical distribution needs a nonempty 1-d sample")
-        order = np.argsort(pts, kind="stable")
-        pts = pts[order]
         if weights is None:
+            # by value alone: only ties of -0.0 and +0.0 may change places,
+            # which no distance reads
+            pts = np.sort(pts)
             w = np.full(pts.size, 1.0 / pts.size)
         else:
+            order = np.argsort(pts, kind="stable")
+            pts = pts[order]
             w = np.asarray(weights, dtype=float)[order]
             if np.any(w <= 0):
                 raise MetricsError("weights must be strictly positive")

@@ -811,16 +811,62 @@ def _linear_sums(a: np.ndarray, law: InnovationLaw, observe, n_grid, seed: int, 
 
 
 _CENTER_CACHE: dict = {}
-_WORKER_SUMS = None  # a forked worker's chunk kernel, set by its pool initializer
+_WORKER_PARTS = None  # a forked worker's (fn, parts), set by its pool initializer
 
 
-def _install_sums(chunk_sums) -> None:
-    global _WORKER_SUMS
-    _WORKER_SUMS = chunk_sums
+def available_cpus() -> int:
+    """CPUs this process may run on; 1 on a platform without sched_getaffinity
+    (it may not fork either)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _worker_part(n_grid: tuple, seed: int, replicates: range) -> np.ndarray:
-    return _WORKER_SUMS(n_grid, seed, replicates)
+def even_ranges(count: int, parts: int) -> list:
+    """range(count) cut into parts contiguous ranges whose sizes differ by at most one."""
+    bounds = [count * i // parts for i in range(parts + 1)]
+    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _install_parts(fn, parts: list) -> None:
+    global _WORKER_PARTS
+    _WORKER_PARTS = (fn, parts)
+
+
+def _run_part(index: int):
+    fn, parts = _WORKER_PARTS
+    return fn(*parts[index])
+
+
+def run_parts(fn, parts: list) -> list:
+    """[fn(*part) for part in parts], computed on every CPU this process may
+    run on: one worker per CPU, at most one per part. This process computes
+    the first ceil(len(parts) / workers) parts itself while forked workers
+    compute the rest, and the results come back in part order, so they do
+    not depend on the CPU count. With one worker nothing is forked, and an
+    exception raised in a worker is raised here.
+
+    Fork, not spawn: the pool initializer hands fn and parts to the workers
+    as they are, so neither is pickled (fn may be a closure) and only part
+    indices and results are. The pool forks all its workers at the first
+    submit, before it starts its own thread. Computing a share, rather than
+    waiting, also leaves malloc's thresholds where a serial run leaves them,
+    which the metric stages are sensitive to. A module that a part imports
+    and this process has not is imported again in every worker, so load it
+    before the call."""
+    workers = min(available_cpus(), len(parts))
+    if workers <= 1:
+        return [fn(*part) for part in parts]
+    own = -(-len(parts) // workers)
+    # imported here, so a serial run loads neither module
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    pool = ProcessPoolExecutor(workers - 1, mp_context=get_context("fork"),
+                               initializer=_install_parts, initargs=(fn, parts))
+    try:
+        futures = [pool.submit(_run_part, i) for i in range(own, len(parts))]
+        return [fn(*part) for part in parts[:own]] + [f.result() for f in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def partial_sums_batch(
@@ -836,13 +882,9 @@ def partial_sums_batch(
     BudgetError before any work.
 
     The replicates are split into equal parts, about REPLICATE_CHUNK each,
-    whose count is a multiple of the workers: one per CPU this process may
-    run on, at most one per part. This process computes the first share of
-    parts itself while forked workers compute the rest, and the rows are
-    joined in replicate order, so the batch does not depend on the CPU
-    count. With one worker nothing is forked. Computing a share, rather than
-    waiting, also leaves malloc's thresholds where a serial batch leaves
-    them, which the metric stages after a batch are sensitive to."""
+    whose count is a multiple of the workers (one per available CPU, at most
+    one per part), and computed by run_parts; the rows are joined in
+    replicate order, so the batch does not depend on the CPU count."""
     n_grid = tuple(int(v) for v in n_grid)
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])) or n_grid[0] < 1:
         raise ProcessError("n_grid must be strictly increasing and positive")
@@ -856,30 +898,9 @@ def partial_sums_batch(
     # built once here, before any fork, and shared by every part
     chunk_sums = spec.family.batch_sums(seed)
     chunks = -(-m // REPLICATE_CHUNK)
-    # a platform without sched_getaffinity runs serially (it may not fork)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, chunks)
-    own = -(-chunks // workers)  # parts per worker
-    parts = own * workers
-    bounds = [m * i // parts for i in range(parts + 1)]
-    ranges = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    pool = None
-    if workers > 1:
-        # imported here, so a serial run loads neither module. Fork, not
-        # spawn: it hands the kernel, whose closures may not pickle, to the
-        # workers as is, and the pool forks them all before it starts its
-        # own thread
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import get_context
-
-        pool = ProcessPoolExecutor(workers - 1, mp_context=get_context("fork"),
-                                   initializer=_install_sums, initargs=(chunk_sums,))
-    try:
-        futures = [pool.submit(_worker_part, n_grid, seed, r) for r in ranges[own:]]
-        table = np.concatenate([chunk_sums(n_grid, seed, r) for r in ranges[:own]] + [f.result() for f in futures])
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    workers = min(available_cpus(), chunks)
+    ranges = even_ranges(m, -(-chunks // workers) * workers)
+    table = np.concatenate(run_parts(chunk_sums, [(n_grid, seed, r) for r in ranges]))
     sums = {n: table[:, col] for col, n in enumerate(n_grid)}
     return TrajectoryBatch(n_grid, m, sums, seed)
 

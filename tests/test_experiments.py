@@ -1,10 +1,20 @@
 """Tests for the rate-measurement harness."""
 
+import json
+import multiprocessing
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import cltlab
 import cltlab.experiments as experiments
+from cltlab import processes
 from cltlab import rng as rngmod
+from cltlab.cli import main
 from cltlab.experiments import (
     BOOTSTRAP_RESAMPLES,
     ExperimentError,
@@ -16,9 +26,16 @@ from cltlab.experiments import (
     theoretical_exponent,
     upper_bound_consistency,
 )
-from cltlab.metrics import EmpiricalDistribution, GaussianLaw, gaussian_panel_integrals, wasserstein_vs_gaussian
+from cltlab.metrics import (
+    EmpiricalDistribution,
+    GaussianLaw,
+    MetricsError,
+    gaussian_panel_integrals,
+    wasserstein_vs_gaussian,
+)
 from cltlab.processes import IIDBaseline, InnovationLaw, ProcessSpec
 
+SRC = pathlib.Path(cltlab.__file__).parent.parent
 IID_GAUSS = ProcessSpec(IIDBaseline(InnovationLaw("gaussian")))
 SMALL_GRID = (64, 128, 256, 512)
 
@@ -129,6 +146,136 @@ def test_pareto_run_detects_decay():
     plan = ExperimentPlan(spec, p=2.5, r_list=(1.0,), n_grid=(64, 128, 256, 512, 1024), m=2000, seed=2)
     res = run_experiment(plan)
     assert res.fits[1.0]["slope_unfiltered"] < -0.05
+
+
+# ---------------------------------------------------------------------------
+# metric stages on every CPU
+
+
+def _use_cpus(monkeypatch, cpus: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def _write(tmp_path, cfg: dict) -> str:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+# three n by two r: six point parts; 400 replicates in parts of 100 when
+# REPLICATE_CHUNK is 100
+RATES_CFG = {
+    "seed": 7,
+    "process": {"family": "iid", "innovation": {"kind": "symmetric_pareto", "q": 2.5}},
+    "rates": {"p": 2.5, "r_list": [0.5, 1.0], "n_grid": [16, 32, 64], "replicates": 400},
+    "calibrate": {"replicates": [100, 300], "r_list": [1.0, 2.0], "reps": 7},
+}
+
+
+class TestParallelStages:
+    """calibration_floor and run_experiment's (n, r) points run through
+    run_parts: this process computes the first share, forked workers the
+    rest."""
+
+    def test_artifacts_same_on_any_cpu_count(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(processes, "REPLICATE_CHUNK", 100)
+        cfg = _write(tmp_path, RATES_CFG)
+        seen = {}
+        for cpus in (1, 2, 3):
+            _use_cpus(monkeypatch, cpus)
+            monkeypatch.setattr(experiments, "_FLOOR_CACHE", {})  # every run computes its floors
+            for command in ("rates", "calibrate"):
+                out = tmp_path / f"{command}-{cpus}"
+                assert main([command, "--config", cfg, "--out", str(out)]) == 0
+                assert multiprocessing.active_children() == []
+                for path in sorted(out.iterdir()):
+                    if path.name != "manifest.json":
+                        seen.setdefault(path.name, []).append(path.read_bytes())
+        assert sorted(seen) == ["calibration.csv", "calibration.json", "rates.csv", "rates.json", "rates.svg"]
+        for name, versions in seen.items():
+            assert versions[1:] == versions[:1] * 2, name
+
+    def test_floor_part_error_reraised_in_the_parent(self, monkeypatch):
+        # 10 replicates on 2 CPUs: this process runs 0..4, the worker 5..9
+        floor_values = experiments._floor_values
+
+        def failing(m, r, seed, replicates):
+            if replicates.start >= 5:
+                raise ExperimentError(f"floor part from replicate {replicates.start} failed")
+            return floor_values(m, r, seed, replicates)
+
+        monkeypatch.setattr(experiments, "_floor_values", failing)
+        monkeypatch.setattr(experiments, "_FLOOR_CACHE", {})
+        _use_cpus(monkeypatch, 2)
+        with pytest.raises(ExperimentError) as info:
+            calibration_floor(100, 1.0, reps=10)
+        assert type(info.value) is ExperimentError
+        assert str(info.value) == "floor part from replicate 5 failed"
+        assert multiprocessing.active_children() == []
+        assert calibration_floor(100, 1.0, reps=4)["mean"] > 0.0  # parts 0..1 and 2..3 succeed
+        assert multiprocessing.active_children() == []
+
+    def test_point_part_error_reraised_in_the_parent(self, monkeypatch):
+        # four points on 2 CPUs: this process runs n = 64 and 128, the worker
+        # n = 256 and 512, and the first to fail is 256
+        bootstrap = experiments._bootstrap_stderr
+
+        def failing(values, g, r, seed, n):
+            if n >= 256:
+                raise MetricsError(f"point n = {n} failed")
+            return bootstrap(values, g, r, seed, n)
+
+        monkeypatch.setattr(experiments, "_bootstrap_stderr", failing)
+        _use_cpus(monkeypatch, 2)
+        with pytest.raises(MetricsError) as info:
+            run_experiment(small_plan(calibration=False))
+        assert type(info.value) is MetricsError
+        assert str(info.value) == "point n = 256 failed"
+        assert multiprocessing.active_children() == []
+
+    def test_one_cpu_makes_no_pool(self, tmp_path, monkeypatch, capsys):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was made")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(processes, "REPLICATE_CHUNK", 100)
+        monkeypatch.setattr(experiments, "_FLOOR_CACHE", {})
+        _use_cpus(monkeypatch, 1)
+        cfg = _write(tmp_path, RATES_CFG)
+        for command in ("rates", "calibrate"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
+        assert "error" not in capsys.readouterr().err
+
+    def test_scipy_special_loaded_before_a_metric_pool(self, tmp_path):
+        # in a fresh interpreter, where nothing else has loaded scipy.special:
+        # every pool made by a metric stage finds it loaded, so the workers
+        # inherit it instead of importing it
+        code = f"""
+import concurrent.futures, json, os, sys, traceback
+import cltlab.cli
+real = concurrent.futures.ProcessPoolExecutor
+made = []
+
+def pool(*args, **kwargs):
+    made.append(([f.name for f in traceback.extract_stack()], "scipy.special" in sys.modules))
+    return real(*args, **kwargs)
+
+concurrent.futures.ProcessPoolExecutor = pool
+os.sched_getaffinity = lambda pid: {{0, 1}}
+code = cltlab.cli.main(["rates", "--config", {_write(tmp_path, RATES_CFG)!r}, "--out", {str(tmp_path / "out")!r}])
+print(json.dumps([code, made]))
+"""
+        result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                                capture_output=True, text=True, timeout=300)
+        code, made = json.loads(result.stdout.splitlines()[-1])
+        assert code == 0
+        stages = [[name for name in stack if name in ("calibration_floor", "run_experiment")][-1]
+                  for stack, _ in made]
+        # two floors (r = 0.5 and 1), then the points
+        assert stages == ["calibration_floor", "calibration_floor", "run_experiment"]
+        assert all(loaded for _, loaded in made)
 
 
 # ---------------------------------------------------------------------------

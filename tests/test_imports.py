@@ -102,13 +102,13 @@ ALLOWLIST = {
     "io.load_batch": (
         "reads back the trajectory cache that simulate writes",
         lambda out: (str(out / "iid" / "trajectories.cltr"),)),
-    "processes._install_sums": (
+    "processes._install_parts": (
         "a forked worker's initializer, which runs where the profile does not see it",
-        lambda out: (processes.IIDBaseline().batch_sums(0),)),
-    "processes._worker_part": (
-        "a forked worker's part of a batch, which runs where the profile does not see it; "
-        "called after the initializer above installed its kernel",
-        lambda out: ((4, 8), 0, range(2))),
+        lambda out: (processes.IIDBaseline().batch_sums(0), [((4, 8), 0, range(2))])),
+    "processes._run_part": (
+        "a forked worker's part of a run_parts call, which runs where the profile does not see it; "
+        "called after the initializer above installed its function and parts",
+        lambda out: (0,)),
 }
 
 

@@ -54,6 +54,34 @@ class TestEmpiricalDistribution:
         with pytest.raises(MetricsError):
             EmpiricalDistribution([0.0, 1.0], [1.1, -0.1])
 
+    @pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 2.5])
+    def test_signed_zero_order_changes_no_value(self, r):
+        # sorting by value alone may put -0.0 and +0.0 in any order among
+        # ties; no distance, Kolmogorov value or floor distance (one with a
+        # PanelGrid) depends on that order
+        x = np.random.default_rng(3).standard_normal(997)
+        x[[10, 200, 500, 900]] = [0.0, -0.0, 0.0, -0.0]
+        stable = x[np.argsort(x, kind="stable")]
+        zeros = np.flatnonzero(stable == 0.0)
+
+        def values(signs):
+            d = EmpiricalDistribution(x)
+            pts = stable.copy()
+            pts[zeros] = signs
+            object.__setattr__(d, "points", pts)
+            out = [kolmogorov(d, GaussianLaw(sigma)) for sigma in (0.0, 1.0, 1.3)]
+            out += [wasserstein_vs_gaussian(d, GaussianLaw(sigma), r).value for sigma in (0.0, 1.0, 1.3)]
+            out += [wasserstein_vs_gaussian(d, GaussianLaw(sigma), r, PanelGrid()).value for sigma in (1.0, 1.3)]
+            return np.array(out).view(np.int64)
+
+        expect = values([-0.0, 0.0, -0.0, 0.0])
+        for signs in ([0.0, -0.0, 0.0, -0.0], [-0.0, -0.0, 0.0, 0.0], [0.0, 0.0, -0.0, -0.0]):
+            assert np.array_equal(values(signs), expect), signs
+        # the sorted points are the stable order's, up to the signs of the
+        # zeros (adding +0.0 turns -0.0 into +0.0 and changes nothing else)
+        got = EmpiricalDistribution(x).points
+        assert np.array_equal((got + 0.0).view(np.int64), (stable + 0.0).view(np.int64))
+
     def test_cdf(self):
         d = EmpiricalDistribution([0.0, 1.0])
         assert d.cdf(-0.5) == 0.0
