@@ -44,7 +44,7 @@ from .io import (
     write_json,
     write_manifest,
 )
-from .metrics import GridFunction, smoothing_lemma_check
+from .metrics import GridFunction, smoothing_lemma_check, uniform_panel_grid
 from .processes import (
     DEFAULT_BUDGET,
     BudgetError,
@@ -389,8 +389,9 @@ def cmd_calibrate(args) -> int:
     out_dir, digest, started = _prepare_out(args, cfg)
     rows = []
     for m in ms:
+        grid = uniform_panel_grid(m)  # one node table for every r
         for r in rs:
-            floor = calibration_floor(m, r, reps=reps)
+            floor = calibration_floor(m, r, reps=reps, grid=grid)
             rows.append((m, r, floor["mean"], floor["stderr"]))
     outputs = _write_table(out_dir, "calibration", ("replicates", "r", "floor_mean", "floor_stderr"),
                            rows, _formats(args))

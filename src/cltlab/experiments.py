@@ -3,7 +3,6 @@ and their Gaussian limit, and exponent fits."""
 
 from __future__ import annotations
 
-import importlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +13,7 @@ from .metrics import (
     GaussianLaw,
     PanelGrid,
     kolmogorov,
+    uniform_panel_grid,
     wasserstein_vs_gaussian,
     wasserstein_vs_gaussian_counts,
 )
@@ -86,21 +86,12 @@ def theoretical_exponent(r: float, p: float) -> dict:
 _FLOOR_CACHE: dict = {}
 
 
-def _run_metric_parts(fn, parts: list) -> list:
-    """run_parts with scipy.special loaded first: every metric part needs it,
-    and a forked worker inherits it instead of importing it again (about
-    0.3 s of CPU per worker)."""
-    importlib.import_module("scipy.special")
-    return run_parts(fn, parts)
-
-
-def _floor_values(m: int, r: float, seed: int, replicates: range) -> np.ndarray:
+def _floor_values(m: int, r: float, seed: int, replicates: range, grid: PanelGrid) -> np.ndarray:
     """The floor's distances of the given replicates. Every replicate has the
-    weights 1/m, so they share one PanelGrid: Phi^{-1} at the quadrature
-    nodes is computed once, not per replicate. Each value is
-    wasserstein_vs_gaussian's, bit for bit."""
+    weights 1/m, so they share the grid of uniform_panel_grid(m): Phi^{-1}
+    at the quadrature nodes is computed once, not per replicate. Each value
+    is wasserstein_vs_gaussian's, bit for bit."""
     g = GaussianLaw(1.0)
-    grid = PanelGrid()
     vals = np.empty(len(replicates))
     for row, i in enumerate(replicates):
         gen = rngmod.stream(seed, rngmod.ROLE_CALIBRATION, i, m)
@@ -108,21 +99,24 @@ def _floor_values(m: int, r: float, seed: int, replicates: range) -> np.ndarray:
     return vals
 
 
-def calibration_floor(m: int, r: float, reps: int = 100, seed: int = 2024) -> dict:
+def calibration_floor(m: int, r: float, reps: int = 100, seed: int = 2024, grid: PanelGrid | None = None) -> dict:
     """Mean coupling distance between an m-point standard normal sample and
     the standard normal itself: the resolution limit of the estimator.
 
     The replicates are cut into one contiguous range per available CPU and
-    computed by run_parts, each range with its own PanelGrid; a replicate's
-    value does not depend on its range, so the mean and stderr do not
-    depend on the CPU count."""
+    computed by run_parts; a replicate's value does not depend on its range,
+    so the mean and stderr do not depend on the CPU count. Every range uses
+    grid, uniform_panel_grid(m) (built here when not given), so a forked
+    worker inherits its tables instead of computing them again."""
     if m < 100:
         raise ExperimentError("m must be >= 100")
     key = (m, r, reps, seed)
     if key in _FLOOR_CACHE:
         return _FLOOR_CACHE[key]
+    if grid is None:
+        grid = uniform_panel_grid(m)
     ranges = even_ranges(reps, min(available_cpus(), reps))
-    vals = np.concatenate(_run_metric_parts(_floor_values, [(m, r, seed, part) for part in ranges]))
+    vals = np.concatenate(run_parts(_floor_values, [(m, r, seed, part, grid) for part in ranges]))
     out = {"mean": float(vals.mean()), "stderr": float(vals.std(ddof=1) / np.sqrt(reps))}
     _FLOOR_CACHE[key] = out
     return out
@@ -138,21 +132,22 @@ def _bootstrap_stderr(values: np.ndarray, g: GaussianLaw, r: float, seed: int, n
     m = values.size
     chunk = max(1, BOOTSTRAP_CHUNK_PANELS // m)
     order = np.argsort(values, kind="stable")
-    points = values[order]
     gen = rngmod.stream(seed, rngmod.ROLE_BOOTSTRAP, 0, n)
-    est = np.empty(BOOTSTRAP_RESAMPLES)
-    for start in range(0, BOOTSTRAP_RESAMPLES, chunk):
-        rows = min(chunk, BOOTSTRAP_RESAMPLES - start)
-        counts = np.empty((rows, m), dtype=np.int64)
-        for i in range(rows):
-            counts[i] = np.bincount(gen.integers(0, m, size=m), minlength=m)[order]
-        est[start : start + rows] = wasserstein_vs_gaussian_counts(points, counts, g, r)
-    return float(est.std(ddof=1))
+
+    def resamples():
+        for start in range(0, BOOTSTRAP_RESAMPLES, chunk):
+            counts = np.empty((min(chunk, BOOTSTRAP_RESAMPLES - start), m), dtype=np.int64)
+            for row in counts:
+                row[:] = np.bincount(gen.integers(0, m, size=m), minlength=m)[order]
+            yield counts
+
+    return float(wasserstein_vs_gaussian_counts(values[order], resamples(), g, r).std(ddof=1))
 
 
-def _point(vals: np.ndarray, g: GaussianLaw, r: float, seed: int, n: int) -> tuple:
+def _point(vals: np.ndarray, g: GaussianLaw, r: float, seed: int, n: int, grid: PanelGrid) -> tuple:
     """(value, mc_stderr) of one (n, r) point."""
-    return wasserstein_vs_gaussian(EmpiricalDistribution(vals), g, r).value, _bootstrap_stderr(vals, g, r, seed, n)
+    return (wasserstein_vs_gaussian(EmpiricalDistribution(vals), g, r, grid).value,
+            _bootstrap_stderr(vals, g, r, seed, n))
 
 
 def run_experiment(plan: ExperimentPlan, budget: int = DEFAULT_BUDGET) -> RateFitResult:
@@ -172,17 +167,20 @@ def run_experiment(plan: ExperimentPlan, budget: int = DEFAULT_BUDGET) -> RateFi
     batch = partial_sums_batch(plan.process, list(plan.n_grid), plan.m, seed=plan.seed, budget=budget)
     lrv = long_run_variance(plan.process)
     sigma2 = lrv["sigma2"]
-    floors = {r: (calibration_floor(plan.m, r) if plan.calibration else {"mean": 0.0, "stderr": 0.0}) for r in plan.r_list}
+    # one node table for the floors and the points: every sample has m points
+    grid = uniform_panel_grid(plan.m)
+    floors = {r: (calibration_floor(plan.m, r, grid=grid) if plan.calibration else {"mean": 0.0, "stderr": 0.0})
+              for r in plan.r_list}
     laws = {}
     for n in plan.n_grid:
         var = sigma2 if plan.target == "sigma2" else lrv["sigma_n2"](n)
         laws[n] = GaussianLaw(np.sqrt(max(var, 0.0)))
-    grid = [(n, r) for n in plan.n_grid for r in plan.r_list]
+    nr = [(n, r) for n in plan.n_grid for r in plan.r_list]
     # batch.values(n) is already normalized by n^{-1/2}
-    measured = _run_metric_parts(_point, [(batch.values(n), laws[n], r, plan.seed, n) for n, r in grid])
+    measured = run_parts(_point, [(batch.values(n), laws[n], r, plan.seed, n, grid) for n, r in nr])
     ks = {n: kolmogorov(EmpiricalDistribution(batch.values(n)), g) for n, g in laws.items()}
     points = []
-    for (n, r), (value, se) in zip(grid, measured):
+    for (n, r), (value, se) in zip(nr, measured):
         g = laws[n]
         # the floor is calibrated on N(0, 1); scale covariantly to G_sigma
         scale = g.sigma if r >= 1.0 else g.sigma**r

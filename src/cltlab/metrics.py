@@ -13,8 +13,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .normal import (abs_moment, norm_cdf, norm_pdf, norm_pdf_derivative, norm_quantile,
-                     norm_quantile_lower, upper_gamma)
+from .normal import abs_moment, norm_cdf, norm_pdf, norm_pdf_derivative, norm_quantile, upper_gamma
 
 QUAD_ABS_TOL = 1e-10
 PANEL_CAP = 10**6
@@ -202,27 +201,31 @@ def wasserstein_samples(
 
 
 _GL = (np.polynomial.legendre.leggauss(8), np.polynomial.legendre.leggauss(16))  # coarse, fine
+# both node sets side by side: a panel's row holds the coarse nodes, then the fine
+_NODES = np.concatenate([nodes for nodes, _ in _GL])
+_COARSE = _GL[0][0].size
 
 
-def _node_quantiles(half, mid, nodes, out):
-    """Phi^{-1} at the Gauss-Legendre nodes of the panels mid +- half, in out."""
-    np.multiply(half[:, None], nodes, out=out)
+def _node_quantiles(half, mid, out):
+    """Phi^{-1} at the coarse and fine Gauss-Legendre nodes of the panels
+    mid +- half, in out."""
+    np.multiply(half[:, None], _NODES, out=out)
     out += mid[:, None]
     np.clip(out, 1e-300, 1.0 - 1e-16, out=out)  # keep Phi^{-1} finite at float endpoints
     return norm_quantile(out, out=out)
 
 
 class _Buffers:
-    """One work array per node set, grown on demand and reused by every round."""
+    """One work array, grown on demand and reused by every round."""
 
     def __init__(self):
-        self.flat = [np.empty(0) for _ in _GL]
+        self.flat = np.empty(0)
 
-    def rows(self, i: int, n: int) -> np.ndarray:
-        k = _GL[i][0].size
-        if self.flat[i].size < n * k:
-            self.flat[i] = np.empty(2 * n * k)
-        return self.flat[i][: n * k].reshape(n, k)
+    def rows(self, n: int) -> np.ndarray:
+        k = _NODES.size
+        if self.flat.size < n * k:
+            self.flat = np.empty(2 * n * k)
+        return self.flat[: n * k].reshape(n, k)
 
 
 def _weight_panels(cw):
@@ -237,24 +240,31 @@ def _weight_panels(cw):
 
 class PanelGrid:
     """The quadrature panels of one cumulative-weight vector, Phi^{-1} at their
-    coarse and fine Gauss-Legendre nodes, and the work buffers. Samples with
+    coarse and fine Gauss-Legendre nodes, and the work buffer. Samples with
     these weights share one: their first round reads the quantiles of every
-    panel that no sign change splits from the tables, the same values."""
+    panel that no sign change splits from the table, the same values."""
 
     def __init__(self):
         self.cw = None
         self.buffers = _Buffers()
 
     def panels(self, cw):
-        """lo, hi and keep of cw; the first call fixes cw and builds the tables."""
+        """lo, hi and keep of cw; the first call fixes cw and builds the table."""
         if self.cw is None:
             self.cw = cw
             self.lo, self.hi, self.keep = _weight_panels(cw)
             half, mid = 0.5 * (self.hi - self.lo), 0.5 * (self.hi + self.lo)
-            self.tables = [_node_quantiles(half, mid, nodes, np.empty((half.size, nodes.size))) for nodes, _ in _GL]
+            self.table = _node_quantiles(half, mid, np.empty((half.size, _NODES.size)))
         elif not np.array_equal(cw, self.cw):
             raise MetricsError("the panel grid was built for other cumulative weights")
         return self.lo, self.hi, self.keep
+
+
+def uniform_panel_grid(m: int) -> PanelGrid:
+    """The PanelGrid of every unweighted m-point sample, its table built."""
+    grid = PanelGrid()
+    grid.panels(np.minimum(np.cumsum(np.full(m, 1.0 / m)), 1.0))  # EmpiricalDistribution's cumweights
+    return grid
 
 
 def _integrate_piecewise_gaussian(lo, hi, xval, sigma, r, buffers, first=None, tol=QUAD_ABS_TOL):
@@ -262,15 +272,13 @@ def _integrate_piecewise_gaussian(lo, hi, xval, sigma, r, buffers, first=None, t
 
     Returns the integral and whether it stopped unrefined: at PANEL_CAP
     panels or after 60 rounds, the last split's panels enter at their fine
-    sums. first = (tables, rows) says that the first round's leading
-    rows.size panels are grid panels whose node quantiles are
-    tables[i][rows]."""
+    sums. first = (table, rows) says that the first round's leading
+    rows.size panels are grid panels whose node quantiles are table[rows]."""
     total = 0.0
     npanels = lo.size
     for _ in range(60):
         half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
-        coarse = _round_sums(0, half, mid, xval, sigma, r, buffers, first)
-        fine = _round_sums(1, half, mid, xval, sigma, r, buffers, first)
+        coarse, fine = _round_sums(half, mid, xval, sigma, r, buffers, first)
         first = None
         err = np.abs(fine - coarse)
         budget = tol * np.maximum(1.0, (hi - lo) / max(hi.max() - lo.min(), 1e-300))
@@ -287,26 +295,25 @@ def _integrate_piecewise_gaussian(lo, hi, xval, sigma, r, buffers, first=None, t
         if npanels > PANEL_CAP:
             break
     half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
-    return total + float(_round_sums(1, half, mid, xval, sigma, r, buffers).sum()), True
+    return total + float(_round_sums(half, mid, xval, sigma, r, buffers)[1].sum()), True
 
 
-def _round_sums(i, half, mid, xval, sigma, r, buffers, first=None):
-    """Gauss-Legendre integral of |x - sigma*Phi^{-1}(u)|^r per panel with
-    node set i (0 coarse, 1 fine), computed in place in one buffer."""
-    nodes, wts = _GL[i]
-    q = buffers.rows(i, half.size)
+def _round_sums(half, mid, xval, sigma, r, buffers, first=None):
+    """Gauss-Legendre integrals of |x - sigma*Phi^{-1}(u)|^r per panel with
+    the coarse and the fine node set, computed in place in one buffer."""
+    q = buffers.rows(half.size)
     done = 0
     if first is not None:
-        tables, rows = first
+        table, rows = first
         done = rows.size
         # rows are in range; mode "clip" writes straight into the buffer
-        np.take(tables[i], rows, axis=0, out=q[:done], mode="clip")
-    _node_quantiles(half[done:], mid[done:], nodes, q[done:])
+        np.take(table, rows, axis=0, out=q[:done], mode="clip")
+    _node_quantiles(half[done:], mid[done:], q[done:])
     q *= sigma
     np.subtract(xval[:, None], q, out=q)
     np.abs(q, out=q)
     q **= r
-    return half * (q @ wts)
+    return half * (q[:, :_COARSE] @ _GL[0][1]), half * (q[:, _COARSE:] @ _GL[1][1])
 
 
 def _quadrature_cost(points: np.ndarray, cw: np.ndarray, sigma: float, r: float, grid: PanelGrid | None = None):
@@ -329,7 +336,7 @@ def _quadrature_cost(points: np.ndarray, cw: np.ndarray, sigma: float, r: float,
         lo = np.concatenate([lo[~inside], lo[inside], ustar[inside]])
         hi = np.concatenate([hi[~inside], ustar[inside], hi[inside]])
         xval = np.concatenate([xval[~inside], xval[inside], xval[inside]])
-    first = None if grid is None else (grid.tables, np.flatnonzero(~inside))
+    first = None if grid is None else (grid.table, np.flatnonzero(~inside))
     return _integrate_piecewise_gaussian(lo, hi, xval, sigma, r, buffers, first)
 
 
@@ -377,11 +384,12 @@ def gaussian_panel_integrals(lo, hi, x, sigma: float, r: int) -> np.ndarray:
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     a, b = norm_quantile(lo), norm_quantile(hi)
-    return _gaussian_panels(lo, hi, a, b, norm_pdf(a), norm_pdf(b), np.asarray(x, dtype=float), sigma, int(r))
+    return _gaussian_panels(lo, hi, a, b, norm_pdf(a), norm_pdf(b), _point_terms(np.asarray(x, dtype=float), sigma, int(r)))
 
 
-def _gaussian_panels(lo, hi, a, b, pa, pb, x, sigma, r):
-    """gaussian_panel_integrals given the z-ends a, b and their densities."""
+def _point_terms(x, sigma, r):
+    """The terms of _gaussian_panels that depend on x alone, so that panels
+    of the same points can share them."""
     # the recursion makes I_k = c_k (u-width) + p_k(a) phi(a) - p_k(b) phi(b)
     # with c_k = (k-1) c_{k-2} and p_k = (k-1) p_{k-2} + z^{k-1}, so a half
     # panel is q * (u-width) + H(a) - H(b) with H(z) = phi(z) P(z)
@@ -392,6 +400,19 @@ def _gaussian_panels(lo, hi, a, b, pa, pb, x, sigma, r):
     coef = [comb(r, k) * (-sigma) ** k * x ** (r - k) for k in range(r + 1)]
     q = sum(ck * ak for ck, ak in zip(c, coef))
     poly = [sum(coef[k] * p[k][j] for k in range(j + 1, r + 1)) for j in range(r)]
+    # the split z* = x / sigma, the nearer end e of (0, 1), the tail mass t
+    # beyond z* signed towards e, and phi(z*)
+    zstar = x / sigma
+    up = zstar > 0.0
+    end = np.where(up, 1.0, 0.0)
+    tail = np.where(up, 1.0, -1.0) * norm_cdf(-np.abs(zstar))
+    return r, q, poly, zstar, end, tail, norm_pdf(zstar)
+
+
+def _gaussian_panels(lo, hi, a, b, pa, pb, terms):
+    """gaussian_panel_integrals given the z-ends a, b, their densities and
+    the _point_terms of x."""
+    r, q, poly, zstar, end, tail, pstar = terms
 
     def h(z, pdf):
         if r == 1:
@@ -403,19 +424,15 @@ def _gaussian_panels(lo, hi, a, b, pa, pb, x, sigma, r):
         return pdf * acc
 
     # split where x - sigma z changes sign. The u-widths of the halves are
-    # measured from the nearer end e of (0, 1), where the tail mass t beyond
-    # z* has full relative precision: (e - lo) -/+ t and -/+ t - (e - hi).
-    # A split outside the panel falls on its nearer end, so that half has
-    # width exactly 0
-    zstar = x / sigma
-    up = zstar > 0.0
-    end = np.where(up, 1.0, 0.0)
-    tail = np.where(up, 1.0, -1.0) * norm_cdf(-np.abs(zstar))
+    # measured from the nearer end e, where the tail mass t has full
+    # relative precision: (e - lo) -/+ t and -/+ t - (e - hi). A split
+    # outside the panel falls on its nearer end, so that half has width
+    # exactly 0
     wl = (end - lo) - tail
     wr = tail - (end - hi)
     span = hi - lo
     at_lo, at_hi = wl <= 0.0, wr <= 0.0
-    ps = np.where(at_lo, pa, np.where(at_hi, pb, norm_pdf(zstar)))
+    ps = np.where(at_lo, pa, np.where(at_hi, pb, pstar))
     # H(z) = -sigma phi(z) does not depend on z at r = 1
     zs = zstar if r == 1 else np.where(at_lo, a, np.where(at_hi, b, zstar))
     hs = h(zs, ps)
@@ -433,35 +450,42 @@ def _quantile_table(m: int) -> tuple:
     return z, pdf
 
 
-def wasserstein_vs_gaussian_counts(points: np.ndarray, counts: np.ndarray, g: GaussianLaw, r: float) -> np.ndarray:
+def wasserstein_vs_gaussian_counts(points: np.ndarray, chunks, g: GaussianLaw, r: float) -> np.ndarray:
     """W_r against g of each row's law sum_j counts[i, j] delta_{points[j]} / m,
-    where points is sorted and every row of counts sums to m.
+    for the rows of every 2-d array of counts in chunks, in order; points is
+    sorted and every row sums to m.
 
-    Integer r uses the exact panels of gaussian_panel_integrals; other r the
-    same quadrature as wasserstein_vs_gaussian. Rows are evaluated
-    independently: a row's value does not depend on the rows beside it."""
+    Integer r uses the exact panels of gaussian_panel_integrals, whose terms
+    in the points alone are computed once for all chunks; other r the same
+    quadrature as wasserstein_vs_gaussian. Rows are evaluated
+    independently: a row's value does not depend on the rows or chunks
+    beside it."""
     if r <= 0:
         raise MetricsError("r must be positive")
-    counts = np.atleast_2d(counts)
-    m = int(counts[0].sum())
     sigma = g.sigma
-    if sigma == 0.0:
-        cost = (counts * np.abs(points) ** r).sum(axis=1) / m
-    elif r == int(r):
-        # panel j of a row spans the cumulative weights k[j] / m .. k[j + 1] / m
-        k = np.zeros((counts.shape[0], counts.shape[1] + 1), dtype=np.int64)
-        np.cumsum(counts, axis=1, out=k[:, 1:])
-        z_tab, pdf_tab = _quantile_table(m)
-        u, z, pdf = k / m, np.take(z_tab, k), np.take(pdf_tab, k)
-        panels = _gaussian_panels(u[:, :-1], u[:, 1:], z[:, :-1], z[:, 1:], pdf[:, :-1], pdf[:, 1:], points, sigma, int(r))
-        cost = panels.sum(axis=1)
-    else:
-        cost = np.empty(counts.shape[0])
-        for i, row in enumerate(counts):
-            keep = row > 0
-            cw = np.minimum(np.cumsum(row[keep] / m), 1.0)
-            cost[i] = _quadrature_cost(points[keep], cw, sigma, r)[0]
-    return cost ** (1.0 / r) if r >= 1.0 else cost
+    exact = sigma > 0.0 and r == int(r)
+    if exact:
+        terms = _point_terms(points, sigma, int(r))
+    costs = []
+    for counts in chunks:
+        m = int(counts[0].sum())
+        if sigma == 0.0:
+            cost = (counts * np.abs(points) ** r).sum(axis=1) / m
+        elif exact:
+            # panel j of a row spans the cumulative weights k[j] / m .. k[j + 1] / m
+            k = np.zeros((counts.shape[0], counts.shape[1] + 1), dtype=np.int64)
+            np.cumsum(counts, axis=1, out=k[:, 1:])
+            z_tab, pdf_tab = _quantile_table(m)
+            u, z, pdf = k / m, np.take(z_tab, k), np.take(pdf_tab, k)
+            cost = _gaussian_panels(u[:, :-1], u[:, 1:], z[:, :-1], z[:, 1:], pdf[:, :-1], pdf[:, 1:], terms).sum(axis=1)
+        else:
+            cost = np.empty(counts.shape[0])
+            for i, row in enumerate(counts):
+                keep = row > 0
+                cw = np.minimum(np.cumsum(row[keep] / m), 1.0)
+                cost[i] = _quadrature_cost(points[keep], cw, sigma, r)[0]
+        costs.append(cost ** (1.0 / r) if r >= 1.0 else cost)
+    return np.concatenate(costs)
 
 
 def gaussian_gaussian_distance(a: GaussianLaw, b: GaussianLaw, r: float) -> float:
@@ -506,20 +530,18 @@ def kolmogorov(x: Law, g: Law) -> float:
         cross = lo * hi * np.sqrt(2.0 * np.log(hi / lo) / (hi * hi - lo * lo))
         return float(abs(x.cdf(cross) - g.cdf(cross)))
     pts = np.unique(np.concatenate(pts))
-    gaps = [np.abs(x.cdf(pts) - g.cdf(pts))]
     # the sup is attained either at a breakpoint or as a left limit there
-    gaps.append(np.abs(_cdf_left(x, pts) - _cdf_left(g, pts)))
-    return float(max(np.max(g_) for g_ in gaps))
+    (xr, xl), (gr, gl) = _cdf_both(x, pts), _cdf_both(g, pts)
+    return float(max(np.max(np.abs(xr - gr)), np.max(np.abs(xl - gl))))
 
 
-def _cdf_left(law: Law, pts: np.ndarray) -> np.ndarray:
+def _cdf_both(law: Law, pts: np.ndarray) -> tuple:
+    """The d.f. of law at pts and its left limits there."""
+    right = law.cdf(pts)
     if isinstance(law, GaussianLaw):
-        if law.sigma == 0.0:
-            return (pts > 0).astype(float)
-        return law.cdf(pts)
-    idx = np.searchsorted(law.points, pts, side="left")
+        return right, (right if law.sigma > 0.0 else (pts > 0).astype(float))
     cw = np.concatenate(([0.0], law.cumweights))
-    return cw[idx]
+    return right, cw[np.searchsorted(law.points, pts, side="left")]
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +578,7 @@ def _weight_antiderivative(u, p: float) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if abs(p - 2.0) < 1e-15:
         return u
-    z = -norm_quantile_lower(np.minimum(u, U_WEIGHT_KINK) / 2.0)
+    z = -norm_quantile(np.minimum(u, U_WEIGHT_KINK) / 2.0)
     below = 2.0 ** (0.5 * (p - 2.0)) / np.sqrt(np.pi) * upper_gamma(0.5 * (p - 1.0), 0.5 * z * z)
     return below + np.maximum(u - U_WEIGHT_KINK, 0.0)
 

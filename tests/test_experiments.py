@@ -199,10 +199,10 @@ class TestParallelStages:
         # 10 replicates on 2 CPUs: this process runs 0..4, the worker 5..9
         floor_values = experiments._floor_values
 
-        def failing(m, r, seed, replicates):
+        def failing(m, r, seed, replicates, grid):
             if replicates.start >= 5:
                 raise ExperimentError(f"floor part from replicate {replicates.start} failed")
-            return floor_values(m, r, seed, replicates)
+            return floor_values(m, r, seed, replicates, grid)
 
         monkeypatch.setattr(experiments, "_floor_values", failing)
         monkeypatch.setattr(experiments, "_FLOOR_CACHE", {})
@@ -248,34 +248,59 @@ class TestParallelStages:
             assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
         assert "error" not in capsys.readouterr().err
 
-    def test_scipy_special_loaded_before_a_metric_pool(self, tmp_path):
-        # in a fresh interpreter, where nothing else has loaded scipy.special:
-        # every pool made by a metric stage finds it loaded, so the workers
-        # inherit it instead of importing it
-        code = f"""
-import concurrent.futures, json, os, sys, traceback
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_rates_and_calibrate_load_no_scipy(self, tmp_path, cpus):
+        # in a fresh interpreter: the normal d.f. and quantile are numpy, so
+        # neither command loads a SciPy module, at integer and fractional r.
+        # On one CPU every floor range and (n, r) point runs in this process
+        cfg = dict(RATES_CFG, rates={"p": 2.5, "r_list": [1.0, 1.5, 2.5], "n_grid": [16, 32], "replicates": 200,
+                                     "target": "sigma_n2"},
+                   calibrate={"replicates": [100, 200], "r_list": [1.0, 1.5, 2.5], "reps": 4})
+        path = _write(tmp_path, cfg)
+        for command in ("rates", "calibrate"):
+            code = f"""
+import os, sys
+os.sched_getaffinity = lambda pid: set(range({cpus}))
 import cltlab.cli
-real = concurrent.futures.ProcessPoolExecutor
-made = []
-
-def pool(*args, **kwargs):
-    made.append(([f.name for f in traceback.extract_stack()], "scipy.special" in sys.modules))
-    return real(*args, **kwargs)
-
-concurrent.futures.ProcessPoolExecutor = pool
-os.sched_getaffinity = lambda pid: {{0, 1}}
-code = cltlab.cli.main(["rates", "--config", {_write(tmp_path, RATES_CFG)!r}, "--out", {str(tmp_path / "out")!r}])
-print(json.dumps([code, made]))
+code = cltlab.cli.main([{command!r}, "--config", {path!r}, "--out", {str(tmp_path / command)!r}])
+sys.exit(code or 10 * any(m == "scipy" or m.startswith("scipy.") for m in sys.modules))
 """
-        result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
-                                capture_output=True, text=True, timeout=300)
-        code, made = json.loads(result.stdout.splitlines()[-1])
-        assert code == 0
-        stages = [[name for name in stack if name in ("calibration_floor", "run_experiment")][-1]
-                  for stack, _ in made]
-        # two floors (r = 0.5 and 1), then the points
-        assert stages == ["calibration_floor", "calibration_floor", "run_experiment"]
-        assert all(loaded for _, loaded in made)
+            result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                                    capture_output=True, text=True, timeout=300)
+            assert result.returncode == 0, (command, result.stderr)
+
+    def test_one_grid_serves_the_floors_and_points_bit_for_bit(self, monkeypatch):
+        # run_experiment builds one PanelGrid for its m; every floor
+        # replicate and every (n, r) point read it, in this process and in
+        # the forked workers, and each value is the one computed without it
+        plan = small_plan(r_list=(1.0, 1.5), n_grid=(64, 128, 256))
+        g = GaussianLaw(1.0)
+        floors = {r: np.array([
+            wasserstein_vs_gaussian(
+                EmpiricalDistribution(rngmod.stream(2024, rngmod.ROLE_CALIBRATION, i, plan.m).standard_normal(plan.m)),
+                g, r).value
+            for i in range(100)]).mean() for r in plan.r_list}
+        batch = processes.partial_sums_batch(plan.process, list(plan.n_grid), plan.m, seed=plan.seed)
+        grids = []
+        build = experiments.uniform_panel_grid
+
+        def counted(m):
+            grids.append(m)
+            return build(m)
+
+        monkeypatch.setattr(experiments, "uniform_panel_grid", counted)
+        for cpus in (1, 2, 3):
+            _use_cpus(monkeypatch, cpus)
+            monkeypatch.setattr(experiments, "_FLOOR_CACHE", {})
+            grids.clear()
+            res = run_experiment(plan)
+            assert grids == [plan.m]
+            for r in plan.r_list:
+                assert experiments._FLOOR_CACHE[(plan.m, r, 100, 2024)]["mean"] == float(floors[r])
+            for pt in res.points:
+                law = GaussianLaw(pt["sigma"])
+                want = wasserstein_vs_gaussian(EmpiricalDistribution(batch.values(pt["n"])), law, pt["r"]).value
+                assert pt["value"] == want, (cpus, pt["n"], pt["r"])
 
 
 # ---------------------------------------------------------------------------

@@ -309,7 +309,7 @@ class TestGaussianPanels:
         rng = np.random.default_rng(4)
         points = np.sort(rng.standard_normal(400))
         counts = rng.multinomial(400, np.full(400, 1 / 400), size=3)
-        got = wasserstein_vs_gaussian_counts(points, counts, GaussianLaw(1.1), r) ** r
+        got = wasserstein_vs_gaussian_counts(points, [counts], GaussianLaw(1.1), r) ** r
         for row, value in zip(counts, got):
             keep = row > 0
             want = wasserstein_vs_gaussian(EmpiricalDistribution(points[keep], row[keep] / 400), GaussianLaw(1.1), r)
@@ -322,7 +322,7 @@ class TestGaussianPanels:
 
     def test_counts_rows_point_mass(self):
         points = np.array([-2.0, 0.5, 1.0])
-        got = wasserstein_vs_gaussian_counts(points, np.array([[1, 0, 1], [0, 2, 0]]), GaussianLaw(0.0), 2.0)
+        got = wasserstein_vs_gaussian_counts(points, [np.array([[1, 0, 1], [0, 2, 0]])], GaussianLaw(0.0), 2.0)
         assert np.allclose(got, [np.sqrt(2.5), 0.5], rtol=1e-15)
 
     def test_rows_evaluate_independently(self):
@@ -330,10 +330,24 @@ class TestGaussianPanels:
         points = np.sort(rng.standard_normal(1000))
         counts = rng.multinomial(1000, np.full(1000, 1e-3), size=25)
         for r in (1.0, 2.0, 3.0):
-            together = wasserstein_vs_gaussian_counts(points, counts, GaussianLaw(0.9), r)
+            together = wasserstein_vs_gaussian_counts(points, [counts], GaussianLaw(0.9), r)
+            chunked = wasserstein_vs_gaussian_counts(points, [counts[:3], counts[3:10], counts[10:]], GaussianLaw(0.9), r)
+            assert np.array_equal(chunked, together)
             for i in (0, 7, 24):
-                alone = wasserstein_vs_gaussian_counts(points, counts[i : i + 1], GaussianLaw(0.9), r)
+                alone = wasserstein_vs_gaussian_counts(points, [counts[i : i + 1]], GaussianLaw(0.9), r)
                 assert alone[0] == together[i]
+
+    @pytest.mark.parametrize("r", [1.0, 2.0])
+    def test_point_terms_computed_once(self, monkeypatch, r):
+        # Phi(-|x| / sigma) depends on the points alone: one evaluation of the
+        # m points for all chunks, not one per chunk
+        rng = np.random.default_rng(10)
+        points = np.sort(rng.standard_normal(300))
+        chunks = [rng.multinomial(300, np.full(300, 1 / 300), size=3) for _ in range(4)]
+        calls = []
+        monkeypatch.setattr(metrics, "norm_cdf", lambda z: calls.append(np.size(z)) or norm_cdf(z))
+        wasserstein_vs_gaussian_counts(points, chunks, GaussianLaw(1.2), r)
+        assert calls == [300]
 
 
 class TestGaussianGaussian:
@@ -431,6 +445,23 @@ class TestKolmogorovProkhorov:
         x = EmpiricalDistribution([0.0, 1.0, 2.0])
         y = EmpiricalDistribution([0.5, 1.5, 2.5])
         assert kolmogorov(x, y) == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.8])
+    def test_gaussian_cdf_evaluated_once(self, monkeypatch, sigma):
+        # a diffuse Gaussian's left limits are its d.f. values: one pass;
+        # the value is the sup over both gaps, bit for bit
+        x = EmpiricalDistribution(np.random.default_rng(6).standard_normal(500).round(1))
+        g = GaussianLaw(sigma)
+        pts = np.unique(np.append(x.points, 0.0) if sigma == 0.0 else x.points)
+        cw = np.concatenate(([0.0], x.cumweights))
+        right, left = cw[np.searchsorted(x.points, pts, "right")], cw[np.searchsorted(x.points, pts, "left")]
+        g_right = g.cdf(pts)
+        g_left = g_right if sigma else (pts > 0).astype(float)
+        want = max(np.max(np.abs(right - g_right)), np.max(np.abs(left - g_left)))
+        calls = []
+        monkeypatch.setattr(metrics, "norm_cdf", lambda z: calls.append(z) or norm_cdf(z))
+        assert kolmogorov(x, g) == want
+        assert len(calls) == (1 if sigma else 0)
 
 
 class TestEnvelopeNorm:
