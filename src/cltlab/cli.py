@@ -38,7 +38,6 @@ from .io import (
     RunManifest,
     config_digest,
     read_manifest,
-    save_batch,
     svg_rate_plot,
     write_csv,
     write_json,
@@ -110,22 +109,12 @@ def _load(args) -> dict:
     return cfg
 
 
-def _formats(args) -> set:
-    return {"csv", "json", "svg"} if args.format == "all" else {args.format}
-
-
-def _write_table(out_dir: str, stem: str, header: tuple, rows: list, fmts: set) -> list:
-    """rows as <stem>.csv and as <stem>.json {"table": [row objects]}, each
-    if fmts asks for it; returns the names written."""
-    outputs = []
-    if "csv" in fmts:
-        write_csv(os.path.join(out_dir, f"{stem}.csv"), header, rows)
-        outputs.append(f"{stem}.csv")
-    if "json" in fmts:
-        write_json(os.path.join(out_dir, f"{stem}.json"),
-                   {"table": [dict(zip(header, row)) for row in rows]})
-        outputs.append(f"{stem}.json")
-    return outputs
+def _write_table(out_dir: str, stem: str, header: tuple, rows: list) -> list:
+    """rows as <stem>.csv and as <stem>.json {"table": [row objects]};
+    returns the names written."""
+    write_csv(os.path.join(out_dir, f"{stem}.csv"), header, rows)
+    write_json(os.path.join(out_dir, f"{stem}.json"), {"table": [dict(zip(header, row)) for row in rows]})
+    return [f"{stem}.csv", f"{stem}.json"]
 
 
 # ---------------------------------------------------------------------------
@@ -138,14 +127,10 @@ def cmd_simulate(args) -> int:
     n_grid, m = simulate_params(cfg)
     out_dir, digest, started = _prepare_out(args, cfg)
     batch = partial_sums_batch(spec, n_grid, m, seed=cfg["seed"], budget=cfg.get("budget", DEFAULT_BUDGET))
-    outputs = ["trajectories.cltr"]
-    save_batch(os.path.join(out_dir, "trajectories.cltr"), batch)
-    if "csv" in _formats(args):
-        rows = [f"{n},{rep},{v:.17g}" for n in n_grid for rep, v in enumerate(batch.values(n).tolist())]
-        write_csv(os.path.join(out_dir, "trajectories.csv"), ("n", "replicate", "value"), rows)
-        outputs.append("trajectories.csv")
-    _finish(out_dir, cfg, digest, started, outputs)
-    print(f"wrote {len(outputs)} file(s) to {out_dir}")
+    rows = [f"{n},{rep},{v:.17g}" for n in n_grid for rep, v in enumerate(batch.values(n).tolist())]
+    write_csv(os.path.join(out_dir, "trajectories.csv"), ("n", "replicate", "value"), rows)
+    _finish(out_dir, cfg, digest, started, ["trajectories.csv"])
+    print(f"wrote trajectories.csv to {out_dir}")
     return EXIT_OK
 
 
@@ -158,35 +143,27 @@ def cmd_rates(args) -> int:
     plan = build_plan(cfg)
     out_dir, digest, started = _prepare_out(args, cfg)
     result = run_experiment(plan, budget=cfg.get("budget", DEFAULT_BUDGET))
-    outputs = []
-    fmts = _formats(args)
-    if "csv" in fmts:
-        header = ("n", "r", "value", "mc_stderr", "floor", "kolmogorov", "sigma")
-        write_csv(os.path.join(out_dir, "rates.csv"), header,
-                  [tuple(pt[key] for key in header) for pt in result.points])
-        outputs.append("rates.csv")
-    if "json" in fmts:
-        write_json(
-            os.path.join(out_dir, "rates.json"),
-            {"sigma2": result.sigma2, "points": list(result.points),
-             "fits": {str(r): f for r, f in result.fits.items()}},
-        )
-        outputs.append("rates.json")
-    if "svg" in fmts:
-        curves, guides = {}, {}
-        ns = np.array(plan.n_grid, dtype=float)
-        for r in plan.r_list:
-            vals = np.array([pt["value"] for pt in result.points if pt["r"] == r])
-            curves[f"W_{r:g}"] = (ns, vals)
-            theo = theoretical_exponent(r, plan.p)
-            guide = vals[0] * (ns / ns[0]) ** theo["w_exp"]
-            if theo["log_factor"]:
-                guide = guide * np.log(ns) / np.log(ns[0])
-            guides[f"n^{theo['w_exp']:g}"] = (ns, guide)
-        svg_rate_plot(os.path.join(out_dir, "rates.svg"), curves, guides,
-                      f"distance decay, p = {plan.p:g}")
-        outputs.append("rates.svg")
-    _finish(out_dir, cfg, digest, started, outputs)
+    header = ("n", "r", "value", "mc_stderr", "floor", "kolmogorov", "sigma")
+    write_csv(os.path.join(out_dir, "rates.csv"), header,
+              [tuple(pt[key] for key in header) for pt in result.points])
+    write_json(
+        os.path.join(out_dir, "rates.json"),
+        {"sigma2": result.sigma2, "points": list(result.points),
+         "fits": {str(r): f for r, f in result.fits.items()}},
+    )
+    curves, guides = {}, {}
+    ns = np.array(plan.n_grid, dtype=float)
+    for r in plan.r_list:
+        vals = np.array([pt["value"] for pt in result.points if pt["r"] == r])
+        curves[f"W_{r:g}"] = (ns, vals)
+        theo = theoretical_exponent(r, plan.p)
+        guide = vals[0] * (ns / ns[0]) ** theo["w_exp"]
+        if theo["log_factor"]:
+            guide = guide * np.log(ns) / np.log(ns[0])
+        guides[f"n^{theo['w_exp']:g}"] = (ns, guide)
+    svg_rate_plot(os.path.join(out_dir, "rates.svg"), curves, guides,
+                  f"distance decay, p = {plan.p:g}")
+    _finish(out_dir, cfg, digest, started, ["rates.csv", "rates.json", "rates.svg"])
     for r, fit in sorted(result.fits.items()):
         why = ""
         if fit["slope"] is None:
@@ -239,7 +216,7 @@ def cmd_conditions(args) -> int:
         rows += [(cid, component, rep.verdict, len(rep.terms), float(rep.terms[-1]),
                   float(rep.partial_sums[-1])) for component, rep in group]
     header = ("id", "component", "verdict", "n_terms", "last_term", "partial_sum")
-    outputs = _write_table(out_dir, "conditions", header, rows, _formats(args))
+    outputs = _write_table(out_dir, "conditions", header, rows)
     _finish(out_dir, cfg, digest, started, outputs)
     width = max(len(r[0]) + len(r[1]) for r in rows) + 1
     for row in rows:
@@ -370,7 +347,7 @@ def cmd_verify(args) -> int:
     for name in params["checks"]:
         res = VERIFY_CHECKS[name](cfg, params)
         rows.append((name, "pass" if res["passed"] else "fail", res["detail"]))
-    outputs = _write_table(out_dir, "verify", ("check", "status", "detail"), rows, _formats(args))
+    outputs = _write_table(out_dir, "verify", ("check", "status", "detail"), rows)
     _finish(out_dir, cfg, digest, started, outputs)
     failed = [row for row in rows if row[1] == "fail"]
     for row in rows:
@@ -393,8 +370,7 @@ def cmd_calibrate(args) -> int:
         for r in rs:
             floor = calibration_floor(m, r, reps=reps, grid=grid)
             rows.append((m, r, floor["mean"], floor["stderr"]))
-    outputs = _write_table(out_dir, "calibration", ("replicates", "r", "floor_mean", "floor_stderr"),
-                           rows, _formats(args))
+    outputs = _write_table(out_dir, "calibration", ("replicates", "r", "floor_mean", "floor_stderr"), rows)
     _finish(out_dir, cfg, digest, started, outputs)
     for row in rows:
         print(f"m = {row[0]:<8} r = {row[1]:<4g} floor = {row[2]:.6g} +/- {row[3]:.2g}")
@@ -412,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"cltlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     handlers = {
-        "simulate": (cmd_simulate, "sample normalized partial sums and cache them"),
+        "simulate": (cmd_simulate, "sample normalized partial sums into trajectories.csv"),
         "rates": (cmd_rates, "measure distance curves and fit decay exponents"),
         "conditions": (cmd_conditions, "evaluate convergence-condition series"),
         "verify": (cmd_verify, "run the built-in inequality suites"),
@@ -423,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="path to the JSON run configuration")
         p.add_argument("--out", help="output directory (default from config or ./cltlab-out)")
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--format", choices=("csv", "json", "svg", "all"), default="all")
         if name == "verify":
             p.add_argument("--list", action="store_true", help="enumerate checks and exit")
         p.set_defaults(handler=fn)

@@ -51,13 +51,13 @@ _KINDS = {float: "a finite number", int: "an integer", bool: "true or false",
 
 
 def read(section: dict, where: str, key: str, default=_REQUIRED, kind=float,
-         ok: Callable = None, need: str = None, many: bool = False):
+         ok: Callable = None, need: str = None, many: bool = False, distinct: bool = False):
     """section[key], or default when the key is absent, as kind: float takes
     a finite real, int a JSON integer, bool only true or false, str a string
     and dict an object; a bool is never a number. With many the value is a
-    nonempty list, read element by element into a tuple. ok(value) is the
-    range check and need says what it asks for. Raises ConfigError naming
-    where.key."""
+    nonempty list, read element by element into a tuple, and with distinct
+    no element may repeat. ok(value) is the range check and need says what
+    it asks for. Raises ConfigError naming where.key."""
     name = f"{where}.{key}"
     if key not in section:
         if default is _REQUIRED:
@@ -68,7 +68,10 @@ def read(section: dict, where: str, key: str, default=_REQUIRED, kind=float,
         return _typed(value, name, kind, ok, need)
     if not isinstance(value, list) or not value:
         raise ConfigError(f"'{name}' must be a nonempty list, not {value!r}")
-    return tuple(_typed(v, f"{name}[{i}]", kind, ok, need) for i, v in enumerate(value))
+    values = tuple(_typed(v, f"{name}[{i}]", kind, ok, need) for i, v in enumerate(value))
+    if distinct and len(set(values)) < len(values):
+        raise ConfigError(f"'{name}' must list each value once, not {value!r}")
+    return values
 
 
 def _typed(value, name: str, kind, ok, need):
@@ -208,14 +211,14 @@ def _expanding_map(s: dict) -> ExpandingMap:
     get = partial(read, s, "process")
     kind = get("kind", kind=str, ok=MAP_KEYS.__contains__, need=f"one of {sorted(MAP_KEYS)}")
     _check_keys(s, {"family", "kind", "observable"} | MAP_KEYS[kind], "process")
-    return ExpandingMap(kind, beta=get("beta", 2.0), a=get("a", 1.0),
+    return ExpandingMap(kind, beta=get("beta", 2.0),
                         breakpoints=get("breakpoints", (), many=True), slopes=get("slopes", (), many=True),
                         offsets=get("offsets", (), many=True), observable=get("observable", "identity", str))
 
 
 _LINEAR_KEYS = {"family", "coeffs", "innovation", "truncation"}
 # map kind -> the 'process' keys it reads besides family, kind and observable
-MAP_KEYS = {"beta": {"beta"}, "gauss": {"a"}, "piecewise_affine": {"breakpoints", "slopes", "offsets"}}
+MAP_KEYS = {"beta": {"beta"}, "gauss": set(), "piecewise_affine": {"breakpoints", "slopes", "offsets"}}
 
 # family name -> (allowed 'process' keys, builder of the family from the section)
 FAMILIES = {
@@ -247,7 +250,7 @@ def build_plan(cfg: dict) -> ExperimentPlan:
     spec = build_process(cfg)
     get = partial(read, section, "rates")
     try:
-        return ExperimentPlan(spec, get("p"), get("r_list", many=True),
+        return ExperimentPlan(spec, get("p"), get("r_list", many=True, distinct=True),
                               n_grid=get("n_grid", DEFAULT_N_GRID, int, _positive, "a positive integer", many=True),
                               m=get("replicates", 10**4, int, lambda m: m >= 100, "an integer >= 100"),
                               target=get("target", "sigma2", str), seed=cfg["seed"],
@@ -296,8 +299,8 @@ def verify_params(cfg: dict, valid) -> dict:
 def calibrate_params(cfg: dict) -> tuple:
     """(replicate counts, r values, reps) of the 'calibrate' section."""
     get = partial(read, _section(cfg, "calibrate", CALIBRATE_KEYS), "calibrate")
-    return (get("replicates", (10**3, 10**4), int, lambda m: m >= 100, "an integer >= 100", many=True),
-            get("r_list", (1.0, 2.0), ok=_positive, need="a positive number", many=True),
+    return (get("replicates", (10**3, 10**4), int, lambda m: m >= 100, "an integer >= 100", many=True, distinct=True),
+            get("r_list", (1.0, 2.0), ok=_positive, need="a positive number", many=True, distinct=True),
             get("reps", 100, int, lambda n: n >= 2, "an integer >= 2"))
 
 

@@ -83,9 +83,6 @@ def theoretical_exponent(r: float, p: float) -> dict:
     return {"zeta_exp": zeta, "w_exp": w, "log_factor": bool(r == 1.0 and p == 3.0)}
 
 
-_FLOOR_CACHE: dict = {}
-
-
 def _floor_values(m: int, r: float, seed: int, replicates: range, grid: PanelGrid) -> np.ndarray:
     """The floor's distances of the given replicates. Every replicate has the
     weights 1/m, so they share the grid of uniform_panel_grid(m): Phi^{-1}
@@ -110,16 +107,11 @@ def calibration_floor(m: int, r: float, reps: int = 100, seed: int = 2024, grid:
     worker inherits its tables instead of computing them again."""
     if m < 100:
         raise ExperimentError("m must be >= 100")
-    key = (m, r, reps, seed)
-    if key in _FLOOR_CACHE:
-        return _FLOOR_CACHE[key]
     if grid is None:
         grid = uniform_panel_grid(m)
     ranges = even_ranges(reps, min(available_cpus(), reps))
     vals = np.concatenate(run_parts(_floor_values, [(m, r, seed, part, grid) for part in ranges]))
-    out = {"mean": float(vals.mean()), "stderr": float(vals.std(ddof=1) / np.sqrt(reps))}
-    _FLOOR_CACHE[key] = out
-    return out
+    return {"mean": float(vals.mean()), "stderr": float(vals.std(ddof=1) / np.sqrt(reps))}
 
 
 def _bootstrap_stderr(values: np.ndarray, g: GaussianLaw, r: float, seed: int, n: int) -> float:

@@ -1,22 +1,18 @@
-"""Run artifacts: manifests, deterministic CSV/JSON writers, the binary
-trajectory cache, and self-contained SVG rate plots."""
+"""Run artifacts: manifests, deterministic CSV/JSON writers, and
+self-contained SVG rate plots."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 import os
-import struct
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .config import canonical_json
-from .processes import TrajectoryBatch
 
 SCHEMA_VERSION = 1
-CACHE_MAGIC = b"CLTR"
-CACHE_VERSION = 1
 
 
 class IOError_(RuntimeError):
@@ -94,44 +90,6 @@ def write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"schema_version": SCHEMA_VERSION, **payload}, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-# ---------------------------------------------------------------------------
-# binary trajectory cache
-
-
-def save_batch(path: str, batch: TrajectoryBatch) -> None:
-    """magic 'CLTR', u16 version, then a little-endian payload: u64 seed,
-    u32 replicates, u16 grid length, u64 grid points, and one float64 block
-    of replicate values per grid point."""
-    grid = batch.n_grid
-    parts = [CACHE_MAGIC, struct.pack("<H", CACHE_VERSION),
-             struct.pack("<QIH", batch.seed, batch.m, len(grid)),
-             struct.pack(f"<{len(grid)}Q", *grid)]
-    for n in grid:
-        parts.append(np.ascontiguousarray(batch.values(n), dtype="<f8").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
-
-
-def load_batch(path: str) -> TrajectoryBatch:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != CACHE_MAGIC:
-        raise IOError_("not a trajectory cache: bad magic bytes")
-    (version,) = struct.unpack_from("<H", blob, 4)
-    if version != CACHE_VERSION:
-        raise IOError_(f"unsupported cache version {version}")
-    seed, m, k = struct.unpack_from("<QIH", blob, 6)
-    grid = struct.unpack_from(f"<{k}Q", blob, 20)
-    off = 20 + 8 * k
-    sums = {}
-    for n in grid:
-        sums[int(n)] = np.frombuffer(blob, dtype="<f8", count=m, offset=off).copy()
-        off += 8 * m
-    if off != len(blob):
-        raise IOError_("trajectory cache has trailing or missing bytes")
-    return TrajectoryBatch(tuple(int(n) for n in grid), m, sums, seed)
 
 
 # ---------------------------------------------------------------------------

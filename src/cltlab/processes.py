@@ -357,13 +357,8 @@ class FunctionOfLinear:
 
     def batch_sums(self, seed: int):
         h = self.h()
-        a = self.base.coefficients()
-        # keyed by value: everything _centering_constant reads
-        key = (a.tobytes(), self.base.innovation, self.h_rule, self.gamma, self.centering_draws, seed)
-        if key not in _CENTER_CACHE:
-            _CENTER_CACHE[key] = _centering_constant(self.base, h, seed, self.centering_draws)
-        center = _CENTER_CACHE[key][0]
-        return partial(_linear_sums, a, self.base.innovation, lambda v: h(v) - center)
+        center = _centering_constant(self.base, h, seed, self.centering_draws)[0]
+        return partial(_linear_sums, self.base.coefficients(), self.base.innovation, lambda v: h(v) - center)
 
     def long_run_variance(self, seed: int) -> dict:
         # no closed form: batch-means estimate on one long path; the variance
@@ -380,13 +375,12 @@ class FunctionOfLinear:
 class ExpandingMap:
     """Uniformly expanding interval map with an observable.
 
-    kind: beta (T(x) = beta x mod 1), gauss (T(x) = a(1/x - 1) mod 1, a = 1 only),
+    kind: beta (T(x) = beta x mod 1), gauss (T(x) = 1/x - 1 mod 1),
     piecewise_affine (full branches, T(x) = slope_k x + offset_k mod 1).
     """
 
     kind: str
     beta: float = 2.0
-    a: float = 1.0
     breakpoints: tuple = ()
     slopes: tuple = ()
     offsets: tuple = ()
@@ -397,8 +391,6 @@ class ExpandingMap:
             raise ProcessError(f"unknown map kind: {self.kind}")
         if self.kind == "beta" and self.beta <= 1.0:
             raise ProcessError("beta must exceed 1")
-        if self.kind == "gauss" and abs(self.a - 1.0) > 1e-15:
-            raise ProcessError("gauss map implemented for a = 1 only")
         if not callable(self.observable) and self.observable != "identity":
             raise ProcessError(f"unknown observable: {self.observable}")
         if self.kind == "piecewise_affine":
@@ -603,7 +595,7 @@ def _branch_weights(spec: ExpandingMap, x: np.ndarray, rho):
 def invariant_density(spec: ExpandingMap, grid_size: int = 2**12, tol: float = 1e-10) -> DensityGrid:
     """Invariant density of the map.
 
-    beta = integer: Lebesgue (constant 1).  gauss with a = 1: the classical
+    beta = integer: Lebesgue (constant 1).  gauss: the classical
     1/((1+x) log 2) law.  Otherwise the fixed point of the transfer operator
     by power iteration on a uniform grid.
     """
@@ -693,7 +685,6 @@ class TrajectoryBatch:
     n_grid: tuple
     m: int
     sums: dict  # n -> array of M values
-    seed: int
 
     def __post_init__(self):
         for n, v in self.sums.items():
@@ -810,7 +801,6 @@ def _linear_sums(a: np.ndarray, law: InnovationLaw, observe, n_grid, seed: int, 
     return out
 
 
-_CENTER_CACHE: dict = {}
 _WORKER_PARTS = None  # a forked worker's (fn, parts), set by its pool initializer
 
 
@@ -902,7 +892,7 @@ def partial_sums_batch(
     ranges = even_ranges(m, -(-chunks // workers) * workers)
     table = np.concatenate(run_parts(chunk_sums, [(n_grid, seed, r) for r in ranges]))
     sums = {n: table[:, col] for col, n in enumerate(n_grid)}
-    return TrajectoryBatch(n_grid, m, sums, seed)
+    return TrajectoryBatch(n_grid, m, sums)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import cltlab
 from cltlab.cli import main
 from cltlab.config import FAMILIES, build_process, load_config
 from cltlab.experiments import calibration_floor
-from cltlab.io import IOError_, RunManifest, config_digest, load_batch, read_manifest
+from cltlab.io import IOError_, RunManifest, config_digest, read_manifest
 from cltlab.processes import IIDBaseline, InnovationLaw, ProcessSpec, long_run_variance, partial_sums_batch
 
 
@@ -101,32 +101,34 @@ def test_check_commands_load_no_scipy(tmp_path, command):
 # simulate
 
 
+def read_trajectories(out: str) -> dict:
+    """trajectories.csv as n -> replicate values; the rows of each n are in
+    replicate order."""
+    lines = open(os.path.join(out, "trajectories.csv")).read().splitlines()
+    assert lines[0] == "n,replicate,value"
+    sums = {}
+    for line in lines[1:]:
+        n, rep, value = line.split(",")
+        assert int(rep) == len(sums.setdefault(int(n), []))
+        sums[int(n)].append(float(value))
+    return {n: np.array(v) for n, v in sums.items()}
+
+
 def test_simulate_writes_cache_csv_and_manifest(tmp_path):
     cfg_path, cfg = write_cfg(tmp_path)
     out = str(tmp_path / "out")
     assert main(["simulate", "--config", cfg_path, "--out", out]) == 0
-    batch = load_batch(os.path.join(out, "trajectories.cltr"))
-    assert batch.n_grid == (64, 128) and batch.m == 200
+    sums = read_trajectories(out)
     direct = partial_sums_batch(ProcessSpec(IIDBaseline(InnovationLaw("gaussian")), seed=5),
                                 [64, 128], 200, seed=5)
-    np.testing.assert_array_equal(batch.values(128), direct.values(128))
+    assert sorted(sums) == [64, 128]
+    for n in (64, 128):
+        # .17g text reads back to the same double, bit for bit
+        np.testing.assert_array_equal(sums[n], direct.values(n))
     manifest = read_manifest(out)
     assert manifest.seed == 5
     manifest.check(out)
-    assert set(manifest.outputs) == {"trajectories.cltr", "trajectories.csv"}
-
-
-def test_cache_magic_bytes(tmp_path):
-    cfg_path, _ = write_cfg(tmp_path)
-    out = str(tmp_path / "out")
-    assert main(["simulate", "--config", cfg_path, "--out", out]) == 0
-    blob = open(os.path.join(out, "trajectories.cltr"), "rb").read()
-    assert blob[:4] == b"CLTR"
-    assert int.from_bytes(blob[4:6], "little") == 1
-    bad = tmp_path / "bad.cltr"
-    bad.write_bytes(b"XXXX" + blob[4:])
-    with pytest.raises(IOError_):
-        load_batch(str(bad))
+    assert set(manifest.outputs) == {"trajectories.csv"}
 
 
 def test_simulate_rerun_is_byte_identical(tmp_path):
@@ -134,10 +136,9 @@ def test_simulate_rerun_is_byte_identical(tmp_path):
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     assert main(["simulate", "--config", cfg_path, "--out", out1]) == 0
     assert main(["simulate", "--config", cfg_path, "--out", out2]) == 0
-    for name in ("trajectories.csv", "trajectories.cltr"):
-        b1 = open(os.path.join(out1, name), "rb").read()
-        b2 = open(os.path.join(out2, name), "rb").read()
-        assert b1 == b2
+    b1 = open(os.path.join(out1, "trajectories.csv"), "rb").read()
+    b2 = open(os.path.join(out2, "trajectories.csv"), "rb").read()
+    assert b1 == b2
 
 
 def test_seed_flag_overrides_config(tmp_path):
@@ -204,6 +205,34 @@ def test_threads_flag_is_rejected(tmp_path, command):
     assert exc.value.code == 2
 
 
+# each command writes one fixed set of artifacts, and the manifest lists exactly it
+ARTIFACTS = {
+    "simulate": {"trajectories.csv"},
+    "rates": {"rates.csv", "rates.json", "rates.svg"},
+    "conditions": {"conditions.csv", "conditions.json"},
+    "verify": {"verify.csv", "verify.json"},
+    "calibrate": {"calibration.csv", "calibration.json"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(ARTIFACTS))
+def test_manifest_lists_the_fixed_artifact_set(tmp_path, command):
+    cfg_path, _ = write_cfg(tmp_path, verify={"checks": ["partial-sum-window"]})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg_path, "--out", str(out)]) == 0
+    manifest = read_manifest(str(out))
+    assert sorted(manifest.outputs) == sorted(ARTIFACTS[command])
+    assert {path.name for path in out.iterdir()} == ARTIFACTS[command] | {"manifest.json"}
+
+
+@pytest.mark.parametrize("command", sorted(ARTIFACTS))
+def test_format_flag_is_rejected(tmp_path, command):
+    cfg_path, _ = write_cfg(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg_path, "--out", str(tmp_path / "o"), "--format", "csv"])
+    assert exc.value.code == 2
+
+
 def test_simulate_passes_config_budget_down(tmp_path, monkeypatch):
     # the config budget reaches the batch, with no lower cap of its own
     seen = []
@@ -267,8 +296,10 @@ def test_every_registered_family_simulates(tmp_path, family):
                             simulate={"n_grid": [4, 16], "replicates": 100})
     out = str(tmp_path / "out")
     assert main(["simulate", "--config", cfg_path, "--out", out]) == 0
-    batch = load_batch(os.path.join(out, "trajectories.cltr"))
-    assert batch.m == 100 and np.all(np.isfinite(batch.values(16)))
+    sums = read_trajectories(out)
+    direct = partial_sums_batch(build_process(load_config(cfg_path)), [4, 16], 100, seed=5)
+    for n in (4, 16):
+        np.testing.assert_array_equal(sums[n], direct.values(n))
     lrv = long_run_variance(build_process(load_config(cfg_path)))
     assert np.isfinite(lrv["sigma2"]) and lrv["sigma2"] > 0
 
@@ -429,7 +460,7 @@ def test_linear_trajectories_independent_of_blas_threads(tmp_path):
     for threads in ("1", "2"):
         out = str(tmp_path / threads)
         env = dict(_src_env(), OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        argv = [sys.executable, "-c", code, "simulate", "--config", cfg_path, "--out", out, "--format", "csv"]
+        argv = [sys.executable, "-c", code, "simulate", "--config", cfg_path, "--out", out]
         assert subprocess.run(argv, env=env, capture_output=True).returncode == 0
         files.append(open(os.path.join(out, "trajectories.csv"), "rb").read())
     assert files[0] == files[1]
@@ -492,7 +523,7 @@ def test_calibrate_csv_independent_of_blas_threads(tmp_path):
     files = []
     for name, env in (("one", dict(default, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")), ("default", default)):
         out = str(tmp_path / name)
-        argv = [sys.executable, "-c", code, "calibrate", "--config", cfg_path, "--out", out, "--format", "csv"]
+        argv = [sys.executable, "-c", code, "calibrate", "--config", cfg_path, "--out", out]
         assert subprocess.run(argv, env=env, capture_output=True).returncode == 0
         files.append(open(os.path.join(out, "calibration.csv"), "rb").read())
     assert len(files[0].splitlines()) == 5
@@ -558,7 +589,6 @@ MALFORMED = [
     ("simulate", {"process": dict(LINEAR, family="function_of_linear", gamma="x")}, "process.gamma"),
     ("simulate", {"process": {"family": "expanding_map", "kind": "beta", "beta": "x"}}, "process.beta"),
     ("simulate", {"process": {"family": "expanding_map", "kind": "beta", "observable": "square"}}, "observable"),
-    ("simulate", {"process": {"family": "expanding_map", "kind": "gauss", "a": 2}}, "a = 1"),
     ("simulate", {"process": {"family": "iid", "innovation": {"kind": "symmetric_pareto", "q": "x"}}},
      "process.innovation.q"),
     ("simulate", {"simulate": {"n_grid": [4, 4], "replicates": 200}}, "simulate.n_grid"),
@@ -581,6 +611,26 @@ MALFORMED = [
 ]
 
 
+REPEATED = [
+    ("rates", {"rates": {"p": 3.0, "r_list": [1.0, 1.0], "n_grid": [64, 128, 256], "replicates": 500}},
+     "rates.r_list"),
+    ("calibrate", {"calibrate": {"replicates": [200], "r_list": [1.0, 2.0, 1.0], "reps": 20}}, "calibrate.r_list"),
+    ("calibrate", {"calibrate": {"replicates": [200, 200], "r_list": [1.0], "reps": 20}}, "calibrate.replicates"),
+]
+
+
+@pytest.mark.parametrize("command, override, key", REPEATED, ids=[case[2] for case in REPEATED])
+def test_repeated_list_value_exit_2_naming_key(tmp_path, capsys, command, override, key):
+    # a repeated r or sample size would write its rows twice and fit each
+    # point twice; rates then failed in the plot step with no manifest
+    cfg_path, _ = write_cfg(tmp_path, **override)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"'{key}' must list each value once" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, override, key", MALFORMED, ids=[case[2] for case in MALFORMED])
 def test_malformed_value_exit_2_naming_key(tmp_path, capsys, command, override, key):
     cfg_path, _ = write_cfg(tmp_path, **override)
@@ -597,7 +647,7 @@ def test_malformed_value_exit_2_naming_key(tmp_path, capsys, command, override, 
 
 MAPS = {
     "beta": {"family": "expanding_map", "kind": "beta", "beta": 2.5},
-    "gauss": {"family": "expanding_map", "kind": "gauss", "a": 1.0},
+    "gauss": {"family": "expanding_map", "kind": "gauss"},
     "piecewise_affine": {"family": "expanding_map", "kind": "piecewise_affine", "breakpoints": [0.0, 0.4, 1.0],
                          "slopes": [2.5, 5.0 / 3.0], "offsets": [0.0, -2.0 / 3.0]},
 }

@@ -92,14 +92,13 @@ def test_floor_requires_min_m():
 def test_floor_cached_and_deterministic():
     a = calibration_floor(200, 1.0, reps=10)
     b = calibration_floor(200, 1.0, reps=10)
-    assert a is b
+    assert a == b
 
 
 @pytest.mark.parametrize("r", [1.0, 1.5, 2.0, 3.0])
-def test_floor_equals_a_loop_of_point_distances_bit_for_bit(monkeypatch, r):
+def test_floor_equals_a_loop_of_point_distances_bit_for_bit(r):
     # the floor shares one node-quantile table among its replicates; three
     # sample sizes in one process would show a table kept across sizes
-    monkeypatch.setattr(experiments, "_FLOOR_CACHE", {})
     g = GaussianLaw(1.0)
     for m in (100, 1000, 10**4):
         vals = np.array([
@@ -183,7 +182,6 @@ class TestParallelStages:
         seen = {}
         for cpus in (1, 2, 3):
             _use_cpus(monkeypatch, cpus)
-            monkeypatch.setattr(experiments, "_FLOOR_CACHE", {})  # every run computes its floors
             for command in ("rates", "calibrate"):
                 out = tmp_path / f"{command}-{cpus}"
                 assert main([command, "--config", cfg, "--out", str(out)]) == 0
@@ -205,7 +203,6 @@ class TestParallelStages:
             return floor_values(m, r, seed, replicates, grid)
 
         monkeypatch.setattr(experiments, "_floor_values", failing)
-        monkeypatch.setattr(experiments, "_FLOOR_CACHE", {})
         _use_cpus(monkeypatch, 2)
         with pytest.raises(ExperimentError) as info:
             calibration_floor(100, 1.0, reps=10)
@@ -241,7 +238,6 @@ class TestParallelStages:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         monkeypatch.setattr(processes, "REPLICATE_CHUNK", 100)
-        monkeypatch.setattr(experiments, "_FLOOR_CACHE", {})
         _use_cpus(monkeypatch, 1)
         cfg = _write(tmp_path, RATES_CFG)
         for command in ("rates", "calibrate"):
@@ -281,22 +277,27 @@ sys.exit(code or 10 * any(m == "scipy" or m.startswith("scipy.") for m in sys.mo
                 g, r).value
             for i in range(100)]).mean() for r in plan.r_list}
         batch = processes.partial_sums_batch(plan.process, list(plan.n_grid), plan.m, seed=plan.seed)
-        grids = []
-        build = experiments.uniform_panel_grid
+        grids, means = [], {}
+        build, floor = experiments.uniform_panel_grid, experiments.calibration_floor
 
         def counted(m):
             grids.append(m)
             return build(m)
 
+        def recorded(m, r, **kwargs):
+            out = floor(m, r, **kwargs)
+            means[r] = out["mean"]
+            return out
+
         monkeypatch.setattr(experiments, "uniform_panel_grid", counted)
+        monkeypatch.setattr(experiments, "calibration_floor", recorded)
         for cpus in (1, 2, 3):
             _use_cpus(monkeypatch, cpus)
-            monkeypatch.setattr(experiments, "_FLOOR_CACHE", {})
             grids.clear()
+            means.clear()
             res = run_experiment(plan)
             assert grids == [plan.m]
-            for r in plan.r_list:
-                assert experiments._FLOOR_CACHE[(plan.m, r, 100, 2024)]["mean"] == float(floors[r])
+            assert means == {r: float(floors[r]) for r in plan.r_list}
             for pt in res.points:
                 law = GaussianLaw(pt["sigma"])
                 want = wasserstein_vs_gaussian(EmpiricalDistribution(batch.values(pt["n"])), law, pt["r"]).value

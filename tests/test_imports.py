@@ -99,9 +99,6 @@ ALLOWLIST = {
     "dependence.phi_coeff": (
         "exact phi_1 and phi_2 of a finite chain, for conditions computed from the process",
         lambda out: (_kernel(), 1, 2)),
-    "io.load_batch": (
-        "reads back the trajectory cache that simulate writes",
-        lambda out: (str(out / "iid" / "trajectories.cltr"),)),
     "processes._install_parts": (
         "a forked worker's initializer, which runs where the profile does not see it",
         lambda out: (processes.IIDBaseline().batch_sums(0), [((4, 8), 0, range(2))])),

@@ -256,7 +256,7 @@ class TestExpandingMaps:
 
     def test_gauss_density_invariant(self):
         # [DERIVED] transfer-operator quadrature residual
-        em = ExpandingMap("gauss", a=1.0)
+        em = ExpandingMap("gauss")
         d = invariant_density(em)
         x = d.x[1:-1]
         lf = np.zeros_like(x)
@@ -503,32 +503,22 @@ class TestStronglyConnected:
 
 
 class TestCenteringCache:
-    """The function-of-linear centering constant is cached by value: specs
-    that differ only in the innovation law or in centering_draws get their
-    own constant, as in a run with a cleared cache."""
+    """Each batch computes the function-of-linear centering constant from its
+    own spec: specs that differ only in the innovation law or in
+    centering_draws get their own constant, the same in any order."""
 
     RULE = staticmethod(lambda j: 0.5**j if j >= 0 else 0.0)
 
-    def _spec(self, innovation="gaussian", draws=20_000, rule=None):
-        base = LinearProcess(rule or self.RULE, InnovationLaw(innovation), truncation=24)
+    def _spec(self, innovation="gaussian", draws=20_000):
+        base = LinearProcess(self.RULE, InnovationLaw(innovation), truncation=24)
         return ProcessSpec(FunctionOfLinear(base, "abs_power", 1.0, 0.0, centering_draws=draws), seed=3)
 
-    def test_specs_do_not_share_a_constant(self, monkeypatch):
-        monkeypatch.setattr(processes, "_CENTER_CACHE", {})
+    def test_specs_do_not_share_a_constant(self):
         specs = [self._spec(), self._spec("uniform"), self._spec(draws=30_000)]
         in_one_process = [partial_sums_batch(spec, (4, 16), 100).values(16) for spec in specs]
-        for spec, got in zip(specs, in_one_process):
-            processes._CENTER_CACHE.clear()
+        for spec, got in zip(specs[::-1], in_one_process[::-1]):
             np.testing.assert_array_equal(got, partial_sums_batch(spec, (4, 16), 100).values(16))
         assert len({v.tobytes() for v in in_one_process}) == 3
-
-    def test_equal_specs_share_a_constant(self, monkeypatch):
-        monkeypatch.setattr(processes, "_CENTER_CACHE", {})
-        first = partial_sums_batch(self._spec(), (4, 16), 100).values(16)
-        # another function object with the same coefficients
-        again = partial_sums_batch(self._spec(rule=lambda j: 0.5**j if j >= 0 else 0.0), (4, 16), 100).values(16)
-        assert len(processes._CENTER_CACHE) == 1
-        np.testing.assert_array_equal(first, again)
 
 
 # ---------------------------------------------------------------------------
@@ -695,7 +685,7 @@ _REFERENCE_CASES = {
     "davydov-f1": (DavydovChain(2.5, 0.1, "f1", n_max=60), _CHAIN_GRID, _reference_davydov_sums),
     "davydov-f2": (DavydovChain(2.7, 0.3, "f2", n_max=60), _CHAIN_GRID, _reference_davydov_sums),
     "beta-2.5": (ExpandingMap("beta", beta=2.5), _MAP_GRID, _reference_expanding_sums),
-    "gauss": (ExpandingMap("gauss", a=1.0), _MAP_GRID, _reference_expanding_sums),
+    "gauss": (ExpandingMap("gauss"), _MAP_GRID, _reference_expanding_sums),
     "piecewise-affine": (
         ExpandingMap("piecewise_affine", breakpoints=(0.0, 0.4, 1.0), slopes=(2.5, 5.0 / 3.0), offsets=(0.0, -2.0 / 3.0)),
         _MAP_GRID,
