@@ -279,8 +279,7 @@ def _check_smoothing(cfg: dict, params: dict) -> dict:
     cases = [(r, p, t) for r in (0.5, 1.0, 1.5, 2.0) for p in (2.0, 2.5, 3.0)
              for t in (0.25, 1.0) if p >= r]
     f = GridFunction.from_callable(lambda x: np.abs(x), lo=-12.0, hi=12.0, n=2**14 + 1)
-    for r, p, t in cases:
-        res = smoothing_lemma_check(f, r, p, t)
+    for (r, p, t), res in zip(cases, smoothing_lemma_check(f, cases)):
         if not res["ok"]:
             return {"passed": False,
                     "detail": f"smoothing bound violated at r={r}, p={p}, t={t}: "

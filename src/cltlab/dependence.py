@@ -269,7 +269,17 @@ def _threshold_chain(size: int, factors) -> np.ndarray:
     return out
 
 
-def _phi_i_exact(kernel: FiniteKernel, f_list, t_list, i: int, powers: tuple) -> float:
+def _centered_thresholds(pi: np.ndarray, f_list) -> list:
+    """Per variable, its centered indicator set h = 1_{f > x} - P(f > x),
+    one column per distinct value x of f."""
+    h_sets = []
+    for fv in f_list:
+        ind = (fv[:, None] > np.unique(fv)[None, :]).astype(float)
+        h_sets.append(ind - (pi @ ind)[None, :])
+    return h_sets
+
+
+def _phi_i_exact(kernel: FiniteKernel, f_list, h_sets: list, i: int, powers: tuple) -> float:
     """phi(sigma(X_i), X_{j != i}) for X_j = f_j(Y_{t_j}) on the stationary
     chain, exact over the threshold level sets: the max over the atoms of
     sigma(X_i) and over every combination of one threshold x_j per j != i of
@@ -282,21 +292,16 @@ def _phi_i_exact(kernel: FiniteKernel, f_list, t_list, i: int, powers: tuple) ->
     multiplied column-wise. The combinations go in blocks of at most
     PHI_BLOCK_ENTRIES matrix entries: the thresholds of the variables
     farthest from i, which the chains apply first, are held fixed within a
-    block. powers is _lag_powers(kernel, t_list).
+    block. h_sets is _centered_thresholds(kernel.stationary, f_list) and
+    powers is _lag_powers(kernel, t_list), both shared by every i.
     """
     pi = kernel.stationary
     size = kernel.size
     fwd, bwd = powers
-    fvals = [np.asarray(fj, dtype=float) for fj in f_list]
-    k = len(fvals)
-    # centered indicator sets per variable: h = 1_{f > x} - P(f > x)
-    h_sets = []
-    for fv in fvals:
-        ind = (fv[:, None] > np.unique(fv)[None, :]).astype(float)
-        h_sets.append(ind - (pi @ ind)[None, :])
+    k = len(h_sets)
     # E(. | X_i) on each atom of sigma(X_i) (states with one value of f_i);
     # when every atom is a single state it is g itself, row for row
-    _, group_idx = np.unique(fvals[i], return_inverse=True)
+    _, group_idx = np.unique(np.asarray(f_list[i], dtype=float), return_inverse=True)
     singletons = group_idx.max() + 1 == size
     if not singletons:
         atoms = (np.arange(group_idx.max() + 1)[:, None] == group_idx[None, :]) * pi[None, :]
@@ -329,7 +334,8 @@ def check_covariance_inequality(kernel: FiniteKernel, f_list, t_list, corollary_
     lhs = |E prod (f_j(Y_{t_j}) - E f_j)| by kernel-power linear algebra;
     rhs from covariance_product_bound with the exact phi^{(i)}; the optional
     corollary path multiplies the Q-form by 2^{k-1} for functionals that are
-    only piecewise monotone. The kernel powers are computed once and shared.
+    only piecewise monotone. The kernel powers and the threshold sets are
+    computed once and shared by every phi^{(i)}.
     """
     t_list = list(t_list)
     if any(b <= a for a, b in zip(t_list, t_list[1:])):
@@ -346,7 +352,8 @@ def check_covariance_inequality(kernel: FiniteKernel, f_list, t_list, corollary_
     for j in range(k - 2, -1, -1):
         v = centered[j] * (powers[0][j] @ v)
     lhs = abs(float(pi @ v))
-    phis = [min(_phi_i_exact(kernel, fvals, t_list, i, powers), 1.0) for i in range(k)]
+    h_sets = _centered_thresholds(pi, fvals)
+    phis = [min(_phi_i_exact(kernel, fvals, h_sets, i, powers), 1.0) for i in range(k)]
     laws = [FiniteLaw(c, pi) for c in centered]
     bounds = covariance_product_bound(laws, phis, p_list=[float(k)] * k)
     factor = 2.0 ** (k - 1) if corollary_factor else 1.0

@@ -7,7 +7,7 @@ All operations are pure; distributions are immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import comb
 from typing import Callable, Union
 
@@ -704,15 +704,23 @@ def _smoothing_constant(r: float, p: float) -> float:
     return float((2.0 * ci) ** (1.0 - (p - i)) * ci1 ** (p - i))
 
 
-def smoothing_lemma_check(f: GridFunction, r: float, p: float, t: float) -> dict:
-    """Numerically verify |f * phi_t|_{Lambda_p} <= c_{r,p} t^{r-p} |f|_{Lambda_r}."""
-    if p < r:
+def smoothing_lemma_check(f: GridFunction, cases) -> list:
+    """Numerically verify |f * phi_t|_{Lambda_p} <= c_{r,p} t^{r-p} |f|_{Lambda_r}
+    for each (r, p, t) in cases, one result per case in case order. f is
+    smoothed once per t, and each seminorm is computed once: the left side
+    per (t, p), the right side per r, the constant per (r, p)."""
+    if any(p < r for r, p, _ in cases):
         raise MetricsError("requires p >= r")
-    smoothed = gaussian_smooth(f, t)
-    lhs = lambda_seminorm(smoothed, p)
-    c = _smoothing_constant(r, p)
-    rhs = c * t ** (r - p) * lambda_seminorm(f, r)
-    return {"lhs": lhs, "rhs": rhs, "constant": c, "ok": bool(lhs <= rhs * (1.0 + 1e-3) + 1e-12)}
+    smoothed = cache(lambda t: gaussian_smooth(f, t))
+    lhs_norm = cache(lambda t, p: lambda_seminorm(smoothed(t), p))
+    rhs_norm = cache(lambda r: lambda_seminorm(f, r))
+    constant = cache(_smoothing_constant)
+    results = []
+    for r, p, t in cases:
+        lhs, c = lhs_norm(t, p), constant(r, p)
+        rhs = c * t ** (r - p) * rhs_norm(r)
+        results.append({"lhs": lhs, "rhs": rhs, "constant": c, "ok": bool(lhs <= rhs * (1.0 + 1e-3) + 1e-12)})
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 import os
 import warnings
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from typing import Callable, Optional, Protocol, Union
 
 import numpy as np
@@ -77,41 +77,60 @@ class InnovationLaw:
 # finite Markov kernels
 
 
-@dataclass(frozen=True)
 class FiniteKernel:
-    """Row-stochastic kernel on integer states with its stationary law."""
+    """Row-stochastic kernel on integer states with its stationary law, held
+    as slot-major rows: column i of _cols and _weights holds row i's target
+    indices and their probabilities, padded with zero-weight targets to the
+    width of the widest row, so apply sums whole contiguous rows.
 
-    states: np.ndarray
-    matrix: np.ndarray
-    stationary: np.ndarray
+    FiniteKernel(states, matrix, stationary) takes row i's nonzero columns
+    of a dense matrix in increasing order; from_rows takes the rows as they
+    are. Both run the same checks on the rows, and a kernel built from rows
+    makes its dense matrix only when `matrix` is first read."""
 
-    # column i holds row i's nonzero columns in increasing order and their
-    # weights, padded with zero-weight columns to the largest nonzero count
-    # of any row; slot-major, so apply sums whole contiguous rows
-    _cols: np.ndarray = field(init=False, repr=False, compare=False)
-    _weights: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        k = np.asarray(self.matrix, dtype=float)
-        s = np.asarray(self.states, dtype=int)
-        pi = np.asarray(self.stationary, dtype=float)
-        if s.size == 0:
-            raise ProcessError("kernel needs at least one state")
+    def __init__(self, states, matrix, stationary):
+        k = np.asarray(matrix, dtype=float)
+        s = np.asarray(states, dtype=int)
         if k.shape != (s.size, s.size):
             raise ProcessError("matrix shape must match the state count")
-        if np.any(k < -1e-15):
+        width = int(np.count_nonzero(k, axis=1).max(initial=0))
+        cols = np.argsort(k == 0, axis=1, kind="stable")[:, :width].T
+        self._adopt(s, cols, np.take_along_axis(k, cols.T, axis=1).T, stationary)
+        self.matrix = k
+
+    @classmethod
+    def from_rows(cls, states, cols, weights, stationary) -> "FiniteKernel":
+        """The kernel moving from state index i to cols[slot, i] with
+        probability weights[slot, i]; no dense matrix is made."""
+        kernel = cls.__new__(cls)
+        kernel._adopt(np.asarray(states, dtype=int), cols, weights, stationary)
+        return kernel
+
+    def _adopt(self, states: np.ndarray, cols, weights, stationary) -> None:
+        cols = np.ascontiguousarray(cols, dtype=np.intp)
+        weights = np.ascontiguousarray(weights, dtype=float)
+        pi = np.asarray(stationary, dtype=float)
+        if states.size == 0:
+            raise ProcessError("kernel needs at least one state")
+        if cols.shape != weights.shape or cols.shape[1:] != states.shape or pi.shape != states.shape:
+            raise ProcessError("rows and stationary law must have one column per state")
+        if np.any((cols < 0) | (cols >= states.size)):
+            raise ProcessError("row targets must be state indices")
+        if np.any(weights < -1e-15):
             raise ProcessError("negative transition probability")
-        width = int(np.count_nonzero(k, axis=1).max())
-        cols = np.ascontiguousarray(np.argsort(k == 0, axis=1, kind="stable")[:, :width].T)
-        weights = np.ascontiguousarray(np.take_along_axis(k, cols.T, axis=1).T)
         _check_rows(cols, weights, pi)
-        if not _strongly_connected(k > 0):
+        if not _strongly_connected(cols, weights > 0):
             raise ProcessError("kernel is not irreducible")
-        object.__setattr__(self, "states", s)
-        object.__setattr__(self, "matrix", k)
-        object.__setattr__(self, "stationary", pi)
-        object.__setattr__(self, "_cols", cols)
-        object.__setattr__(self, "_weights", weights)
+        self.states, self.stationary, self._cols, self._weights = states, pi, cols, weights
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense kernel, summed from the rows one slot at a time."""
+        k = np.zeros((self.size, self.size))
+        rows = np.arange(self.size)
+        for cols, weights in zip(self._cols, self._weights):
+            k[rows, cols] += weights
+        return k
 
     @property
     def size(self) -> int:
@@ -124,8 +143,8 @@ class FiniteKernel:
         return idx
 
     def apply(self, f: np.ndarray) -> np.ndarray:
-        """(Kf)(s) = sum_j K(s, j) f(j), summed over the nonzero K(s, j) only
-        and in column order, so the result is the same under any BLAS."""
+        """(Kf)(s) = sum_j K(s, j) f(j), summed over row s's slots in order,
+        so the result is the same under any BLAS."""
         return (self._weights * np.asarray(f, dtype=float)[self._cols]).sum(axis=0)
 
 
@@ -145,21 +164,32 @@ def _check_mean_zero(kf: np.ndarray) -> None:
         raise ProcessError(f"conditional-mean residual {np.max(np.abs(kf)):.2e} exceeds 1e-12 on interior states")
 
 
-def _strongly_connected(adj: np.ndarray) -> bool:
-    """Whether the digraph with boolean adjacency matrix adj has one strong
-    component: state 0 reaches every state along adj and along its transpose
-    (frontier breadth-first search). False for the empty graph."""
-    n = adj.shape[0]
+def _strongly_connected(cols: np.ndarray, live: np.ndarray) -> bool:
+    """Whether the digraph with an edge from i to cols[slot, i] wherever
+    live[slot, i] has one strong component: state 0 reaches every state
+    along the edges and along the reversed edges. Each direction is a
+    breadth-first search over adjacency lists, so a level costs the edges
+    out of its frontier. False for the empty graph."""
+    n = cols.shape[1]
     if n == 0:
         return False
-    for edges in (adj, adj.T):
-        seen = np.zeros(n, dtype=bool)
-        seen[0] = True
-        frontier = seen.copy()
-        while frontier.any():
-            frontier = edges[frontier].any(axis=0) & ~seen
-            seen |= frontier
-        if not seen.all():
+    tails = np.broadcast_to(np.arange(n), cols.shape)[live]
+    heads = cols[live]
+    for tail, head in ((tails, heads), (heads, tails)):
+        starts = np.concatenate(([0], np.cumsum(np.bincount(tail, minlength=n)))).tolist()
+        targets = head[np.argsort(tail, kind="stable")].tolist()
+        seen = bytearray(n)
+        seen[0] = 1
+        frontier = [0]
+        while frontier:
+            grown = []
+            for s in frontier:
+                for t in targets[starts[s]:starts[s + 1]]:
+                    if not seen[t]:
+                        seen[t] = 1
+                        grown.append(t)
+            frontier = grown
+        if 0 in seen:
             return False
     return True
 
@@ -192,11 +222,11 @@ def _schedule_crossover(p: float, eps: float) -> int:
 
 
 def _renewal_chain(a_rule: Callable[[int], float], n_max: int, functional: str = "f1") -> tuple:
-    """(pi, f, threshold, moves) of the drift-to-zero chain on -n_max..n_max
+    """(pi, f, weights, moves) of the drift-to-zero chain on -n_max..n_max
     (state s at index n_max + s) from its schedule a_0..a_{n_max-1} alone,
     all checked: the renewal stationary law pi, the functional f, and two
-    entries per row, moves[0, i] with probability threshold[i] and
-    moves[1, i] otherwise."""
+    slot-major entries per row, moves[0, i] with probability weights[0, i]
+    and moves[1, i] with probability weights[1, i]."""
     if n_max < 4:
         raise ProcessError("n_max must be >= 4")
     a = np.array([a_rule(i) for i in range(n_max)])
@@ -232,13 +262,14 @@ def _renewal_chain(a_rule: Callable[[int], float], n_max: int, functional: str =
     weights = np.stack((threshold, 1.0 - threshold))
     _check_rows(moves, weights, pi)
     _check_mean_zero((weights * f[moves]).sum(axis=0)[1:-1])
-    return pi, f, threshold, moves
+    return pi, f, weights, moves
 
 
 def davydov_kernel(a_rule: Callable[[int], float], n_max: int,
                    functional: str = "f1") -> tuple[FiniteKernel, np.ndarray]:
     """Truncated kernel of the drift-to-zero integer chain and its
-    functional, both from one checked pass over the schedule.
+    functional, both from one checked pass over the schedule; the kernel is
+    built from the two-entry rows, with no dense matrix.
 
     From state n > 0 the chain moves to n+1 with probability a_n and drops
     to 0 otherwise (mirrored for n < 0); from 0 it moves to +-1 with equal
@@ -246,12 +277,8 @@ def davydov_kernel(a_rule: Callable[[int], float], n_max: int,
     f1 is +-1 at +-1 and zero elsewhere; f2 is 1 at 0, 0 at +-1, and
     1 - 1/a_n at +-(n+1). Both have zero conditional mean off the boundary.
     """
-    pi, f, threshold, moves = _renewal_chain(a_rule, n_max, functional)
-    rows = np.arange(pi.size)
-    k = np.zeros((pi.size, pi.size))
-    k[rows, moves[1]] = 1.0 - threshold
-    k[rows, moves[0]] += threshold
-    return FiniteKernel(np.arange(-n_max, n_max + 1), k, pi), f
+    pi, f, weights, moves = _renewal_chain(a_rule, n_max, functional)
+    return FiniteKernel.from_rows(np.arange(-n_max, n_max + 1), moves, weights, pi), f
 
 
 # ---------------------------------------------------------------------------
@@ -719,8 +746,8 @@ def _davydov_step_tables(chain: DavydovChain) -> tuple:
     alone, without the dense kernel: from state index i the chain moves to
     moves[2i] when the step's uniform is below threshold[i] and to
     moves[2i + 1] otherwise."""
-    pi, f, threshold, moves = _renewal_chain(chain.a_rule(), chain.n_max, chain.functional)
-    return np.cumsum(pi), f, threshold, np.ascontiguousarray(moves.T).ravel()
+    pi, f, weights, moves = _renewal_chain(chain.a_rule(), chain.n_max, chain.functional)
+    return np.cumsum(pi), f, weights[0], np.ascontiguousarray(moves.T).ravel()
 
 
 def _davydov_sums(tables: tuple, n_grid, seed: int, replicates: range) -> np.ndarray:

@@ -14,6 +14,7 @@ from cltlab.cli import main
 from cltlab.config import FAMILIES, build_process, load_config
 from cltlab.experiments import calibration_floor
 from cltlab.io import IOError_, RunManifest, config_digest, read_manifest
+from cltlab import processes
 from cltlab.processes import IIDBaseline, InnovationLaw, ProcessSpec, long_run_variance, partial_sums_batch
 
 
@@ -449,6 +450,20 @@ def test_conditions_csv_independent_of_blas_threads(tmp_path):
     # the kernel apply and the stationary law go through no BLAS call whose
     # summation order depends on the thread count
     assert _conditions_subprocess(tmp_path, "one", "1") == _conditions_subprocess(tmp_path, "two", "2")
+
+
+def test_conditions_makes_no_dense_kernel(tmp_path, monkeypatch):
+    # every kernel operation of conditions is a row apply; a class property
+    # sees the read even of a matrix cached on an earlier kernel
+    reads = []
+    monkeypatch.setattr(processes.FiniteKernel, "matrix", property(lambda self: reads.append(self.size)))
+    processes._davydov_cache.cache_clear()
+    cfg = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "bench", "configs", "conditions.json")
+    try:
+        assert main(["conditions", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    finally:
+        processes._davydov_cache.cache_clear()
+    assert reads == []
 
 
 def test_linear_trajectories_independent_of_blas_threads(tmp_path):

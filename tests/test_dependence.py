@@ -273,8 +273,9 @@ def _phi_i_loop(kernel, f_list, t_list, i):
 
 def _assert_phis_match_loop(ker, fs, ts):
     powers = dependence._lag_powers(ker, ts)
+    h_sets = dependence._centered_thresholds(ker.stationary, fs)
     for i in range(len(fs)):
-        got = dependence._phi_i_exact(ker, fs, ts, i, powers)
+        got = dependence._phi_i_exact(ker, fs, h_sets, i, powers)
         want = _phi_i_loop(ker, fs, ts, i)
         assert abs(got - want) <= 1e-12 * want + 1e-15, (i, got, want)
 
@@ -360,8 +361,9 @@ def test_phi_i_column_reduction_is_bitwise(monkeypatch, entries, tied):
             fs = [np.round(f) for f in fs]
         ts = np.cumsum(rng.integers(1, 4, size=k)).tolist()
         powers = dependence._lag_powers(ker, ts)
+        h_sets = dependence._centered_thresholds(ker.stationary, fs)
         for i in range(k):
-            assert dependence._phi_i_exact(ker, fs, ts, i, powers) == _phi_i_dense(ker, fs, ts, i, powers)
+            assert dependence._phi_i_exact(ker, fs, h_sets, i, powers) == _phi_i_dense(ker, fs, ts, i, powers)
 
 
 def test_covariance_inequality_independent_chain():

@@ -90,6 +90,10 @@ ALLOWLIST = {
     "metrics.gaussian_panel_integrals": (
         "exact panel integrals, the reference the bootstrap's panels are tested against",
         lambda out: ([0.1, 0.5], [0.5, 0.9], [0.0, 1.0], 1.0, 3)),
+    "processes.FiniteKernel": (
+        "the dense-matrix constructor, which verify reaches only through perturb_kernel (a run that exits 1) "
+        "and the tests build their reference kernels with",
+        lambda out: (np.arange(2), np.full((2, 2), 0.5), np.full(2, 0.5))),
     "processes.FiniteKernel.index_of": (
         "the row of a chain state, which the acceptance tests read the stationary law with",
         lambda out: (_kernel(), 0)),

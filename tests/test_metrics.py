@@ -590,20 +590,34 @@ class TestSeminormAndSmoothing:
     def test_smoothing_identity_case(self):
         # c_{r,r} = 1: smoothing cannot increase the seminorm of order r
         f = GridFunction.from_callable(np.abs, n=2049)
-        res = smoothing_lemma_check(f, 1.0, 1.0, 0.3)
+        res = smoothing_lemma_check(f, [(1.0, 1.0, 0.3)])[0]
         assert res["constant"] == 1.0
         assert res["ok"]
 
     def test_smoothing_gains_derivatives(self):
         f = GridFunction.from_callable(np.abs, n=4097)
-        res = smoothing_lemma_check(f, 1.0, 2.0, 0.2)
+        res = smoothing_lemma_check(f, [(1.0, 2.0, 0.2)])[0]
         assert res["ok"]
         assert np.isfinite(res["lhs"])
 
     def test_smoothing_noninteger_orders(self):
         f = GridFunction.from_callable(lambda x: np.sqrt(np.abs(x)), n=4097)
-        res = smoothing_lemma_check(f, 0.5, 1.5, 0.3)
+        res = smoothing_lemma_check(f, [(0.5, 1.5, 0.3)])[0]
         assert res["ok"]
+
+    def test_case_grid_computes_each_seminorm_once(self, monkeypatch):
+        # the verify grid on a short grid: 6 (t, p) left sides and 4 right
+        # sides, each bitwise the value a one-case call computes
+        cases = [(r, p, t) for r in (0.5, 1.0, 1.5, 2.0) for p in (2.0, 2.5, 3.0) for t in (0.25, 1.0)]
+        f = GridFunction.from_callable(np.abs, lo=-12.0, hi=12.0, n=2**9 + 1)
+        single = [smoothing_lemma_check(f, [case])[0] for case in cases]
+        calls = []
+        seminorm = metrics.lambda_seminorm
+        monkeypatch.setattr(metrics, "lambda_seminorm", lambda g, r: calls.append(r) or seminorm(g, r))
+        assert smoothing_lemma_check(f, cases) == single
+        assert len(calls) == 10
+        with pytest.raises(MetricsError, match="p >= r"):
+            smoothing_lemma_check(f, [(1.0, 2.0, 0.5), (2.0, 1.0, 0.5)])
 
 
 class TestDistanceEstimate:

@@ -471,13 +471,21 @@ def _scipy_strongly_connected(adj):
     return connected_components(csr_matrix(adj), connection="strong")[0] == 1
 
 
+def _strongly_connected_adj(adj):
+    """_strongly_connected on the slot-major rows of a boolean adjacency
+    matrix, padded with dead slots to the widest row."""
+    width = int(np.count_nonzero(adj, axis=1).max(initial=0))
+    cols = np.argsort(~adj, axis=1, kind="stable")[:, :width].T
+    return _strongly_connected(cols, np.take_along_axis(adj, cols.T, axis=1).T)
+
+
 class TestStronglyConnected:
     """The numpy reachability check against scipy's strong components."""
 
     @given(st.integers(1, 9).flatmap(lambda n: hnp.arrays(bool, (n, n))))
     @settings(max_examples=300, deadline=None)
     def test_random_digraphs(self, adj):
-        assert _strongly_connected(adj) == _scipy_strongly_connected(adj)
+        assert _strongly_connected_adj(adj) == _scipy_strongly_connected(adj)
 
     @pytest.mark.parametrize("adj", [
         np.zeros((1, 1), dtype=bool),  # n = 1 without a self-loop
@@ -489,17 +497,111 @@ class TestStronglyConnected:
         np.eye(5, k=1, dtype=bool) | np.eye(5, k=-1, dtype=bool),  # two-way chain
     ], ids=["n1", "n1-loop", "self-loops", "chain-up", "chain-down", "cycle", "two-way"])
     def test_edge_cases(self, adj):
-        assert _strongly_connected(adj) == _scipy_strongly_connected(adj)
+        assert _strongly_connected_adj(adj) == _scipy_strongly_connected(adj)
 
     def test_empty_graph(self):
-        assert not _strongly_connected(np.zeros((0, 0), dtype=bool))
+        assert not _strongly_connected_adj(np.zeros((0, 0), dtype=bool))
 
     def test_davydov_kernel(self):
         kernel, _ = DavydovChain(2.5, 0.1, n_max=60).build()
+        live = kernel._weights > 0
         adj = kernel.matrix > 0
-        assert _strongly_connected(adj) and _scipy_strongly_connected(adj)
-        adj[:, kernel.index_of(0)] = False  # nothing returns to 0
-        assert not _strongly_connected(adj) and not _scipy_strongly_connected(adj)
+        assert _strongly_connected(kernel._cols, live) and _scipy_strongly_connected(adj)
+        live &= kernel._cols != kernel.index_of(0)  # nothing returns to 0
+        adj[:, kernel.index_of(0)] = False
+        assert not _strongly_connected(kernel._cols, live) and not _scipy_strongly_connected(adj)
+
+
+def _random_rows(size: int, seed: int):
+    """Slot-major rows of an irreducible kernel (a cycle plus random edges):
+    each row's positive weights in increasing column order, then zero-weight
+    slots pointing at random states, as a dense matrix's rows are laid out
+    up to where the padding points."""
+    gen = np.random.default_rng(seed)
+    width = min(size, 4)
+    cols = np.empty((width, size), dtype=np.intp)
+    weights = np.zeros((width, size))
+    for row in range(size):
+        others = gen.choice(size, size=gen.integers(0, width), replace=False)
+        nz = np.unique(np.append(others, (row + 1) % size))
+        w = gen.random(nz.size) + 0.05
+        cols[:, row] = np.append(nz, gen.integers(0, size, width - nz.size))
+        weights[:nz.size, row] = w / w.sum()
+    dense = np.zeros((size, size))
+    for slot in range(width):
+        dense[np.arange(size), cols[slot]] += weights[slot]
+    return cols, weights, dense
+
+
+class TestKernelFromRows:
+    """FiniteKernel.from_rows against FiniteKernel(states, matrix, stationary)."""
+
+    @given(st.integers(1, 30), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_dense_kernel(self, size, seed):
+        cols, weights, dense = _random_rows(size, seed)
+        pi = _solve_stationary(dense)
+        rows = FiniteKernel.from_rows(np.arange(size), cols, weights, pi)
+        full = FiniteKernel(np.arange(size), dense, pi)
+        assert "matrix" not in vars(rows)
+        f = np.random.default_rng(seed).normal(size=size) * 10.0 ** np.linspace(-3.0, 3.0, size)
+        for got, want in ((rows.apply(f), full.apply(f)), (rows.matrix, full.matrix),
+                          (rows.stationary, full.stationary)):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @staticmethod
+    def _both_raise(cols, weights, pi):
+        """The message both constructors raise on the same kernel."""
+        dense = np.zeros((pi.size, pi.size))
+        for slot in range(cols.shape[0]):
+            dense[np.arange(pi.size), cols[slot]] += weights[slot]
+        messages = []
+        for build in (lambda: FiniteKernel.from_rows(np.arange(pi.size), cols, weights, pi),
+                      lambda: FiniteKernel(np.arange(pi.size), dense, pi)):
+            with pytest.raises(ProcessError) as err:
+                build()
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        return messages[0]
+
+    CYCLE3 = np.array([[1, 2, 0], [2, 0, 1]])  # i -> i + 1 and i -> i + 2 (mod 3)
+
+    def test_rejects_a_negative_weight(self):
+        weights = np.array([[1.1, 0.5, 0.5], [-0.1, 0.5, 0.5]])
+        assert self._both_raise(self.CYCLE3, weights, np.full(3, 1 / 3)) == "negative transition probability"
+
+    def test_rejects_rows_off_one(self):
+        weights = np.array([[0.5, 0.5, 0.5], [0.5, 0.5, 0.4]])
+        assert self._both_raise(self.CYCLE3, weights, np.full(3, 1 / 3)) == "rows must sum to 1 within 1e-12"
+
+    def test_rejects_a_non_stationary_law(self):
+        weights = np.full((2, 3), 0.5)
+        pi = np.array([0.5, 0.3, 0.2])
+        assert self._both_raise(self.CYCLE3, weights, pi) == "stationary vector residual exceeds 1e-12"
+
+    def test_rejects_two_closed_classes(self):
+        cols = np.array([[1, 0, 3, 2]])  # {0, 1} and {2, 3}
+        assert self._both_raise(cols, np.ones((1, 4)), np.full(4, 0.25)) == "kernel is not irreducible"
+
+    def test_rejects_an_unreachable_state(self):
+        cols = np.array([[1, 0, 0]])  # 0 <-> 1, and 2 -> 0 with nothing into 2
+        pi = np.array([0.5, 0.5, 0.0])
+        assert self._both_raise(cols, np.ones((1, 3)), pi) == "kernel is not irreducible"
+
+    def test_davydov_kernel_makes_no_dense_matrix(self, monkeypatch):
+        reads = []
+        monkeypatch.setattr(FiniteKernel, "matrix", property(lambda self: reads.append(self)))
+        processes._davydov_cache.cache_clear()
+        chain = DavydovChain(2.5, 0.1, "f1", 4000)
+        start = time.perf_counter()
+        kernel, f = processes._davydov_cache(chain)
+        lrv = chain.long_run_variance(0)
+        elapsed = time.perf_counter() - start
+        processes._davydov_cache.cache_clear()
+        assert reads == [] and kernel.size == 8001
+        # f1 is a martingale difference: sigma^2 = c_0 = pi(1) + pi(-1)
+        assert lrv["sigma2"] == pytest.approx(kernel.stationary @ f**2, rel=1e-14)
+        assert elapsed < 1.0
 
 
 class TestCenteringCache:
