@@ -55,7 +55,6 @@ from .processes import (
     ProcessError,
     partial_sums_batch,
     transfer_duality_residual,
-    _davydov_cache,
 )
 
 EXIT_OK = 0
@@ -230,7 +229,7 @@ def cmd_conditions(args) -> int:
 
 
 def _verify_chain(perturb: float):
-    kernel, f = _davydov_cache(DavydovChain(2.5, 0.1, "f1", 24))
+    kernel, f = DavydovChain(2.5, 0.1, "f1", 24).kernel
     if perturb:
         bad = kernel.matrix.copy()
         bad[0, 0] += perturb

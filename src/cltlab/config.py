@@ -184,10 +184,10 @@ def _davydov(s: dict) -> DavydovChain:
     eps = get("eps", ok=_positive, need="a positive number")
     # an explicit schedule pins the up-step probabilities the config expects;
     # it must satisfy the drift invariant and match the (p, eps) formula
-    for i, a_n in enumerate(get("schedule", (), many=True)):
+    schedule = get("schedule", (), many=True)
+    for i, (a_n, want) in enumerate(zip(schedule, davydov_schedule(p, eps, len(schedule)))):
         if i > 0 and not (0.5 <= a_n < 1.0):
             raise ConfigError(f"'process.schedule[{i}]' = {a_n} violates the invariant 1/2 <= a_n < 1")
-        want = davydov_schedule(p, eps, i)
         if abs(a_n - want) > 1e-9:
             raise ConfigError(f"'process.schedule[{i}]' = {a_n} does not match the drift formula "
                               f"value {want:.12g} for the given p and eps")

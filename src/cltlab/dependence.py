@@ -21,7 +21,6 @@ from .processes import (
     IIDBaseline,
     LinearProcess,
     ProcessSpec,
-    _davydov_cache,
     window_sums,
 )
 
@@ -432,7 +431,7 @@ def _report(cid, n_values, terms, extra=None) -> ConditionReport:
 
 def _chain_f(spec: ProcessSpec) -> tuple[FiniteKernel, np.ndarray]:
     if isinstance(spec.family, DavydovChain):
-        return _davydov_cache(spec.family)
+        return spec.family.kernel
     raise UnsupportedFamilyError("spec does not describe a finite chain")
 
 

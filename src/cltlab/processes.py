@@ -9,7 +9,7 @@ from __future__ import annotations
 import os
 import warnings
 from dataclasses import dataclass, field
-from functools import cache, cached_property, partial
+from functools import cached_property, partial
 from typing import Callable, Optional, Protocol, Union
 
 import numpy as np
@@ -118,7 +118,11 @@ class FiniteKernel:
             raise ProcessError("row targets must be state indices")
         if np.any(weights < -1e-15):
             raise ProcessError("negative transition probability")
-        _check_rows(cols, weights, pi)
+        # every row sums to 1 and pi K = pi, each within 1e-12
+        if np.max(np.abs(weights.sum(axis=0) - 1.0)) > 1e-12:
+            raise ProcessError("rows must sum to 1 within 1e-12")
+        if np.max(np.abs(np.bincount(cols.ravel(), (weights * pi).ravel(), pi.size) - pi)) > 1e-12:
+            raise ProcessError("stationary vector residual exceeds 1e-12")
         if not _strongly_connected(cols, weights > 0):
             raise ProcessError("kernel is not irreducible")
         self.states, self.stationary, self._cols, self._weights = states, pi, cols, weights
@@ -146,22 +150,6 @@ class FiniteKernel:
         """(Kf)(s) = sum_j K(s, j) f(j), summed over row s's slots in order,
         so the result is the same under any BLAS."""
         return (self._weights * np.asarray(f, dtype=float)[self._cols]).sum(axis=0)
-
-
-def _check_rows(cols: np.ndarray, weights: np.ndarray, pi: np.ndarray) -> None:
-    """The kernel checks on slot-major rows (column i of cols and weights
-    holds row i's targets and probabilities): every row sums to 1 and
-    pi K = pi, each within 1e-12."""
-    if np.max(np.abs(weights.sum(axis=0) - 1.0)) > 1e-12:
-        raise ProcessError("rows must sum to 1 within 1e-12")
-    if np.max(np.abs(np.bincount(cols.ravel(), (weights * pi).ravel(), pi.size) - pi)) > 1e-12:
-        raise ProcessError("stationary vector residual exceeds 1e-12")
-
-
-def _check_mean_zero(kf: np.ndarray) -> None:
-    """Kf on the interior states must vanish within 1e-12."""
-    if np.max(np.abs(kf)) > 1e-12:
-        raise ProcessError(f"conditional-mean residual {np.max(np.abs(kf)):.2e} exceeds 1e-12 on interior states")
 
 
 def _strongly_connected(cols: np.ndarray, live: np.ndarray) -> bool:
@@ -194,42 +182,42 @@ def _strongly_connected(cols: np.ndarray, live: np.ndarray) -> bool:
     return True
 
 
-def davydov_schedule(p: float, eps: float, i: int) -> float:
-    """Up-step probability a_i: 1/2 below the crossover index i0 and
-    1 - (p/2i)(1 + (1+eps)/log i) above it."""
+def davydov_schedule(p: float, eps: float, n: int) -> np.ndarray:
+    """Up-step probabilities a_0..a_{n-1}: 1/2 below the crossover index i0
+    and 1 - (p/2i)(1 + (1+eps)/log i) from it on."""
     if not (2.0 < p <= 3.0):
         raise ProcessError("p must lie in (2, 3]")
     if eps <= 0:
         raise ProcessError("eps must be positive")
-    if i < 0:
-        raise ProcessError("i must be >= 0")
-    if i == 0:
-        return 0.5
     i0 = _schedule_crossover(p, eps)
-    if i < i0:
-        return 0.5
-    return 1.0 - (p / (2.0 * i)) * (1.0 + (1.0 + eps) / np.log(i))
+    i = np.arange(i0, n, dtype=float)
+    return np.concatenate((np.full(min(i0, n), 0.5), 1.0 - (p / (2.0 * i)) * (1.0 + (1.0 + eps) / np.log(i))))
 
 
-@cache
 def _schedule_crossover(p: float, eps: float) -> int:
-    """Smallest i >= 2 at which the schedule formula stays >= 1/2, scanned
-    once per (p, eps): a chain's schedule asks for it at every state."""
+    """Smallest i >= 2 at which the schedule formula stays >= 1/2."""
     for i in range(2, 10**6):
         if 1.0 - (p / (2.0 * i)) * (1.0 + (1.0 + eps) / np.log(i)) >= 0.5:
             return i
     raise ProcessError("schedule never reaches 1/2")
 
 
-def _renewal_chain(a_rule: Callable[[int], float], n_max: int, functional: str = "f1") -> tuple:
-    """(pi, f, weights, moves) of the drift-to-zero chain on -n_max..n_max
-    (state s at index n_max + s) from its schedule a_0..a_{n_max-1} alone,
-    all checked: the renewal stationary law pi, the functional f, and two
-    slot-major entries per row, moves[0, i] with probability weights[0, i]
-    and moves[1, i] with probability weights[1, i]."""
+def renewal_kernel(a: np.ndarray, functional: str) -> tuple[FiniteKernel, np.ndarray]:
+    """Truncated kernel of the drift-to-zero chain on -n_max..n_max (state s
+    at index n_max + s) and its functional, from the schedule a_0..a_{n_max-1}
+    alone, all checked. The kernel is built from two slot-major entries per
+    row, the up step and the drop to 0, with no dense matrix; its
+    stationary law is the renewal law.
+
+    From state n > 0 the chain moves to n+1 with probability a_n and drops
+    to 0 otherwise (mirrored for n < 0); from 0 it moves to +-1 with equal
+    probability.  Boundary rows at +-n_max are redirected wholly to 0.
+    f1 is +-1 at +-1 and zero elsewhere; f2 is 1 at 0, 0 at +-1, and
+    1 - 1/a_n at +-(n+1). Both have zero conditional mean off the boundary.
+    """
+    n_max = a.size
     if n_max < 4:
         raise ProcessError("n_max must be >= 4")
-    a = np.array([a_rule(i) for i in range(n_max)])
     if abs(a[0] - 0.5) > 1e-12:
         raise ProcessError("a_0 must equal 1/2")
     if np.any(a[1:] < 0.5) or np.any(a[1:] >= 1.0):
@@ -252,33 +240,18 @@ def _renewal_chain(a_rule: Callable[[int], float], n_max: int, functional: str =
         f[:n_max - 1] = f[:n_max + 1:-1]
     else:
         raise ProcessError(f"unknown functional kind: {functional}")
-    # from 0 to +-1 with probability 1/2; up one step away from 0 with
-    # probability a_|s|, else to 0; the boundary states +-n_max drop to 0
+    # slot 0 is the up step, taken when the step's uniform is below a_|s|;
+    # slot 1 the drop to 0; from 0 the slots are +1 and -1
     i = np.arange(pi.size)
     threshold = np.concatenate(([0.0], a[:0:-1], [0.5], a[1:], [0.0]))
     moves = np.stack((i + np.sign(i - n_max), np.full(pi.size, n_max)))
     moves[:, n_max] = n_max + 1, n_max - 1
     moves[0, [0, -1]] = n_max
-    weights = np.stack((threshold, 1.0 - threshold))
-    _check_rows(moves, weights, pi)
-    _check_mean_zero((weights * f[moves]).sum(axis=0)[1:-1])
-    return pi, f, weights, moves
-
-
-def davydov_kernel(a_rule: Callable[[int], float], n_max: int,
-                   functional: str = "f1") -> tuple[FiniteKernel, np.ndarray]:
-    """Truncated kernel of the drift-to-zero integer chain and its
-    functional, both from one checked pass over the schedule; the kernel is
-    built from the two-entry rows, with no dense matrix.
-
-    From state n > 0 the chain moves to n+1 with probability a_n and drops
-    to 0 otherwise (mirrored for n < 0); from 0 it moves to +-1 with equal
-    probability.  Boundary rows at +-n_max are redirected wholly to 0.
-    f1 is +-1 at +-1 and zero elsewhere; f2 is 1 at 0, 0 at +-1, and
-    1 - 1/a_n at +-(n+1). Both have zero conditional mean off the boundary.
-    """
-    pi, f, weights, moves = _renewal_chain(a_rule, n_max, functional)
-    return FiniteKernel.from_rows(np.arange(-n_max, n_max + 1), moves, weights, pi), f
+    kernel = FiniteKernel.from_rows(i - n_max, moves, np.stack((threshold, 1.0 - threshold)), pi)
+    kf = np.max(np.abs(kernel.apply(f)[1:-1]))
+    if kf > 1e-12:
+        raise ProcessError(f"conditional-mean residual {kf:.2e} exceeds 1e-12 on interior states")
+    return kernel, f
 
 
 # ---------------------------------------------------------------------------
@@ -298,17 +271,16 @@ class DavydovChain:
         if self.functional not in ("f1", "f2"):
             raise ProcessError(f"unknown functional kind: {self.functional}")
 
-    def a_rule(self) -> Callable[[int], float]:
-        return lambda i: davydov_schedule(self.p, self.eps, i)
-
-    def build(self) -> tuple[FiniteKernel, np.ndarray]:
-        return davydov_kernel(self.a_rule(), self.n_max, self.functional)
+    @cached_property
+    def kernel(self) -> tuple[FiniteKernel, np.ndarray]:
+        """The checked kernel and functional, built once per chain object."""
+        return renewal_kernel(davydov_schedule(self.p, self.eps, self.n_max), self.functional)
 
     def batch_sums(self, seed: int):
-        return partial(_davydov_sums, _davydov_step_tables(self))
+        return partial(_davydov_sums, *self.kernel)
 
     def long_run_variance(self, seed: int) -> dict:
-        kernel, f = _davydov_cache(self)
+        kernel, f = self.kernel
         pi = kernel.stationary
         return _covariance_series(
             f - float(pi @ f), kernel.apply, lambda u, v: float(pi @ (u * v)), lag_cap=4096, tol=1e-14, min_lags=8
@@ -741,17 +713,11 @@ def _step_rows(gens: list, n_steps: int):
         yield from enumerate(u[:block], start + 1)
 
 
-def _davydov_step_tables(chain: DavydovChain) -> tuple:
-    """(cumulative stationary law, f, threshold, moves) from the schedule
-    alone, without the dense kernel: from state index i the chain moves to
-    moves[2i] when the step's uniform is below threshold[i] and to
-    moves[2i + 1] otherwise."""
-    pi, f, weights, moves = _renewal_chain(chain.a_rule(), chain.n_max, chain.functional)
-    return np.cumsum(pi), f, weights[0], np.ascontiguousarray(moves.T).ravel()
-
-
-def _davydov_sums(tables: tuple, n_grid, seed: int, replicates: range) -> np.ndarray:
-    cum_pi, f, threshold, moves = tables
+def _davydov_sums(kernel: FiniteKernel, f: np.ndarray, n_grid, seed: int, replicates: range) -> np.ndarray:
+    """From state index i the chain moves to moves[2i] when the step's
+    uniform is below threshold[i] and to moves[2i + 1] otherwise: the two
+    slots of the kernel's row i."""
+    cum_pi, threshold, moves = np.cumsum(kernel.stationary), kernel._weights[0], kernel._cols.T.ravel()
     marks = {n: col for col, n in enumerate(n_grid)}
     idx = np.searchsorted(cum_pi, [g.random() for g in rngmod.streams(seed, rngmod.ROLE_INIT, replicates)])
     gens = rngmod.streams(seed, rngmod.ROLE_STEP, replicates)
@@ -765,12 +731,6 @@ def _davydov_sums(tables: tuple, n_grid, seed: int, replicates: range) -> np.nda
         if n_done in marks:
             out[:, marks[n_done]] = total / np.sqrt(n_done)
     return out
-
-
-@cache
-def _davydov_cache(chain: DavydovChain) -> tuple[FiniteKernel, np.ndarray]:
-    """The chain's kernel and functional, built once per distinct chain."""
-    return chain.build()
 
 
 def _expanding_sums(spec: ExpandingMap, density: DensityGrid, n_grid, seed: int, replicates: range) -> np.ndarray:

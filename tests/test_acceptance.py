@@ -45,7 +45,6 @@ from cltlab.processes import (
     InnovationLaw,
     LinearProcess,
     ProcessSpec,
-    _davydov_cache,
     transfer_duality_residual,
 )
 from oracles import _solve_stationary, alpha1_bruteforce, phi1_bruteforce
@@ -176,7 +175,7 @@ def test_06_drift_chain_rates_and_condition():
     assert res.fits[2.5]["verdict"] == "upper-bound-consistent"
     # the mixing-rate series for this schedule converges: alpha_1(k) decays
     # like k^{1 - p/2} (log k)^{-p/2 - eps} and the observable is bounded
-    kernel, _ = _davydov_cache(chain)
+    kernel, _ = chain.kernel
     q1 = float(kernel.stationary[kernel.index_of(1)] + kernel.stationary[kernel.index_of(-1)])
     q_func = PowerQuantile(0.0, support=q1)  # Q(u) = 1 for u < q1, else 0
     alpha = [0.25] + [
@@ -212,7 +211,7 @@ def test_07_exact_mixing_oracles():
 
 def test_08_covariance_inequalities():
     start = time.monotonic()
-    kernel, _ = _davydov_cache(DavydovChain(2.5, 0.1, "f1", n_max=24))
+    kernel, _ = DavydovChain(2.5, 0.1, "f1", n_max=24).kernel
     rng = np.random.default_rng(108)
     for _ in range(500):
         k = int(rng.integers(2, 4))
@@ -302,7 +301,7 @@ def test_11_smoothing_suite():
 
 
 def test_12_envelope_contraction():
-    kernel, _ = _davydov_cache(DavydovChain(2.5, 0.1, "f1", n_max=24))
+    kernel, _ = DavydovChain(2.5, 0.1, "f1", n_max=24).kernel
     rng = np.random.default_rng(112)
     for _ in range(100):
         g = rng.normal(size=(kernel.size, kernel.size))

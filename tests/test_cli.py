@@ -457,13 +457,25 @@ def test_conditions_makes_no_dense_kernel(tmp_path, monkeypatch):
     # sees the read even of a matrix cached on an earlier kernel
     reads = []
     monkeypatch.setattr(processes.FiniteKernel, "matrix", property(lambda self: reads.append(self.size)))
-    processes._davydov_cache.cache_clear()
     cfg = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "bench", "configs", "conditions.json")
-    try:
-        assert main(["conditions", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-    finally:
-        processes._davydov_cache.cache_clear()
+    assert main(["conditions", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     assert reads == []
+
+
+@pytest.mark.parametrize("process", [
+    {"family": "davydov", "p": 2.5, "eps": 0.1, "functional": "f1", "n_max": 60},
+    {"family": "davydov", "p": 2.7, "eps": 0.3, "functional": "f2", "n_max": 60, "schedule": [0.5, 0.5, 0.5]},
+], ids=["f1", "f2-schedule"])
+def test_davydov_rates_builds_its_chain_once(tmp_path, monkeypatch, process):
+    # the simulation and the long-run variance read the one kernel of the
+    # run's chain object
+    calls = []
+    build = processes.renewal_kernel
+    monkeypatch.setattr(processes, "renewal_kernel", lambda a, kind: calls.append(a.size) or build(a, kind))
+    cfg_path, _ = write_cfg(tmp_path, process=process, rates={
+        "p": 2.5, "r_list": [1.0], "n_grid": [8, 16, 32, 64], "replicates": 200, "calibration": False})
+    assert main(["rates", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
+    assert calls == [60]
 
 
 def test_linear_trajectories_independent_of_blas_threads(tmp_path):

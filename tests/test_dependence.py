@@ -33,7 +33,6 @@ from cltlab.processes import (
     IIDBaseline,
     LinearProcess,
     ProcessSpec,
-    _davydov_cache,
 )
 from oracles import _solve_stationary, alpha1_bruteforce, phi1_bruteforce
 
@@ -293,7 +292,7 @@ def test_phi_i_matches_loop_on_random_chains(k):
 
 
 def test_phi_i_matches_loop_on_verify_chain():
-    ker, _ = _davydov_cache(DavydovChain(2.5, 0.1, "f1", 24))
+    ker, _ = DavydovChain(2.5, 0.1, "f1", 24).kernel
     rng = np.random.default_rng(5)
     for k, ts in ((2, [3, 7]), (3, [1, 4, 12])):
         fs = [rng.normal(size=ker.size) for _ in range(k)]

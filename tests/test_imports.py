@@ -118,7 +118,7 @@ def _sample(size):
 
 
 def _kernel():
-    return processes.DavydovChain(2.5, 0.1, "f1", 4).build()[0]
+    return processes.DavydovChain(2.5, 0.1, "f1", 4).kernel[0]
 
 
 DAVYDOV = {"family": "davydov", "p": 2.5, "eps": 0.1, "functional": "f1", "n_max": 8}

@@ -28,14 +28,14 @@ from cltlab.processes import (
     LinearProcess,
     ProcessError,
     ProcessSpec,
-    davydov_kernel,
     davydov_schedule,
     invariant_density,
     long_run_variance,
     partial_sums_batch,
+    renewal_kernel,
     sample_linear_process,
 )
-from cltlab.processes import _centering_constant, _map_branches, _renewal_chain, _strongly_connected
+from cltlab.processes import _centering_constant, _map_branches, _strongly_connected
 from oracles import _solve_stationary, sample_chain
 
 
@@ -66,28 +66,55 @@ class TestInnovationLaw:
             InnovationLaw("symmetric_pareto", q=1.5)
 
 
+def _scalar_schedule(p: float, eps: float, i: int) -> float:
+    """a_i by the scalar formula, with the crossover scanned from i = 2."""
+    formula = lambda j: 1.0 - (p / (2.0 * j)) * (1.0 + (1.0 + eps) / np.log(j))
+    i0 = next(j for j in range(2, 10**6) if formula(j) >= 0.5)
+    return 0.5 if i < i0 else formula(i)
+
+
 class TestDavydovSchedule:
     def test_small_i_is_half(self):
-        assert davydov_schedule(2.5, 0.1, 0) == 0.5
-        assert davydov_schedule(2.5, 0.1, 1) == 0.5
+        assert davydov_schedule(2.5, 0.1, 2).tolist() == [0.5, 0.5]
 
     def test_formula_value(self):
         # [DERIVED] direct formula evaluation at i = 100
         expect = 1.0 - (1.25 / 100.0) * (1.0 + 1.1 / np.log(100.0))
-        assert davydov_schedule(2.5, 0.1, 100) == pytest.approx(expect, abs=1e-15)
+        assert davydov_schedule(2.5, 0.1, 101)[100] == pytest.approx(expect, abs=1e-15)
 
     def test_limit_one(self):
-        assert davydov_schedule(2.5, 0.1, 10**6) > 0.999
+        assert davydov_schedule(2.5, 0.1, 10**6 + 1)[-1] > 0.999
 
     def test_always_valid_probability(self):
-        for i in range(0, 2000):
-            a = davydov_schedule(2.5, 0.1, i)
-            assert 0.5 <= a < 1.0
+        a = davydov_schedule(2.5, 0.1, 2000)
+        assert a.shape == (2000,) and np.all((0.5 <= a) & (a < 1.0))
+
+    @given(st.floats(2.0, 3.0, exclude_min=True), st.floats(1e-3, 10.0), st.integers(0, 3000))
+    @settings(max_examples=200, deadline=None)
+    def test_bitwise_equal_to_the_scalar_formula(self, p, eps, n):
+        a = davydov_schedule(p, eps, n)
+        want = np.array([_scalar_schedule(p, eps, i) for i in range(n)], dtype=float)
+        assert a.dtype == want.dtype and np.array_equal(a.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("p, eps", [(2.5, 0.1), (2.01, 0.01), (3.0, 1.0), (2.7, 0.3)])
+    def test_bitwise_equal_at_the_crossover(self, p, eps):
+        i0 = processes._schedule_crossover(p, eps)
+        for n in (i0 - 1, i0, i0 + 1, i0 + 2):
+            a = davydov_schedule(p, eps, n)
+            want = np.array([_scalar_schedule(p, eps, i) for i in range(n)])
+            assert np.array_equal(a.view(np.int64), want.view(np.int64))
+        assert a[i0 - 1] == 0.5 and a[i0] > 0.5
+
+    def test_rejects_bad_parameters(self):
+        with pytest.raises(ProcessError, match=r"p must lie in \(2, 3\]"):
+            davydov_schedule(2.0, 0.1, 10)
+        with pytest.raises(ProcessError, match="eps must be positive"):
+            davydov_schedule(2.5, 0.0, 10)
 
 
 class TestDavydovKernel:
     def test_rows_and_center(self):
-        k, _ = davydov_kernel(lambda i: 0.5, 10)
+        k, _ = renewal_kernel(np.full(10, 0.5), "f1")
         assert np.allclose(k.matrix.sum(axis=1), 1.0)
         zero = k.index_of(0)
         assert k.matrix[zero, zero] == 0.0  # no holding at 0
@@ -95,34 +122,40 @@ class TestDavydovKernel:
 
     def test_stationary_matches_power_iteration(self):
         # [DERIVED] power-iteration oracle
-        k, _ = davydov_kernel(lambda i: 0.5, 12)
+        k, _ = renewal_kernel(np.full(12, 0.5), "f1")
         v = np.full(k.size, 1.0 / k.size)
         for _ in range(10**4):
             v = v @ k.matrix
         assert np.max(np.abs(v - k.stationary)) < 1e-10
 
     def test_boundary_redirected(self):
-        k, _ = davydov_kernel(lambda i: 0.5, 8)
+        k, _ = renewal_kernel(np.full(8, 0.5), "f1")
         top = k.index_of(8)
         assert k.matrix[top, k.index_of(0)] == 1.0
 
     def test_symmetry(self):
-        k, _ = davydov_kernel(lambda i: davydov_schedule(2.5, 0.1, i), 50)
+        k, _ = renewal_kernel(davydov_schedule(2.5, 0.1, 50), "f1")
         pi = k.stationary
         flipped = pi[::-1]
         assert np.allclose(pi, flipped, atol=1e-14)
 
     def test_rejects_bad_rule(self):
-        with pytest.raises(ProcessError):
-            davydov_kernel(lambda i: 0.6, 10)  # a_0 != 1/2
-        with pytest.raises(ProcessError):
-            davydov_kernel(lambda i: 0.5 if i == 0 else 0.4, 10)
+        with pytest.raises(ProcessError, match="a_0 must equal 1/2"):
+            renewal_kernel(np.full(10, 0.6), "f1")
+        with pytest.raises(ProcessError, match="need 1/2 <= a_n < 1 for n >= 1"):
+            renewal_kernel(np.r_[0.5, np.full(9, 0.4)], "f1")
+        with pytest.raises(ProcessError, match="need 1/2 <= a_n < 1 for n >= 1"):
+            renewal_kernel(np.r_[0.5, np.full(9, 1.0)], "f1")
+        with pytest.raises(ProcessError, match="n_max must be >= 4"):
+            renewal_kernel(np.full(3, 0.5), "f1")
+        with pytest.raises(ProcessError, match="unknown functional kind: f3"):
+            renewal_kernel(np.full(10, 0.5), "f3")
 
     @pytest.mark.parametrize("p, eps, n_max", [(2.5, 0.1, 400), (3.0, 0.5, 120), (2.1, 1.0, 40)])
     def test_renewal_stationary_law(self, p, eps, n_max):
         # [DERIVED] the product-formula law solves pi K = pi to rounding and
         # agrees with the LU solve of the same kernel
-        k, _ = davydov_kernel(lambda i: davydov_schedule(p, eps, i), n_max)
+        k, _ = renewal_kernel(davydov_schedule(p, eps, n_max), "f1")
         pi = k.stationary
         assert np.max(np.abs(pi @ k.matrix - pi)) <= 1e-15
         lu = _solve_stationary(k.matrix)
@@ -131,44 +164,41 @@ class TestDavydovKernel:
 
 class TestMdsFunctional:
     def test_f1_values(self):
-        k, _ = davydov_kernel(lambda i: 0.5, 10)
-        f = _renewal_chain(lambda i: 0.5, 10, "f1")[1]
+        k, f = renewal_kernel(np.full(10, 0.5), "f1")
         z = k.index_of(0)
         assert f[z] == 0.0
         assert f[z + 1] == 1.0 and f[z - 1] == -1.0
         assert np.all(f[z + 2 :] == 0.0)
 
     def test_f2_values(self):
-        k, _ = davydov_kernel(lambda i: 0.5, 10)
-        f = _renewal_chain(lambda i: 0.5, 10, "f2")[1]
+        k, f = renewal_kernel(np.full(10, 0.5), "f2")
         z = k.index_of(0)
         assert f[z] == 1.0
         assert f[z + 1] == 0.0
         assert f[z + 2] == pytest.approx(1.0 - 1.0 / 0.5)
 
     def test_zero_conditional_mean_interior(self):
-        rule = lambda i: davydov_schedule(2.7, 0.3, i)
-        k, _ = davydov_kernel(rule, 30)
+        a = davydov_schedule(2.7, 0.3, 30)
         for kind in ("f1", "f2"):
-            f = _renewal_chain(rule, 30, kind)[1]
+            k, f = renewal_kernel(a, kind)
             interior = np.abs(k.states) < 30
             assert np.max(np.abs(k.apply(f)[interior])) <= 1e-12
 
 
 class TestSampleChain:
     def test_path_in_state_set(self):
-        k, _ = davydov_kernel(lambda i: 0.5, 6)
+        k, _ = renewal_kernel(np.full(6, 0.5), "f1")
         path = sample_chain(k, 500, seed=9)
         assert np.all(np.isin(path, k.states))
 
     def test_replay(self):
-        k, _ = davydov_kernel(lambda i: 0.5, 6)
+        k, _ = renewal_kernel(np.full(6, 0.5), "f1")
         a = sample_chain(k, 200, seed=3)
         b = sample_chain(k, 200, seed=3)
         assert np.array_equal(a, b)
 
     def test_frequencies_match_stationary(self):
-        k, _ = davydov_kernel(lambda i: 0.5, 6)
+        k, _ = renewal_kernel(np.full(6, 0.5), "f1")
         path = sample_chain(k, 200000, seed=1)
         for s in (-1, 0, 1):
             freq = np.mean(path == s)
@@ -334,7 +364,7 @@ class TestPartialSumsBatch:
     def test_stationarity_across_lags(self):
         # marginal of X_1 vs X_50: two-sample Kolmogorov gap small
         spec = ProcessSpec(DavydovChain(2.5, 0.1, "f1", n_max=60), seed=3)
-        kernel, f = spec.family.build()
+        kernel, f = spec.family.kernel
         path = sample_chain(kernel, 5000, seed=3)
         idx = np.searchsorted(kernel.states, path)
         x1 = f[idx][1:1000]
@@ -353,7 +383,7 @@ class TestLongRunVariance:
         # [DERIVED] cross covariances vanish by the zero-conditional-mean
         # property, so sigma^2 = sum_s pi(s) f1(s)^2
         spec = ProcessSpec(DavydovChain(2.5, 0.1, "f1", n_max=80), seed=0)
-        kernel, f = spec.family.build()
+        kernel, f = spec.family.kernel
         lv = long_run_variance(spec)
         assert lv["sigma2"] == pytest.approx(float(kernel.stationary @ (f * f)), abs=1e-10)
 
@@ -458,7 +488,7 @@ class TestFiniteKernelApply:
         assert np.all(np.abs(k.apply(f) - k.matrix @ f) <= 1e-15 * (np.abs(k.matrix) @ np.abs(f)))
 
     def test_davydov_rows_have_two_entries(self):
-        k, _ = davydov_kernel(lambda i: davydov_schedule(2.5, 0.1, i), 400)
+        k, _ = renewal_kernel(davydov_schedule(2.5, 0.1, 400), "f1")
         assert k._cols.shape == (2, k.size)
         f = np.random.default_rng(4).normal(size=k.size)
         assert np.max(np.abs(k.apply(f) - k.matrix @ f)) <= 1e-15 * np.max(np.abs(f))
@@ -503,7 +533,7 @@ class TestStronglyConnected:
         assert not _strongly_connected_adj(np.zeros((0, 0), dtype=bool))
 
     def test_davydov_kernel(self):
-        kernel, _ = DavydovChain(2.5, 0.1, n_max=60).build()
+        kernel, _ = DavydovChain(2.5, 0.1, n_max=60).kernel
         live = kernel._weights > 0
         adj = kernel.matrix > 0
         assert _strongly_connected(kernel._cols, live) and _scipy_strongly_connected(adj)
@@ -591,13 +621,11 @@ class TestKernelFromRows:
     def test_davydov_kernel_makes_no_dense_matrix(self, monkeypatch):
         reads = []
         monkeypatch.setattr(FiniteKernel, "matrix", property(lambda self: reads.append(self)))
-        processes._davydov_cache.cache_clear()
         chain = DavydovChain(2.5, 0.1, "f1", 4000)
         start = time.perf_counter()
-        kernel, f = processes._davydov_cache(chain)
+        kernel, f = chain.kernel
         lrv = chain.long_run_variance(0)
         elapsed = time.perf_counter() - start
-        processes._davydov_cache.cache_clear()
         assert reads == [] and kernel.size == 8001
         # f1 is a martingale difference: sigma^2 = c_0 = pi(1) + pi(-1)
         assert lrv["sigma2"] == pytest.approx(kernel.stationary @ f**2, rel=1e-14)
@@ -689,7 +717,7 @@ def _reference_expanding_sums(spec, n_grid, seed, replicates, step_block=4096):
 
 
 def _reference_davydov_sums(chain, n_grid, seed, replicates, step_block=4096):
-    kernel, f = chain.build()
+    kernel, f = chain.kernel
     zero = kernel.index_of(0)
     size = kernel.size
     up_prob = np.zeros(size)
@@ -912,10 +940,10 @@ class TestParallelParts:
         }))
         davydov_sums = processes._davydov_sums
 
-        def failing(tables, n_grid, seed, replicates):
+        def failing(kernel, f, n_grid, seed, replicates):
             if replicates.start >= 200:
                 raise ProcessError(f"part from replicate {replicates.start} failed")
-            return davydov_sums(tables, n_grid, seed, replicates)
+            return davydov_sums(kernel, f, n_grid, seed, replicates)
 
         monkeypatch.setattr(processes, "_davydov_sums", failing)
         monkeypatch.setattr(processes, "REPLICATE_CHUNK", 100)
@@ -983,11 +1011,11 @@ class TestLinearWindowSums:
 
 
 class TestDavydovStepTables:
-    """The sampler's step tables come from the schedule, not the dense kernel."""
+    """The sampler steps along the kernel's own rows, built once per chain."""
 
     @staticmethod
     def _from_dense_kernel(chain):
-        kernel, f = chain.build()
+        kernel, f = chain.kernel
         zero = kernel.index_of(0)
         n_max = int(kernel.states.max())
         threshold = np.zeros(kernel.size)
@@ -998,55 +1026,54 @@ class TestDavydovStepTables:
                 j = i + 1 if s > 0 else i - 1
                 threshold[i], up[i] = kernel.matrix[i, j], j
         threshold[zero], up[zero], down[zero] = 0.5, zero + 1, zero - 1
-        return np.cumsum(kernel.stationary), f, threshold, np.column_stack((up, down)).ravel()
+        return np.cumsum(kernel.stationary), threshold, np.column_stack((up, down)).ravel()
 
     @pytest.mark.parametrize("functional", ["f1", "f2"])
     @pytest.mark.parametrize("p, eps, n_max", [(2.5, 0.1, 60), (2.7, 0.3, 400), (3.0, 0.5, 4)])
     def test_equal_to_dense_kernel_tables(self, p, eps, n_max, functional):
-        chain = DavydovChain(p, eps, functional, n_max)
-        got = processes._davydov_step_tables(chain)
-        want = self._from_dense_kernel(chain)
+        # _davydov_sums reads its tables from the rows: below slot 0's weight
+        # it steps to slot 0's target, else to slot 1's
+        kernel, _ = DavydovChain(p, eps, functional, n_max).kernel
+        got = np.cumsum(kernel.stationary), kernel._weights[0], kernel._cols.T.ravel()
+        want = self._from_dense_kernel(DavydovChain(p, eps, functional, n_max))
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and np.array_equal(g.view(np.int64), w.view(np.int64))
-
-    @staticmethod
-    def _chain(rule, n_max=40):
-        class Ruled(DavydovChain):
-            def a_rule(self):
-                return rule
-
-        return Ruled(2.5, 0.1, "f2", n_max)
 
     def test_schedule_errors_and_warning_from_the_shared_helper(self):
-        with pytest.raises(ProcessError, match="a_0"):
-            processes._davydov_step_tables(self._chain(lambda i: 0.6))
+        with pytest.raises(ProcessError, match="a_0 must equal 1/2"):
+            renewal_kernel(np.full(40, 0.6), "f2")
         with pytest.raises(ProcessError, match="1/2 <= a_n < 1"):
-            processes._davydov_step_tables(self._chain(lambda i: 0.5 if i == 0 else 0.4))
+            renewal_kernel(np.r_[0.5, np.full(39, 0.4)], "f2")
         with pytest.warns(RuntimeWarning, match="not visibly summable"):
-            processes._davydov_step_tables(self._chain(lambda i: 0.5 if i == 0 else 0.99))
-        with pytest.warns(RuntimeWarning, match="not visibly summable"):
-            davydov_kernel(lambda i: 0.5 if i == 0 else 0.99, 40)
+            renewal_kernel(np.r_[0.5, np.full(39, 0.99)], "f2")
 
     def test_crossover_scanned_once_per_schedule(self, monkeypatch):
+        calls = []
+        scan = processes._schedule_crossover
+        monkeypatch.setattr(processes, "_schedule_crossover", lambda p, eps: calls.append(p) or scan(p, eps))
         chain = DavydovChain(2.5, 0.1, "f1", 10**5)
-        processes._schedule_crossover.cache_clear()
         start = time.perf_counter()
-        got = processes._davydov_step_tables(chain)
+        chain.batch_sums(0)
         elapsed = time.perf_counter() - start
-        assert processes._schedule_crossover.cache_info().misses == 1
+        assert calls == [2.5]
         assert elapsed < 1.0
-        # the uncached scan, run again at every state, builds the same tables
-        monkeypatch.setattr(processes, "_schedule_crossover", processes._schedule_crossover.__wrapped__)
-        want = processes._davydov_step_tables(chain)
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype and np.array_equal(g.view(np.int64), w.view(np.int64))
+
+    def test_one_build_per_chain_object(self, monkeypatch):
+        calls = []
+        build = processes.renewal_kernel
+        monkeypatch.setattr(processes, "renewal_kernel", lambda a, kind: calls.append(kind) or build(a, kind))
+        chain = DavydovChain(2.6, 0.2, "f2", 90)
+        partial_sums_batch(ProcessSpec(chain), (8, 64), 100, seed=1)
+        chain.long_run_variance(0)
+        assert chain.kernel is chain.kernel and calls == ["f2"]
+        # an equal chain is another object, with a kernel of its own
+        assert DavydovChain(2.6, 0.2, "f2", 90).kernel[0] is not chain.kernel[0] and calls == ["f2", "f2"]
 
     def test_batch_builds_no_dense_kernel(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(processes, "davydov_kernel", lambda *a: calls.append(a))
-        processes._davydov_cache.cache_clear()
+        reads = []
+        monkeypatch.setattr(FiniteKernel, "matrix", property(lambda self: reads.append(self)))
         partial_sums_batch(ProcessSpec(DavydovChain(2.6, 0.2, "f2", 90)), (8, 64), 100, seed=1)
-        assert calls == []
+        assert reads == []
 
 
 class TestStepBufferMemory:
