@@ -266,8 +266,8 @@ def _check_envelope(cfg: dict, params: dict) -> dict:
     for i in range(cases):
         g = gen.normal(size=(kernel.size, kernel.size))
         p = float(gen.uniform(2.0, 3.0))  # contraction needs p >= 2
-        res = envelope_contraction_check(kernel, g, p)
-        if res["lhs"] > res["rhs"] * (1.0 + slack) + slack:
+        res = envelope_contraction_check(kernel, g, p, slack)
+        if not res["ok"]:
             return {"passed": False,
                     "detail": f"conditional expectation expanded the envelope norm: "
                               f"{res['lhs']:.6g} > {res['rhs']:.6g}"}
@@ -303,8 +303,8 @@ def _check_coboundary(cfg: dict, params: dict) -> dict:
     tol = cfg["tolerances"]["coboundary"]
     rule = lambda j: 0.5**j if j >= 0 else 0.0
     dec = coboundary(LinearProcess(rule, InnovationLaw("gaussian"), truncation=64))
-    res = dec.identity_check(256, cfg["seed"])
-    if res["max_residual"] > tol:
+    res = dec.identity_check(256, cfg["seed"], tol)
+    if not res["ok"]:
         return {"passed": False,
                 "detail": f"partial-sum split residual {res['max_residual']:.3g} above {tol:g}"}
     return {"passed": True, "detail": f"max residual {res['max_residual']:.3g}"}

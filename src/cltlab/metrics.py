@@ -148,12 +148,13 @@ def _monotone_cost(x: EmpiricalDistribution, y: EmpiricalDistribution, r: float)
     return float(np.sum(seg * np.abs(xq - yq) ** r))
 
 
-def _local_exchange(xs: np.ndarray, ys: np.ndarray, r: float, max_pass: int = 50) -> float:
-    """Improve the sorted (monotone) matching by adjacent transpositions.
-    Cost per pair is |x_i - y_{pi(i)}|^r / M; returns the improved mean cost."""
+def _local_exchange(xs: np.ndarray, ys: np.ndarray, r: float) -> float:
+    """Improve the sorted (monotone) matching by adjacent transpositions, in
+    at most 50 passes. Cost per pair is |x_i - y_{pi(i)}|^r / M; returns the
+    improved mean cost."""
     perm = np.arange(ys.size)
     cost = np.abs(xs - ys[perm]) ** r
-    for _ in range(max_pass):
+    for _ in range(50):
         improved = False
         for i in range(xs.size - 1):
             a = np.abs(xs[i] - ys[perm[i + 1]]) ** r + np.abs(xs[i + 1] - ys[perm[i]]) ** r
@@ -167,16 +168,11 @@ def _local_exchange(xs: np.ndarray, ys: np.ndarray, r: float, max_pass: int = 50
     return float(cost.mean())
 
 
-def wasserstein_samples(
-    x: EmpiricalDistribution,
-    y: EmpiricalDistribution,
-    r: float,
-    assignment_cap: int = ASSIGNMENT_CAP,
-) -> DistanceEstimate:
+def wasserstein_samples(x: EmpiricalDistribution, y: EmpiricalDistribution, r: float) -> DistanceEstimate:
     """W_r between two weighted samples.
 
     r >= 1: exact quantile coupling (root applied).  0 < r < 1: exact
-    assignment optimum for equal uniform sizes up to the cap, otherwise the
+    assignment optimum for equal uniform sizes up to ASSIGNMENT_CAP, otherwise the
     monotone value is only an upper bound and is flagged as such.
     """
     if r <= 0:
@@ -187,7 +183,7 @@ def wasserstein_samples(
     # 0 < r < 1
     equal_uniform = x.is_uniform() and y.is_uniform() and x.size == y.size
     mono = _monotone_cost(x, y, r)
-    if equal_uniform and x.size <= assignment_cap:
+    if equal_uniform and x.size <= ASSIGNMENT_CAP:
         from scipy.optimize import linear_sum_assignment
 
         cost = np.abs(x.points[:, None] - y.points[None, :]) ** r
@@ -755,21 +751,22 @@ def _translate_seminorm_bound(r: float) -> float:
     return r * (r - 1.0) * 2.0 ** (3.0 - r)
 
 
-def zolotarev(x: Law, y: Law, r: float, moment_tol: float = 1e-8) -> DistanceEstimate:
+def zolotarev(x: Law, y: Law, r: float) -> DistanceEstimate:
     """Ideal distance of order r.
 
     r <= 1: equals W_r (Kantorovich-Rubinstein).  r > 1: certified dictionary
     lower bound only; the upper endpoint is +inf and rate experiments use W_r
-    as the measured proxy.
+    as the measured proxy. The distance is infinite unless the means (and for
+    r > 2 the second moments) agree within 1e-8.
     """
     if r <= 0:
         raise MetricsError("r must be positive")
     if r <= 1.0:
         return wasserstein(x, y, r)
     # finiteness requires matching moments: mean for r > 1, second moment for r > 2
-    if abs(x.mean() - y.mean()) > moment_tol:
+    if abs(x.mean() - y.mean()) > 1e-8:
         return DistanceEstimate(np.inf, np.inf, np.inf, "dictionary-lower")
-    if r > 2.0 and abs(x.moment(2) - y.moment(2)) > moment_tol:
+    if r > 2.0 and abs(x.moment(2) - y.moment(2)) > 1e-8:
         return DistanceEstimate(np.inf, np.inf, np.inf, "dictionary-lower")
     lo_x, hi_x = _law_support(x)
     lo_y, hi_y = _law_support(y)

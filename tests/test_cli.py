@@ -452,6 +452,7 @@ def test_conditions_csv_independent_of_blas_threads(tmp_path):
     assert _conditions_subprocess(tmp_path, "one", "1") == _conditions_subprocess(tmp_path, "two", "2")
 
 
+
 def test_conditions_makes_no_dense_kernel(tmp_path, monkeypatch):
     # every kernel operation of conditions is a row apply; a class property
     # sees the read even of a matrix cached on an earlier kernel
@@ -519,6 +520,18 @@ def test_verify_corrupted_kernel_fails_naming_invariant(tmp_path, capsys):
                                               "perturb_kernel": 0.2})
     assert main(["verify", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
     assert "rows must sum to 1" in capsys.readouterr().out
+
+
+def test_verify_tolerances_come_from_the_config(tmp_path, capsys):
+    # the coboundary residual (about 1e-15) fails a 1e-30 tolerance; the
+    # envelope check contracts strictly on its random cases, so it passes
+    # even with a slack of 1e-300
+    checks = {"checks": ["coboundary-residual", "envelope-contraction"], "cases": 5}
+    cfg_path, _ = write_cfg(tmp_path, verify=checks, tolerances={"coboundary": 1e-30, "envelope_slack": 1e-300})
+    assert main(["verify", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
+    rows = open(tmp_path / "o" / "verify.csv").read().splitlines()[1:]
+    assert [row.split(",")[:2] for row in rows] == [["coboundary-residual", "fail"], ["envelope-contraction", "pass"]]
+    assert "above 1e-30" in rows[0]
 
 
 def test_verify_unknown_check_exit_2(tmp_path, capsys):

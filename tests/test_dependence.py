@@ -559,9 +559,17 @@ def test_coboundary_identity_small_residual():
     lp = LinearProcess(lambda j: 0.5 ** abs(j) if abs(j) <= 20 else 0.0, InnovationLaw("gaussian"), truncation=24)
     dec = coboundary(lp)
     for seed in (1, 2):
-        out = dec.identity_check(200, seed=seed)
+        out = dec.identity_check(200, seed=seed, tolerance=1e-8)
         assert out["ok"] and out["max_residual"] < 1e-10
     assert abs(dec.big_a - (2.0 / (1 - 0.5) - 1.0)) < 1e-5  # sum of 0.5^|j|
+
+
+def test_coboundary_identity_judged_against_the_given_tolerance():
+    dec = coboundary(LinearProcess(lambda j: 0.5**j if j >= 0 else 0.0, InnovationLaw("gaussian"), truncation=64))
+    residual = dec.identity_check(256, seed=0, tolerance=1e-8)["max_residual"]
+    assert 0.0 < residual < 1e-12
+    assert dec.identity_check(256, seed=0, tolerance=residual)["ok"]
+    assert not dec.identity_check(256, seed=0, tolerance=residual / 2)["ok"]
 
 
 def _z_value_recomputed(dec, i, eps, origin):
@@ -596,14 +604,14 @@ def test_envelope_contraction_random():
         ker = random_kernel(rng, int(rng.integers(2, 6)))
         g = rng.normal(size=(ker.size, ker.size))
         p = float(rng.uniform(2.1, 3.0))
-        out = envelope_contraction_check(ker, g, p)
+        out = envelope_contraction_check(ker, g, p, 1e-9)
         assert out["ok"], out
 
 
 def test_envelope_contraction_rejects_p_below_two():
     ker = three_state_kernel()
     with pytest.raises(DependenceError, match="p >= 2"):
-        envelope_contraction_check(ker, np.ones((3, 3)), 1.5)
+        envelope_contraction_check(ker, np.ones((3, 3)), 1.5, 1e-9)
 
 
 def _contraction_sides(ker, g, p):
@@ -624,12 +632,26 @@ def test_envelope_norm_expands_under_conditioning_below_p_two():
     lhs, rhs = _contraction_sides(ker, g, 2.0)
     assert lhs == pytest.approx(0.1, abs=1e-15) and rhs == pytest.approx(0.1, abs=1e-15)
     for p in (2.0, 2.5, 3.0):
-        assert envelope_contraction_check(ker, g, p)["ok"]
+        assert envelope_contraction_check(ker, g, p, 1e-9)["ok"]
+
+
+def test_envelope_contraction_judged_against_the_given_slack():
+    # g depending only on Y_0 makes both sides equal up to rounding; take the
+    # first such g whose rounded lhs lies above its rhs
+    ker = three_state_kernel()
+    rng = np.random.default_rng(0)
+    for _ in range(500):
+        g = np.tile(rng.normal(size=(3, 1)), (1, 3))
+        out = envelope_contraction_check(ker, g, 2.5, 1e-9)
+        if out["lhs"] > out["rhs"]:
+            break
+    assert out["lhs"] > out["rhs"] and out["ok"]
+    assert not envelope_contraction_check(ker, g, 2.5, 1e-300)["ok"]
 
 
 def test_envelope_contraction_equality_for_measurable():
     # g depending only on Y_0 makes both sides equal
     ker = three_state_kernel()
     g = np.tile(np.array([[1.0], [-2.0], [0.5]]), (1, 3))
-    out = envelope_contraction_check(ker, g, 2.5)
+    out = envelope_contraction_check(ker, g, 2.5, 1e-9)
     assert abs(out["lhs"] - out["rhs"]) < 1e-11
