@@ -433,7 +433,8 @@ def _chain_f(spec: ProcessSpec) -> tuple[FiniteKernel, np.ndarray]:
 
 
 def _lp_norm_discrete(values: np.ndarray, probs: np.ndarray, p: float) -> float:
-    return float((probs @ np.abs(values) ** p) ** (1.0 / p))
+    """A numpy reduction, not a BLAS dot, so the same under any thread count."""
+    return float(np.sum(probs * np.abs(values) ** p) ** (1.0 / p))
 
 
 def series_C1_C2(spec: ProcessSpec, p: float, n_terms: int, outer: int = 1000, seed: int = 0) -> dict:
@@ -454,7 +455,7 @@ def series_C1_C2(spec: ProcessSpec, p: float, n_terms: int, outer: int = 1000, s
     if isinstance(fam, LinearProcess):
         return _series_c1c2_linear(fam, p, ns, outer, seed)
     kernel, f = _chain_f(spec)
-    f = f - float(kernel.stationary @ f)
+    f = f - float(np.sum(kernel.stationary * f))
     sigma2 = fam.long_run_variance(spec.seed)["sigma2"]
     pi = kernel.stationary
     c1, c2 = [], []
@@ -495,7 +496,7 @@ def series_projective(spec: ProcessSpec, which: str, p: float, n_terms: int, mc:
         return _series_projective_linear(fam, which, p, ns, mc, seed)
     kernel, f = _chain_f(spec)
     pi = kernel.stationary
-    fc = f - float(pi @ f)
+    fc = f - float(np.sum(pi * f))
     if which == "Cond1cob":
         terms = []
         v = fc
@@ -528,7 +529,7 @@ def series_projective(spec: ProcessSpec, which: str, p: float, n_terms: int, mc:
         weight = (lambda n: n ** (-2.0 + p / 2.0)) if which == "Cond2cob" else (lambda n: n**-0.5)
         terms = []
         for n, t in zip(ns, _second_moments(kernel, fc, n_terms)):
-            sigma_n2 = float(pi @ t) / n
+            sigma_n2 = float(np.sum(pi * t)) / n
             terms.append(weight(n) * _lp_norm_discrete(t / n - sigma_n2, pi, q))
         return _report(which, ns, terms)
     raise DependenceError(f"unknown condition id: {which}")

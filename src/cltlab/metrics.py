@@ -561,7 +561,8 @@ def envelope_norm_discrete(values: np.ndarray, probs: np.ndarray, p: float) -> f
     a = a[order]
     c = np.minimum(np.cumsum(np.asarray(probs, dtype=float)[order]), 1.0)
     steps = a - np.append(a[1:], 0.0)
-    return float(steps @ _weight_antiderivative(c, p))
+    # a numpy reduction, not a BLAS dot, so the same under any thread count
+    return float(np.sum(steps * _weight_antiderivative(c, p)))
 
 
 def _weight_antiderivative(u, p: float) -> np.ndarray:

@@ -282,9 +282,9 @@ class DavydovChain:
     def long_run_variance(self, seed: int) -> dict:
         kernel, f = self.kernel
         pi = kernel.stationary
-        return _covariance_series(
-            f - float(pi @ f), kernel.apply, lambda u, v: float(pi @ (u * v)), lag_cap=4096, tol=1e-14, min_lags=8
-        )
+        # numpy reductions, not BLAS dots, so the series is the same under any thread count
+        return _covariance_series(f - float(np.sum(pi * f)), kernel.apply, lambda u, v: float(np.sum(pi * (u * v))),
+                                  lag_cap=4096, tol=1e-14, min_lags=8)
 
 
 @dataclass(frozen=True)

@@ -452,6 +452,24 @@ def test_conditions_csv_independent_of_blas_threads(tmp_path):
     assert _conditions_subprocess(tmp_path, "one", "1") == _conditions_subprocess(tmp_path, "two", "2")
 
 
+def test_law_norms_independent_of_blas_threads():
+    # on 2 * 10^5-point laws a BLAS dot splits its sum by thread; the norms
+    # of conditions are numpy reductions, the same under any thread count
+    code = (
+        "import numpy as np; from cltlab.dependence import _lp_norm_discrete; "
+        "from cltlab.metrics import envelope_norm_discrete; rng = np.random.default_rng(7); "
+        "laws = [(rng.normal(size=200000), rng.dirichlet(np.ones(200000))) for _ in range(6)]; "
+        "print([(_lp_norm_discrete(v, w, 1.25 + 0.25 * k), envelope_norm_discrete(v, w, 2.5)) "
+        "for k, (v, w) in enumerate(laws)])"
+    )
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(_src_env(), OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
+
 
 def test_conditions_makes_no_dense_kernel(tmp_path, monkeypatch):
     # every kernel operation of conditions is a row apply; a class property
