@@ -1015,7 +1015,7 @@ class TestDavydovStepTables:
 
     @staticmethod
     def _from_dense_kernel(chain):
-        kernel, f = chain.kernel
+        kernel, _ = chain.kernel
         zero = kernel.index_of(0)
         n_max = int(kernel.states.max())
         threshold = np.zeros(kernel.size)
@@ -1033,9 +1033,10 @@ class TestDavydovStepTables:
     def test_equal_to_dense_kernel_tables(self, p, eps, n_max, functional):
         # _davydov_sums reads its tables from the rows: below slot 0's weight
         # it steps to slot 0's target, else to slot 1's
-        kernel, _ = DavydovChain(p, eps, functional, n_max).kernel
+        chain = DavydovChain(p, eps, functional, n_max)
+        kernel, _ = chain.kernel
         got = np.cumsum(kernel.stationary), kernel._weights[0], kernel._cols.T.ravel()
-        want = self._from_dense_kernel(DavydovChain(p, eps, functional, n_max))
+        want = self._from_dense_kernel(chain)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and np.array_equal(g.view(np.int64), w.view(np.int64))
 
