@@ -8,6 +8,11 @@ import os
 import sys
 from datetime import datetime, timezone
 
+# run_parts' processes are the lab's parallelism, so BLAS gets one thread per
+# process; set before numpy loads, and a thread count the user set wins
+if not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 import numpy as np
 
 from . import __version__
@@ -263,15 +268,18 @@ def _check_envelope(cfg: dict, params: dict) -> dict:
     slack = cfg["tolerances"]["envelope_slack"]
     kernel, _ = _verify_chain(0.0)
     gen = np.random.default_rng(cfg["seed"] + 1)
-    for i in range(cases):
-        g = gen.normal(size=(kernel.size, kernel.size))
+    # the random g contract strictly; the last, g(y0, y1) = u(y0), is measurable
+    # in Y_0 and contracts with equality, so the slack decides it
+    for i in range(cases + 1):
+        g = gen.normal(size=(kernel.size, kernel.size if i < cases else 1))
         p = float(gen.uniform(2.0, 3.0))  # contraction needs p >= 2
-        res = envelope_contraction_check(kernel, g, p, slack)
+        res = envelope_contraction_check(kernel, np.broadcast_to(g, (kernel.size,) * 2), p, slack)
         if not res["ok"]:
             return {"passed": False,
                     "detail": f"conditional expectation expanded the envelope norm: "
-                              f"{res['lhs']:.6g} > {res['rhs']:.6g}"}
-    return {"passed": True, "detail": f"{cases} cases contracted"}
+                              f"{res['lhs']:.17g} > {res['rhs']:.17g}"}
+    return {"passed": True, "detail": f"{cases} cases contracted; on a g of Y_0 alone "
+                                      f"lhs/rhs - 1 = {res['lhs'] / res['rhs'] - 1:.2g}"}
 
 
 def _check_smoothing(cfg: dict, params: dict) -> dict:

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import cltlab
-from cltlab.cli import main
+from cltlab.cli import _verify_chain, main
 from cltlab.config import FAMILIES, build_process, load_config
+from cltlab.dependence import envelope_contraction_check
 from cltlab.experiments import calibration_floor
 from cltlab.io import IOError_, RunManifest, config_digest, read_manifest
 from cltlab import processes
@@ -471,6 +472,51 @@ def test_law_norms_independent_of_blas_threads():
     assert outputs[0] == outputs[1]
 
 
+# seeded cases of the two verify routines whose BLAS products OpenBLAS splits
+# by thread, on the verify chain; prints every lhs, phi, rhs form and envelope
+# side as float.hex, one case a line
+VERIFY_BLAS_CASES = """
+import numpy as np
+from cltlab.cli import _verify_chain
+from cltlab.dependence import check_covariance_inequality, envelope_contraction_check
+kernel, _ = _verify_chain(0.0)
+gen = np.random.default_rng(17)
+rows = []
+for _ in range(20):
+    k = int(gen.integers(2, 4))
+    f_list = [gen.normal(size=kernel.size) for _ in range(k)]
+    res = check_covariance_inequality(kernel, f_list, sorted(gen.choice(np.arange(1, 13), size=k, replace=False)))
+    rows.append([res["lhs"], *res["phis"], *(res["rhs_forms"][key] for key in sorted(res["rhs_forms"]))])
+for _ in range(20):
+    g = gen.normal(size=(kernel.size, kernel.size))
+    res = envelope_contraction_check(kernel, g, float(gen.uniform(2.0, 3.0)), 1e-9)
+    rows.append([res["lhs"], res["rhs"]])
+for row in rows:
+    print(*(float(x).hex() for x in row))
+"""
+
+
+def test_verify_checks_independent_of_blas_threads():
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(_src_env(), OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        run = subprocess.run([sys.executable, "-c", VERIFY_BLAS_CASES], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    assert len(outputs[0].splitlines()) == 40 and outputs[0] == outputs[1]
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status") or processes.available_cpus() < 2,
+                    reason="needs /proc and two CPUs to tell one BLAS thread from several")
+def test_cli_import_runs_blas_on_one_thread_unless_set():
+    # OpenBLAS adds its worker threads to the process when numpy loads
+    code = "import cltlab.cli; print(open('/proc/self/status').read().split('Threads:')[1].split()[0])"
+    unset = {k: v for k, v in _src_env().items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    threads = [subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True).stdout.strip()
+               for env in (unset, dict(unset, OPENBLAS_NUM_THREADS="2"))]
+    assert threads == ["1", "2"]
+
+
 def test_conditions_makes_no_dense_kernel(tmp_path, monkeypatch):
     # every kernel operation of conditions is a row apply; a class property
     # sees the read even of a matrix cached on an earlier kernel
@@ -542,14 +588,31 @@ def test_verify_corrupted_kernel_fails_naming_invariant(tmp_path, capsys):
 
 def test_verify_tolerances_come_from_the_config(tmp_path, capsys):
     # the coboundary residual (about 1e-15) fails a 1e-30 tolerance; the
-    # envelope check contracts strictly on its random cases, so it passes
-    # even with a slack of 1e-300
+    # envelope check's last case, a g of Y_0 alone, contracts with equality,
+    # and at seed 4 its rounded lhs lies above its rhs: a slack of 1e-300
+    # fails it and the default 1e-9 passes it
     checks = {"checks": ["coboundary-residual", "envelope-contraction"], "cases": 5}
-    cfg_path, _ = write_cfg(tmp_path, verify=checks, tolerances={"coboundary": 1e-30, "envelope_slack": 1e-300})
-    assert main(["verify", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
-    rows = open(tmp_path / "o" / "verify.csv").read().splitlines()[1:]
-    assert [row.split(",")[:2] for row in rows] == [["coboundary-residual", "fail"], ["envelope-contraction", "pass"]]
-    assert "above 1e-30" in rows[0]
+    statuses = []
+    for name, tolerances, code in (("tight", {"coboundary": 1e-30, "envelope_slack": 1e-300}, 1),
+                                   ("default", {}, 0)):
+        cfg_path, _ = write_cfg(tmp_path, name=f"{name}.json", seed=4, verify=checks, tolerances=tolerances)
+        assert main(["verify", "--config", cfg_path, "--out", str(tmp_path / name)]) == code
+        rows = open(tmp_path / name / "verify.csv").read().splitlines()[1:]
+        statuses.append([row.split(",")[:2] for row in rows])
+    assert statuses == [[["coboundary-residual", "fail"], ["envelope-contraction", "fail"]],
+                        [["coboundary-residual", "pass"], ["envelope-contraction", "pass"]]]
+    assert "above 1e-30" in open(tmp_path / "tight" / "verify.csv").read()
+
+
+def test_envelope_case_measurable_in_y0_holds_with_equality():
+    # for g(y0, y1) = u(y0), E(X | Y_0) = X: lhs and rhs are the norm of one
+    # law, weighted by pi and by the joint law, equal up to rounding
+    kernel, _ = _verify_chain(0.0)
+    gen = np.random.default_rng(3)
+    for _ in range(8):
+        g = np.broadcast_to(gen.normal(size=(kernel.size, 1)), (kernel.size, kernel.size))
+        res = envelope_contraction_check(kernel, g, float(gen.uniform(2.0, 3.0)), 1e-9)
+        assert abs(res["lhs"] / res["rhs"] - 1.0) <= 1e-14, res
 
 
 def test_verify_unknown_check_exit_2(tmp_path, capsys):
@@ -573,14 +636,14 @@ def test_calibrate_matches_direct_call(tmp_path):
 
 
 def test_calibrate_csv_independent_of_blas_threads(tmp_path):
-    # the panel sums are BLAS matrix-vector products; at m = 10^4 the default
+    # the panel sums are BLAS matrix-vector products; at m = 10^4 two
     # OpenBLAS threads split them, and no output bit may depend on that
     cfg_path, _ = write_cfg(tmp_path, calibrate={"replicates": [1000, 10000], "r_list": [1.0, 2.0], "reps": 5})
     code = "import sys; from cltlab.cli import main; sys.exit(main(sys.argv[1:]))"
-    default = {k: v for k, v in _src_env().items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     files = []
-    for name, env in (("one", dict(default, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")), ("default", default)):
-        out = str(tmp_path / name)
+    for threads in ("1", "2"):
+        out = str(tmp_path / threads)
+        env = dict(_src_env(), OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         argv = [sys.executable, "-c", code, "calibrate", "--config", cfg_path, "--out", out]
         assert subprocess.run(argv, env=env, capture_output=True).returncode == 0
         files.append(open(os.path.join(out, "calibration.csv"), "rb").read())
