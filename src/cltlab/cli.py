@@ -9,8 +9,10 @@ import sys
 from datetime import datetime, timezone
 
 # run_parts' processes are the lab's parallelism, so BLAS gets one thread per
-# process; set before numpy loads, and a thread count the user set wins
-if not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+# process; set before numpy loads, and a thread count the user set wins. Once
+# numpy is loaded its BLAS has its threads, and the variable would only reach
+# the children of the process that imported this module
+if "numpy" not in sys.modules and not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
@@ -27,6 +29,7 @@ from .config import (
     verify_params,
 )
 from .dependence import (
+    PhiWorkspace,
     PowerQuantile,
     UnsupportedFamilyError,
     check_covariance_inequality,
@@ -249,12 +252,13 @@ def _check_covariance(cfg: dict, params: dict) -> dict:
     except ProcessError as exc:
         return {"passed": False, "detail": f"kernel invariant violated: {exc}"}
     gen = np.random.default_rng(cfg["seed"])
+    workspace = PhiWorkspace()
     worst = 0.0
     for _ in range(cases):
         k = int(gen.integers(2, 4))
         f_list = [gen.normal(size=kernel.size) for _ in range(k)]
         t_list = np.sort(gen.choice(np.arange(1, 13), size=k, replace=False))
-        res = check_covariance_inequality(kernel, f_list, list(t_list))
+        res = check_covariance_inequality(kernel, f_list, list(t_list), workspace)
         if not res["ok"]:
             return {"passed": False,
                     "detail": f"covariance bound violated: lhs {res['lhs']:.6g} exceeds "

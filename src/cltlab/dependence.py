@@ -6,8 +6,9 @@ decomposition of linear processes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from itertools import product
+from math import prod
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -26,6 +27,8 @@ from .processes import (
 
 EXACT_ENUM_CAP = 22  # state count up to which the event sup is enumerated
 PHI_BLOCK_ENTRIES = 2**18  # states x threshold combinations per _phi_i_exact block
+NORM_BLOCK_ENTRIES = 2**13  # law values per envelope_norm_discrete call in series_C1_C2; its
+# temporaries stay below glibc's 128 KiB mmap threshold, so they reuse heap pages
 
 
 class DependenceError(ValueError):
@@ -127,9 +130,9 @@ def phi_coeff(
         # w[s, x2] = E(g_{x2}(Y_d) | Y_d-start = s)
         w = kd @ g
         # products over threshold pairs: vec[s] = g_{x1}(s) * w(s, x2)
-        prod = g[:, :, None] * w[:, None, :]  # (S, T, T)
-        cond = np.einsum("ij,jkl->ikl", kn, prod)
-        mean = np.einsum("j,jkl->kl", pi, prod)
+        pairs = g[:, :, None] * w[:, None, :]  # (S, T, T)
+        cond = np.einsum("ij,jkl->ikl", kn, pairs)
+        mean = np.einsum("j,jkl->kl", pi, pairs)
         best = max(best, float(np.abs(cond - mean[None, :, :]).max()))
         kd = kd @ kernel.matrix
     # tail beyond the gap cap: |E(g1 g2 | Y_0) - E(g1 g2)| <= 2 phi_1(d)
@@ -143,58 +146,46 @@ def phi_coeff(
 # covariance product bounds
 
 
-def _upper_quantile(law_points: np.ndarray, law_probs: np.ndarray):
-    """Q(u) = smallest t with P(|X| > t) <= u, as a step function of u."""
-    a = np.abs(law_points)
-    order = np.argsort(-a)
-    a, w = a[order], law_probs[order]
-    cw = np.cumsum(w)
-
-    def q(u):
-        u = np.asarray(u, dtype=float)
-        out = np.zeros_like(u)
-        inside = u < cw[-1] - 1e-15
-        idx = np.searchsorted(cw, u[inside], side="right")
-        idx = np.minimum(idx, a.size - 1)
-        out[inside] = a[idx]
-        # for u >= 1 the factor vanishes by convention
-        out[u >= 1.0] = 0.0
-        return out
-
-    return q
-
-
-def _signed_quantile(law_points: np.ndarray, law_probs: np.ndarray):
-    order = np.argsort(law_points)
-    pts, w = law_points[order], law_probs[order]
-    cw = np.cumsum(w)
-
-    def finv(u):
-        u = np.asarray(u, dtype=float)
-        idx = np.clip(np.searchsorted(cw, u - 1e-15, side="left"), 0, pts.size - 1)
-        return pts[idx]
-
-    return finv
-
-
 @dataclass(frozen=True)
 class FiniteLaw:
+    """A finite law with its two level sets, each sorted once: the points
+    in increasing order and |points| in decreasing order, each with its
+    cumulative weights."""
+
     points: np.ndarray
     probs: np.ndarray
 
-    def d_function(self):
-        finv = _signed_quantile(self.points, self.probs)
+    @cached_property
+    def signed_levels(self) -> tuple:
+        order = np.argsort(self.points)
+        return self.points[order], np.cumsum(self.probs[order])
 
-        def d(u):
-            u = np.asarray(u, dtype=float)
-            out = np.maximum(finv(1.0 - u) - finv(u), 0.0)
-            out[u >= 1.0] = 0.0
-            return out
+    @cached_property
+    def abs_levels(self) -> tuple:
+        a = np.abs(self.points)
+        order = np.argsort(-a)
+        return a[order], np.cumsum(self.probs[order])
 
-        return d
+    def d(self, u: np.ndarray) -> np.ndarray:
+        """D(u) = (F^{-1}(1 - u) - F^{-1}(u))_+, and 0 for u >= 1."""
+        pts, cw = self.signed_levels
 
-    def q_function(self):
-        return _upper_quantile(self.points, self.probs)
+        def finv(v):
+            return pts[np.clip(np.searchsorted(cw, v - 1e-15, side="left"), 0, pts.size - 1)]
+
+        out = np.maximum(finv(1.0 - u) - finv(u), 0.0)
+        out[u >= 1.0] = 0.0
+        return out
+
+    def q(self, u: np.ndarray) -> np.ndarray:
+        """Q(u) = smallest t with P(|X| > t) <= u, a step function of u;
+        for u >= 1 the factor vanishes by convention."""
+        a, cw = self.abs_levels
+        out = np.zeros_like(u)
+        inside = u < cw[-1] - 1e-15
+        out[inside] = a[np.minimum(np.searchsorted(cw, u[inside], side="right"), a.size - 1)]
+        out[u >= 1.0] = 0.0
+        return out
 
 
 def covariance_product_bound(
@@ -221,10 +212,8 @@ def covariance_product_bound(
     else:
         cuts = [np.array([0.0, 1.0])]
         for law, phi in zip(laws, phis):
-            lev = np.cumsum(law.probs[np.argsort(law.points)])
-            lev_abs = np.cumsum(law.probs[np.argsort(-np.abs(law.points))])
-            levels = np.concatenate((lev, 1.0 - lev, lev_abs))
-            cuts.append(np.clip(phi * levels, 0.0, 1.0))
+            lev, lev_abs = law.signed_levels[1], law.abs_levels[1]
+            cuts.append(np.clip(phi * np.concatenate((lev, 1.0 - lev, lev_abs)), 0.0, 1.0))
         grid = np.unique(np.concatenate(cuts))
         mids = 0.5 * (grid[:-1] + grid[1:])
         widths = np.diff(grid)
@@ -232,8 +221,8 @@ def covariance_product_bound(
         q_prod = np.ones(mids.size)
         for law, phi in zip(laws, phis):
             v = mids / phi
-            d_prod *= law.d_function()(v)
-            q_prod *= law.q_function()(v)
+            d_prod *= law.d(v)
+            q_prod *= law.q(v)
         out = {
             "d_form": float(d_prod @ widths),
             "q_form": float(2.0**k * (q_prod @ widths)),
@@ -259,14 +248,44 @@ def _lag_powers(kernel: FiniteKernel, t_list) -> tuple[list, list]:
             [np.linalg.matrix_power(rev, lag) for lag in lags])
 
 
-def _threshold_chain(size: int, factors) -> np.ndarray:
+class PhiWorkspace:
+    """The two flat work arrays of _phi_i_exact's threshold chains, grown to
+    the largest block asked of them. One workspace serves every phi^{(i)} of
+    every case it is passed to, so the chains write into the same pages."""
+
+    def __init__(self):
+        self.chain = self.scratch = np.empty(0)
+
+    def buffers(self, entries: int) -> tuple:
+        if self.chain.size < entries:
+            self.chain, self.scratch = np.empty(entries), np.empty(entries)
+        return self.chain, self.scratch
+
+
+def _view(buffer: np.ndarray, shape: tuple) -> np.ndarray:
+    """The leading entries of a flat buffer as a C-contiguous array of shape."""
+    return buffer[: prod(shape)].reshape(shape)
+
+
+def _threshold_chain(factors, out: np.ndarray, scratch: np.ndarray):
     """E(prod_j h_j(Y_{t_j}) | Y_start = s) for every threshold combination,
-    as a states x combinations matrix; factors are the (h_j columns, kernel
-    power) pairs in the order the Markov property applies them."""
-    out = np.ones((size, 1))
+    as a states x combinations view of the flat buffer out, with the flat
+    buffer scratch holding each product; None without factors, where it is
+    1. factors are the (h_j columns, kernel power) pairs in the order the
+    Markov property applies them."""
+    cur = None
     for h, power in factors:
-        out = power @ (h[:, :, None] * out[:, None, :]).reshape(size, -1)
-    return out
+        if cur is None:
+            # the product with the all-ones start is h itself, copied: BLAS
+            # rounds a strided column of h otherwise than a contiguous one
+            term = _view(scratch, h.shape)
+            np.copyto(term, h)
+        else:
+            size, width = h.shape
+            term = np.multiply(h[:, :, None], cur[:, None, :],
+                               out=_view(scratch, (size, width, cur.shape[1]))).reshape(size, -1)
+        cur = np.matmul(power, term, out=_view(out, term.shape))
+    return cur
 
 
 def _centered_thresholds(pi: np.ndarray, f_list) -> list:
@@ -279,7 +298,8 @@ def _centered_thresholds(pi: np.ndarray, f_list) -> list:
     return h_sets
 
 
-def _phi_i_exact(kernel: FiniteKernel, f_list, h_sets: list, i: int, powers: tuple) -> float:
+def _phi_i_exact(kernel: FiniteKernel, f_list, h_sets: list, i: int, powers: tuple,
+                 workspace: PhiWorkspace) -> float:
     """phi(sigma(X_i), X_{j != i}) for X_j = f_j(Y_{t_j}) on the stationary
     chain, exact over the threshold level sets: the max over the atoms of
     sigma(X_i) and over every combination of one threshold x_j per j != i of
@@ -289,11 +309,14 @@ def _phi_i_exact(kernel: FiniteKernel, f_list, h_sets: list, i: int, powers: tup
     factor over j > i (through K^lag) and a backward factor over j < i
     (through the reversed kernel R^lag). Each is built for all its threshold
     combinations at once as a states x combinations matrix and the two are
-    multiplied column-wise. The combinations go in blocks of at most
+    multiplied column-wise; at i = 0 or k - 1 one factor is 1 and the other
+    is the product. The combinations go in blocks of at most
     PHI_BLOCK_ENTRIES matrix entries: the thresholds of the variables
     farthest from i, which the chains apply first, are held fixed within a
-    block. h_sets is _centered_thresholds(kernel.stationary, f_list) and
-    powers is _lag_powers(kernel, t_list), both shared by every i.
+    block. Every block writes into the two buffers of workspace: the chain
+    buffer holds the forward then the backward factor, the scratch buffer
+    the products. h_sets is _centered_thresholds(kernel.stationary, f_list)
+    and powers is _lag_powers(kernel, t_list), both shared by every i.
     """
     pi = kernel.stationary
     size = kernel.size
@@ -308,19 +331,25 @@ def _phi_i_exact(kernel: FiniteKernel, f_list, h_sets: list, i: int, powers: tup
         atoms /= atoms.sum(axis=1, keepdims=True)
     others = [j for j in range(k) if j != i]
     width = max(1, PHI_BLOCK_ENTRIES // size)
-    blocks = {}
+    steps = {}
     for j in sorted(others, key=lambda j: abs(j - i)):
-        count = h_sets[j].shape[1]
-        step = min(count, width)
-        blocks[j] = [slice(lo, lo + step) for lo in range(0, count, step)]
-        width = max(1, width // step)
+        steps[j] = min(h_sets[j].shape[1], width)
+        width = max(1, width // steps[j])
+    blocks = [[slice(lo, lo + steps[j]) for lo in range(0, h_sets[j].shape[1], steps[j])] for j in others]
+    fw_cols = prod(steps[j] for j in range(i + 1, k))
+    bw_cols = prod(steps[j] for j in range(i))
+    chain, scratch = workspace.buffers(size * max(fw_cols * bw_cols, fw_cols + bw_cols))
     best = 0.0
-    for pick in product(*(blocks[j] for j in others)):
+    for pick in product(*blocks):
         h = {j: h_sets[j][:, cols] for j, cols in zip(others, pick)}
-        fw = _threshold_chain(size, [(h[j], fwd[j - 1]) for j in range(k - 1, i, -1)])
-        bw = _threshold_chain(size, [(h[j], bwd[j]) for j in range(i)])
-        g = (bw[:, :, None] * fw[:, None, :]).reshape(size, -1)
-        cond = g if singletons else atoms @ g
+        fw = _threshold_chain([(h[j], fwd[j - 1]) for j in range(k - 1, i, -1)], chain, scratch)
+        bw = _threshold_chain([(h[j], bwd[j]) for j in range(i)], chain[0 if fw is None else fw.size :], scratch)
+        if fw is None or bw is None:
+            g, spare = (bw if fw is None else fw), scratch
+        else:
+            g = np.multiply(bw[:, :, None], fw[:, None, :], out=_view(scratch, (size,) + bw.shape[1:] + fw.shape[1:]))
+            g, spare = g.reshape(size, -1), chain
+        cond = g if singletons else np.matmul(atoms, g, out=_view(spare, (atoms.shape[0], g.shape[1])))
         mean = pi @ g
         # max |cond - mean| by column extremes: rounded subtraction is
         # monotone, so this is bit for bit the max over every entry
@@ -328,13 +357,15 @@ def _phi_i_exact(kernel: FiniteKernel, f_list, h_sets: list, i: int, powers: tup
     return best
 
 
-def check_covariance_inequality(kernel: FiniteKernel, f_list, t_list) -> dict:
+def check_covariance_inequality(kernel: FiniteKernel, f_list, t_list,
+                                workspace: Optional[PhiWorkspace] = None) -> dict:
     """Exact both sides of the product-covariance inequality on a chain.
 
     lhs = |E prod (f_j(Y_{t_j}) - E f_j)| by kernel-power linear algebra;
     rhs from covariance_product_bound with the exact phi^{(i)}. The kernel
     powers and the threshold sets are computed once and shared by every
-    phi^{(i)}.
+    phi^{(i)}. A caller checking many cases passes one workspace to all of
+    them; without one, the call makes its own.
     """
     t_list = list(t_list)
     if any(b <= a for a, b in zip(t_list, t_list[1:])):
@@ -352,7 +383,8 @@ def check_covariance_inequality(kernel: FiniteKernel, f_list, t_list) -> dict:
         v = centered[j] * (powers[0][j] @ v)
     lhs = abs(float(pi @ v))
     h_sets = _centered_thresholds(pi, fvals)
-    phis = [min(_phi_i_exact(kernel, fvals, h_sets, i, powers), 1.0) for i in range(k)]
+    workspace = PhiWorkspace() if workspace is None else workspace
+    phis = [min(_phi_i_exact(kernel, fvals, h_sets, i, powers, workspace), 1.0) for i in range(k)]
     laws = [FiniteLaw(c, pi) for c in centered]
     rhs = covariance_product_bound(laws, phis, p_list=[float(k)] * k)
     ok = lhs <= min(rhs["q_form"], rhs["holder_form"], rhs["d_form"]) * (1.0 + 1e-9) + 1e-15
@@ -457,13 +489,32 @@ def series_C1_C2(spec: ProcessSpec, p: float, n_terms: int, outer: int = 1000, s
     kernel, f = _chain_f(spec)
     f = f - float(np.sum(kernel.stationary * f))
     sigma2 = fam.long_run_variance(spec.seed)["sigma2"]
-    pi = kernel.stationary
-    c1, c2 = [], []
-    for n, t in zip(ns, _second_moments(kernel, f, n_terms)):
-        dev = t / n - sigma2
-        c1.append(n ** (-(2.0 - p / 2.0)) * envelope_norm_discrete(dev, pi, p))
-        c2.append(n ** (-2.0 / p) * _lp_norm_discrete(dev, pi, p / 2.0))
+    moments = _second_moments(kernel, f, n_terms)
+
+    def fill(row, n):
+        np.divide(next(moments), n, out=row)
+        row -= sigma2
+
+    c1, c2 = _c1c2_terms(ns, fill, kernel.stationary, p)
     return {"C1": _report("C1", ns, c1), "C2": _report("C2", ns, c2)}
+
+
+def _c1c2_terms(ns, fill, probs: np.ndarray, p: float) -> tuple[list, list]:
+    """The C1 and C2 terms of the laws E(S_n^2 | past)/n - sigma^2 with
+    weights probs, which fill(row, n) writes into row, called for each n in
+    order. The envelope norms go in blocks of at most NORM_BLOCK_ENTRIES
+    law values, one envelope_norm_discrete call per block."""
+    rows = max(1, NORM_BLOCK_ENTRIES // probs.size)
+    block = np.empty((min(rows, len(ns)), probs.size))
+    c1, c2 = [], []
+    for lo in range(0, len(ns), rows):
+        chunk = ns[lo : lo + rows]
+        for row, n in zip(block, chunk):
+            fill(row, n)
+        for n, dev, norm in zip(chunk, block, envelope_norm_discrete(block[: len(chunk)], probs, p)):
+            c1.append(n ** (-(2.0 - p / 2.0)) * float(norm))
+            c2.append(n ** (-2.0 / p) * _lp_norm_discrete(dev, probs, p / 2.0))
+    return c1, c2
 
 
 def _series_c1c2_linear(fam: LinearProcess, p: float, ns, outer: int, seed: int) -> dict:
@@ -472,16 +523,16 @@ def _series_c1c2_linear(fam: LinearProcess, p: float, ns, outer: int, seed: int)
     sigma2 = fam.long_run_variance(seed)["sigma2"]
     gen = rngmod.stream(seed, rngmod.ROLE_CALIBRATION, 0, 0)
     past = fam.innovation.sample(gen, outer * t).reshape(outer, t)  # eps_{1-t}..eps_0
-    c1, c2 = [], []
-    uw = np.full(outer, 1.0 / outer)
-    for n in ns:
+
+    def fill(row, n):
         c = fam.window(n)
         c_past, c_fut = c[:t], c[t:]  # j = 1-t..0 and j = 1..n+t
         future_var = var_eps * float((c_fut**2).sum())
         pvals = past @ c_past
-        dev = (pvals**2 + future_var) / n - sigma2
-        c1.append(n ** (-(2.0 - p / 2.0)) * envelope_norm_discrete(dev, uw, p))
-        c2.append(n ** (-2.0 / p) * _lp_norm_discrete(dev, uw, p / 2.0))
+        np.divide(pvals**2 + future_var, n, out=row)
+        row -= sigma2
+
+    c1, c2 = _c1c2_terms(ns, fill, np.full(outer, 1.0 / outer), p)
     return {"C1": _report("C1", ns, c1, {"outer": outer, "inner": "closed-form"}),
             "C2": _report("C2", ns, c2, {"outer": outer, "inner": "closed-form"})}
 

@@ -547,9 +547,11 @@ def _cdf_both(law: Law, pts: np.ndarray) -> tuple:
 U_WEIGHT_KINK = 0.31731050786291415  # 2 (1 - Phi(1)): the weight equals 1 above this u
 
 
-def envelope_norm_discrete(values: np.ndarray, probs: np.ndarray, p: float) -> float:
+def envelope_norm_discrete(values: np.ndarray, probs: np.ndarray, p: float):
     """Exact envelope norm int_0^1 Q(u) w(u) du of a finite law, Q the
-    piecewise-constant quantile of |X| and w the envelope weight.
+    piecewise-constant quantile of |X| and w the envelope weight. A stack of
+    laws, one per row of values, that share probs gives one norm per row,
+    each equal to the norm of its row alone.
 
     With a_0 >= a_1 >= ... the sorted |x|, c_j their cumulative weights and
     a_n = 0, summation by parts turns sum_j a_j (W(c_{j+1}) - W(c_j)) into
@@ -557,12 +559,13 @@ def envelope_norm_discrete(values: np.ndarray, probs: np.ndarray, p: float) -> f
     keep full relative precision. W is the closed form of
     _weight_antiderivative."""
     a = np.abs(np.asarray(values, dtype=float))
-    order = np.argsort(-a)  # quantile of |X| is nonincreasing
-    a = a[order]
-    c = np.minimum(np.cumsum(np.asarray(probs, dtype=float)[order]), 1.0)
-    steps = a - np.append(a[1:], 0.0)
+    order = np.argsort(-a, axis=-1)  # quantile of |X| is nonincreasing
+    a = np.take_along_axis(a, order, axis=-1)
+    c = np.minimum(np.cumsum(np.asarray(probs, dtype=float)[order], axis=-1), 1.0)
+    steps = a - np.append(a[..., 1:], np.zeros(a.shape[:-1] + (1,)), axis=-1)
     # a numpy reduction, not a BLAS dot, so the same under any thread count
-    return float(np.sum(steps * _weight_antiderivative(c, p)))
+    norms = np.sum(steps * _weight_antiderivative(c, p), axis=-1)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def _weight_antiderivative(u, p: float) -> np.ndarray:
@@ -636,16 +639,35 @@ def lambda_seminorm(f: GridFunction, r: float) -> float:
     if abs(s - 1.0) < 1e-12:
         # Lipschitz constant of f^{(l)}: adjacent slopes are extremal
         return float(np.max(np.abs(np.diff(d))) / f.spacing)
+    return _holder_lag_scan(g, d, s)
+
+
+def _holder_lag_scan(g: np.ndarray, d: np.ndarray, s: float) -> float:
+    """max over pairs i != j of |d_i - d_j| / |g_i - g_j|^s, lag by lag.
+
+    Every ratio at lag k is at most min(k L1, R) / (k h)^s, with L1 the
+    largest adjacent difference of d, R its range and h the smallest
+    spacing of g. A lag whose bound, taken 1e-12 larger to cover rounding,
+    is below the running best holds no larger ratio and is skipped; once
+    k L1 >= R the bound falls with k, so the first skip ends the scan. The
+    ratios computed are those of the all-pairs scan, so its maximum is
+    returned bit for bit."""
+    l1 = float(np.max(np.abs(np.diff(d)), initial=0.0))
+    spread = float(np.max(d) - np.min(d))
+    spacing = np.diff(g)
+    # the lag-k distances are at least k h only on a monotone grid
+    monotone = np.all(spacing > 0) or np.all(spacing < 0)
+    h = float(np.min(np.abs(spacing), initial=np.inf)) if monotone else 0.0
     best = 0.0
-    n = g.size
-    chunk = max(1, int(5e6 // n))
-    for start in range(0, n, chunk):
-        di = d[start : start + chunk, None] - d[None, :]
-        xi = np.abs(g[start : start + chunk, None] - g[None, :])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.abs(di) / xi**s
-        ratio[~np.isfinite(ratio)] = 0.0
-        best = max(best, float(ratio.max()))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(1, g.size):
+            if min(k * l1, spread) * (1.0 + 1e-12) < best * (k * h) ** s:
+                if k * l1 >= spread:
+                    break
+                continue
+            ratio = np.abs(d[k:] - d[:-k]) / np.abs(g[k:] - g[:-k]) ** s
+            ratio[~np.isfinite(ratio)] = 0.0
+            best = max(best, float(ratio.max()))
     return best
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import ceil, gamma
 
 import numpy as np
@@ -177,11 +178,14 @@ def upper_gamma(a: float, x):
     """Gamma(a, x) = int_x^inf t^{a-1} e^{-t} dt for real a and x in
     [0, inf] (x > 0 when a <= 0); Gamma(a, inf) = 0 exactly.
 
-    From x = max(a + 1, 1) on, Legendre's continued fraction; below it,
-    Gamma(b) minus the power series of gamma(b, x), or E_1(x) at b = 0, for
-    b = a + ceil(-a)_+, and for a < 0 the downward recurrence
+    From x = split = max(a + 1, 1) on, Legendre's continued fraction; below
+    it, Gamma(b) minus the power series of gamma(b, x), or E_1(x) at b = 0,
+    for b = a + ceil(-a)_+, and for a < 0 the downward recurrence
     Gamma(b, x) = (Gamma(b + 1, x) - x^b e^{-x}) / b. The recurrence loses
-    about a factor x / |b| of relative precision, so it runs only below x = 1."""
+    about a factor x / |b| of relative precision, so it runs only below
+    x = 1. The fraction's depth and the series' length are those that
+    converge at x = split, fixed per a, so each value depends on its own x
+    alone and not on the other values of the call."""
     x = np.asarray(x, dtype=float)
     out = np.zeros(x.shape)
     split = max(a + 1.0, 1.0)
@@ -195,19 +199,22 @@ def upper_gamma(a: float, x):
 def _upper_gamma_below(a: float, x: np.ndarray) -> np.ndarray:
     steps = max(0, ceil(-a))
     b = a + steps
+    terms = _series_terms(b, max(a + 1.0, 1.0)) if x.size else 0
     if b == 0:
-        out = _e1_series(x)
+        # E_1(x) = -euler_gamma - log x - sum_{n>=1} (-x)^n / (n n!)
+        term = -x
+        total = term.copy()
+        for n in range(2, terms + 1):
+            term *= -x * (n - 1) / (n * n)
+            total += term
+        out = -0.57721566490153286061 - np.log(x) - total
     else:
         # gamma(b, x) = x^b e^{-x} sum_n x^n / (b (b + 1) ... (b + n))
         term = np.full(x.shape, 1.0 / b)
         total = term.copy()
-        for n in range(1, _SERIES_CAP):
+        for n in range(1, terms + 1):
             term *= x / (b + n)
             total += term
-            if np.all(term <= 1e-17 * total):
-                break
-        else:
-            raise ArithmeticError("incomplete gamma series did not converge")
         out = gamma(b) - x**b * np.exp(-x) * total
     for j in range(steps - 1, -1, -1):
         b = a + j
@@ -215,35 +222,39 @@ def _upper_gamma_below(a: float, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _e1_series(x: np.ndarray) -> np.ndarray:
-    """E_1(x) = -euler_gamma - log x - sum_{n>=1} (-x)^n / (n n!) for x < 1."""
-    term = -x
-    total = term.copy()
-    for n in range(2, _SERIES_CAP):
-        term *= -x * (n - 1) / (n * n)
+@lru_cache(maxsize=64)
+def _series_terms(b: float, x: float) -> int:
+    """The last term index n at which the series of _upper_gamma_below in b
+    has converged at x: its term at most 1e-17 of its sum. Below x every
+    term is a smaller share of the sum, and the terms after n shrink, so
+    they leave each sum below x unchanged bit for bit."""
+    term = total = -x if b == 0 else 1.0 / b
+    n = 1 if b == 0 else 0
+    while abs(term) > 1e-17 * abs(total):
+        n += 1
+        if n >= _SERIES_CAP:
+            raise ArithmeticError("incomplete gamma series did not converge")
+        term *= -x * (n - 1) / (n * n) if b == 0 else x / (b + n)
         total += term
-        if np.all(np.abs(term) <= 1e-17 * np.abs(total)):
-            break
-    else:
-        raise ArithmeticError("exponential integral series did not converge")
-    return -0.57721566490153286061 - np.log(x) - total
+    return n
 
 
 def _legendre_fraction(a: float, x: np.ndarray) -> np.ndarray:
     """Gamma(a, x) = x^a e^{-x} / (x + 1 - a - 1 (1 - a) / (x + 3 - a - ...)),
-    evaluated bottom up to the depth the fraction needs at the smallest x:
-    it converges faster as x grows."""
+    evaluated bottom up to the depth the fraction needs at x = split, its
+    smallest argument: it converges faster as x grows."""
     t = np.zeros(x.shape)
-    for i in range(_fraction_depth(a, float(x.min())) if x.size else 0, 0, -1):
+    for i in range(_fraction_depth(a) if x.size else 0, 0, -1):
         t = -i * (i - a) / (x + (2 * i + 1 - a) + t)
     return x**a * np.exp(-x) / (x + (1 - a) + t)
 
 
-def _fraction_depth(a: float, x: float) -> int:
+@lru_cache(maxsize=64)
+def _fraction_depth(a: float) -> int:
     """Terms after which the modified Lentz method (Numerical Recipes, 3rd
-    ed., 6.2) has converged at x."""
+    ed., 6.2) has converged at x = max(a + 1, 1)."""
     tiny = 1e-300
-    b = x + 1.0 - a
+    b = max(a + 1.0, 1.0) + 1.0 - a
     c, d = 1.0 / tiny, 1.0 / b
     for i in range(1, _SERIES_CAP):
         an = -i * (i - a)

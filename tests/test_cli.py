@@ -517,6 +517,16 @@ def test_cli_import_runs_blas_on_one_thread_unless_set():
     assert threads == ["1", "2"]
 
 
+def test_cli_import_after_numpy_leaves_the_environment_alone():
+    # numpy's BLAS already has its threads; a pin written now would reach
+    # only the importing process's children
+    code = "import numpy, os, cltlab.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    unset = {k: v for k, v in _src_env().items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    run = subprocess.run([sys.executable, "-c", code], env=unset, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "None"
+
+
 def test_conditions_makes_no_dense_kernel(tmp_path, monkeypatch):
     # every kernel operation of conditions is a row apply; a class property
     # sees the read even of a matrix cached on an earlier kernel

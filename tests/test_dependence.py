@@ -2,6 +2,7 @@
 series, and the coboundary decomposition."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -274,7 +275,7 @@ def _assert_phis_match_loop(ker, fs, ts):
     powers = dependence._lag_powers(ker, ts)
     h_sets = dependence._centered_thresholds(ker.stationary, fs)
     for i in range(len(fs)):
-        got = dependence._phi_i_exact(ker, fs, h_sets, i, powers)
+        got = dependence._phi_i_exact(ker, fs, h_sets, i, powers, dependence.PhiWorkspace())
         want = _phi_i_loop(ker, fs, ts, i)
         assert abs(got - want) <= 1e-12 * want + 1e-15, (i, got, want)
 
@@ -312,9 +313,18 @@ def test_phi_i_blocks_match_loop(monkeypatch, entries):
     _assert_phis_match_loop(ker, fs, [1, 2, 4, 5])
 
 
+def _threshold_chain_fresh(size, factors):
+    """The threshold chain with a fresh array per factor, the product with
+    the all-ones start included."""
+    out = np.ones((size, 1))
+    for h, power in factors:
+        out = power @ (h[:, :, None] * out[:, None, :]).reshape(size, -1)
+    return out
+
+
 def _phi_i_dense(kernel, f_list, t_list, i, powers):
-    """The block loop of _phi_i_exact reducing each block the dense way:
-    every conditional expectation as atoms @ g and the max of
+    """The block loop of _phi_i_exact with fresh arrays, reducing each block
+    the dense way: every conditional expectation as atoms @ g and the max of
     |atoms @ g - pi @ g| over every entry."""
     pi, size = kernel.stationary, kernel.size
     fwd, bwd = powers
@@ -338,8 +348,8 @@ def _phi_i_dense(kernel, f_list, t_list, i, powers):
     best = 0.0
     for pick in itertools.product(*(blocks[j] for j in others)):
         h = {j: h_sets[j][:, cols] for j, cols in zip(others, pick)}
-        fw = dependence._threshold_chain(size, [(h[j], fwd[j - 1]) for j in range(k - 1, i, -1)])
-        bw = dependence._threshold_chain(size, [(h[j], bwd[j]) for j in range(i)])
+        fw = _threshold_chain_fresh(size, [(h[j], fwd[j - 1]) for j in range(k - 1, i, -1)])
+        bw = _threshold_chain_fresh(size, [(h[j], bwd[j]) for j in range(i)])
         g = (bw[:, :, None] * fw[:, None, :]).reshape(size, -1)
         best = max(best, float(np.abs(atoms @ g - pi @ g).max()))
     return best
@@ -348,21 +358,56 @@ def _phi_i_dense(kernel, f_list, t_list, i, powers):
 @pytest.mark.parametrize("entries", [1, 20, dependence.PHI_BLOCK_ENTRIES])
 @pytest.mark.parametrize("tied", [False, True])
 def test_phi_i_column_reduction_is_bitwise(monkeypatch, entries, tied):
-    # singleton atoms skip atoms @ g; both reduce by column extremes
+    # singleton atoms skip atoms @ g; both reduce by column extremes. One
+    # workspace serves chains of every size, and a constant functional gives
+    # a one-column factor of zeros
     monkeypatch.setattr(dependence, "PHI_BLOCK_ENTRIES", entries)
     rng = np.random.default_rng(11 + tied)
-    for _ in range(4):
+    workspace = dependence.PhiWorkspace()
+    for case in range(6):
         size = int(rng.integers(3, 9))
         ker = random_kernel(rng, size)
         k = int(rng.integers(2, 5))
         fs = [rng.normal(size=size) for _ in range(k)]
         if tied:
             fs = [np.round(f) for f in fs]
+        if case == 5:
+            fs[k // 2] = np.ones(size)
         ts = np.cumsum(rng.integers(1, 4, size=k)).tolist()
         powers = dependence._lag_powers(ker, ts)
         h_sets = dependence._centered_thresholds(ker.stationary, fs)
         for i in range(k):
-            assert dependence._phi_i_exact(ker, fs, h_sets, i, powers) == _phi_i_dense(ker, fs, ts, i, powers)
+            got = dependence._phi_i_exact(ker, fs, h_sets, i, powers, workspace)
+            assert got == _phi_i_dense(ker, fs, ts, i, powers)
+
+
+def test_covariance_cases_allocate_no_large_array_after_the_first(monkeypatch):
+    # numpy reports its array data to tracemalloc. The first case grows the
+    # workspace to the (49 x 2401) blocks of k = 3; after it, no phi^{(i)}
+    # raises the traced peak by 256 KB, one such block being 0.94 MB
+    ker, _ = DavydovChain(2.5, 0.1, "f1", 24).kernel
+    rng = np.random.default_rng(0)
+    cases = [([rng.normal(size=ker.size) for _ in range(k)], ts)
+             for k, ts in ((3, [1, 4, 9]), (2, [2, 5]), (3, [3, 7, 12]), (2, [1, 12]), (3, [2, 3, 4]))]
+    workspace = dependence.PhiWorkspace()
+    check_covariance_inequality(ker, *cases[0], workspace)
+    phi_i_exact, rises = dependence._phi_i_exact, []
+
+    def traced(*args):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        value = phi_i_exact(*args)
+        rises.append(tracemalloc.get_traced_memory()[1] - start)
+        return value
+
+    monkeypatch.setattr(dependence, "_phi_i_exact", traced)
+    tracemalloc.start()
+    try:
+        for f_list, t_list in cases[1:]:
+            check_covariance_inequality(ker, f_list, t_list, workspace)
+    finally:
+        tracemalloc.stop()
+    assert len(rises) == 10 and max(rises) < 256 * 1024
 
 
 def test_covariance_inequality_independent_chain():

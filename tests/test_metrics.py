@@ -481,6 +481,22 @@ class TestEnvelopeNorm:
         got = envelope_norm_discrete(q(0.5 * (cuts[1:] + cuts[:-1])), np.diff(cuts), 3.0)
         assert got == pytest.approx(oracle, abs=1e-7)
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), p=st.floats(2.0, 4.0))
+    def test_stacked_laws_equal_their_rows(self, seed, p):
+        # one norm per row, bit for bit the norm of that row alone; one row
+        # has tied |x|
+        rng = np.random.default_rng(seed)
+        rows, size = int(rng.integers(1, 12)), int(rng.integers(1, 300))
+        values = rng.normal(size=(rows, size)) * rng.exponential(size=(rows, 1))
+        values[rows // 2] = np.round(values[rows // 2])
+        probs = rng.random(size)
+        probs /= probs.sum()
+        got = envelope_norm_discrete(values, probs, p)
+        assert got.shape == (rows,)
+        for row, norm in zip(values, got):
+            assert float(norm).hex() == envelope_norm_discrete(row, probs, p).hex()
+
     def test_discrete_matches_functional(self):
         vals = np.array([-2.0, 0.5, 3.0])
         probs = np.array([0.2, 0.5, 0.3])
@@ -581,6 +597,31 @@ class TestSeminormAndSmoothing:
         f = GridFunction.from_callable(lambda x: np.sqrt(np.abs(x)), lo=0.0, hi=8.0, n=2049)
         got = lambda_seminorm(f, 0.5)
         assert 0.9 <= got <= 1.5
+
+    @settings(max_examples=80, deadline=None)
+    @given(shape=st.sampled_from(["constant", "monotone", "kinked"]),
+           n=st.integers(5, 300),
+           r=st.floats(0.05, 2.95).filter(lambda r: abs(r - round(r)) > 1e-3),
+           lo=st.floats(-20.0, 5.0), width=st.floats(0.01, 40.0),
+           descending=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_pruned_lag_scan_equals_all_pairs_scan(self, shape, n, r, lo, width, descending, seed):
+        rng = np.random.default_rng(seed)
+        grid = np.linspace(lo, lo + width, n)[:: -1 if descending else 1]
+        if shape == "constant":
+            values = np.full(n, rng.normal())
+        elif shape == "monotone":
+            values = np.cumsum(rng.exponential(size=n) * rng.uniform(0.01, 10.0))
+        else:
+            kink = rng.uniform(lo, lo + width)
+            values = rng.uniform(0.1, 5.0) * np.abs(grid - kink) ** rng.uniform(0.2, 3.0) + rng.normal(scale=1e-3, size=n)
+        f = GridFunction(grid, values)
+        l = int(np.ceil(r)) - 1
+        g, d = metrics._grid_derivative(f, l)
+        # every ordered pair, as the scan was before it was pruned
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.abs(d[:, None] - d[None, :]) / np.abs(g[:, None] - g[None, :]) ** (r - l)
+        ratio[~np.isfinite(ratio)] = 0.0
+        assert float(lambda_seminorm(f, r)).hex() == float(ratio.max()).hex()
 
     def test_smooth_fixes_affine(self):
         f = GridFunction.from_callable(lambda x: 3.0 * x - 2.0, n=2049)

@@ -59,6 +59,17 @@ def test_upper_gamma_matches_mpmath(a):
             assert abs(value - want) <= 1e-13 * want, x
 
 
+@settings(max_examples=60, deadline=None)
+@given(a=st.sampled_from(GAMMA_ORDERS), seed=st.integers(0, 2**32 - 1))
+def test_upper_gamma_value_depends_on_its_own_x_alone(a, seed):
+    # batches that straddle the switch x = max(a + 1, 1), values far above it
+    rng = np.random.default_rng(seed)
+    x = rng.exponential(size=int(rng.integers(1, 200))) * rng.uniform(0.2, 30.0)
+    got = upper_gamma(a, x)
+    for i in range(x.size):
+        assert float(got[i]).hex() == float(upper_gamma(a, x[i : i + 1])[0]).hex(), x[i]
+
+
 def test_edge_values_are_exact_and_quiet():
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
