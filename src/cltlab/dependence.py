@@ -347,7 +347,7 @@ def _phi_i_exact(kernel: FiniteKernel, f_list, h_sets: list, i: int, powers: tup
         if fw is None or bw is None:
             g, spare = (bw if fw is None else fw), scratch
         else:
-            g = np.multiply(bw[:, :, None], fw[:, None, :], out=_view(scratch, (size,) + bw.shape[1:] + fw.shape[1:]))
+            g = np.multiply(bw[:, :, None], fw[:, None, :], out=_view(scratch, (size, bw.shape[1], fw.shape[1])))
             g, spare = g.reshape(size, -1), chain
         cond = g if singletons else np.matmul(atoms, g, out=_view(spare, (atoms.shape[0], g.shape[1])))
         mean = pi @ g
