@@ -140,12 +140,6 @@ class FiniteKernel:
     def size(self) -> int:
         return self.states.size
 
-    def index_of(self, state: int) -> int:
-        idx = int(np.searchsorted(self.states, state))
-        if idx >= self.size or self.states[idx] != state:
-            raise ProcessError(f"state {state} not in kernel")
-        return idx
-
     def apply(self, f: np.ndarray) -> np.ndarray:
         """(Kf)(s) = sum_j K(s, j) f(j), summed over row s's slots in order,
         so the result is the same under any BLAS."""
@@ -405,11 +399,22 @@ class ExpandingMap:
             return self.observable
         return lambda x: np.asarray(x, dtype=float)
 
+    @cached_property
+    def branches(self) -> list:
+        """_map_branches' (slope, offset, lo, hi) with a whole flag per
+        branch, built once per map object; see _whole_branch."""
+        return [(*b, _whole_branch(*b)) for b in _map_branches(self)]
+
+    @cached_property
+    def density(self) -> DensityGrid:
+        """The invariant density, computed once per map object."""
+        return invariant_density(self)
+
     def batch_sums(self, seed: int):
-        return partial(_expanding_sums, self, invariant_density(self))
+        return partial(_expanding_sums, self, self.density)
 
     def long_run_variance(self, seed: int) -> dict:
-        density = invariant_density(self)
+        density = self.density
         f = self.f()
         x, w = density.x, density.values
         # dual-kernel power iteration on the grid: (Kh)(x) = E[h(prev) | x]
@@ -513,7 +518,8 @@ def _centering_constant(base: LinearProcess, h, seed: int, draws: int) -> tuple[
 
 @dataclass(frozen=True)
 class DensityGrid:
-    """Probability density sampled on the uniform grid x = linspace(0, 1, G + 1).
+    """Probability density sampled on the uniform grid x = linspace(0, 1, G + 1),
+    G a power of two, so that x[j] = j * 2^-k and y * G are exact.
 
     The interpolation slopes and the trapezoid CDF are built once with the
     grid, so `at` and `quantile` do no per-call setup."""
@@ -521,14 +527,15 @@ class DensityGrid:
     x: np.ndarray
     values: np.ndarray
     _slopes: np.ndarray = field(init=False, repr=False, compare=False)
-    _above: np.ndarray = field(init=False, repr=False, compare=False)
     _cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
         v = np.asarray(self.values, dtype=float)
-        if x.size < 2 or not np.array_equal(x, np.linspace(0.0, 1.0, x.size)) or v.shape != x.shape:
-            raise ProcessError("a density grid is np.linspace(0, 1, G + 1) with one value per node")
+        cells = x.size - 1
+        uniform = cells >= 1 and not cells & (cells - 1) and np.array_equal(x, np.linspace(0.0, 1.0, x.size))
+        if not uniform or v.shape != x.shape:
+            raise ProcessError("a density grid is np.linspace(0, 1, 2^k + 1) with one value per node")
         # np.interp's own slope formula; the trailing 0 makes y = 1 return values[G]
         slopes = np.append((v[1:] - v[:-1]) / (x[1:] - x[:-1]), 0.0)
         cdf = np.concatenate(([0.0], np.cumsum((v[1:] + v[:-1]) / 2.0 * np.diff(x))))
@@ -536,7 +543,6 @@ class DensityGrid:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "_slopes", slopes)
-        object.__setattr__(self, "_above", np.append(x[1:], np.inf))
         object.__setattr__(self, "_cdf", cdf)
 
     def mean_of(self, f) -> float:
@@ -548,15 +554,15 @@ class DensityGrid:
 
     def at(self, y) -> np.ndarray:
         """np.interp(y, x, values), bit for bit, for y in [0, 1] and finite
-        values other than -0.0: the node below y comes from indexing the
-        uniform grid (with a one-step guard against rounding in y * G), then
-        np.interp's own formula slope * (y - x[j]) + values[j]."""
+        values other than -0.0: y * G is exact on the 2^k grid, so its
+        integer part is the node below y, then np.interp's own formula
+        slope * (y - x[j]) + values[j]."""
         y = np.asarray(y, dtype=float)
-        x = self.x
-        j = (y * (x.size - 1)).astype(np.intp)
-        j -= x[j] > y
-        j += self._above[j] <= y
-        return self._slopes[j] * (y - x[j]) + self.values[j]
+        j = (y * (self.x.size - 1)).astype(np.intp)
+        out = y - self.x.take(j)
+        out *= self._slopes.take(j)
+        out += self.values.take(j)
+        return out
 
 
 def _map_branches(spec: ExpandingMap):
@@ -578,17 +584,38 @@ def _map_branches(spec: ExpandingMap):
     raise ProcessError("branch decomposition only for affine-branch maps")
 
 
+def _fold(y: np.ndarray, lo: float, hi: float) -> tuple:
+    """The preimage y folded into [0, 1) (the mod-1 offset taken back) and
+    clipped to the branch interval [lo, hi], and where the folded y lay in
+    [lo, hi] within 1e-12."""
+    y = y - np.floor(y)
+    return np.clip(y, lo, hi), (y >= lo - 1e-12) & (y <= hi + 1e-12)
+
+
+def _whole_branch(slope: float, off: float, lo: float, hi: float) -> bool:
+    """Whether the fold and clip return every preimage (x - off) / slope of
+    x in [0, 1] as it is, all of them valid. Subtraction and division round
+    monotonically, so the preimages lie between the two ends', and the ends
+    decide it: each must come back bit for bit with its sign bit clear (the
+    fold turns -0.0 into +0.0)."""
+    ends = (np.array([0.0, 1.0]) - off) / slope
+    y, valid = _fold(ends, lo, hi)
+    return bool(valid.all() and not np.signbit(ends).any() and y.tobytes() == ends.tobytes())
+
+
 def _branch_weights(spec: ExpandingMap, x: np.ndarray, rho):
-    """(y, w) per affine branch, one array each: y is the preimage of x
-    under the branch, folded into [0, 1] and clipped to the branch interval
-    [lo, hi], and w = rho(y) / |slope| where the folded preimage lies in
-    [lo, hi] (within 1e-12), 0 elsewhere."""
-    for slope, off, lo, hi in _map_branches(spec):
+    """(y, w) per affine branch, one array each, for x in [0, 1]: y is the
+    preimage of x under the branch, folded into [0, 1] and clipped to the
+    branch interval [lo, hi], and w = rho(y) / |slope| where the folded
+    preimage lies in [lo, hi] (within 1e-12), 0 elsewhere. A whole branch
+    skips the fold, the clip and the mask, which leave it as it is."""
+    for slope, off, lo, hi, whole in spec.branches:
         y = (x - off) / slope
-        y = y - np.floor(y)  # fold the mod-1 offset back into the branch
-        valid = (y >= lo - 1e-12) & (y <= hi + 1e-12)
-        y = np.clip(y, lo, hi)
-        yield y, np.where(valid, rho(y) / abs(slope), 0.0)
+        if whole:
+            yield y, rho(y) / abs(slope)
+        else:
+            y, valid = _fold(y, lo, hi)
+            yield y, np.where(valid, rho(y) / abs(slope), 0.0)
 
 
 def invariant_density(spec: ExpandingMap) -> DensityGrid:
@@ -622,7 +649,7 @@ def transfer_duality_residual(spec: ExpandingMap, h, f) -> float:
     split at the branch endpoints; for integer beta and polynomial h, f the
     quadrature is exact to rounding.
     """
-    rho = invariant_density(spec)
+    rho = spec.density
     gl_x, gl_w = np.polynomial.legendre.leggauss(16)
 
     def integrate(fn, lo, hi):
@@ -719,7 +746,7 @@ def _davydov_sums(kernel: FiniteKernel, f: np.ndarray, n_grid, seed: int, replic
     slots of the kernel's row i."""
     cum_pi, threshold, moves = np.cumsum(kernel.stationary), kernel._weights[0], kernel._cols.T.ravel()
     marks = {n: col for col, n in enumerate(n_grid)}
-    idx = np.searchsorted(cum_pi, [g.random() for g in rngmod.streams(seed, rngmod.ROLE_INIT, replicates)])
+    idx = np.searchsorted(cum_pi, rngmod.first_draws(seed, rngmod.ROLE_INIT, replicates))
     gens = rngmod.streams(seed, rngmod.ROLE_STEP, replicates)
     out = np.empty((len(replicates), len(n_grid)))
     total = np.zeros(len(replicates))
@@ -737,7 +764,7 @@ def _expanding_sums(spec: ExpandingMap, density: DensityGrid, n_grid, seed: int,
     f = spec.f()
     mu_f = density.mean_of(f)
     marks = {n: col for col, n in enumerate(n_grid)}
-    x = density.quantile([g.random() for g in rngmod.streams(seed, rngmod.ROLE_INIT, replicates)])
+    x = density.quantile(rngmod.first_draws(seed, rngmod.ROLE_INIT, replicates))
     gens = rngmod.streams(seed, rngmod.ROLE_STEP, replicates)
     out = np.empty((len(replicates), len(n_grid)))
     total = f(x) - mu_f

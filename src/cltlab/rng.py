@@ -9,6 +9,10 @@ SeedSequence(entropy=seed mod 2**64, spawn_key=key).generate_state(2,
 uint64), a pure 32-bit hash that `_key_state` evaluates on ints or on uint32
 arrays with one entry per stream, so `streams` keys a whole replicate range
 in one vectorized pass.
+
+Philox is counter-based (Salmon et al., SC 2011): a stream's first double is
+word 0 of Philox4x64-10 at counter 1 under its key, so `first_draws`
+computes it for a whole replicate range with no generator.
 """
 
 from __future__ import annotations
@@ -117,9 +121,9 @@ def stream(seed: int, *key: int) -> np.random.Generator:
     return _generator(np.array([s[0] | s[1] << 32, s[2] | s[3] << 32], dtype=np.uint64))
 
 
-def streams(seed: int, role: int, replicates, tail: int = 0) -> list:
-    """[stream(seed, role, rep, tail) for rep in replicates], keyed in one
-    vectorized pass. Replicates are integers in [0, 2**64)."""
+def _stream_keys(seed: int, role: int, replicates, tail: int) -> np.ndarray:
+    """The Philox key of stream(seed, role, rep, tail) for each rep in
+    replicates, one uint64 pair per row."""
     reps = list(replicates)
     if reps and min(reps) < 0:
         raise ValueError("expected non-negative integer")
@@ -133,4 +137,41 @@ def streams(seed: int, role: int, replicates, tail: int = 0) -> list:
         if rows.any():
             state = _key_state(seed, role_words + [w[rows] for w in rep_words] + tail_words)
             keys[rows] = np.column_stack(state).astype("<u4").view("<u8")
-    return [_generator(k) for k in keys]
+    return keys
+
+
+def streams(seed: int, role: int, replicates, tail: int = 0) -> list:
+    """[stream(seed, role, rep, tail) for rep in replicates], keyed in one
+    vectorized pass. Replicates are integers in [0, 2**64)."""
+    return [_generator(k) for k in _stream_keys(seed, role, replicates, tail)]
+
+
+def _mulhilo(m: int, b: np.ndarray) -> tuple:
+    """High and low 64-bit words of the 128-bit product m * b, from 32-bit
+    halves whose partial sums fit in 64 bits."""
+    m_lo, m_hi = np.uint64(m & MASK32), np.uint64(m >> 32)
+    b_lo, b_hi = b & np.uint64(MASK32), b >> np.uint64(32)
+    low = m_lo * b_lo
+    mid = m_hi * b_lo
+    cross = (low >> np.uint64(32)) + (mid & np.uint64(MASK32)) + m_lo * b_hi
+    return m_hi * b_hi + (mid >> np.uint64(32)) + (cross >> np.uint64(32)), b * np.uint64(m)
+
+
+def first_draws(seed: int, role: int, replicates, tail: int = 0) -> np.ndarray:
+    """[g.random() for g in streams(seed, role, replicates, tail)], bit for
+    bit, with no generator: numpy's Philox draws its first double from word 0
+    of Philox4x64-10 at counter (1, 0, 0, 0), the top 53 bits times 2**-53."""
+    keys = _stream_keys(seed, role, replicates, tail)
+    k0, k1 = keys.T.copy()
+    c0 = np.ones_like(k0)
+    c1 = c2 = c3 = np.zeros_like(k0)  # never written in place, so one array serves
+    # ten rounds with Random123's multipliers; the key takes its Weyl
+    # increments before every round but the first
+    for r in range(10):
+        if r:
+            k0 += np.uint64(0x9E3779B97F4A7C15)
+            k1 += np.uint64(0xBB67AE8584CAA73B)
+        hi0, lo0 = _mulhilo(0xD2E7470EE14C6C93, c0)
+        hi1, lo1 = _mulhilo(0xCA5A826395121157, c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return (c0 >> np.uint64(11)) * 2.0**-53

@@ -21,6 +21,14 @@ def _solve_stationary(k: np.ndarray) -> np.ndarray:
     return pi / pi.sum()
 
 
+def index_of(kernel: FiniteKernel, state: int) -> int:
+    """The row of a chain state in the kernel's sorted states."""
+    idx = int(np.searchsorted(kernel.states, state))
+    if idx >= kernel.size or kernel.states[idx] != state:
+        raise ValueError(f"state {state} not in kernel")
+    return idx
+
+
 def sample_chain(kernel: FiniteKernel, n: int, seed: int, replicate: int = 0) -> np.ndarray:
     """One stationary path of length n+1 (Y_0 ~ pi, then n kernel steps)."""
     gen_init = rngmod.stream(seed, rngmod.ROLE_INIT, replicate, n)

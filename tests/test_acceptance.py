@@ -47,7 +47,7 @@ from cltlab.processes import (
     ProcessSpec,
     transfer_duality_residual,
 )
-from oracles import _solve_stationary, alpha1_bruteforce, phi1_bruteforce
+from oracles import _solve_stationary, alpha1_bruteforce, index_of, phi1_bruteforce
 
 GEOM_HALF = lambda j: 0.5**j if j >= 0 else 0.0
 
@@ -176,7 +176,7 @@ def test_06_drift_chain_rates_and_condition():
     # the mixing-rate series for this schedule converges: alpha_1(k) decays
     # like k^{1 - p/2} (log k)^{-p/2 - eps} and the observable is bounded
     kernel, _ = chain.kernel
-    q1 = float(kernel.stationary[kernel.index_of(1)] + kernel.stationary[kernel.index_of(-1)])
+    q1 = float(kernel.stationary[index_of(kernel, 1)] + kernel.stationary[index_of(kernel, -1)])
     q_func = PowerQuantile(0.0, support=q1)  # Q(u) = 1 for u < q1, else 0
     alpha = [0.25] + [
         min(0.25, k**-0.25 * np.log(k) ** -1.35) for k in range(2, 61)

@@ -94,9 +94,6 @@ ALLOWLIST = {
         "the dense-matrix constructor, which verify reaches only through perturb_kernel (a run that exits 1) "
         "and the tests build their reference kernels with",
         lambda out: (np.arange(2), np.full((2, 2), 0.5), np.full(2, 0.5))),
-    "processes.FiniteKernel.index_of": (
-        "the row of a chain state, which the acceptance tests read the stationary law with",
-        lambda out: (_kernel(), 0)),
     "dependence.alpha1_exact": (
         "exact alpha_1 of a finite chain, for conditions computed from the process",
         lambda out: (_kernel(), 1)),

@@ -36,7 +36,7 @@ from cltlab.processes import (
     sample_linear_process,
 )
 from cltlab.processes import _centering_constant, _map_branches, _strongly_connected
-from oracles import _solve_stationary, sample_chain
+from oracles import _solve_stationary, index_of, sample_chain
 
 
 class TestInnovationLaw:
@@ -116,7 +116,7 @@ class TestDavydovKernel:
     def test_rows_and_center(self):
         k, _ = renewal_kernel(np.full(10, 0.5), "f1")
         assert np.allclose(k.matrix.sum(axis=1), 1.0)
-        zero = k.index_of(0)
+        zero = index_of(k, 0)
         assert k.matrix[zero, zero] == 0.0  # no holding at 0
         assert k.matrix[zero, zero + 1] == 0.5
 
@@ -130,8 +130,8 @@ class TestDavydovKernel:
 
     def test_boundary_redirected(self):
         k, _ = renewal_kernel(np.full(8, 0.5), "f1")
-        top = k.index_of(8)
-        assert k.matrix[top, k.index_of(0)] == 1.0
+        top = index_of(k, 8)
+        assert k.matrix[top, index_of(k, 0)] == 1.0
 
     def test_symmetry(self):
         k, _ = renewal_kernel(davydov_schedule(2.5, 0.1, 50), "f1")
@@ -165,14 +165,14 @@ class TestDavydovKernel:
 class TestMdsFunctional:
     def test_f1_values(self):
         k, f = renewal_kernel(np.full(10, 0.5), "f1")
-        z = k.index_of(0)
+        z = index_of(k, 0)
         assert f[z] == 0.0
         assert f[z + 1] == 1.0 and f[z - 1] == -1.0
         assert np.all(f[z + 2 :] == 0.0)
 
     def test_f2_values(self):
         k, f = renewal_kernel(np.full(10, 0.5), "f2")
-        z = k.index_of(0)
+        z = index_of(k, 0)
         assert f[z] == 1.0
         assert f[z + 1] == 0.0
         assert f[z + 2] == pytest.approx(1.0 - 1.0 / 0.5)
@@ -202,7 +202,7 @@ class TestSampleChain:
         path = sample_chain(k, 200000, seed=1)
         for s in (-1, 0, 1):
             freq = np.mean(path == s)
-            p = k.stationary[k.index_of(s)]
+            p = k.stationary[index_of(k, s)]
             assert abs(freq - p) < 4 * np.sqrt(p * (1 - p) / path.size) + 2e-3
 
 
@@ -537,8 +537,8 @@ class TestStronglyConnected:
         live = kernel._weights > 0
         adj = kernel.matrix > 0
         assert _strongly_connected(kernel._cols, live) and _scipy_strongly_connected(adj)
-        live &= kernel._cols != kernel.index_of(0)  # nothing returns to 0
-        adj[:, kernel.index_of(0)] = False
+        live &= kernel._cols != index_of(kernel, 0)  # nothing returns to 0
+        adj[:, index_of(kernel, 0)] = False
         assert not _strongly_connected(kernel._cols, live) and not _scipy_strongly_connected(adj)
 
 
@@ -718,7 +718,7 @@ def _reference_expanding_sums(spec, n_grid, seed, replicates, step_block=4096):
 
 def _reference_davydov_sums(chain, n_grid, seed, replicates, step_block=4096):
     kernel, f = chain.kernel
-    zero = kernel.index_of(0)
+    zero = index_of(kernel, 0)
     size = kernel.size
     up_prob = np.zeros(size)
     up_target = np.full(size, zero, dtype=int)
@@ -727,7 +727,7 @@ def _reference_davydov_sums(chain, n_grid, seed, replicates, step_block=4096):
             continue
         nxt = s + 1 if s > 0 else s - 1
         if abs(nxt) <= kernel.states.max():
-            j = kernel.index_of(nxt)
+            j = index_of(kernel, nxt)
             up_prob[i] = kernel.matrix[i, j]
             up_target[i] = j
     cum_pi = np.cumsum(kernel.stationary)
@@ -864,6 +864,44 @@ class TestBatchKernelsMatchReference:
         a = _reference_davydov_sums(chain, _CHAIN_GRID, 3, range(120))
         b = _reference_davydov_sums(chain, _CHAIN_GRID, 3, range(120), step_block=5)
         assert np.array_equal(a, b)
+
+
+_DUAL_STEP_MAPS = {
+    "beta-2.5": ExpandingMap("beta", beta=2.5),
+    "beta-3.7": ExpandingMap("beta", beta=3.7),
+    "beta-pi": ExpandingMap("beta", beta=math.pi),
+    "piecewise-affine": _REFERENCE_CASES["piecewise-affine"][0],
+    # the first branch's preimage of x = 1 is -0.0, which the fold turns into +0.0
+    "signed-zero": ExpandingMap("piecewise_affine", breakpoints=(0.0, 0.5, 1.0), slopes=(-2.0, 2.0), offsets=(1.0, -1.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DUAL_STEP_MAPS))
+def test_dual_step_equals_reference_bitwise(case):
+    """_dual_step with its cached branch table, whole branches and grid
+    lookup against the per-step reference, over 1,023 steps of 300 states,
+    each step also taking x = 0 and x = 1 with u = 0."""
+    spec = _DUAL_STEP_MAPS[case]
+    density = spec.density
+    gen = np.random.default_rng(23)
+    x = density.quantile(gen.random(300))
+    edges = np.array([0.0, 1.0])
+    for u in gen.random((1023, x.size)):
+        xs, us = np.concatenate((x, edges)), np.concatenate((u, np.zeros(2)))
+        got = processes._dual_step(spec, xs, us, density)
+        assert np.array_equal(_bits(got), _bits(_reference_dual_step(spec, xs, us, density))), case
+        x = got[:-2]
+
+
+def test_whole_branches():
+    """A branch is whole when the fold and the clip leave all its preimages
+    as they are: not the partial last branch of a beta map, not a last
+    branch whose preimage of x = 1 is 1.0 (the fold takes it to 0), and not
+    a branch with a -0.0 end."""
+    assert [b[-1] for b in ExpandingMap("beta", beta=2.5).branches] == [True, True, False]
+    assert [b[-1] for b in ExpandingMap("beta", beta=3.0).branches] == [True, True, False]
+    assert [b[-1] for b in _DUAL_STEP_MAPS["signed-zero"].branches] == [False, False]
+    assert [b[:4] for b in _DUAL_STEP_MAPS["beta-pi"].branches] == _map_branches(_DUAL_STEP_MAPS["beta-pi"])
 
 
 def _use_cpus(monkeypatch, cpus: int) -> None:
@@ -1016,7 +1054,7 @@ class TestDavydovStepTables:
     @staticmethod
     def _from_dense_kernel(chain):
         kernel, _ = chain.kernel
-        zero = kernel.index_of(0)
+        zero = index_of(kernel, 0)
         n_max = int(kernel.states.max())
         threshold = np.zeros(kernel.size)
         up = np.full(kernel.size, zero)
@@ -1099,7 +1137,7 @@ class TestDensityGridInterpolation:
     """DensityGrid.at indexes the uniform grid directly; it must equal
     np.interp bit for bit on [0, 1]."""
 
-    @pytest.mark.parametrize("grid_size", [4096, 1000, 7, 1])
+    @pytest.mark.parametrize("grid_size", [4096, 1024, 8, 1])
     def test_equals_np_interp(self, grid_size):
         gen = np.random.default_rng(grid_size)
         x = np.linspace(0.0, 1.0, grid_size + 1)
@@ -1131,3 +1169,6 @@ class TestDensityGridInterpolation:
     def test_rejects_non_uniform_grid(self):
         with pytest.raises(ProcessError):
             DensityGrid(np.array([0.0, 0.3, 1.0]), np.ones(3))
+        # a uniform grid whose cell count is not a power of two
+        with pytest.raises(ProcessError):
+            DensityGrid(np.linspace(0.0, 1.0, 1001), np.ones(1001))

@@ -81,3 +81,15 @@ def test_streams_rejects_negative_components(role, reps, tail):
 
 def test_streams_of_no_replicates():
     assert rngmod.streams(1, rngmod.ROLE_INIT, range(0)) == []
+
+
+@pytest.mark.parametrize("seed", [0, 11, 2**32 + 5, 2**64 + 3])
+@pytest.mark.parametrize("role", [rngmod.ROLE_INIT, rngmod.ROLE_STEP])
+@pytest.mark.parametrize("tail", [0, 7])
+@pytest.mark.parametrize("reps", [range(0, 40), range(2**32 - 20, 2**32 + 20), range(5, 5)],
+                         ids=["one-word", "straddles-2**32", "empty"])
+def test_first_draws_equal_each_streams_first_double(seed, role, tail, reps):
+    expect = np.array([g.random() for g in rngmod.streams(seed, role, reps, tail)], dtype=float)
+    got = rngmod.first_draws(seed, role, reps, tail)
+    assert got.dtype == np.float64 and got.shape == expect.shape
+    np.testing.assert_array_equal(got.view(np.uint64), expect.view(np.uint64))
