@@ -4,6 +4,7 @@ calibrate, with strict configs, deterministic artifacts, and run manifests."""
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
 from datetime import datetime, timezone
@@ -15,55 +16,48 @@ from datetime import datetime, timezone
 if "numpy" not in sys.modules and not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-import numpy as np
-
 from . import __version__
-from .config import (
-    ConfigError,
-    build_plan,
-    build_process,
-    calibrate_params,
-    conditions_params,
-    load_config,
-    simulate_params,
-    verify_params,
-)
-from .dependence import (
-    PhiWorkspace,
-    PowerQuantile,
-    UnsupportedFamilyError,
-    check_covariance_inequality,
-    coboundary,
-    envelope_contraction_check,
-    an_bn,
-    series_C1_C2,
-    series_condalpha1,
-    series_condphi,
-    series_projective,
-)
-from .experiments import FLOOR_FACTOR, MIN_FIT_POINTS, calibration_floor, run_experiment, theoretical_exponent
-from .io import (
-    RunManifest,
-    config_digest,
-    read_manifest,
-    svg_rate_plot,
-    write_csv,
-    write_json,
-    write_manifest,
-)
-from .metrics import GridFunction, smoothing_lemma_check, uniform_panel_grid
-from .processes import (
-    DEFAULT_BUDGET,
-    BudgetError,
-    DavydovChain,
-    FiniteKernel,
-    InnovationLaw,
-    LinearProcess,
-    ExpandingMap,
-    ProcessError,
-    partial_sums_batch,
-    transfer_duality_residual,
-)
+
+# Every name a command calls from a compute module, by module. None is
+# imported with this module: a command binds the names of the modules it
+# runs when it starts (_bind), before any work, so run_parts' forked
+# workers import nothing, and `--help`, `--version` and `verify --list`
+# load no numpy. A name already set here (a test's monkeypatch, a tracer's
+# wrapper) is kept, so it is the one the command calls. From outside,
+# cltlab.cli.<name> binds its module on first use (__getattr__, PEP 562).
+_LAZY = {
+    "config": ("ConfigError", "build_plan", "build_process", "calibrate_params", "conditions_params",
+               "load_config", "simulate_params", "verify_params"),
+    "dependence": ("PhiWorkspace", "PowerQuantile", "UnsupportedFamilyError", "check_covariance_inequality",
+                   "coboundary", "envelope_contraction_check", "an_bn", "series_C1_C2", "series_condalpha1",
+                   "series_condphi", "series_projective"),
+    "experiments": ("FLOOR_FACTOR", "MIN_FIT_POINTS", "calibration_floor", "run_experiment",
+                    "theoretical_exponent"),
+    "io": ("RunManifest", "config_digest", "read_manifest", "svg_rate_plot", "write_csv", "write_json",
+           "write_manifest"),
+    "metrics": ("GridFunction", "smoothing_lemma_check", "uniform_panel_grid"),
+    "processes": ("DEFAULT_BUDGET", "BudgetError", "DavydovChain", "FiniteKernel", "InnovationLaw",
+                  "LinearProcess", "ExpandingMap", "ProcessError", "partial_sums_batch",
+                  "transfer_duality_residual"),
+}
+
+
+def _bind(*modules: str) -> None:
+    """Import each module and bind its _LAZY names here, keeping a name
+    already set."""
+    for module in modules:
+        loaded = importlib.import_module(f".{module}", __package__)
+        for name in _LAZY[module]:
+            globals().setdefault(name, getattr(loaded, name))
+
+
+def __getattr__(name: str):
+    module = next((module for module, names in _LAZY.items() if name in names), None)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(module)
+    return globals()[name]
+
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -129,13 +123,16 @@ def _write_table(out_dir: str, stem: str, header: tuple, rows: list) -> list:
 
 
 def cmd_simulate(args) -> int:
+    _bind("config", "processes", "io")
     cfg = _load(args)
     spec = build_process(cfg)
     n_grid, m = simulate_params(cfg)
     out_dir, digest, started = _prepare_out(args, cfg)
     batch = partial_sums_batch(spec, n_grid, m, seed=cfg["seed"], budget=cfg.get("budget", DEFAULT_BUDGET))
-    rows = [f"{n},{rep},{v:.17g}" for n in n_grid for rep, v in enumerate(batch.values(n).tolist())]
-    write_csv(os.path.join(out_dir, "trajectories.csv"), ("n", "replicate", "value"), rows)
+    # one chunk of lines per n, formatted as write_csv reaches it
+    chunks = ("\n".join(f"{n},{rep},{v:.17g}" for rep, v in enumerate(batch.values(n).tolist()))
+              for n in n_grid)
+    write_csv(os.path.join(out_dir, "trajectories.csv"), ("n", "replicate", "value"), chunks)
     _finish(out_dir, cfg, digest, started, ["trajectories.csv"])
     print(f"wrote trajectories.csv to {out_dir}")
     return EXIT_OK
@@ -146,6 +143,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_rates(args) -> int:
+    import numpy as np
+
+    _bind("config", "processes", "experiments", "io")
     cfg = _load(args)
     plan = build_plan(cfg)
     out_dir, digest, started = _prepare_out(args, cfg)
@@ -207,6 +207,7 @@ def _run_condition(cid: str, spec, cfg: dict, params: dict, c1c2: dict) -> list:
 
 
 def cmd_conditions(args) -> int:
+    _bind("config", "dependence", "io")
     cfg = _load(args)
     params = conditions_params(cfg, VALID_CONDITIONS)
     ids = params["ids"]
@@ -237,6 +238,7 @@ def cmd_conditions(args) -> int:
 
 
 def _verify_chain(perturb: float):
+    _bind("processes")  # also called outside a command
     kernel, f = DavydovChain(2.5, 0.1, "f1", 24).kernel
     if perturb:
         bad = kernel.matrix.copy()
@@ -246,6 +248,8 @@ def _verify_chain(perturb: float):
 
 
 def _check_covariance(cfg: dict, params: dict) -> dict:
+    import numpy as np
+
     cases = params["cases"]
     try:
         kernel, _ = _verify_chain(params["perturb_kernel"])
@@ -268,6 +272,8 @@ def _check_covariance(cfg: dict, params: dict) -> dict:
 
 
 def _check_envelope(cfg: dict, params: dict) -> dict:
+    import numpy as np
+
     cases = params["cases"]
     slack = cfg["tolerances"]["envelope_slack"]
     kernel, _ = _verify_chain(0.0)
@@ -287,6 +293,8 @@ def _check_envelope(cfg: dict, params: dict) -> dict:
 
 
 def _check_smoothing(cfg: dict, params: dict) -> dict:
+    import numpy as np
+
     cases = [(r, p, t) for r in (0.5, 1.0, 1.5, 2.0) for p in (2.0, 2.5, 3.0)
              for t in (0.25, 1.0) if p >= r]
     f = GridFunction.from_callable(lambda x: np.abs(x), lo=-12.0, hi=12.0, n=2**14 + 1)
@@ -350,6 +358,7 @@ def cmd_verify(args) -> int:
         for name in VERIFY_CHECKS:
             print(name)
         return EXIT_OK
+    _bind("config", "processes", "dependence", "metrics", "io")
     cfg = _load(args)
     params = verify_params(cfg, VERIFY_CHECKS)
     out_dir, digest, started = _prepare_out(args, cfg)
@@ -371,6 +380,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    _bind("config", "experiments", "metrics", "io")
     cfg = _load(args)
     ms, rs, reps = calibrate_params(cfg)
     out_dir, digest, started = _prepare_out(args, cfg)
@@ -419,13 +429,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except BudgetError as exc:
-        print(f"budget error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except Exception as exc:  # noqa: BLE001 - the CLI boundary maps to exit 1
+    except Exception as exc:  # noqa: BLE001 - the CLI boundary maps to exit codes
+        _bind("config", "processes")  # the error classes; every command but verify --list has them
+        if isinstance(exc, ConfigError):
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        if isinstance(exc, BudgetError):
+            print(f"budget error: {exc}", file=sys.stderr)
+            return EXIT_BUDGET
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

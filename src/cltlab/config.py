@@ -10,7 +10,6 @@ import sys
 from functools import partial
 from typing import Callable
 
-from .experiments import DEFAULT_N_GRID, ExperimentError, ExperimentPlan
 from .processes import (
     DavydovChain,
     ExpandingMap,
@@ -246,6 +245,9 @@ def build_process(cfg: dict) -> ProcessSpec:
 
 def build_plan(cfg: dict) -> ExperimentPlan:
     """ExperimentPlan from the 'rates' section and the shared process."""
+    # imported here, so a command that builds no plan loads no experiments
+    from .experiments import DEFAULT_N_GRID, ExperimentError, ExperimentPlan
+
     section = _section(cfg, "rates", RATES_KEYS)
     spec = build_process(cfg)
     get = partial(read, section, "rates")

@@ -78,12 +78,14 @@ def write_csv(path: str, header, rows) -> None:
     """Fixed column order and 17-significant-digit float text (".17g", so
     0.1 is written 0.10000000000000001), so a rerun with the same seed
     reproduces the file byte for byte.  A row is a tuple of cells, or a str
-    holding a line the caller already formatted the same way."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(row if isinstance(row, str) else ",".join(_fmt(v) for v in row))
+    of one or more lines the caller already formatted the same way. Each
+    row is written as rows yields it, so a generator of chunks never has
+    the whole file in memory."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(row if isinstance(row, str) else ",".join(map(_fmt, row)))
+            fh.write("\n")
 
 
 def write_json(path: str, payload: dict) -> None:

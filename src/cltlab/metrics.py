@@ -305,10 +305,14 @@ def _round_sums(half, mid, xval, sigma, r, buffers, first=None):
         # rows are in range; mode "clip" writes straight into the buffer
         np.take(table, rows, axis=0, out=q[:done], mode="clip")
     _node_quantiles(half[done:], mid[done:], q[done:])
-    q *= sigma
+    # x * 1.0 and x ** 1.0 are x exactly, so sigma = 1 and r = 1 (every
+    # calibration-floor replicate) skip those passes
+    if sigma != 1.0:
+        q *= sigma
     np.subtract(xval[:, None], q, out=q)
     np.abs(q, out=q)
-    q **= r
+    if r != 1.0:
+        q **= r
     return half * (q[:, :_COARSE] @ _GL[0][1]), half * (q[:, _COARSE:] @ _GL[1][1])
 
 

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line layer: exit codes, artifact formats,
 manifests, and reproducibility."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -14,7 +15,7 @@ from cltlab.cli import _verify_chain, main
 from cltlab.config import FAMILIES, build_process, load_config
 from cltlab.dependence import envelope_contraction_check
 from cltlab.experiments import calibration_floor
-from cltlab.io import IOError_, RunManifest, config_digest, read_manifest
+from cltlab.io import IOError_, RunManifest, _fmt, config_digest, read_manifest, write_csv
 from cltlab import processes
 from cltlab.processes import IIDBaseline, InnovationLaw, ProcessSpec, long_run_variance, partial_sums_batch
 
@@ -97,6 +98,102 @@ def test_check_commands_load_no_scipy(tmp_path, command):
         "sys.exit(code or 10 * any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"
     )
     assert subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True).returncode == 0
+
+
+# ---------------------------------------------------------------------------
+# what each command loads
+
+
+def _loaded_after(argv: list) -> set:
+    """The numpy and cltlab modules a fresh interpreter holds after
+    `import cltlab.cli` and, given argv, cltlab.cli.main(argv)."""
+    code = (
+        "import json, sys, cltlab.cli\n"
+        f"argv = {argv!r}\n"
+        "try:\n"
+        "    code = cltlab.cli.main(argv) if argv else 0\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'cltlab'))))\n"
+        "sys.exit(code)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr[-2000:]
+    return set(json.loads(result.stdout.splitlines()[-1]))
+
+
+@pytest.mark.parametrize("argv", [[], ["verify", "--list"], ["--version"]], ids=["import", "verify-list", "version"])
+def test_entry_loads_no_numpy(argv):
+    assert _loaded_after(argv) == {"cltlab", "cltlab.cli"}
+
+
+def test_simulate_loads_only_its_modules(tmp_path):
+    cfg_path, _ = write_cfg(tmp_path, process=DAVYDOV, simulate={"n_grid": [16, 32], "replicates": 100})
+    loaded = _loaded_after(["simulate", "--config", cfg_path, "--out", str(tmp_path / "out")])
+    assert {m for m in loaded if m.startswith("cltlab")} == {
+        "cltlab", "cltlab.cli", "cltlab.config", "cltlab.processes", "cltlab.rng", "cltlab.io"}
+
+
+@pytest.mark.parametrize("command, absent", [("rates", "cltlab.dependence"), ("conditions", "cltlab.experiments"),
+                                             ("verify", "cltlab.experiments")])
+def test_command_leaves_out_modules_it_does_not_run(tmp_path, command, absent):
+    overrides = CHECK_COMMANDS.get(command, {"process": DAVYDOV})
+    cfg_path, _ = write_cfg(tmp_path, **overrides)
+    loaded = _loaded_after([command, "--config", cfg_path, "--out", str(tmp_path / "out")])
+    assert absent not in loaded and "numpy" in loaded
+
+
+def test_tracer_hooks_resolve_on_a_fresh_import():
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    # save_batch left the cli with the binary trajectory file; the tracer
+    # still lists it
+    hooks = [attr for module, attr, _ in tracer.HOOKS if module == "cltlab.cli" and attr != "save_batch"]
+    code = f"import cltlab.cli; print([a for a in {hooks!r} if not hasattr(cltlab.cli, a)])"
+    result = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True)
+    assert len(hooks) > 10 and result.stdout.strip() == "[]", result.stderr[-2000:]
+
+
+def test_patched_write_csv_receives_the_trajectory_rows(tmp_path, monkeypatch):
+    seen = []
+
+    def spy(path, header, rows):
+        rows = list(rows)
+        seen.append((os.path.basename(path), header, rows))
+        write_csv(path, header, rows)
+
+    monkeypatch.setattr("cltlab.cli.write_csv", spy)
+    cfg_path, _ = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+    [(name, header, rows)] = seen
+    assert (name, header, len(rows)) == ("trajectories.csv", ("n", "replicate", "value"), 2)  # one chunk per n
+    assert (out / "trajectories.csv").read_text() == "n,replicate,value\n" + "".join(r + "\n" for r in rows)
+
+
+# ---------------------------------------------------------------------------
+# write_csv
+
+
+def _joined_csv(header, rows) -> str:
+    """The file text of the whole-file writer streaming replaced: every line
+    joined, then one newline."""
+    lines = [",".join(header)] + [row if isinstance(row, str) else ",".join(_fmt(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("rows", [
+    [(1, 0.1, None, "a,b"), (2, -3.5e-300, 'say "x"', "two\nlines"), (3, float("nan"), "", 7)],
+    ["1,0,0.10000000000000001", "2,1,-1"],
+    ["64,0,1.5\n64,1,-2.25", "128,0,3\n128,1,4"],
+    [],
+], ids=["tuples", "lines", "chunks", "no-rows"])
+def test_write_csv_matches_the_joined_text(tmp_path, rows):
+    path = tmp_path / "t.csv"
+    write_csv(str(path), ("n", "x", "y", "z"), iter(rows))  # a one-pass iterator, as simulate passes
+    assert path.read_bytes() == _joined_csv(("n", "x", "y", "z"), rows).encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +607,8 @@ def test_verify_checks_independent_of_blas_threads():
                     reason="needs /proc and two CPUs to tell one BLAS thread from several")
 def test_cli_import_runs_blas_on_one_thread_unless_set():
     # OpenBLAS adds its worker threads to the process when numpy loads
-    code = "import cltlab.cli; print(open('/proc/self/status').read().split('Threads:')[1].split()[0])"
+    # cltlab.cli loads no numpy itself, so numpy is imported after it
+    code = "import cltlab.cli, numpy; print(open('/proc/self/status').read().split('Threads:')[1].split()[0])"
     unset = {k: v for k, v in _src_env().items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     threads = [subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True).stdout.strip()
                for env in (unset, dict(unset, OPENBLAS_NUM_THREADS="2"))]

@@ -240,6 +240,26 @@ class TestWassersteinVsGaussian:
         with pytest.raises(MetricsError, match="other cumulative weights"):
             wasserstein_vs_gaussian(EmpiricalDistribution(rng.standard_normal(200)), GaussianLaw(1.0), 1.0, grid)
 
+    @pytest.mark.parametrize("sigma", [1.0, 1.3])
+    @pytest.mark.parametrize("r", [1.0, 2.0, 2.5])
+    def test_round_sums_skip_only_identity_passes(self, sigma, r):
+        # the scale pass at sigma = 1 and the power pass at r = 1 are skipped;
+        # both are exact, so the sums keep every bit of the full arithmetic
+        rng = np.random.default_rng(5)
+        cw = np.cumsum(rng.uniform(0.1, 1.0, 400))
+        cw /= cw[-1]
+        lo, hi = np.concatenate([[0.0], cw[:-1]]), cw
+        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+        xval = np.sort(rng.standard_normal(400) * 1.2)
+        q = metrics._node_quantiles(half, mid, np.empty((half.size, metrics._NODES.size)))
+        q *= sigma
+        q = np.abs(xval[:, None] - q) ** r
+        k = metrics._COARSE
+        want = (half * (q[:, :k] @ metrics._GL[0][1]), half * (q[:, k:] @ metrics._GL[1][1]))
+        got = metrics._round_sums(half, mid, xval, sigma, r, metrics._Buffers())
+        for g, w in zip(got, want):
+            assert [float(v).hex() for v in g] == [float(v).hex() for v in w]
+
 
 class TestGaussianPanels:
     # (lo, hi, x): interior panels with and without the sign change inside,
