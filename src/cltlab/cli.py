@@ -36,8 +36,8 @@ _LAZY = {
     "io": ("RunManifest", "config_digest", "read_manifest", "svg_rate_plot", "write_csv", "write_json",
            "write_manifest"),
     "metrics": ("GridFunction", "smoothing_lemma_check", "uniform_panel_grid"),
-    "processes": ("DEFAULT_BUDGET", "BudgetError", "DavydovChain", "FiniteKernel", "InnovationLaw",
-                  "LinearProcess", "ExpandingMap", "ProcessError", "partial_sums_batch",
+    "processes": ("DEFAULT_BUDGET", "REPLICATE_CHUNK", "BudgetError", "DavydovChain", "FiniteKernel",
+                  "InnovationLaw", "LinearProcess", "ExpandingMap", "ProcessError", "partial_sums_batch",
                   "transfer_duality_residual"),
 }
 
@@ -129,9 +129,10 @@ def cmd_simulate(args) -> int:
     n_grid, m = simulate_params(cfg)
     out_dir, digest, started = _prepare_out(args, cfg)
     batch = partial_sums_batch(spec, n_grid, m, seed=cfg["seed"], budget=cfg.get("budget", DEFAULT_BUDGET))
-    # one chunk of lines per n, formatted as write_csv reaches it
-    chunks = ("\n".join(f"{n},{rep},{v:.17g}" for rep, v in enumerate(batch.values(n).tolist()))
-              for n in n_grid)
+    # chunks of at most REPLICATE_CHUNK lines of one n, each formatted as write_csv reaches it
+    chunks = ("\n".join(f"{n},{rep},{v:.17g}" for rep, v in
+                        enumerate(batch.values(n)[lo : lo + REPLICATE_CHUNK].tolist(), lo))
+              for n in n_grid for lo in range(0, m, REPLICATE_CHUNK))
     write_csv(os.path.join(out_dir, "trajectories.csv"), ("n", "replicate", "value"), chunks)
     _finish(out_dir, cfg, digest, started, ["trajectories.csv"])
     print(f"wrote trajectories.csv to {out_dir}")
@@ -188,14 +189,16 @@ VALID_CONDITIONS = ("C1", "C2", "Cond1cob", "Cond2cob", "Condcobp3adap",
                     "Cond2cobp3", "condalpha1", "condphi")
 
 
-def _run_condition(cid: str, spec, cfg: dict, params: dict, c1c2: dict) -> list:
-    """(component, report) pairs of one id; c1c2 keeps the one series_C1_C2 run for C1 and C2."""
+def _run_condition(cid: str, spec, cfg: dict, params: dict, second_moments: dict) -> list:
+    """(component, report) pairs of one id; second_moments keeps the one
+    series_C1_C2 run that gives C1, C2, Cond2cob and Cond2cobp3."""
     p, n_terms = params["p"], params["n_terms"]
-    if cid in ("C1", "C2"):
-        if not c1c2:
-            c1c2.update(series_C1_C2(spec, p, n_terms, outer=params["outer"], seed=cfg["seed"]))
-        return [("", c1c2[cid])]
-    if cid in ("Cond1cob", "Cond2cob", "Condcobp3adap", "Cond2cobp3"):
+    if cid in ("C1", "C2", "Cond2cob", "Cond2cobp3"):
+        if not second_moments:
+            second_moments.update(series_C1_C2(spec, p, n_terms, outer=params["outer"], seed=cfg["seed"],
+                                               ids=params["ids"]))
+        return [("", second_moments[cid])]
+    if cid in ("Cond1cob", "Condcobp3adap"):
         return [("", series_projective(spec, cid, p, n_terms, mc=params["mc"], seed=cfg["seed"]))]
     if cid == "condalpha1":
         alpha = [0.25 * k**-params["alpha_decay"] for k in range(1, n_terms + 1)]
@@ -214,10 +217,10 @@ def cmd_conditions(args) -> int:
     # condalpha1 and condphi are series over declared rates; every other id reads the process
     spec = None if {"condalpha1", "condphi"}.issuperset(ids) else build_process(cfg)
     out_dir, digest, started = _prepare_out(args, cfg)
-    rows, c1c2 = [], {}
+    rows, second_moments = [], {}
     for cid in ids:
         try:
-            group = _run_condition(cid, spec, cfg, params, c1c2)
+            group = _run_condition(cid, spec, cfg, params, second_moments)
         except UnsupportedFamilyError as exc:
             raise ConfigError(f"condition {cid!r} has no series for process family "
                               f"{cfg['process']['family']!r}: {exc}") from exc

@@ -14,16 +14,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import rng as rngmod
-from .metrics import envelope_norm_discrete
+from .metrics import distinct, envelope_norm_discrete
 from .normal import upper_gamma
-from .processes import (
-    DavydovChain,
-    FiniteKernel,
-    IIDBaseline,
-    LinearProcess,
-    ProcessSpec,
-    window_sums,
-)
+from .processes import DavydovChain, FiniteKernel, LinearProcess, ProcessSpec, window_sums
 
 EXACT_ENUM_CAP = 22  # state count up to which the event sup is enumerated
 PHI_BLOCK_ENTRIES = 2**18  # states x threshold combinations per _phi_i_exact block
@@ -89,7 +82,7 @@ def alpha1_exact(kernel: FiniteKernel, n: int) -> dict:
 
 def _threshold_indicators(values: np.ndarray) -> np.ndarray:
     """Columns are 1_{v <= x} for each distinct threshold x."""
-    xs = np.unique(values)
+    xs = distinct(values)
     return (values[:, None] <= xs[None, :]).astype(float)
 
 
@@ -214,7 +207,7 @@ def covariance_product_bound(
         for law, phi in zip(laws, phis):
             lev, lev_abs = law.signed_levels[1], law.abs_levels[1]
             cuts.append(np.clip(phi * np.concatenate((lev, 1.0 - lev, lev_abs)), 0.0, 1.0))
-        grid = np.unique(np.concatenate(cuts))
+        grid = distinct(np.concatenate(cuts))
         mids = 0.5 * (grid[:-1] + grid[1:])
         widths = np.diff(grid)
         d_prod = np.ones(mids.size)
@@ -293,7 +286,7 @@ def _centered_thresholds(pi: np.ndarray, f_list) -> list:
     one column per distinct value x of f."""
     h_sets = []
     for fv in f_list:
-        ind = (fv[:, None] > np.unique(fv)[None, :]).astype(float)
+        ind = (fv[:, None] > distinct(fv)[None, :]).astype(float)
         h_sets.append(ind - (pi @ ind)[None, :])
     return h_sets
 
@@ -324,7 +317,8 @@ def _phi_i_exact(kernel: FiniteKernel, f_list, h_sets: list, i: int, powers: tup
     k = len(h_sets)
     # E(. | X_i) on each atom of sigma(X_i) (states with one value of f_i);
     # when every atom is a single state it is g itself, row for row
-    _, group_idx = np.unique(np.asarray(f_list[i], dtype=float), return_inverse=True)
+    fi = np.asarray(f_list[i], dtype=float)
+    group_idx = np.searchsorted(distinct(fi), fi)
     singletons = group_idx.max() + 1 == size
     if not singletons:
         atoms = (np.arange(group_idx.max() + 1)[:, None] == group_idx[None, :]) * pi[None, :]
@@ -392,19 +386,7 @@ def check_covariance_inequality(kernel: FiniteKernel, f_list, t_list,
 
 
 # ---------------------------------------------------------------------------
-# conditional second moments and condition series
-
-
-def _second_moments(kernel: FiniteKernel, f: np.ndarray, n: int):
-    """E(S_m^2 | Y_0 = s) for m = 1..n, S_m = sum_{i<=m} f(Y_i), exact by the
-    first-step recursion T_{m+1} = K(f^2 + 2 f h_m + T_m), h_{m+1} = K(f + h_m)."""
-    t = np.zeros(kernel.size)
-    h = np.zeros(kernel.size)
-    f2 = f * f
-    for _ in range(n):
-        t = kernel.apply(f2 + 2.0 * f * h + t)
-        h = kernel.apply(f + h)
-        yield t
+# condition series
 
 
 @dataclass(frozen=True)
@@ -458,94 +440,63 @@ def _report(cid, n_values, terms, extra=None) -> ConditionReport:
     return ConditionReport(cid, tuple(n_values), tuple(terms), ps, verdict, diag)
 
 
-def _chain_f(spec: ProcessSpec) -> tuple[FiniteKernel, np.ndarray]:
-    if isinstance(spec.family, DavydovChain):
-        return spec.family.kernel
-    raise UnsupportedFamilyError("spec does not describe a finite chain")
-
-
 def _lp_norm_discrete(values: np.ndarray, probs: np.ndarray, p: float) -> float:
     """A numpy reduction, not a BLAS dot, so the same under any thread count."""
     return float(np.sum(probs * np.abs(values) ** p) ** (1.0 / p))
 
 
-def series_C1_C2(spec: ProcessSpec, p: float, n_terms: int, outer: int = 1000, seed: int = 0) -> dict:
-    """Terms of the two normalized-conditional-variance series: the envelope
-    norm weighted by n^{-(2-p/2)} and the L^{p/2} norm weighted by n^{-2/p}.
+def series_C1_C2(spec: ProcessSpec, p: float, n_terms: int, outer: int = 1000, seed: int = 0,
+                 ids=("C1", "C2")) -> dict:
+    """The reports of ids among C1, C2, Cond2cob and Cond2cobp3, all read
+    from one pass over the family's laws of E(S_n^2 | F_0)/n (its
+    second_moment_laws; chains are exact, linear processes use outer Monte
+    Carlo pasts). C1 is the envelope norm of the law minus sigma^2 weighted
+    by n^{-(2-p/2)}, C2 its L^{p/2} norm weighted by n^{-2/p}; Cond2cob and
+    Cond2cobp3 are the L^{p/2} and L^{3/2} norms of the law minus its mean
+    E(S_n^2)/n, weighted by n^{-(2-p/2)} and n^{-1/2}.
 
-    Chains are exact; linear processes use outer Monte Carlo over pasts with
-    the inner conditional expectation in closed form.
-    """
+    Each n's law minus sigma^2 is written into one reused block of rows, and
+    C1's envelope norms go one envelope_norm_discrete call per block of at
+    most NORM_BLOCK_ENTRIES law values."""
     fam = spec.family
-    ns = list(range(1, n_terms + 1))
-    if isinstance(fam, IIDBaseline):
-        zero = [0.0] * n_terms
-        return {
-            "C1": _report("C1", ns, zero),
-            "C2": _report("C2", ns, zero),
-        }
-    if isinstance(fam, LinearProcess):
-        return _series_c1c2_linear(fam, p, ns, outer, seed)
-    kernel, f = _chain_f(spec)
-    f = f - float(np.sum(kernel.stationary * f))
-    sigma2 = fam.long_run_variance(spec.seed)["sigma2"]
-    moments = _second_moments(kernel, f, n_terms)
-
-    def fill(row, n):
-        np.divide(next(moments), n, out=row)
-        row -= sigma2
-
-    c1, c2 = _c1c2_terms(ns, fill, kernel.stationary, p)
-    return {"C1": _report("C1", ns, c1), "C2": _report("C2", ns, c2)}
-
-
-def _c1c2_terms(ns, fill, probs: np.ndarray, p: float) -> tuple[list, list]:
-    """The C1 and C2 terms of the laws E(S_n^2 | past)/n - sigma^2 with
-    weights probs, which fill(row, n) writes into row, called for each n in
-    order. The envelope norms go in blocks of at most NORM_BLOCK_ENTRIES
-    law values, one envelope_norm_discrete call per block."""
+    if not hasattr(fam, "second_moment_laws"):
+        raise UnsupportedFamilyError(f"no conditional second moments for a {type(fam).__name__}")
+    terms = {cid: [] for cid in ("C1", "C2", "Cond2cob", "Cond2cobp3") if cid in ids}
+    probs, laws = fam.second_moment_laws(n_terms, outer, seed)
+    sigma2 = fam.long_run_variance(seed)["sigma2"] if {"C1", "C2"} & terms.keys() else 0.0
     rows = max(1, NORM_BLOCK_ENTRIES // probs.size)
-    block = np.empty((min(rows, len(ns)), probs.size))
-    c1, c2 = [], []
-    for lo in range(0, len(ns), rows):
-        chunk = ns[lo : lo + rows]
-        for row, n in zip(block, chunk):
-            fill(row, n)
-        for n, dev, norm in zip(chunk, block, envelope_norm_discrete(block[: len(chunk)], probs, p)):
-            c1.append(n ** (-(2.0 - p / 2.0)) * float(norm))
-            c2.append(n ** (-2.0 / p) * _lp_norm_discrete(dev, probs, p / 2.0))
-    return c1, c2
-
-
-def _series_c1c2_linear(fam: LinearProcess, p: float, ns, outer: int, seed: int) -> dict:
-    t = fam.truncation
-    var_eps = fam.innovation.variance
-    sigma2 = fam.long_run_variance(seed)["sigma2"]
-    gen = rngmod.stream(seed, rngmod.ROLE_CALIBRATION, 0, 0)
-    past = fam.innovation.sample(gen, outer * t).reshape(outer, t)  # eps_{1-t}..eps_0
-
-    def fill(row, n):
-        c = fam.window(n)
-        c_past, c_fut = c[:t], c[t:]  # j = 1-t..0 and j = 1..n+t
-        future_var = var_eps * float((c_fut**2).sum())
-        pvals = past @ c_past
-        np.divide(pvals**2 + future_var, n, out=row)
-        row -= sigma2
-
-    c1, c2 = _c1c2_terms(ns, fill, np.full(outer, 1.0 / outer), p)
-    return {"C1": _report("C1", ns, c1, {"outer": outer, "inner": "closed-form"}),
-            "C2": _report("C2", ns, c2, {"outer": outer, "inner": "closed-form"})}
+    block = np.empty((min(rows, n_terms), probs.size))
+    for n, (law, mean) in enumerate(laws, 1):
+        row = block[(n - 1) % rows]
+        np.subtract(law, sigma2, out=row)
+        if "C2" in terms:
+            terms["C2"].append(n ** (-2.0 / p) * _lp_norm_discrete(row, probs, p / 2.0))
+        if "Cond2cob" in terms:
+            terms["Cond2cob"].append(n ** (-2.0 + p / 2.0) * _lp_norm_discrete(law - mean, probs, p / 2.0))
+        if "Cond2cobp3" in terms:
+            terms["Cond2cobp3"].append(n**-0.5 * _lp_norm_discrete(law - mean, probs, 1.5))
+        if "C1" in terms and (n % rows == 0 or n == n_terms):
+            first = n - (n - 1) % rows
+            for m, norm in zip(range(first, n + 1), envelope_norm_discrete(block[: n + 1 - first], probs, p)):
+                terms["C1"].append(m ** (-(2.0 - p / 2.0)) * float(norm))
+    ns = list(range(1, n_terms + 1))
+    return {cid: _report(cid, ns, found) for cid, found in terms.items()}
 
 
 def series_projective(spec: ProcessSpec, which: str, p: float, n_terms: int, mc: int = 10**5, seed: int = 0) -> ConditionReport:
-    """Term sequences of the projective conditions: convergence of the
-    adapted/anticipative series in L^p, and the conditional-variance series
-    centered at the finite-n variance."""
+    """Term sequences of the projective conditions Cond1cob and
+    Condcobp3adap: convergence of the adapted/anticipative series of
+    E(X_k | F_0) in L^p. (Cond2cob and Cond2cobp3 read conditional second
+    moments and come from series_C1_C2.)"""
     fam = spec.family
     ns = list(range(1, n_terms + 1))
+    if which not in ("Cond1cob", "Condcobp3adap"):
+        raise DependenceError(f"unknown condition id: {which}")
     if isinstance(fam, LinearProcess):
         return _series_projective_linear(fam, which, p, ns, mc, seed)
-    kernel, f = _chain_f(spec)
+    if not isinstance(fam, DavydovChain):
+        raise UnsupportedFamilyError("spec does not describe a finite chain")
+    kernel, f = fam.kernel
     pi = kernel.stationary
     fc = f - float(np.sum(pi * f))
     if which == "Cond1cob":
@@ -556,34 +507,21 @@ def series_projective(spec: ProcessSpec, which: str, p: float, n_terms: int, mc:
             terms.append(_lp_norm_discrete(v, pi, p))
         # anticipative half vanishes for adapted chain observables
         return _report("Cond1cob", ns, terms, {"anticipative_terms": 0.0})
-    if which == "Condcobp3adap":
-        # g_n(s) = sum_{k >= n} E(X_k | Y_0 = s), geometric tail summed out
-        v = kernel.apply(fc)
-        total = np.zeros(kernel.size)
-        k = 1
-        while k < 10**5:
-            total += v
-            v = kernel.apply(v)
-            if np.max(np.abs(v)) < 1e-15 and k > max(ns):
-                break
-            k += 1
-        g = total
-        terms = []
-        v = kernel.apply(fc)
-        for n in ns:
-            terms.append((1.0 / n) * _lp_norm_discrete(g, pi, 3.0))
-            g = g - v
-            v = kernel.apply(v)
-        return _report("Condcobp3adap", ns, terms, {"anticipative_terms": 0.0})
-    if which in ("Cond2cob", "Cond2cobp3"):
-        q = p / 2.0 if which == "Cond2cob" else 1.5
-        weight = (lambda n: n ** (-2.0 + p / 2.0)) if which == "Cond2cob" else (lambda n: n**-0.5)
-        terms = []
-        for n, t in zip(ns, _second_moments(kernel, fc, n_terms)):
-            sigma_n2 = float(np.sum(pi * t)) / n
-            terms.append(weight(n) * _lp_norm_discrete(t / n - sigma_n2, pi, q))
-        return _report(which, ns, terms)
-    raise DependenceError(f"unknown condition id: {which}")
+    # Condcobp3adap: g_n(s) = sum_{k >= n} E(X_k | Y_0 = s), geometric tail summed out
+    v = kernel.apply(fc)
+    g = np.zeros(kernel.size)
+    for k in range(1, 10**5):
+        g += v
+        v = kernel.apply(v)
+        if np.max(np.abs(v)) < 1e-15 and k > n_terms:
+            break
+    terms = []
+    v = kernel.apply(fc)
+    for n in ns:
+        terms.append((1.0 / n) * _lp_norm_discrete(g, pi, 3.0))
+        g = g - v
+        v = kernel.apply(v)
+    return _report("Condcobp3adap", ns, terms, {"anticipative_terms": 0.0})
 
 
 def _series_projective_linear(fam: LinearProcess, which: str, p: float, ns, mc: int, seed: int) -> ConditionReport:
@@ -607,15 +545,14 @@ def _series_projective_linear(fam: LinearProcess, which: str, p: float, ns, mc: 
             anti.append(lp_of_coeffs(w_an, p))
         both = [x + y for x, y in zip(terms, anti)]
         return _report("Cond1cob", ns, both, {"adapted": terms, "anticipative": anti})
-    if which == "Condcobp3adap":
-        tail = np.concatenate((np.cumsum(a[::-1])[::-1], [0.0]))  # T_i over i = -t..t+1
-        terms = []
-        for n in ns:
-            # coefficient of eps_m (m <= 0) is T_{n-m} = sum_{j >= n-m} a_j
-            w = np.array([tail[min(n + m_ + t, 2 * t + 1)] for m_ in range(0, t + 1)])
-            terms.append((1.0 / n) * lp_of_coeffs(w, 3.0))
-        return _report("Condcobp3adap", ns, terms)
-    raise UnsupportedFamilyError(f"condition {which} not available for linear processes")
+    # Condcobp3adap
+    tail = np.concatenate((np.cumsum(a[::-1])[::-1], [0.0]))  # T_i over i = -t..t+1
+    terms = []
+    for n in ns:
+        # coefficient of eps_m (m <= 0) is T_{n-m} = sum_{j >= n-m} a_j
+        w = np.array([tail[min(n + m_ + t, 2 * t + 1)] for m_ in range(0, t + 1)])
+        terms.append((1.0 / n) * lp_of_coeffs(w, 3.0))
+    return _report("Condcobp3adap", ns, terms)
 
 
 @dataclass(frozen=True)

@@ -514,6 +514,16 @@ def wasserstein(x: Law, y: Law, r: float) -> DistanceEstimate:
 # Kolmogorov distance
 
 
+def distinct(values) -> np.ndarray:
+    """The sorted distinct values of an array, as np.unique returns them, by
+    one sort and a mask of where the value changes: np.unique loads
+    numpy.ma, which nothing else here needs."""
+    v = np.sort(np.ravel(values))
+    keep = np.ones(v.size, dtype=bool)
+    keep[1:] = v[1:] != v[:-1]
+    return v[keep]
+
+
 def kolmogorov(x: Law, g: Law) -> float:
     """Exact sup-norm distance between the two distribution functions."""
     pts = []
@@ -529,7 +539,7 @@ def kolmogorov(x: Law, g: Law) -> float:
             return 0.0
         cross = lo * hi * np.sqrt(2.0 * np.log(hi / lo) / (hi * hi - lo * lo))
         return float(abs(x.cdf(cross) - g.cdf(cross)))
-    pts = np.unique(np.concatenate(pts))
+    pts = distinct(np.concatenate(pts))
     # the sup is attained either at a breakpoint or as a left limit there
     (xr, xl), (gr, gl) = _cdf_both(x, pts), _cdf_both(g, pts)
     return float(max(np.max(np.abs(xr - gr)), np.max(np.abs(xl - gl))))
@@ -561,14 +571,18 @@ def envelope_norm_discrete(values: np.ndarray, probs: np.ndarray, p: float):
     a_n = 0, summation by parts turns sum_j a_j (W(c_{j+1}) - W(c_j)) into
     sum_j (a_{j-1} - a_j) W(c_j): nonnegative terms, so pieces of any width
     keep full relative precision. W is the closed form of
-    _weight_antiderivative."""
+    _weight_antiderivative, evaluated only where a step is nonzero (tied
+    |x| give zero steps): a zero step times a finite W adds 0 either way."""
     a = np.abs(np.asarray(values, dtype=float))
     order = np.argsort(-a, axis=-1)  # quantile of |X| is nonincreasing
     a = np.take_along_axis(a, order, axis=-1)
     c = np.minimum(np.cumsum(np.asarray(probs, dtype=float)[order], axis=-1), 1.0)
     steps = a - np.append(a[..., 1:], np.zeros(a.shape[:-1] + (1,)), axis=-1)
+    w = np.zeros(c.shape)
+    live = steps != 0.0
+    w[live] = _weight_antiderivative(c[live], p)
     # a numpy reduction, not a BLAS dot, so the same under any thread count
-    norms = np.sum(steps * _weight_antiderivative(c, p), axis=-1)
+    norms = np.sum(steps * w, axis=-1)
     return float(norms) if norms.ndim == 0 else norms
 
 

@@ -145,6 +145,16 @@ class FiniteKernel:
         so the result is the same under any BLAS."""
         return (self._weights * np.asarray(f, dtype=float)[self._cols]).sum(axis=0)
 
+    def second_moments(self, f: np.ndarray, n: int):
+        """E(S_m^2 | Y_0 = s) for m = 1..n, S_m = sum_{i<=m} f(Y_i), exact by the
+        first-step recursion T_{m+1} = K(f^2 + 2 f h_m + T_m), h_{m+1} = K(f + h_m)."""
+        t = h = np.zeros(self.size)  # both are rebound, never written
+        f2 = f * f
+        for _ in range(n):
+            t = self.apply(f2 + 2.0 * f * h + t)
+            h = self.apply(f + h)
+            yield t
+
 
 def _strongly_connected(cols: np.ndarray, live: np.ndarray) -> bool:
     """Whether the digraph with an edge from i to cols[slot, i] wherever
@@ -280,6 +290,14 @@ class DavydovChain:
         return _covariance_series(f - float(np.sum(pi * f)), kernel.apply, lambda u, v: float(np.sum(pi * (u * v))),
                                   lag_cap=4096, tol=1e-14, min_lags=8)
 
+    def second_moment_laws(self, n_terms: int, outer: int, seed: int) -> tuple:
+        """Exact over the states under pi: E(S_n^2 | Y_0)/n of the centered
+        functional and its mean E(S_n^2)/n; see Family."""
+        kernel, f = self.kernel
+        pi = kernel.stationary
+        moments = kernel.second_moments(f - float(np.sum(pi * f)), n_terms)
+        return pi, ((t / n, float(np.sum(pi * t)) / n) for n, t in enumerate(moments, 1))
+
 
 @dataclass(frozen=True)
 class LinearProcess:
@@ -318,6 +336,23 @@ class LinearProcess:
             return var_eps * float(np.sum(self.window(n) ** 2)) / n
 
         return {"sigma2": sigma2, "sigma_n2": sigma_n2, "method": "closed-form"}
+
+    def second_moment_laws(self, n_terms: int, outer: int, seed: int) -> tuple:
+        """Over outer Monte Carlo pasts eps_{1-t}..eps_0, with the inner
+        expectation in closed form: E(S_n^2 | past) = (past part of S_n)^2 +
+        Var(eps) times the future window's squared l2 norm; the mean
+        E(S_n^2)/n is closed form too. See Family."""
+        t, var_eps = self.truncation, self.innovation.variance
+        gen = rngmod.stream(seed, rngmod.ROLE_CALIBRATION, 0, 0)
+        past = self.innovation.sample(gen, outer * t).reshape(outer, t)
+
+        def laws():
+            for n in range(1, n_terms + 1):
+                c = self.window(n)  # c[:t] weighs eps_{1-t}..eps_0, c[t:] eps_1..eps_{n+t}
+                future_var = var_eps * float((c[t:] ** 2).sum())
+                yield ((past @ c[:t]) ** 2 + future_var) / n, var_eps * float((c**2).sum()) / n
+
+        return np.full(outer, 1.0 / outer), laws()
 
     def window(self, n: int) -> np.ndarray:
         """c_j(n) = sum_{k=1..n} a_{k-j} for j = 1-t..n+t, the weight of
@@ -437,12 +472,20 @@ class IIDBaseline:
         v = self.law.variance
         return {"sigma2": v, "sigma_n2": lambda n: v, "method": "closed-form"}
 
+    def second_moment_laws(self, n_terms: int, outer: int, seed: int) -> tuple:
+        """E(S_n^2 | F_0)/n = Var(eps) for every n, a one-point law; see Family."""
+        v = self.law.variance
+        return np.ones(1), ((np.full(1, v), v) for _ in range(n_terms))
+
 
 class Family(Protocol):
     """batch_sums(seed): the kernel (n_grid, seed, replicates) -> normalized
     sums, one row per replicate, with its per-batch tables built.
     long_run_variance(seed): sigma2, sigma_n2(n), method, and a stderr when
-    the value is estimated."""
+    the value is estimated. A family that conditions reads for C1, C2,
+    Cond2cob and Cond2cobp3 also has second_moment_laws(n_terms, outer,
+    seed) -> (weights, laws): laws yields, for n = 1..n_terms, the values of
+    E(S_n^2 | F_0)/n with those weights and their mean E(S_n^2)/n."""
 
     def batch_sums(self, seed: int) -> Callable[[tuple, int, range], np.ndarray]: ...
 

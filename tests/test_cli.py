@@ -134,8 +134,10 @@ def test_simulate_loads_only_its_modules(tmp_path):
         "cltlab", "cltlab.cli", "cltlab.config", "cltlab.processes", "cltlab.rng", "cltlab.io"}
 
 
+# np.unique loads numpy.ma; the distinct values come from metrics.distinct instead
 @pytest.mark.parametrize("command, absent", [("rates", "cltlab.dependence"), ("conditions", "cltlab.experiments"),
-                                             ("verify", "cltlab.experiments")])
+                                             ("verify", "cltlab.experiments"), ("rates", "numpy.ma"),
+                                             ("verify", "numpy.ma")])
 def test_command_leaves_out_modules_it_does_not_run(tmp_path, command, absent):
     overrides = CHECK_COMMANDS.get(command, {"process": DAVYDOV})
     cfg_path, _ = write_cfg(tmp_path, **overrides)
@@ -171,6 +173,27 @@ def test_patched_write_csv_receives_the_trajectory_rows(tmp_path, monkeypatch):
     [(name, header, rows)] = seen
     assert (name, header, len(rows)) == ("trajectories.csv", ("n", "replicate", "value"), 2)  # one chunk per n
     assert (out / "trajectories.csv").read_text() == "n,replicate,value\n" + "".join(r + "\n" for r in rows)
+
+
+def test_trajectory_chunks_hold_at_most_replicate_chunk_lines(tmp_path, monkeypatch):
+    cfg_path, _ = write_cfg(tmp_path)
+    assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "whole")]) == 0
+    seen = []
+
+    def spy(path, header, rows):
+        rows = list(rows)
+        seen.extend(rows)
+        write_csv(path, header, rows)
+
+    monkeypatch.setattr("cltlab.cli.write_csv", spy)
+    monkeypatch.setattr("cltlab.cli.REPLICATE_CHUNK", 7)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+    # 200 replicates at each of 2 n: 28 full chunks and a 4-line one per n
+    assert [chunk.count("\n") + 1 for chunk in seen] == ([7] * 28 + [4]) * 2
+    text = (out / "trajectories.csv").read_text()
+    assert text == "n,replicate,value\n" + "".join(chunk + "\n" for chunk in seen)
+    assert text == (tmp_path / "whole" / "trajectories.csv").read_text()
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +529,8 @@ def test_empty_condition_list_exit_2(tmp_path, capsys):
         ({"process": {"family": "expanding_map", "kind": "beta", "beta": 2.0},
           "conditions": {"ids": ["C1"], "n_terms": 8}}, ("'C1'", "'expanding_map'")),
         ({"conditions": {"ids": ["Cond1cob"], "n_terms": 8}}, ("'Cond1cob'", "'iid'")),
-        ({"process": {"family": "linear", "coeffs": {"rule": "geometric", "ratio": 0.5}},
-          "conditions": {"ids": ["Cond2cob"], "n_terms": 8}}, ("'Cond2cob'", "'linear'")),
+        ({"process": {"family": "function_of_linear", **FAMILY_SECTIONS["function_of_linear"]},
+          "conditions": {"ids": ["Cond2cob"], "n_terms": 8}}, ("'Cond2cob'", "'function_of_linear'")),
         ({"conditions": {"ids": ["condphi"], "p": 2.5, "s": 2.2, "n_terms": 8}}, ("'conditions.s'",)),
     ],
 )
@@ -633,6 +656,27 @@ def test_conditions_makes_no_dense_kernel(tmp_path, monkeypatch):
     cfg = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "bench", "configs", "conditions.json")
     assert main(["conditions", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     assert reads == []
+
+
+def test_conditions_runs_the_second_moment_recursion_once(tmp_path, monkeypatch):
+    # C1, C2, Cond2cob and Cond2cobp3 all read one pass of E(S_n^2 | Y_0)
+    calls = []
+    recursion = processes.FiniteKernel.second_moments
+    monkeypatch.setattr(processes.FiniteKernel, "second_moments",
+                        lambda self, f, n: calls.append(n) or recursion(self, f, n))
+    cfg_path, _ = write_cfg(tmp_path, **CHECK_COMMANDS["conditions"])
+    assert main(["conditions", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
+    assert calls == [16]
+
+
+def test_linear_conditions_report_cond2cob(tmp_path):
+    cfg_path, _ = write_cfg(tmp_path, process=LINEAR, conditions={
+        "ids": ["C1", "C2", "Cond2cob", "Cond2cobp3"], "n_terms": 8, "outer": 50})
+    out = tmp_path / "out"
+    assert main(["conditions", "--config", cfg_path, "--out", str(out)]) == 0
+    lines = (out / "conditions.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[0] for line in lines] == ["C1", "C2", "Cond2cob", "Cond2cobp3"]
+    assert all(float(line.split(",")[4]) > 0.0 for line in lines)
 
 
 @pytest.mark.parametrize("process", [

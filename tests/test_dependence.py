@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from cltlab import dependence
+from cltlab import rng as rngmod
 from cltlab.dependence import (
     ConditionReport,
     DependenceError,
     FiniteLaw,
     PowerQuantile,
-    _second_moments,
     alpha1_exact,
     an_bn,
     check_covariance_inequality,
@@ -171,7 +171,7 @@ def test_conditional_second_moment_path_enumeration():
     f = np.array([1.0, -1.0, 0.5])
     n = 4
     k = ker.matrix
-    got = list(_second_moments(ker, f, n))[-1]
+    got = list(ker.second_moments(f, n))[-1]
     for s in range(3):
         total = 0.0
         for path in np.ndindex(*(3,) * n):
@@ -189,7 +189,7 @@ def test_conditional_second_moment_path_enumeration():
 def test_conditional_second_moment_one_step():
     ker = three_state_kernel()
     f = np.array([2.0, 0.0, -1.0])
-    assert np.allclose(next(_second_moments(ker, f, 1)), ker.apply(f * f))  # [TRIVIAL]
+    assert np.allclose(next(ker.second_moments(f, 1)), ker.apply(f * f))  # [TRIVIAL]
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +451,52 @@ def test_linear_iid_degenerate_series_zero():
     lp = LinearProcess(lambda j: 1.0 if j == 0 else 0.0, InnovationLaw("gaussian"), truncation=8)
     out = series_C1_C2(ProcessSpec(lp), 3.0, 15, outer=200)
     assert max(out["C1"].terms) < 1e-12  # [TRIVIAL] E(S_n^2|past) = n exactly
+
+
+def test_iid_second_moment_series_are_exactly_zero():
+    # Var(eps) = 4.5 / 2.5 is not n Var(eps) / n in floating point for every
+    # n; the laws are given as E(S_n^2 | F_0)/n, so every deviation is 0
+    spec = ProcessSpec(IIDBaseline(InnovationLaw("symmetric_pareto", q=4.5)))
+    ids = ("C1", "C2", "Cond2cob", "Cond2cobp3")
+    out = series_C1_C2(spec, 3.0, 40, ids=ids)
+    assert sorted(out) == sorted(ids)
+    for rep in out.values():
+        assert rep.terms == (0.0,) * 40 and rep.verdict == "converged"
+
+
+def _linear_moment_by_enumeration(a: np.ndarray, t: int, n: int, past: np.ndarray) -> float:
+    """E(S_n^2 | eps_{1-t}..eps_0 = past) for Rademacher innovations, by
+    summing over every sign pattern of eps_1..eps_{n+t}, with
+    X_k = sum_{|j| <= t} a_j eps_{k-j} written out term by term (the
+    conditions' orientation: a_j for j > 0 weighs the past)."""
+    total = 0.0
+    for future in itertools.product((-1.0, 1.0), repeat=n + t):
+        eps = np.concatenate((past, future))  # eps[m + t - 1] = eps_m, m = 1-t..n+t
+        s = sum(a[j + t] * eps[k - j + t - 1] for k in range(1, n + 1) for j in range(-t, t + 1))
+        total += s * s
+    return total / 2 ** (n + t)
+
+
+def test_linear_cond2cob_matches_enumerated_conditional_moments():
+    # [DERIVED] oracle: E(S_n^2 | past) over each of the process's outer
+    # pasts by enumerating the future signs, and E(S_n^2) by enumerating the
+    # past signs too; then the norms and weights of Cond2cob and Cond2cobp3
+    t, outer, p, seed = 2, 12, 3.0, 4
+    lp = LinearProcess(lambda j: 0.6 ** abs(j) * (1.0 if j >= 0 else -0.5) if abs(j) <= t else 0.0,
+                       InnovationLaw("rademacher"), truncation=t)
+    out = series_C1_C2(ProcessSpec(lp), p, 4, outer=outer, seed=seed, ids=("Cond2cob", "Cond2cobp3"))
+    a = lp.coefficients()
+    pasts = InnovationLaw("rademacher").sample(rngmod.stream(seed, rngmod.ROLE_CALIBRATION, 0, 0), outer * t)
+    signs = [np.array(s) for s in itertools.product((-1.0, 1.0), repeat=t)]
+    for n in range(1, 5):
+        cond = np.array([_linear_moment_by_enumeration(a, t, n, past) for past in pasts.reshape(outer, t)])
+        mean = np.mean([_linear_moment_by_enumeration(a, t, n, past) for past in signs])
+        dev = np.abs(cond - mean) / n
+        want2 = n ** (-2.0 + p / 2.0) * np.mean(dev ** (p / 2.0)) ** (2.0 / p)
+        want3 = n**-0.5 * np.mean(dev**1.5) ** (1.0 / 1.5)
+        assert out["Cond2cob"].terms[n - 1] == pytest.approx(want2, rel=1e-12)
+        assert out["Cond2cobp3"].terms[n - 1] == pytest.approx(want3, rel=1e-12)
+        assert want2 > 0.0
 
 
 def test_linear_projective_series_geometric():

@@ -517,6 +517,27 @@ class TestEnvelopeNorm:
         for row, norm in zip(values, got):
             assert float(norm).hex() == envelope_norm_discrete(row, probs, p).hex()
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), p=st.sampled_from([1.0, 2.0, 2.5, 3.0]))
+    def test_weight_skipped_at_zero_steps_bit_for_bit(self, seed, p):
+        # W is evaluated only where a sorted step is nonzero; the norms are
+        # those of evaluating it at every position. Values drawn from few
+        # levels give many ties, hence zero steps, also a zero-valued atom
+        rng = np.random.default_rng(seed)
+        rows, size = int(rng.integers(1, 6)), int(rng.integers(1, 200))
+        levels = np.append(rng.normal(size=int(rng.integers(1, 6))), 0.0)
+        values = rng.choice(levels, size=(rows, size)) * rng.choice([-1.0, 1.0], size=(rows, size))
+        probs = rng.random(size)
+        probs /= probs.sum()
+        a = np.abs(values)
+        order = np.argsort(-a, axis=-1)
+        a = np.take_along_axis(a, order, axis=-1)
+        c = np.minimum(np.cumsum(probs[order], axis=-1), 1.0)
+        steps = a - np.append(a[:, 1:], np.zeros((rows, 1)), axis=-1)
+        want = np.sum(steps * metrics._weight_antiderivative(c, p), axis=-1)
+        got = envelope_norm_discrete(values, probs, p)
+        assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
+
     def test_discrete_matches_functional(self):
         vals = np.array([-2.0, 0.5, 3.0])
         probs = np.array([0.2, 0.5, 0.3])
