@@ -4,9 +4,13 @@ every function in the package runs in a command or in a kept API.
 Run as a script, `python tests/test_imports.py OUT_DIR` traces the five
 commands on small configs and writes the unreached functions to
 OUT_DIR/unreached.json; the reachability test runs it in a fresh interpreter,
-so no cache filled by an earlier test hides a function."""
+so no cache filled by an earlier test hides a function. The same test checks
+every artifact the trace writes against the sha256 table tests/digests.json,
+which `python tests/test_imports.py OUT_DIR --write-digests` rewrites."""
 
+import argparse
 import ast
+import hashlib
 import json
 import os
 import pathlib
@@ -19,6 +23,7 @@ import cltlab
 from cltlab import cli, metrics, processes
 
 SRC = pathlib.Path(cltlab.__file__).parent
+DIGESTS = pathlib.Path(__file__).with_name("digests.json")
 
 
 def _unused_imports(tree: ast.Module) -> list:
@@ -194,14 +199,31 @@ def _trace(out: pathlib.Path) -> list:
     return sorted(name for key, name in _defs().items() if key not in entered)
 
 
+def _digests(out: pathlib.Path) -> dict:
+    """sha256 of every artifact of the traced runs, by '<run>/<file>'; the
+    manifests, which hold the run's times, are left out."""
+    return {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.glob("*/*")) if path.name != "manifest.json"}
+
+
 def test_every_def_is_reached(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     result = subprocess.run([sys.executable, __file__, str(tmp_path)], env=env, capture_output=True, text=True,
                             timeout=300)
     assert result.returncode == 0, result.stderr[-2000:]
     assert json.loads((tmp_path / "unreached.json").read_text()) == []
+    # the determinism contract: the trace's artifacts are the committed bytes
+    assert _digests(tmp_path) == json.loads(DIGESTS.read_text())["artifacts"]
 
 
 if __name__ == "__main__":
-    out_dir = pathlib.Path(sys.argv[1])
-    (out_dir / "unreached.json").write_text(json.dumps(_trace(out_dir)))
+    parser = argparse.ArgumentParser(description="trace the commands into OUT_DIR and list the unreached defs")
+    parser.add_argument("out_dir", type=pathlib.Path)
+    parser.add_argument("--write-digests", action="store_true", help=f"rewrite {DIGESTS.name} from this trace")
+    args = parser.parse_args()
+    (args.out_dir / "unreached.json").write_text(json.dumps(_trace(args.out_dir)))
+    if args.write_digests:
+        note = ("sha256 of every artifact, manifests left out, that `python tests/test_imports.py OUT_DIR` writes; "
+                "rewrite with --write-digests. The trace shrinks the smoothing-lemma grid to 513 points, so the "
+                "verify digests are not those of a default verify run.")
+        DIGESTS.write_text(json.dumps({"note": note, "artifacts": _digests(args.out_dir)}, indent=1) + "\n")
