@@ -37,8 +37,7 @@ _LAZY = {
            "write_manifest"),
     "metrics": ("GridFunction", "smoothing_lemma_check", "uniform_panel_grid"),
     "processes": ("DEFAULT_BUDGET", "REPLICATE_CHUNK", "BudgetError", "DavydovChain", "FiniteKernel",
-                  "InnovationLaw", "LinearProcess", "ExpandingMap", "ProcessError", "partial_sums_batch",
-                  "transfer_duality_residual"),
+                  "LinearProcess", "ExpandingMap", "ProcessError", "partial_sums_batch", "transfer_duality_residual"),
 }
 
 
@@ -128,7 +127,7 @@ def cmd_simulate(args) -> int:
     spec = build_process(cfg)
     n_grid, m = simulate_params(cfg)
     out_dir, digest, started = _prepare_out(args, cfg)
-    batch = partial_sums_batch(spec, n_grid, m, seed=cfg["seed"], budget=cfg.get("budget", DEFAULT_BUDGET))
+    batch = partial_sums_batch(spec, n_grid, m, budget=cfg.get("budget", DEFAULT_BUDGET))
     # chunks of at most REPLICATE_CHUNK lines of one n, each formatted as write_csv reaches it
     chunks = ("\n".join(f"{n},{rep},{v:.17g}" for rep, v in
                         enumerate(batch.values(n)[lo : lo + REPLICATE_CHUNK].tolist(), lo))
@@ -189,17 +188,16 @@ VALID_CONDITIONS = ("C1", "C2", "Cond1cob", "Cond2cob", "Condcobp3adap",
                     "Cond2cobp3", "condalpha1", "condphi")
 
 
-def _run_condition(cid: str, spec, cfg: dict, params: dict, second_moments: dict) -> list:
+def _run_condition(cid: str, spec, params: dict, second_moments: dict) -> list:
     """(component, report) pairs of one id; second_moments keeps the one
     series_C1_C2 run that gives C1, C2, Cond2cob and Cond2cobp3."""
     p, n_terms = params["p"], params["n_terms"]
     if cid in ("C1", "C2", "Cond2cob", "Cond2cobp3"):
         if not second_moments:
-            second_moments.update(series_C1_C2(spec, p, n_terms, outer=params["outer"], seed=cfg["seed"],
-                                               ids=params["ids"]))
+            second_moments.update(series_C1_C2(spec, p, n_terms, outer=params["outer"], ids=params["ids"]))
         return [("", second_moments[cid])]
     if cid in ("Cond1cob", "Condcobp3adap"):
-        return [("", series_projective(spec, cid, p, n_terms, mc=params["mc"], seed=cfg["seed"]))]
+        return [("", series_projective(spec, cid, p, n_terms, mc=params["mc"]))]
     if cid == "condalpha1":
         alpha = [0.25 * k**-params["alpha_decay"] for k in range(1, n_terms + 1)]
         reps = series_condalpha1(PowerQuantile(1.0 / params["q_moment"]), alpha, p)
@@ -220,7 +218,7 @@ def cmd_conditions(args) -> int:
     rows, second_moments = [], {}
     for cid in ids:
         try:
-            group = _run_condition(cid, spec, cfg, params, second_moments)
+            group = _run_condition(cid, spec, params, second_moments)
         except UnsupportedFamilyError as exc:
             raise ConfigError(f"condition {cid!r} has no series for process family "
                               f"{cfg['process']['family']!r}: {exc}") from exc
@@ -242,11 +240,13 @@ def cmd_conditions(args) -> int:
 
 def _verify_chain(perturb: float):
     _bind("processes")  # also called outside a command
-    kernel, f = DavydovChain(2.5, 0.1, "f1", 24).kernel
+    kernel, f = DavydovChain(2.5, 0.1, n_max=24).kernel
     if perturb:
-        bad = kernel.matrix.copy()
-        bad[0, 0] += perturb
-        kernel = FiniteKernel(kernel.states, bad, kernel.stationary)
+        # row 0, the boundary state -24, drops to 0 by its second slot; its
+        # first slot (weight 0) becomes a loop: K(-24, -24) = perturb
+        cols, weights = kernel.cols.copy(), kernel.weights.copy()
+        cols[0, 0], weights[0, 0] = 0, perturb
+        kernel = FiniteKernel(kernel.states, cols, weights, kernel.stationary)
     return kernel, f
 
 
@@ -325,7 +325,7 @@ def _check_window(cfg: dict, params: dict) -> dict:
 def _check_coboundary(cfg: dict, params: dict) -> dict:
     tol = cfg["tolerances"]["coboundary"]
     rule = lambda j: 0.5**j if j >= 0 else 0.0
-    dec = coboundary(LinearProcess(rule, InnovationLaw("gaussian"), truncation=64))
+    dec = coboundary(LinearProcess(rule))
     res = dec.identity_check(256, cfg["seed"], tol)
     if not res["ok"]:
         return {"passed": False,
@@ -335,7 +335,7 @@ def _check_coboundary(cfg: dict, params: dict) -> dict:
 
 def _check_duality(cfg: dict, params: dict) -> dict:
     tol = cfg["tolerances"]["duality"]
-    spec = ExpandingMap("beta", beta=2.0)
+    spec = ExpandingMap("beta")
     worst = 0.0
     for dh in range(4):
         for df in range(4):

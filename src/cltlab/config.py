@@ -34,9 +34,7 @@ COEFF_KEYS = {
     "power": {"rule", "exponent", "scale"},
     "finite": {"rule", "values"},
 }
-INNOVATION_KEYS = {"kind", "q"}
 SIMULATE_KEYS = {"n_grid", "replicates"}
-RATES_KEYS = {"p", "r_list", "n_grid", "replicates", "target", "calibration"}
 CONDITIONS_KEYS = {"ids", "p", "n_terms", "s", "alpha_decay", "q_moment",
                    "phi_decay", "mc", "outer"}
 VERIFY_KEYS = {"checks", "cases", "perturb_kernel"}
@@ -45,6 +43,8 @@ CALIBRATE_KEYS = {"replicates", "r_list", "reps"}
 DEFAULT_TOLERANCES = {"coboundary": 1e-8, "duality": 1e-8, "envelope_slack": 1e-9}
 
 _REQUIRED = object()
+_ABSENT = object()  # what read gives for an optional key a section leaves out
+_optional = partial(dict, default=_ABSENT)  # read's arguments for a key a section may leave out
 _KINDS = {float: "a finite number", int: "an integer", bool: "true or false",
           str: "a string", dict: "an object"}
 
@@ -165,69 +165,80 @@ def build_coeff_rule(section: dict) -> Callable[[int], float]:
     return fn
 
 
-def build_innovation(section) -> InnovationLaw:
-    """InnovationLaw from a 'process.innovation' object; Gaussian when None."""
-    if section is None:
-        return InnovationLaw("gaussian")
-    _check_keys(section, INNOVATION_KEYS, "process.innovation")
-    get = partial(read, section, "process.innovation")
+def _given(section: dict, where: str, reads: dict) -> dict:
+    """{key: value} of every key of reads, each read from section with its
+    read arguments, less the optional keys the section leaves out: those
+    take the default of the dataclass field they set."""
+    values = {key: read(section, where, key, **how) for key, how in reads.items()}
+    return {key: value for key, value in values.items() if value is not _ABSENT}
+
+
+INNOVATION = {"kind": dict(kind=str), "q": _optional()}
+
+
+def build_innovation(section: dict) -> InnovationLaw:
+    """InnovationLaw from a 'process.innovation' object."""
+    _check_keys(section, INNOVATION, "process.innovation")
     try:
-        return InnovationLaw(get("kind", kind=str), q=get("q", None))
+        return InnovationLaw(**_given(section, "process.innovation", INNOVATION))
     except ProcessError as exc:
         raise ConfigError(f"'process.innovation': {exc}") from exc
 
 
-def _davydov(s: dict) -> DavydovChain:
-    get = partial(read, s, "process")
-    p = get("p", ok=lambda v: 2.0 < v <= 3.0, need="a number in (2, 3]")
-    eps = get("eps", ok=_positive, need="a positive number")
+def _davydov(v: dict) -> DavydovChain:
     # an explicit schedule pins the up-step probabilities the config expects;
     # it must satisfy the drift invariant and match the (p, eps) formula
-    schedule = get("schedule", (), many=True)
-    for i, (a_n, want) in enumerate(zip(schedule, davydov_schedule(p, eps, len(schedule)))):
+    schedule = v.pop("schedule", ())
+    for i, (a_n, want) in enumerate(zip(schedule, davydov_schedule(v["p"], v["eps"], len(schedule)))):
         if i > 0 and not (0.5 <= a_n < 1.0):
             raise ConfigError(f"'process.schedule[{i}]' = {a_n} violates the invariant 1/2 <= a_n < 1")
         if abs(a_n - want) > 1e-9:
             raise ConfigError(f"'process.schedule[{i}]' = {a_n} does not match the drift formula "
                               f"value {want:.12g} for the given p and eps")
-    return DavydovChain(p, eps, get("functional", "f1", str), get("n_max", 400, int))
+    return DavydovChain(**v)
 
 
-def _linear(s: dict) -> LinearProcess:
-    get = partial(read, s, "process")
-    return LinearProcess(build_coeff_rule(get("coeffs", kind=dict)),
-                         build_innovation(get("innovation", None, dict)),
-                         get("truncation", 64, int, lambda t: t >= 0, "a nonnegative integer"))
+def _linear(v: dict) -> LinearProcess:
+    if "innovation" in v:
+        v["innovation"] = build_innovation(v["innovation"])
+    return LinearProcess(build_coeff_rule(v.pop("coeffs")), **v)
 
 
-def _function_of_linear(s: dict) -> FunctionOfLinear:
-    get = partial(read, s, "process")
-    return FunctionOfLinear(_linear(s), get("h_rule", "identity", str), get("gamma", 1.0), get("alpha", 0.0),
-                            get("centering_draws", 10**7, int, _positive, "a positive integer"))
+def _function_of_linear(v: dict) -> FunctionOfLinear:
+    return FunctionOfLinear(_linear({key: v.pop(key) for key in _LINEAR if key in v}), **v)
 
 
-def _expanding_map(s: dict) -> ExpandingMap:
-    get = partial(read, s, "process")
-    kind = get("kind", kind=str, ok=MAP_KEYS.__contains__, need=f"one of {sorted(MAP_KEYS)}")
-    _check_keys(s, {"family", "kind", "observable"} | MAP_KEYS[kind], "process")
-    return ExpandingMap(kind, beta=get("beta", 2.0),
-                        breakpoints=get("breakpoints", (), many=True), slopes=get("slopes", (), many=True),
-                        offsets=get("offsets", (), many=True), observable=get("observable", "identity", str))
+def _expanding_map(v: dict) -> ExpandingMap:
+    _check_keys(v, {"family", "kind", "observable"} | MAP_KEYS[v["kind"]], "process")
+    return ExpandingMap(**v)
 
 
-_LINEAR_KEYS = {"family", "coeffs", "innovation", "truncation"}
+_LINEAR = {"coeffs": dict(kind=dict), "innovation": _optional(kind=dict),
+           "truncation": _optional(kind=int, ok=lambda t: t >= 0, need="a nonnegative integer")}
 # map kind -> the 'process' keys it reads besides family, kind and observable
 MAP_KEYS = {"beta": {"beta"}, "gauss": set(), "piecewise_affine": {"breakpoints", "slopes", "offsets"}}
 
-# family name -> (allowed 'process' keys, builder of the family from the section)
+# family name -> (its 'process' keys besides family, each with its read
+# arguments, and the builder of the family from the values read)
 FAMILIES = {
-    "davydov": ({"family", "p", "eps", "functional", "n_max", "schedule"}, _davydov),
-    "linear": (_LINEAR_KEYS, _linear),
-    "function_of_linear": (_LINEAR_KEYS | {"h_rule", "gamma", "alpha", "centering_draws"}, _function_of_linear),
-    "expanding_map": ({"family", "kind", "observable"}.union(*MAP_KEYS.values()), _expanding_map),
-    "iid": ({"family", "innovation"},
-            lambda s: IIDBaseline(build_innovation(read(s, "process", "innovation", None, dict)))),
+    "davydov": ({"p": dict(ok=lambda v: 2.0 < v <= 3.0, need="a number in (2, 3]"),
+                 "eps": dict(ok=_positive, need="a positive number"), "functional": _optional(kind=str),
+                 "n_max": _optional(kind=int), "schedule": _optional(many=True)}, _davydov),
+    "linear": (_LINEAR, _linear),
+    "function_of_linear": (dict(_LINEAR, h_rule=_optional(kind=str), gamma=_optional(), alpha=_optional(),
+                                centering_draws=_optional(kind=int, ok=_positive, need="a positive integer")),
+                           _function_of_linear),
+    "expanding_map": ({"kind": dict(kind=str, ok=MAP_KEYS.__contains__, need=f"one of {sorted(MAP_KEYS)}"),
+                       "observable": _optional(kind=str), "beta": _optional(), "breakpoints": _optional(many=True),
+                       "slopes": _optional(many=True), "offsets": _optional(many=True)}, _expanding_map),
+    "iid": ({"innovation": _optional(kind=dict)},
+            lambda v: IIDBaseline(build_innovation(v["innovation"])) if v else IIDBaseline()),
 }
+# the 'rates' keys with their read arguments; replicates sets the plan's m
+RATES = {"p": {}, "r_list": dict(many=True, distinct=True),
+         "n_grid": _optional(kind=int, ok=_positive, need="a positive integer", many=True),
+         "replicates": _optional(kind=int, ok=lambda m: m >= 100, need="an integer >= 100"),
+         "target": _optional(kind=str), "calibration": _optional(kind=bool)}
 
 
 def build_process(cfg: dict) -> ProcessSpec:
@@ -235,10 +246,10 @@ def build_process(cfg: dict) -> ProcessSpec:
     section = read(cfg, "config", "process", kind=dict)
     family = read(section, "process", "family", kind=str, ok=FAMILIES.__contains__,
                   need=f"one of {sorted(FAMILIES)}")
-    keys, build = FAMILIES[family]
-    _check_keys(section, keys, "process")
+    reads, build = FAMILIES[family]
+    _check_keys(section, {"family", *reads}, "process")
     try:
-        return ProcessSpec(build(section), seed=cfg["seed"])
+        return ProcessSpec(build(_given(section, "process", reads)), seed=cfg["seed"])
     except ProcessError as exc:
         raise ConfigError(f"'process': {exc}") from exc
 
@@ -246,17 +257,15 @@ def build_process(cfg: dict) -> ProcessSpec:
 def build_plan(cfg: dict) -> ExperimentPlan:
     """ExperimentPlan from the 'rates' section and the shared process."""
     # imported here, so a command that builds no plan loads no experiments
-    from .experiments import DEFAULT_N_GRID, ExperimentError, ExperimentPlan
+    from .experiments import ExperimentError, ExperimentPlan
 
-    section = _section(cfg, "rates", RATES_KEYS)
+    section = _section(cfg, "rates", RATES)
     spec = build_process(cfg)
-    get = partial(read, section, "rates")
+    values = _given(section, "rates", RATES)
+    if "replicates" in values:
+        values["m"] = values.pop("replicates")
     try:
-        return ExperimentPlan(spec, get("p"), get("r_list", many=True, distinct=True),
-                              n_grid=get("n_grid", DEFAULT_N_GRID, int, _positive, "a positive integer", many=True),
-                              m=get("replicates", 10**4, int, lambda m: m >= 100, "an integer >= 100"),
-                              target=get("target", "sigma2", str), seed=cfg["seed"],
-                              calibration=get("calibration", True, bool))
+        return ExperimentPlan(spec, **values)
     except ExperimentError as exc:
         raise ConfigError(f"'rates': {exc}") from exc
 

@@ -445,12 +445,11 @@ def _lp_norm_discrete(values: np.ndarray, probs: np.ndarray, p: float) -> float:
     return float(np.sum(probs * np.abs(values) ** p) ** (1.0 / p))
 
 
-def series_C1_C2(spec: ProcessSpec, p: float, n_terms: int, outer: int = 1000, seed: int = 0,
-                 ids=("C1", "C2")) -> dict:
+def series_C1_C2(spec: ProcessSpec, p: float, n_terms: int, outer: int = 1000, ids=("C1", "C2")) -> dict:
     """The reports of ids among C1, C2, Cond2cob and Cond2cobp3, all read
     from one pass over the family's laws of E(S_n^2 | F_0)/n (its
     second_moment_laws; chains are exact, linear processes use outer Monte
-    Carlo pasts). C1 is the envelope norm of the law minus sigma^2 weighted
+    Carlo pasts drawn at spec.seed). C1 is the envelope norm of the law minus sigma^2 weighted
     by n^{-(2-p/2)}, C2 its L^{p/2} norm weighted by n^{-2/p}; Cond2cob and
     Cond2cobp3 are the L^{p/2} and L^{3/2} norms of the law minus its mean
     E(S_n^2)/n, weighted by n^{-(2-p/2)} and n^{-1/2}.
@@ -462,8 +461,8 @@ def series_C1_C2(spec: ProcessSpec, p: float, n_terms: int, outer: int = 1000, s
     if not hasattr(fam, "second_moment_laws"):
         raise UnsupportedFamilyError(f"no conditional second moments for a {type(fam).__name__}")
     terms = {cid: [] for cid in ("C1", "C2", "Cond2cob", "Cond2cobp3") if cid in ids}
-    probs, laws = fam.second_moment_laws(n_terms, outer, seed)
-    sigma2 = fam.long_run_variance(seed)["sigma2"] if {"C1", "C2"} & terms.keys() else 0.0
+    probs, laws = fam.second_moment_laws(n_terms, outer, spec.seed)
+    sigma2 = fam.long_run_variance(spec.seed)["sigma2"] if {"C1", "C2"} & terms.keys() else 0.0
     rows = max(1, NORM_BLOCK_ENTRIES // probs.size)
     block = np.empty((min(rows, n_terms), probs.size))
     for n, (law, mean) in enumerate(laws, 1):
@@ -483,17 +482,18 @@ def series_C1_C2(spec: ProcessSpec, p: float, n_terms: int, outer: int = 1000, s
     return {cid: _report(cid, ns, found) for cid, found in terms.items()}
 
 
-def series_projective(spec: ProcessSpec, which: str, p: float, n_terms: int, mc: int = 10**5, seed: int = 0) -> ConditionReport:
+def series_projective(spec: ProcessSpec, which: str, p: float, n_terms: int, mc: int = 10**5) -> ConditionReport:
     """Term sequences of the projective conditions Cond1cob and
     Condcobp3adap: convergence of the adapted/anticipative series of
-    E(X_k | F_0) in L^p. (Cond2cob and Cond2cobp3 read conditional second
-    moments and come from series_C1_C2.)"""
+    E(X_k | F_0) in L^p; a linear process's expectations are over mc Monte
+    Carlo pasts drawn at spec.seed. (Cond2cob and Cond2cobp3 read
+    conditional second moments and come from series_C1_C2.)"""
     fam = spec.family
     ns = list(range(1, n_terms + 1))
     if which not in ("Cond1cob", "Condcobp3adap"):
         raise DependenceError(f"unknown condition id: {which}")
     if isinstance(fam, LinearProcess):
-        return _series_projective_linear(fam, which, p, ns, mc, seed)
+        return _series_projective_linear(fam, which, p, ns, mc, spec.seed)
     if not isinstance(fam, DavydovChain):
         raise UnsupportedFamilyError("spec does not describe a finite chain")
     kernel, f = fam.kernel

@@ -46,7 +46,6 @@ class ExperimentPlan:
     n_grid: tuple = DEFAULT_N_GRID
     m: int = 10**4
     target: str = "sigma2"  # sigma2 | sigma_n2
-    seed: int = 0
     calibration: bool = True
 
     def __post_init__(self):
@@ -154,9 +153,10 @@ def run_experiment(plan: ExperimentPlan, budget: int = DEFAULT_BUDGET) -> RateFi
 
     The simulation, each calibration floor and the (n, r) points (distance
     and bootstrap stderr) run on every available CPU through run_parts, one
-    stage after the other; no value depends on the CPU count.
+    stage after the other; no value depends on the CPU count. The process's
+    seed keys the simulation, the long-run variance and the bootstrap.
     """
-    batch = partial_sums_batch(plan.process, list(plan.n_grid), plan.m, seed=plan.seed, budget=budget)
+    batch = partial_sums_batch(plan.process, list(plan.n_grid), plan.m, budget=budget)
     lrv = long_run_variance(plan.process)
     sigma2 = lrv["sigma2"]
     # one node table for the floors and the points: every sample has m points
@@ -169,7 +169,7 @@ def run_experiment(plan: ExperimentPlan, budget: int = DEFAULT_BUDGET) -> RateFi
         laws[n] = GaussianLaw(np.sqrt(max(var, 0.0)))
     nr = [(n, r) for n in plan.n_grid for r in plan.r_list]
     # batch.values(n) is already normalized by n^{-1/2}
-    measured = run_parts(_point, [(batch.values(n), laws[n], r, plan.seed, n, grid) for n, r in nr])
+    measured = run_parts(_point, [(batch.values(n), laws[n], r, plan.process.seed, n, grid) for n, r in nr])
     ks = {n: kolmogorov(EmpiricalDistribution(batch.values(n)), g) for n, g in laws.items()}
     points = []
     for (n, r), (value, se) in zip(nr, measured):

@@ -79,34 +79,14 @@ class InnovationLaw:
 
 class FiniteKernel:
     """Row-stochastic kernel on integer states with its stationary law, held
-    as slot-major rows: column i of _cols and _weights holds row i's target
-    indices and their probabilities, padded with zero-weight targets to the
-    width of the widest row, so apply sums whole contiguous rows.
+    as slot-major rows: the kernel moves from state index i to cols[slot, i]
+    with probability weights[slot, i], a narrow row padded with zero-weight
+    slots to the width of the widest, so apply sums whole contiguous rows.
+    The rows are checked here, and the dense matrix is made only when
+    `matrix` is first read."""
 
-    FiniteKernel(states, matrix, stationary) takes row i's nonzero columns
-    of a dense matrix in increasing order; from_rows takes the rows as they
-    are. Both run the same checks on the rows, and a kernel built from rows
-    makes its dense matrix only when `matrix` is first read."""
-
-    def __init__(self, states, matrix, stationary):
-        k = np.asarray(matrix, dtype=float)
-        s = np.asarray(states, dtype=int)
-        if k.shape != (s.size, s.size):
-            raise ProcessError("matrix shape must match the state count")
-        width = int(np.count_nonzero(k, axis=1).max(initial=0))
-        cols = np.argsort(k == 0, axis=1, kind="stable")[:, :width].T
-        self._adopt(s, cols, np.take_along_axis(k, cols.T, axis=1).T, stationary)
-        self.matrix = k
-
-    @classmethod
-    def from_rows(cls, states, cols, weights, stationary) -> "FiniteKernel":
-        """The kernel moving from state index i to cols[slot, i] with
-        probability weights[slot, i]; no dense matrix is made."""
-        kernel = cls.__new__(cls)
-        kernel._adopt(np.asarray(states, dtype=int), cols, weights, stationary)
-        return kernel
-
-    def _adopt(self, states: np.ndarray, cols, weights, stationary) -> None:
+    def __init__(self, states, cols, weights, stationary):
+        states = np.asarray(states, dtype=int)
         cols = np.ascontiguousarray(cols, dtype=np.intp)
         weights = np.ascontiguousarray(weights, dtype=float)
         pi = np.asarray(stationary, dtype=float)
@@ -125,14 +105,14 @@ class FiniteKernel:
             raise ProcessError("stationary vector residual exceeds 1e-12")
         if not _strongly_connected(cols, weights > 0):
             raise ProcessError("kernel is not irreducible")
-        self.states, self.stationary, self._cols, self._weights = states, pi, cols, weights
+        self.states, self.stationary, self.cols, self.weights = states, pi, cols, weights
 
     @cached_property
     def matrix(self) -> np.ndarray:
         """The dense kernel, summed from the rows one slot at a time."""
         k = np.zeros((self.size, self.size))
         rows = np.arange(self.size)
-        for cols, weights in zip(self._cols, self._weights):
+        for cols, weights in zip(self.cols, self.weights):
             k[rows, cols] += weights
         return k
 
@@ -143,7 +123,7 @@ class FiniteKernel:
     def apply(self, f: np.ndarray) -> np.ndarray:
         """(Kf)(s) = sum_j K(s, j) f(j), summed over row s's slots in order,
         so the result is the same under any BLAS."""
-        return (self._weights * np.asarray(f, dtype=float)[self._cols]).sum(axis=0)
+        return (self.weights * np.asarray(f, dtype=float)[self.cols]).sum(axis=0)
 
     def second_moments(self, f: np.ndarray, n: int):
         """E(S_m^2 | Y_0 = s) for m = 1..n, S_m = sum_{i<=m} f(Y_i), exact by the
@@ -251,7 +231,7 @@ def renewal_kernel(a: np.ndarray, functional: str) -> tuple[FiniteKernel, np.nda
     moves = np.stack((i + np.sign(i - n_max), np.full(pi.size, n_max)))
     moves[:, n_max] = n_max + 1, n_max - 1
     moves[0, [0, -1]] = n_max
-    kernel = FiniteKernel.from_rows(i - n_max, moves, np.stack((threshold, 1.0 - threshold)), pi)
+    kernel = FiniteKernel(i - n_max, moves, np.stack((threshold, 1.0 - threshold)), pi)
     kf = np.max(np.abs(kernel.apply(f)[1:-1]))
     if kf > 1e-12:
         raise ProcessError(f"conditional-mean residual {kf:.2e} exceeds 1e-12 on interior states")
@@ -365,9 +345,9 @@ class LinearProcess:
 @dataclass(frozen=True)
 class FunctionOfLinear:
     base: LinearProcess
-    h_rule: Union[str, Callable[[np.ndarray], np.ndarray]]
-    gamma: float
-    alpha: float
+    h_rule: Union[str, Callable[[np.ndarray], np.ndarray]] = "identity"
+    gamma: float = 1.0
+    alpha: float = 0.0
     centering_draws: int = 10**7
 
     def __post_init__(self):
@@ -787,7 +767,7 @@ def _davydov_sums(kernel: FiniteKernel, f: np.ndarray, n_grid, seed: int, replic
     """From state index i the chain moves to moves[2i] when the step's
     uniform is below threshold[i] and to moves[2i + 1] otherwise: the two
     slots of the kernel's row i."""
-    cum_pi, threshold, moves = np.cumsum(kernel.stationary), kernel._weights[0], kernel._cols.T.ravel()
+    cum_pi, threshold, moves = np.cumsum(kernel.stationary), kernel.weights[0], kernel.cols.T.ravel()
     marks = {n: col for col, n in enumerate(n_grid)}
     idx = np.searchsorted(cum_pi, rngmod.first_draws(seed, rngmod.ROLE_INIT, replicates))
     gens = rngmod.streams(seed, rngmod.ROLE_STEP, replicates)
@@ -920,11 +900,10 @@ def partial_sums_batch(
     spec: ProcessSpec,
     n_grid,
     m: int,
-    seed: Optional[int] = None,
     budget: int = DEFAULT_BUDGET,
 ) -> TrajectoryBatch:
     """M replicates of n^{-1/2} S_n for each n, each replicate reading one
-    common path from its counter-based stream keyed by (seed, replicate).
+    common path from its counter-based stream keyed by (spec.seed, replicate).
     A batch of more than budget replicate-steps (M x largest n) raises
     BudgetError before any work.
 
@@ -940,7 +919,7 @@ def partial_sums_batch(
     if m * max(n_grid) > budget:
         raise BudgetError(f"requested {m} replicates x n = {max(n_grid)} exceeds the budget of "
                           f"{budget} replicate-steps; raise 'budget' or shrink the plan")
-    seed = spec.seed if seed is None else seed
+    seed = spec.seed
     # per-family tables (coefficients, step tables, invariant density) are
     # built once here, before any fork, and shared by every part
     chunk_sums = spec.family.batch_sums(seed)

@@ -21,6 +21,20 @@ def _solve_stationary(k: np.ndarray) -> np.ndarray:
     return pi / pi.sum()
 
 
+def dense_rows(matrix: np.ndarray) -> tuple:
+    """Slot-major (cols, weights) of a dense matrix: row i's nonzero columns
+    in increasing order, padded to the widest row with zero-weight slots
+    that point at the row's first zero columns."""
+    width = int(np.count_nonzero(matrix, axis=1).max(initial=0))
+    cols = np.argsort(matrix == 0, axis=1, kind="stable")[:, :width].T
+    return cols, np.take_along_axis(matrix, cols.T, axis=1).T
+
+
+def dense_kernel(states, matrix, stationary) -> FiniteKernel:
+    """The FiniteKernel of a dense row-stochastic matrix."""
+    return FiniteKernel(states, *dense_rows(np.asarray(matrix, dtype=float)), stationary)
+
+
 def index_of(kernel: FiniteKernel, state: int) -> int:
     """The row of a chain state in the kernel's sorted states."""
     idx = int(np.searchsorted(kernel.states, state))

@@ -40,14 +40,13 @@ from cltlab.metrics import (
 from cltlab.processes import (
     DavydovChain,
     ExpandingMap,
-    FiniteKernel,
     IIDBaseline,
     InnovationLaw,
     LinearProcess,
     ProcessSpec,
     transfer_duality_residual,
 )
-from oracles import _solve_stationary, alpha1_bruteforce, index_of, phi1_bruteforce
+from oracles import _solve_stationary, alpha1_bruteforce, dense_kernel, index_of, phi1_bruteforce
 
 GEOM_HALF = lambda j: 0.5**j if j >= 0 else 0.0
 
@@ -56,7 +55,7 @@ def random_kernel(rng, size):
     k = rng.random((size, size)) ** 2 + 0.02
     k /= k.sum(axis=1, keepdims=True)
     pi = _solve_stationary(k)
-    return FiniteKernel(np.arange(size), k, pi)
+    return dense_kernel(np.arange(size), k, pi)
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +122,8 @@ def test_03_low_order_identity():
 def test_04_null_model_floor():
     start = time.monotonic()
     plan = ExperimentPlan(
-        ProcessSpec(IIDBaseline(InnovationLaw("gaussian"))), p=3.0, r_list=(1.0,),
-        n_grid=tuple(2**k for k in range(6, 13)), m=10**4, seed=2,
+        ProcessSpec(IIDBaseline(InnovationLaw("gaussian")), seed=2), p=3.0, r_list=(1.0,),
+        n_grid=tuple(2**k for k in range(6, 13)), m=10**4,
     )
     res = run_experiment(plan)
     floor = calibration_floor(10**4, 1.0)["mean"]
@@ -144,8 +143,8 @@ def test_04_null_model_floor():
 def test_05_heavy_tail_rate():
     start = time.monotonic()
     plan = ExperimentPlan(
-        ProcessSpec(IIDBaseline(InnovationLaw("symmetric_pareto", q=2.5))), p=2.5,
-        r_list=(0.5, 1.0), n_grid=tuple(2**k for k in range(6, 15)), m=10**4, seed=7,
+        ProcessSpec(IIDBaseline(InnovationLaw("symmetric_pareto", q=2.5)), seed=7), p=2.5,
+        r_list=(0.5, 1.0), n_grid=tuple(2**k for k in range(6, 15)), m=10**4,
     )
     res = run_experiment(plan)
     fit = res.fits[1.0]
@@ -165,8 +164,8 @@ def test_06_drift_chain_rates_and_condition():
     start = time.monotonic()
     chain = DavydovChain(2.5, 0.1, "f1", n_max=400)
     plan = ExperimentPlan(
-        ProcessSpec(chain), p=2.5, r_list=(1.0, 2.5),
-        n_grid=tuple(2**k for k in range(6, 15)), m=10**4, target="sigma_n2", seed=3,
+        ProcessSpec(chain, seed=3), p=2.5, r_list=(1.0, 2.5),
+        n_grid=tuple(2**k for k in range(6, 15)), m=10**4, target="sigma_n2",
     )
     res = run_experiment(plan)
     assert res.fits[1.0]["theoretical_w_exp"] == -0.25
@@ -334,9 +333,8 @@ def test_13_transfer_duality():
 
 def test_14_doubling_map_rate():
     start = time.monotonic()
-    spec = ProcessSpec(ExpandingMap("beta", beta=2.0, observable="identity"))
-    plan = ExperimentPlan(spec, p=3.0, r_list=(1.0,),
-                          n_grid=tuple(2**k for k in range(6, 14)), m=10**4, seed=11)
+    spec = ProcessSpec(ExpandingMap("beta", beta=2.0, observable="identity"), seed=11)
+    plan = ExperimentPlan(spec, p=3.0, r_list=(1.0,), n_grid=tuple(2**k for k in range(6, 14)), m=10**4)
     res = run_experiment(plan)
     fit = res.fits[1.0]
     assert fit["log_factor"] is True

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line layer: exit codes, artifact formats,
 manifests, and reproducibility."""
 
+import dataclasses
 import importlib.util
 import json
 import os
@@ -17,7 +18,17 @@ from cltlab.dependence import envelope_contraction_check
 from cltlab.experiments import calibration_floor
 from cltlab.io import IOError_, RunManifest, _fmt, config_digest, read_manifest, write_csv
 from cltlab import processes
-from cltlab.processes import IIDBaseline, InnovationLaw, ProcessSpec, long_run_variance, partial_sums_batch
+from cltlab.processes import (
+    DavydovChain,
+    ExpandingMap,
+    FunctionOfLinear,
+    IIDBaseline,
+    InnovationLaw,
+    LinearProcess,
+    ProcessSpec,
+    long_run_variance,
+    partial_sums_batch,
+)
 
 
 def write_cfg(tmp_path, name="cfg.json", **overrides):
@@ -241,8 +252,7 @@ def test_simulate_writes_cache_csv_and_manifest(tmp_path):
     out = str(tmp_path / "out")
     assert main(["simulate", "--config", cfg_path, "--out", out]) == 0
     sums = read_trajectories(out)
-    direct = partial_sums_batch(ProcessSpec(IIDBaseline(InnovationLaw("gaussian")), seed=5),
-                                [64, 128], 200, seed=5)
+    direct = partial_sums_batch(ProcessSpec(IIDBaseline(InnovationLaw("gaussian")), seed=5), [64, 128], 200)
     assert sorted(sums) == [64, 128]
     for n in (64, 128):
         # .17g text reads back to the same double, bit for bit
@@ -419,11 +429,41 @@ def test_every_registered_family_simulates(tmp_path, family):
     out = str(tmp_path / "out")
     assert main(["simulate", "--config", cfg_path, "--out", out]) == 0
     sums = read_trajectories(out)
-    direct = partial_sums_batch(build_process(load_config(cfg_path)), [4, 16], 100, seed=5)
+    direct = partial_sums_batch(build_process(load_config(cfg_path)), [4, 16], 100)
     for n in (4, 16):
         np.testing.assert_array_equal(sums[n], direct.values(n))
     lrv = long_run_variance(build_process(load_config(cfg_path)))
     assert np.isfinite(lrv["sigma2"]) and lrv["sigma2"] > 0
+
+
+GEOMETRIC_HALF = lambda j: 0.5**j if j >= 0 else 0.0
+# each family's required 'process' keys, and its dataclass given only the
+# required arguments
+REQUIRED_ONLY = {
+    "davydov": ({"p": 2.5, "eps": 0.1}, lambda: DavydovChain(2.5, 0.1)),
+    "linear": ({"coeffs": {"rule": "geometric", "ratio": 0.5}}, lambda: LinearProcess(GEOMETRIC_HALF)),
+    "function_of_linear": ({"coeffs": {"rule": "geometric", "ratio": 0.5}},
+                           lambda: FunctionOfLinear(LinearProcess(GEOMETRIC_HALF))),
+    "expanding_map": ({"kind": "beta"}, lambda: ExpandingMap("beta")),
+    "iid": ({}, IIDBaseline),
+}
+
+
+def _fields(family) -> dict:
+    """A family's fields by name; a linear process, whose coefficient rule is
+    a new closure per build, by its innovation, truncation and coefficients."""
+    if isinstance(family, LinearProcess):
+        return {"innovation": family.innovation, "truncation": family.truncation,
+                "coefficients": family.coefficients().tolist()}
+    return {field.name: _fields(value) if isinstance(value := getattr(family, field.name), LinearProcess) else value
+            for field in dataclasses.fields(family)}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_absent_optional_keys_take_the_dataclass_defaults(family):
+    section, direct = REQUIRED_ONLY[family]
+    built = build_process({"seed": 0, "process": {"family": family, **section}}).family
+    assert type(built) is type(direct()) and _fields(built) == _fields(direct())
 
 
 # ---------------------------------------------------------------------------

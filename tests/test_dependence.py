@@ -29,25 +29,24 @@ from cltlab.dependence import (
 from cltlab.metrics import envelope_norm_discrete
 from cltlab.processes import (
     DavydovChain,
-    FiniteKernel,
     InnovationLaw,
     IIDBaseline,
     LinearProcess,
     ProcessSpec,
 )
-from oracles import _solve_stationary, alpha1_bruteforce, phi1_bruteforce
+from oracles import _solve_stationary, alpha1_bruteforce, dense_kernel, phi1_bruteforce
 
 
 def random_kernel(rng, size):
     k = rng.random((size, size)) ** 2 + 0.02
     k /= k.sum(axis=1, keepdims=True)
     pi = _solve_stationary(k)
-    return FiniteKernel(np.arange(size, dtype=float), k, pi)
+    return dense_kernel(np.arange(size, dtype=float), k, pi)
 
 
 def product_kernel(pi):
     k = np.tile(pi, (pi.size, 1))
-    return FiniteKernel(np.arange(pi.size, dtype=float), k, pi)
+    return dense_kernel(np.arange(pi.size, dtype=float), k, pi)
 
 
 THREE_STATE = np.array([[0.5, 0.3, 0.2], [0.2, 0.6, 0.2], [0.3, 0.3, 0.4]])
@@ -55,7 +54,7 @@ THREE_STATE = np.array([[0.5, 0.3, 0.2], [0.2, 0.6, 0.2], [0.3, 0.3, 0.4]])
 
 def three_state_kernel():
     pi = _solve_stationary(THREE_STATE)
-    return FiniteKernel(np.array([0.0, 1.0, 2.0]), THREE_STATE, pi)
+    return dense_kernel(np.array([0.0, 1.0, 2.0]), THREE_STATE, pi)
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +74,7 @@ def test_alpha1_matches_bruteforce_small_chains():
 
 def test_alpha1_two_state_frozen():
     k = np.array([[0.9, 0.1], [0.2, 0.8]])
-    ker = FiniteKernel(np.array([0.0, 1.0]), k, _solve_stationary(k))
+    ker = dense_kernel(np.array([0.0, 1.0]), k, _solve_stationary(k))
     # [DERIVED] pi = (2/3, 1/3); D = diag(pi) K - pi pi^T has positive part
     # pi0 pi1 (K00 - K10) = (2/9) * 0.7
     assert abs(alpha1_exact(ker, 1)["value"] - (2.0 / 9.0) * 0.7) < 1e-14
@@ -484,7 +483,7 @@ def test_linear_cond2cob_matches_enumerated_conditional_moments():
     t, outer, p, seed = 2, 12, 3.0, 4
     lp = LinearProcess(lambda j: 0.6 ** abs(j) * (1.0 if j >= 0 else -0.5) if abs(j) <= t else 0.0,
                        InnovationLaw("rademacher"), truncation=t)
-    out = series_C1_C2(ProcessSpec(lp), p, 4, outer=outer, seed=seed, ids=("Cond2cob", "Cond2cobp3"))
+    out = series_C1_C2(ProcessSpec(lp, seed=seed), p, 4, outer=outer, ids=("Cond2cob", "Cond2cobp3"))
     a = lp.coefficients()
     pasts = InnovationLaw("rademacher").sample(rngmod.stream(seed, rngmod.ROLE_CALIBRATION, 0, 0), outer * t)
     signs = [np.array(s) for s in itertools.product((-1.0, 1.0), repeat=t)]

@@ -33,15 +33,15 @@ from cltlab.metrics import (
     gaussian_panel_integrals,
     wasserstein_vs_gaussian,
 )
-from cltlab.processes import IIDBaseline, InnovationLaw, ProcessSpec
+from cltlab.processes import FunctionOfLinear, IIDBaseline, InnovationLaw, LinearProcess, ProcessSpec
 
 SRC = pathlib.Path(cltlab.__file__).parent.parent
-IID_GAUSS = ProcessSpec(IIDBaseline(InnovationLaw("gaussian")))
+IID_GAUSS = ProcessSpec(IIDBaseline(InnovationLaw("gaussian")), seed=5)
 SMALL_GRID = (64, 128, 256, 512)
 
 
 def small_plan(**kw):
-    args = dict(process=IID_GAUSS, p=3.0, r_list=(1.0,), n_grid=SMALL_GRID, m=500, seed=5)
+    args = dict(process=IID_GAUSS, p=3.0, r_list=(1.0,), n_grid=SMALL_GRID, m=500)
     args.update(kw)
     return ExperimentPlan(**args)
 
@@ -127,6 +127,30 @@ def test_iid_run_sits_at_floor_and_replays():
     assert res2.fits == res.fits
 
 
+def test_the_spec_seed_is_the_run_seed(monkeypatch):
+    # sigma^2 of a function of a linear process is a batch-means estimate,
+    # so it moves with the seed: the run reports the one at the spec's seed,
+    # and simulates the sums partial_sums_batch gives for the spec
+    fam = FunctionOfLinear(LinearProcess(lambda j: 0.5**j if j >= 0 else 0.0, truncation=20), "abs_power",
+                           centering_draws=1000)
+    spec = ProcessSpec(fam, seed=5)
+    batches = []
+
+    def spy(*args, **kwargs):
+        batches.append(processes.partial_sums_batch(*args, **kwargs))
+        return batches[-1]
+
+    monkeypatch.setattr(experiments, "partial_sums_batch", spy)
+    res = run_experiment(ExperimentPlan(spec, p=2.5, r_list=(1.0,), n_grid=(4, 8), m=100, calibration=False))
+    assert res.sigma2 == fam.long_run_variance(5)["sigma2"] != fam.long_run_variance(0)["sigma2"]
+    direct = processes.partial_sums_batch(spec, (4, 8), 100)
+    at_zero = processes.partial_sums_batch(ProcessSpec(fam), (4, 8), 100)
+    assert len(batches) == 1
+    for n in (4, 8):
+        assert np.array_equal(batches[0].values(n), direct.values(n))
+        assert not np.array_equal(direct.values(n), at_zero.values(n))
+
+
 def test_log_factor_fit_reported():
     res = run_experiment(small_plan())
     assert "log_fit_unfiltered" in res.fits[1.0]  # (r, p) = (1, 3) case
@@ -141,8 +165,8 @@ def test_miscalibrated_variance_increases_distance():
 
 
 def test_pareto_run_detects_decay():
-    spec = ProcessSpec(IIDBaseline(InnovationLaw("symmetric_pareto", q=2.5)))
-    plan = ExperimentPlan(spec, p=2.5, r_list=(1.0,), n_grid=(64, 128, 256, 512, 1024), m=2000, seed=2)
+    spec = ProcessSpec(IIDBaseline(InnovationLaw("symmetric_pareto", q=2.5)), seed=2)
+    plan = ExperimentPlan(spec, p=2.5, r_list=(1.0,), n_grid=(64, 128, 256, 512, 1024), m=2000)
     res = run_experiment(plan)
     assert res.fits[1.0]["slope_unfiltered"] < -0.05
 
@@ -276,7 +300,7 @@ sys.exit(code or 10 * any(m == "scipy" or m.startswith("scipy.") for m in sys.mo
                 EmpiricalDistribution(rngmod.stream(2024, rngmod.ROLE_CALIBRATION, i, plan.m).standard_normal(plan.m)),
                 g, r).value
             for i in range(100)]).mean() for r in plan.r_list}
-        batch = processes.partial_sums_batch(plan.process, list(plan.n_grid), plan.m, seed=plan.seed)
+        batch = processes.partial_sums_batch(plan.process, list(plan.n_grid), plan.m)
         grids, means = [], {}
         build, floor = experiments.uniform_panel_grid, experiments.calibration_floor
 

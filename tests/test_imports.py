@@ -98,10 +98,6 @@ ALLOWLIST = {
     "metrics.gaussian_panel_integrals": (
         "exact panel integrals, the reference the bootstrap's panels are tested against",
         lambda out: ([0.1, 0.5], [0.5, 0.9], [0.0, 1.0], 1.0, 3)),
-    "processes.FiniteKernel": (
-        "the dense-matrix constructor, which verify reaches only through perturb_kernel (a run that exits 1) "
-        "and the tests build their reference kernels with",
-        lambda out: (np.arange(2), np.full((2, 2), 0.5), np.full(2, 0.5))),
     "dependence.alpha1_exact": (
         "exact alpha_1 of a finite chain, for conditions computed from the process",
         lambda out: (_kernel(), 1)),

@@ -36,7 +36,7 @@ from cltlab.processes import (
     sample_linear_process,
 )
 from cltlab.processes import _centering_constant, _map_branches, _strongly_connected
-from oracles import _solve_stationary, index_of, sample_chain
+from oracles import _solve_stationary, dense_kernel, dense_rows, index_of, sample_chain
 
 
 class TestInnovationLaw:
@@ -438,21 +438,21 @@ class TestLongRunVariance:
 class TestFiniteKernelValidation:
     def test_rejects_bad_rows(self):
         with pytest.raises(ProcessError):
-            FiniteKernel(np.array([0, 1]), np.array([[0.5, 0.4], [0.5, 0.5]]), np.array([0.5, 0.5]))
+            dense_kernel(np.array([0, 1]), np.array([[0.5, 0.4], [0.5, 0.5]]), np.array([0.5, 0.5]))
 
     def test_rejects_wrong_stationary(self):
         k = np.array([[0.5, 0.5], [0.5, 0.5]])
         with pytest.raises(ProcessError):
-            FiniteKernel(np.array([0, 1]), k, np.array([0.9, 0.1]))
+            dense_kernel(np.array([0, 1]), k, np.array([0.9, 0.1]))
 
     def test_rejects_reducible(self):
         k = np.eye(2)
         with pytest.raises(ProcessError):
-            FiniteKernel(np.array([0, 1]), k, np.array([0.5, 0.5]))
+            dense_kernel(np.array([0, 1]), k, np.array([0.5, 0.5]))
 
     def test_rejects_empty(self):
         with pytest.raises(ProcessError, match="at least one state"):
-            FiniteKernel(np.array([], dtype=int), np.zeros((0, 0)), np.array([]))
+            dense_kernel(np.array([], dtype=int), np.zeros((0, 0)), np.array([]))
 
 
 def _random_kernel_with_apply_input(size: int, dense: bool, seed: int):
@@ -469,7 +469,7 @@ def _random_kernel_with_apply_input(size: int, dense: bool, seed: int):
     k += 0.05 * (k > 0)  # no transition weight below about 0.05 / 5
     k /= k.sum(axis=1, keepdims=True)
     f = gen.normal(size=size) * 10.0 ** gen.uniform(-3.0, 3.0, size)
-    return FiniteKernel(np.arange(size), k, _solve_stationary(k)), f
+    return dense_kernel(np.arange(size), k, _solve_stationary(k)), f
 
 
 class TestFiniteKernelApply:
@@ -489,7 +489,7 @@ class TestFiniteKernelApply:
 
     def test_davydov_rows_have_two_entries(self):
         k, _ = renewal_kernel(davydov_schedule(2.5, 0.1, 400), "f1")
-        assert k._cols.shape == (2, k.size)
+        assert k.cols.shape == (2, k.size)
         f = np.random.default_rng(4).normal(size=k.size)
         assert np.max(np.abs(k.apply(f) - k.matrix @ f)) <= 1e-15 * np.max(np.abs(f))
 
@@ -504,9 +504,7 @@ def _scipy_strongly_connected(adj):
 def _strongly_connected_adj(adj):
     """_strongly_connected on the slot-major rows of a boolean adjacency
     matrix, padded with dead slots to the widest row."""
-    width = int(np.count_nonzero(adj, axis=1).max(initial=0))
-    cols = np.argsort(~adj, axis=1, kind="stable")[:, :width].T
-    return _strongly_connected(cols, np.take_along_axis(adj, cols.T, axis=1).T)
+    return _strongly_connected(*dense_rows(adj))
 
 
 class TestStronglyConnected:
@@ -534,12 +532,12 @@ class TestStronglyConnected:
 
     def test_davydov_kernel(self):
         kernel, _ = DavydovChain(2.5, 0.1, n_max=60).kernel
-        live = kernel._weights > 0
+        live = kernel.weights > 0
         adj = kernel.matrix > 0
-        assert _strongly_connected(kernel._cols, live) and _scipy_strongly_connected(adj)
-        live &= kernel._cols != index_of(kernel, 0)  # nothing returns to 0
+        assert _strongly_connected(kernel.cols, live) and _scipy_strongly_connected(adj)
+        live &= kernel.cols != index_of(kernel, 0)  # nothing returns to 0
         adj[:, index_of(kernel, 0)] = False
-        assert not _strongly_connected(kernel._cols, live) and not _scipy_strongly_connected(adj)
+        assert not _strongly_connected(kernel.cols, live) and not _scipy_strongly_connected(adj)
 
 
 def _random_rows(size: int, seed: int):
@@ -564,30 +562,31 @@ def _random_rows(size: int, seed: int):
 
 
 class TestKernelFromRows:
-    """FiniteKernel.from_rows against FiniteKernel(states, matrix, stationary)."""
+    """FiniteKernel(states, cols, weights, stationary) against the kernel the
+    dense reference oracles.dense_kernel builds from the same matrix."""
 
     @given(st.integers(1, 30), st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None)
     def test_equals_the_dense_kernel(self, size, seed):
         cols, weights, dense = _random_rows(size, seed)
         pi = _solve_stationary(dense)
-        rows = FiniteKernel.from_rows(np.arange(size), cols, weights, pi)
-        full = FiniteKernel(np.arange(size), dense, pi)
+        rows = FiniteKernel(np.arange(size), cols, weights, pi)
+        full = dense_kernel(np.arange(size), dense, pi)
         assert "matrix" not in vars(rows)
         f = np.random.default_rng(seed).normal(size=size) * 10.0 ** np.linspace(-3.0, 3.0, size)
-        for got, want in ((rows.apply(f), full.apply(f)), (rows.matrix, full.matrix),
+        for got, want in ((rows.apply(f), full.apply(f)), (rows.matrix, dense),
                           (rows.stationary, full.stationary)):
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     @staticmethod
     def _both_raise(cols, weights, pi):
-        """The message both constructors raise on the same kernel."""
+        """The message the rows and the dense reference raise on the same kernel."""
         dense = np.zeros((pi.size, pi.size))
         for slot in range(cols.shape[0]):
             dense[np.arange(pi.size), cols[slot]] += weights[slot]
         messages = []
-        for build in (lambda: FiniteKernel.from_rows(np.arange(pi.size), cols, weights, pi),
-                      lambda: FiniteKernel(np.arange(pi.size), dense, pi)):
+        for build in (lambda: FiniteKernel(np.arange(pi.size), cols, weights, pi),
+                      lambda: dense_kernel(np.arange(pi.size), dense, pi)):
             with pytest.raises(ProcessError) as err:
                 build()
             messages.append(str(err.value))
@@ -853,7 +852,7 @@ class TestBatchKernelsMatchReference:
         for chunk, block in settings:
             monkeypatch.setattr(processes, "REPLICATE_CHUNK", chunk)
             monkeypatch.setattr(processes, "STEP_BLOCK", block)
-            batch = partial_sums_batch(ProcessSpec(fam), n_grid, self.M, seed=self.SEED)
+            batch = partial_sums_batch(ProcessSpec(fam, seed=self.SEED), n_grid, self.M)
             for col, n in enumerate(n_grid):
                 assert np.array_equal(_bits(batch.values(n)), _bits(expect[:, col])), (case, chunk, block, n)
 
@@ -938,7 +937,7 @@ class TestParallelParts:
             monkeypatch.setattr(processes, "REPLICATE_CHUNK", chunk)
             for cpus in (1, 2, 3):
                 _use_cpus(monkeypatch, cpus)
-                batch = partial_sums_batch(ProcessSpec(fam), n_grid, self.M, seed=self.SEED)
+                batch = partial_sums_batch(ProcessSpec(fam, seed=self.SEED), n_grid, self.M)
                 for col, n in enumerate(n_grid):
                     assert np.array_equal(_bits(batch.values(n)), _bits(expect[:, col])), (case, chunk, cpus, n)
         assert multiprocessing.active_children() == []
@@ -952,7 +951,7 @@ class TestParallelParts:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         _use_cpus(monkeypatch, cpus)
-        batch = partial_sums_batch(ProcessSpec(IIDBaseline()), (4, 8), m, seed=2)
+        batch = partial_sums_batch(ProcessSpec(IIDBaseline(), seed=2), (4, 8), m)
         assert batch.values(8).shape == (m,)
 
     def test_worker_error_reraised_in_the_parent(self, monkeypatch):
@@ -961,11 +960,11 @@ class TestParallelParts:
         monkeypatch.setattr(processes, "REPLICATE_CHUNK", 100)
         _use_cpus(monkeypatch, 2)
         with pytest.raises(ProcessError) as info:
-            partial_sums_batch(ProcessSpec(_FailingFamily(bad=200)), (4, 8), 400, seed=1)
+            partial_sums_batch(ProcessSpec(_FailingFamily(bad=200), seed=1), (4, 8), 400)
         assert type(info.value) is ProcessError
         assert str(info.value) == "part from replicate 200 failed"
         assert multiprocessing.active_children() == []
-        batch = partial_sums_batch(ProcessSpec(_FailingFamily(bad=400)), (4, 8), 400, seed=1)
+        batch = partial_sums_batch(ProcessSpec(_FailingFamily(bad=400), seed=1), (4, 8), 400)
         assert not batch.values(8).any()
         assert multiprocessing.active_children() == []
 
@@ -1002,7 +1001,7 @@ class TestLinearWindowSums:
 
     def test_matches_path_cumsum(self):
         grid = (8, 100, 1000, 4096)
-        batch = partial_sums_batch(ProcessSpec(self.TWO_SIDED), grid, 200, seed=4)
+        batch = partial_sums_batch(ProcessSpec(self.TWO_SIDED, seed=4), grid, 200)
         expect = _reference_linear_path_sums(self.TWO_SIDED, grid, 4, range(200))
         for col, n in enumerate(grid):
             assert np.max(np.abs(batch.values(n) - expect[:, col])) <= 1e-13
@@ -1016,7 +1015,7 @@ class TestLinearWindowSums:
         # value * sqrt(n) is the computed S_n exactly.
         grid, reps = (16, 64, 256, 1024, 4096), 16
         fam = self.TWO_SIDED
-        batch = partial_sums_batch(ProcessSpec(fam), grid, 100, seed=9)
+        batch = partial_sums_batch(ProcessSpec(fam, seed=9), grid, 100)
         draws = [fam.innovation.sample(rngmod.stream(9, rngmod.ROLE_INNOVATION, rep, 0), grid[-1] + 80)
                  for rep in range(reps)]
         for n in grid:
@@ -1073,7 +1072,7 @@ class TestDavydovStepTables:
         # it steps to slot 0's target, else to slot 1's
         chain = DavydovChain(p, eps, functional, n_max)
         kernel, _ = chain.kernel
-        got = np.cumsum(kernel.stationary), kernel._weights[0], kernel._cols.T.ravel()
+        got = np.cumsum(kernel.stationary), kernel.weights[0], kernel.cols.T.ravel()
         want = self._from_dense_kernel(chain)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and np.array_equal(g.view(np.int64), w.view(np.int64))
@@ -1102,7 +1101,7 @@ class TestDavydovStepTables:
         build = processes.renewal_kernel
         monkeypatch.setattr(processes, "renewal_kernel", lambda a, kind: calls.append(kind) or build(a, kind))
         chain = DavydovChain(2.6, 0.2, "f2", 90)
-        partial_sums_batch(ProcessSpec(chain), (8, 64), 100, seed=1)
+        partial_sums_batch(ProcessSpec(chain, seed=1), (8, 64), 100)
         chain.long_run_variance(0)
         assert chain.kernel is chain.kernel and calls == ["f2"]
         # an equal chain is another object, with a kernel of its own
@@ -1111,7 +1110,7 @@ class TestDavydovStepTables:
     def test_batch_builds_no_dense_kernel(self, monkeypatch):
         reads = []
         monkeypatch.setattr(FiniteKernel, "matrix", property(lambda self: reads.append(self)))
-        partial_sums_batch(ProcessSpec(DavydovChain(2.6, 0.2, "f2", 90)), (8, 64), 100, seed=1)
+        partial_sums_batch(ProcessSpec(DavydovChain(2.6, 0.2, "f2", 90), seed=1), (8, 64), 100)
         assert reads == []
 
 
@@ -1123,10 +1122,10 @@ class TestStepBufferMemory:
     )
     def test_traced_peak(self, fam):
         spec = ProcessSpec(fam)
-        partial_sums_batch(spec, (4, 8), 100, seed=0)  # build the cached tables outside the trace
+        partial_sums_batch(spec, (4, 8), 100)  # build the cached tables outside the trace
         tracemalloc.start()
         try:
-            partial_sums_batch(spec, (512, 2048), 2048, seed=0)
+            partial_sums_batch(spec, (512, 2048), 2048)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
