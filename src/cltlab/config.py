@@ -107,9 +107,10 @@ def _positive(v) -> bool:
 def load_config(path: str) -> dict:
     """Parse and validate a JSON run configuration.
 
-    Every key is checked against the schema; unknown or missing keys are hard
-    errors so a config never silently falls back to defaults it did not name.
-    The process is built once here, so every process value is checked too.
+    Every key is checked against the schema; an unknown key or a missing
+    required key is a hard error, and an absent optional key takes its one
+    default. The process is built once here, so every process value is
+    checked too.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:

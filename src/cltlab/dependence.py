@@ -449,10 +449,10 @@ def series_C1_C2(spec: ProcessSpec, p: float, n_terms: int, outer: int = 1000, i
     """The reports of ids among C1, C2, Cond2cob and Cond2cobp3, all read
     from one pass over the family's laws of E(S_n^2 | F_0)/n (its
     second_moment_laws; chains are exact, linear processes use outer Monte
-    Carlo pasts drawn at spec.seed). C1 is the envelope norm of the law minus sigma^2 weighted
-    by n^{-(2-p/2)}, C2 its L^{p/2} norm weighted by n^{-2/p}; Cond2cob and
-    Cond2cobp3 are the L^{p/2} and L^{3/2} norms of the law minus its mean
-    E(S_n^2)/n, weighted by n^{-(2-p/2)} and n^{-1/2}.
+    Carlo pasts drawn at spec.seed). C1 is the envelope norm of the law
+    minus sigma^2 weighted by n^{-(2-p/2)}, C2 its L^{p/2} norm weighted by
+    n^{-2/p}; Cond2cob and Cond2cobp3 are the L^{p/2} and L^{3/2} norms of
+    the law minus its mean E(S_n^2)/n, weighted by n^{-(2-p/2)} and n^{-1/2}.
 
     Each n's law minus sigma^2 is written into one reused block of rows, and
     C1's envelope norms go one envelope_norm_discrete call per block of at
