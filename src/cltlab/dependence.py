@@ -16,7 +16,7 @@ import numpy as np
 from . import rng as rngmod
 from .metrics import distinct, envelope_norm_discrete
 from .normal import upper_gamma
-from .processes import DavydovChain, FiniteKernel, LinearProcess, ProcessSpec, window_sums
+from .processes import FiniteKernel, ProcessSpec, lp_norm_discrete, window_sums
 
 EXACT_ENUM_CAP = 22  # state count up to which the event sup is enumerated
 PHI_BLOCK_ENTRIES = 2**18  # states x threshold combinations per _phi_i_exact block
@@ -225,7 +225,7 @@ def covariance_product_bound(
             raise DependenceError("Holder exponents must satisfy sum 1/p_i = 1")
         h = 2.0**k
         for law, phi, p in zip(laws, phis, p_list):
-            h *= phi ** (1.0 / p) * _lp_norm_discrete(law.points, law.probs, p)
+            h *= phi ** (1.0 / p) * lp_norm_discrete(law.points, law.probs, p)
         out["holder_form"] = float(h)
     return out
 
@@ -440,11 +440,6 @@ def _report(cid, n_values, terms, extra=None) -> ConditionReport:
     return ConditionReport(cid, tuple(n_values), tuple(terms), ps, verdict, diag)
 
 
-def _lp_norm_discrete(values: np.ndarray, probs: np.ndarray, p: float) -> float:
-    """A numpy reduction, not a BLAS dot, so the same under any thread count."""
-    return float(np.sum(probs * np.abs(values) ** p) ** (1.0 / p))
-
-
 def series_C1_C2(spec: ProcessSpec, p: float, n_terms: int, outer: int = 1000, ids=("C1", "C2")) -> dict:
     """The reports of ids among C1, C2, Cond2cob and Cond2cobp3, all read
     from one pass over the family's laws of E(S_n^2 | F_0)/n (its
@@ -469,11 +464,11 @@ def series_C1_C2(spec: ProcessSpec, p: float, n_terms: int, outer: int = 1000, i
         row = block[(n - 1) % rows]
         np.subtract(law, sigma2, out=row)
         if "C2" in terms:
-            terms["C2"].append(n ** (-2.0 / p) * _lp_norm_discrete(row, probs, p / 2.0))
+            terms["C2"].append(n ** (-2.0 / p) * lp_norm_discrete(row, probs, p / 2.0))
         if "Cond2cob" in terms:
-            terms["Cond2cob"].append(n ** (-2.0 + p / 2.0) * _lp_norm_discrete(law - mean, probs, p / 2.0))
+            terms["Cond2cob"].append(n ** (-2.0 + p / 2.0) * lp_norm_discrete(law - mean, probs, p / 2.0))
         if "Cond2cobp3" in terms:
-            terms["Cond2cobp3"].append(n**-0.5 * _lp_norm_discrete(law - mean, probs, 1.5))
+            terms["Cond2cobp3"].append(n**-0.5 * lp_norm_discrete(law - mean, probs, 1.5))
         if "C1" in terms and (n % rows == 0 or n == n_terms):
             first = n - (n - 1) % rows
             for m, norm in zip(range(first, n + 1), envelope_norm_discrete(block[: n + 1 - first], probs, p)):
@@ -483,76 +478,16 @@ def series_C1_C2(spec: ProcessSpec, p: float, n_terms: int, outer: int = 1000, i
 
 
 def series_projective(spec: ProcessSpec, which: str, p: float, n_terms: int, mc: int = 10**5) -> ConditionReport:
-    """Term sequences of the projective conditions Cond1cob and
-    Condcobp3adap: convergence of the adapted/anticipative series of
-    E(X_k | F_0) in L^p; a linear process's expectations are over mc Monte
-    Carlo pasts drawn at spec.seed. (Cond2cob and Cond2cobp3 read
-    conditional second moments and come from series_C1_C2.)"""
-    fam = spec.family
-    ns = list(range(1, n_terms + 1))
+    """The report of Cond1cob or Condcobp3adap, series of E(X_k | F_0) in L^p, from the family's
+    projective_terms: exact for a Markov family, over mc Monte Carlo pasts drawn at spec.seed for a
+    linear process. (Cond2cob and Cond2cobp3 come from series_C1_C2.)"""
     if which not in ("Cond1cob", "Condcobp3adap"):
         raise DependenceError(f"unknown condition id: {which}")
-    if isinstance(fam, LinearProcess):
-        return _series_projective_linear(fam, which, p, ns, mc, spec.seed)
-    if not isinstance(fam, DavydovChain):
-        raise UnsupportedFamilyError("spec does not describe a finite chain")
-    kernel, f = fam.kernel
-    pi = kernel.stationary
-    fc = f - float(np.sum(pi * f))
-    if which == "Cond1cob":
-        terms = []
-        v = fc
-        for n in ns:
-            v = kernel.apply(v)
-            terms.append(_lp_norm_discrete(v, pi, p))
-        # anticipative half vanishes for adapted chain observables
-        return _report("Cond1cob", ns, terms, {"anticipative_terms": 0.0})
-    # Condcobp3adap: g_n(s) = sum_{k >= n} E(X_k | Y_0 = s), geometric tail summed out
-    v = kernel.apply(fc)
-    g = np.zeros(kernel.size)
-    for k in range(1, 10**5):
-        g += v
-        v = kernel.apply(v)
-        if np.max(np.abs(v)) < 1e-15 and k > n_terms:
-            break
-    terms = []
-    v = kernel.apply(fc)
-    for n in ns:
-        terms.append((1.0 / n) * _lp_norm_discrete(g, pi, 3.0))
-        g = g - v
-        v = kernel.apply(v)
-    return _report("Condcobp3adap", ns, terms, {"anticipative_terms": 0.0})
-
-
-def _series_projective_linear(fam: LinearProcess, which: str, p: float, ns, mc: int, seed: int) -> ConditionReport:
-    a = fam.coefficients()
-    t = fam.truncation
-    gen = rngmod.stream(seed, rngmod.ROLE_CALIBRATION, 1, 0)
-    eps = fam.innovation.sample(gen, mc * (t + 1)).reshape(mc, t + 1)
-
-    def lp_of_coeffs(w, q):
-        if np.allclose(w, 0.0):
-            return 0.0
-        vals = eps[:, : w.size] @ w
-        return float(np.mean(np.abs(vals) ** q) ** (1.0 / q))
-
-    if which == "Cond1cob":
-        terms, anti = [], []
-        for n in ns:
-            w_ad = np.array([a[j + t] if abs(j) <= t else 0.0 for j in range(n, n + t + 1)])
-            terms.append(lp_of_coeffs(w_ad, p))
-            w_an = np.array([a[-j + t] if abs(j) <= t else 0.0 for j in range(n + 1, n + t + 2)])
-            anti.append(lp_of_coeffs(w_an, p))
-        both = [x + y for x, y in zip(terms, anti)]
-        return _report("Cond1cob", ns, both, {"adapted": terms, "anticipative": anti})
-    # Condcobp3adap
-    tail = np.concatenate((np.cumsum(a[::-1])[::-1], [0.0]))  # T_i over i = -t..t+1
-    terms = []
-    for n in ns:
-        # coefficient of eps_m (m <= 0) is T_{n-m} = sum_{j >= n-m} a_j
-        w = np.array([tail[min(n + m_ + t, 2 * t + 1)] for m_ in range(0, t + 1)])
-        terms.append((1.0 / n) * lp_of_coeffs(w, 3.0))
-    return _report("Condcobp3adap", ns, terms)
+    fam = spec.family
+    if not hasattr(fam, "projective_terms"):
+        raise UnsupportedFamilyError(f"no projective series for a {type(fam).__name__}")
+    terms, extra = fam.projective_terms(which, p, n_terms, mc, spec.seed)
+    return _report(which, range(1, n_terms + 1), terms, extra)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ import os
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from itertools import islice
 from typing import Callable, Optional, Protocol, Union
 
 import numpy as np
@@ -125,16 +126,6 @@ class FiniteKernel:
         so the result is the same under any BLAS."""
         return (self.weights * np.asarray(f, dtype=float)[self.cols]).sum(axis=0)
 
-    def second_moments(self, f: np.ndarray, n: int):
-        """E(S_m^2 | Y_0 = s) for m = 1..n, S_m = sum_{i<=m} f(Y_i), exact by the
-        first-step recursion T_{m+1} = K(f^2 + 2 f h_m + T_m), h_{m+1} = K(f + h_m)."""
-        t = h = np.zeros(self.size)  # both are rebound, never written
-        f2 = f * f
-        for _ in range(n):
-            t = self.apply(f2 + 2.0 * f * h + t)
-            h = self.apply(f + h)
-            yield t
-
 
 def _strongly_connected(cols: np.ndarray, live: np.ndarray) -> bool:
     """Whether the digraph with an edge from i to cols[slot, i] wherever
@@ -239,6 +230,82 @@ def renewal_kernel(a: np.ndarray, functional: str) -> tuple[FiniteKernel, np.nda
 
 
 # ---------------------------------------------------------------------------
+# Markov operators
+
+
+def lp_norm_discrete(values: np.ndarray, probs: np.ndarray, p: float) -> float:
+    """A numpy reduction, not a BLAS dot, so the same under any thread count."""
+    return float(np.sum(probs * np.abs(values) ** p) ** (1.0 / p))
+
+
+def second_moments(apply, f: np.ndarray, n: int):
+    """E(S_m^2 | Y_0 = s) for m = 1..n, S_m = sum_{i<=m} f(Y_i), exact by the first-step
+    recursion T_{m+1} = K(f^2 + 2 f h_m + T_m), h_{m+1} = K(f + h_m) over apply(h) = Kh."""
+    t = h = np.zeros(f.size)  # both are rebound, never written
+    f2 = f * f
+    for _ in range(n):
+        t = apply(f2 + 2.0 * f * h + t)
+        h = apply(f + h)
+        yield t
+
+
+@dataclass(frozen=True)
+class MarkovOperator:
+    """A Markov family's apply(h)(s) = E(h(Y_1) | Y_0 = s) on its states, with
+    their stationary weights, the centered observable fc and the family's
+    inner product; each exact series of the family is a method here."""
+
+    weights: np.ndarray
+    fc: np.ndarray
+    apply: Callable[[np.ndarray], np.ndarray]
+    inner: Callable[[np.ndarray, np.ndarray], float]
+
+    def powers(self):
+        """K fc, K^2 fc, ... without end."""
+        v = self.fc
+        while True:
+            v = self.apply(v)
+            yield v
+
+    def covariance_series(self, lag_cap: int, tol: float, min_lags: int = 0) -> dict:
+        """Long-run variance record: sigma2 = c_0 + 2 sum_k c_k and sigma_n2(n) =
+        c_0 + 2 sum_k (1 - k/n)_+ c_k, c_k = inner(fc, K^k fc), stopped at the first
+        |c_k| below tol * c_0 once there are more than min_lags terms, or after lag_cap lags."""
+        covs = [self.inner(self.fc, self.fc)]
+        for v in islice(self.powers(), lag_cap):
+            covs.append(self.inner(self.fc, v))
+            if abs(covs[-1]) < tol * max(covs[0], 1e-300) and len(covs) > min_lags:
+                break
+        covs = np.array(covs)
+        kk = np.arange(1, covs.size)
+        return {"sigma2": float(covs[0] + 2.0 * covs[1:].sum()),
+                "sigma_n2": lambda n: float(covs[0] + 2.0 * np.sum(np.maximum(1.0 - kk / n, 0.0) * covs[1:])),
+                "method": "kernel-power"}
+
+    def second_moment_laws(self, n_terms: int) -> tuple:
+        """Exact over the states under the weights; see Family."""
+        w, moments = self.weights, second_moments(self.apply, self.fc, n_terms)
+        return w, ((t / n, float(np.sum(w * t)) / n) for n, t in enumerate(moments, 1))
+
+    def projective_terms(self, which: str, p: float, n_terms: int) -> tuple:
+        """Cond1cob's ||K^n fc||_p or Condcobp3adap's ||g_n||_3 / n, g_n = sum_{k >= n} K^k fc
+        (its geometric tail summed out); the anticipative half vanishes for an adapted fc."""
+        extra = {"anticipative_terms": 0.0}
+        if which == "Cond1cob":
+            return [lp_norm_discrete(v, self.weights, p) for v in islice(self.powers(), n_terms)], extra
+        g = np.zeros(self.fc.size)
+        for k, v in enumerate(islice(self.powers(), 10**5 - 1), 1):
+            if k > n_terms + 1 and np.max(np.abs(v)) < 1e-15:
+                break
+            g += v
+        terms = []
+        for n, v in zip(range(1, n_terms + 1), self.powers()):
+            terms.append((1.0 / n) * lp_norm_discrete(g, self.weights, 3.0))
+            g = g - v
+        return terms, extra
+
+
+# ---------------------------------------------------------------------------
 # process specifications
 
 
@@ -260,23 +327,25 @@ class DavydovChain:
         """The checked kernel and functional, built once per chain object."""
         return renewal_kernel(davydov_schedule(self.p, self.eps, self.n_max), self.functional)
 
+    @cached_property
+    def operator(self) -> MarkovOperator:
+        """The kernel's apply under pi; numpy reductions, not BLAS dots, so
+        every series is the same under any thread count."""
+        kernel, f = self.kernel
+        pi = kernel.stationary
+        return MarkovOperator(pi, f - float(np.sum(pi * f)), kernel.apply, lambda u, v: float(np.sum(pi * (u * v))))
+
     def batch_sums(self, seed: int):
         return partial(_davydov_sums, *self.kernel)
 
     def long_run_variance(self, seed: int) -> dict:
-        kernel, f = self.kernel
-        pi = kernel.stationary
-        # numpy reductions, not BLAS dots, so the series is the same under any thread count
-        return _covariance_series(f - float(np.sum(pi * f)), kernel.apply, lambda u, v: float(np.sum(pi * (u * v))),
-                                  lag_cap=4096, tol=1e-14, min_lags=8)
+        return self.operator.covariance_series(lag_cap=4096, tol=1e-14, min_lags=8)
 
     def second_moment_laws(self, n_terms: int, outer: int, seed: int) -> tuple:
-        """Exact over the states under pi: E(S_n^2 | Y_0)/n of the centered
-        functional and its mean E(S_n^2)/n; see Family."""
-        kernel, f = self.kernel
-        pi = kernel.stationary
-        moments = kernel.second_moments(f - float(np.sum(pi * f)), n_terms)
-        return pi, ((t / n, float(np.sum(pi * t)) / n) for n, t in enumerate(moments, 1))
+        return self.operator.second_moment_laws(n_terms)
+
+    def projective_terms(self, which: str, p: float, n_terms: int, mc: int, seed: int) -> tuple:
+        return self.operator.projective_terms(which, p, n_terms)
 
 
 @dataclass(frozen=True)
@@ -333,6 +402,26 @@ class LinearProcess:
                 yield ((past @ c[:t]) ** 2 + future_var) / n, var_eps * float((c**2).sum()) / n
 
         return np.full(outer, 1.0 / outer), laws()
+
+    def projective_terms(self, which: str, p: float, n_terms: int, mc: int, seed: int) -> tuple:
+        """Over mc Monte Carlo pasts eps_{-t}..eps_0 with E(X_k | F_0) in closed form;
+        Cond1cob adds the anticipative half. See Family."""
+        a, t = self._a, self.truncation
+        gen = rngmod.stream(seed, rngmod.ROLE_CALIBRATION, 1, 0)
+        eps = self.innovation.sample(gen, mc * (t + 1)).reshape(mc, t + 1)
+
+        def lp_of_coeffs(w, q):
+            return 0.0 if np.allclose(w, 0.0) else float(np.mean(np.abs(eps[:, : w.size] @ w) ** q) ** (1.0 / q))
+
+        ns = range(1, n_terms + 1)
+        if which == "Cond1cob":
+            # the adapted window a_n..a_{n+t} and the anticipative a_{-n-1}..a_{-n-t-1}, zero beyond |j| = t
+            ad = [lp_of_coeffs(np.array([a[j + t] if j <= t else 0.0 for j in range(n, n + t + 1)]), p) for n in ns]
+            an = [lp_of_coeffs(np.array([a[t - j] if j <= t else 0.0 for j in range(n + 1, n + t + 2)]), p) for n in ns]
+            return [x + y for x, y in zip(ad, an)], {"adapted": ad, "anticipative": an}
+        tail = np.concatenate((np.cumsum(a[::-1])[::-1], [0.0]))  # T_i over i = -t..t+1
+        # the coefficient of eps_m (m <= 0) in sum_{k >= n} E(X_k | F_0) is T_{n-m} = sum_{j >= n-m} a_j
+        return [(1.0 / n) * lp_of_coeffs(tail[np.minimum(np.arange(n, n + t + 1) + t, 2 * t + 1)], 3.0) for n in ns], {}
 
     def window(self, n: int) -> np.ndarray:
         """c_j(n) = sum_{k=1..n} a_{k-j} for j = 1-t..n+t, the weight of
@@ -425,18 +514,21 @@ class ExpandingMap:
         """The invariant density, computed once per map object."""
         return invariant_density(self)
 
+    @cached_property
+    def operator(self) -> MarkovOperator:
+        """The dual kernel (Kh)(x) = E[h(prev) | x] on the density grid, weighted
+        by the density times each node's trapezoid weight."""
+        density, f = self.density, self.f()
+        x, w = density.x, density.values
+        node = np.convolve(np.diff(x), [1.0, 1.0]) * w
+        return MarkovOperator(node / node.sum(), f(x) - density.mean_of(f),
+                              partial(_dual_kernel_apply, self, x, density), lambda u, v: float(np.trapezoid(u * v * w, x)))
+
     def batch_sums(self, seed: int):
         return partial(_expanding_sums, self, self.density)
 
     def long_run_variance(self, seed: int) -> dict:
-        density = self.density
-        f = self.f()
-        x, w = density.x, density.values
-        # dual-kernel power iteration on the grid: (Kh)(x) = E[h(prev) | x]
-        return _covariance_series(
-            f(x) - density.mean_of(f), lambda h: _dual_kernel_apply(self, x, h, density),
-            lambda u, v: float(np.trapezoid(u * v * w, x)), lag_cap=200, tol=1e-13,
-        )
+        return self.operator.covariance_series(lag_cap=200, tol=1e-13)
 
 
 @dataclass(frozen=True)
@@ -462,10 +554,13 @@ class Family(Protocol):
     """batch_sums(seed): the kernel (n_grid, seed, replicates) -> normalized
     sums, one row per replicate, with its per-batch tables built.
     long_run_variance(seed): sigma2, sigma_n2(n), method, and a stderr when
-    the value is estimated. A family that conditions reads for C1, C2,
-    Cond2cob and Cond2cobp3 also has second_moment_laws(n_terms, outer,
-    seed) -> (weights, laws): laws yields, for n = 1..n_terms, the values of
-    E(S_n^2 | F_0)/n with those weights and their mean E(S_n^2)/n."""
+    the value is estimated. Optional:
+    - operator, the MarkovOperator every exact series reads (DavydovChain, ExpandingMap);
+    - second_moment_laws(n_terms, outer, seed) -> (weights, laws), for C1, C2, Cond2cob
+      and Cond2cobp3: laws yields, for n = 1..n_terms, the values of E(S_n^2 | F_0)/n
+      and their mean E(S_n^2)/n (DavydovChain, LinearProcess, IIDBaseline);
+    - projective_terms(which, p, n_terms, mc, seed) -> (terms, diagnostics), Cond1cob's or
+      Condcobp3adap's norms of E(X_k | F_0) (DavydovChain, LinearProcess)."""
 
     def batch_sums(self, seed: int) -> Callable[[tuple, int, range], np.ndarray]: ...
 
@@ -732,7 +827,6 @@ class TrajectoryBatch:
     replicate chunking, thread count or CPU count."""
 
     n_grid: tuple
-    m: int
     sums: dict  # n -> array of M values
 
     def __post_init__(self):
@@ -928,36 +1022,11 @@ def partial_sums_batch(
     ranges = even_ranges(m, -(-chunks // workers) * workers)
     table = np.concatenate(run_parts(chunk_sums, [(n_grid, seed, r) for r in ranges]))
     sums = {n: table[:, col] for col, n in enumerate(n_grid)}
-    return TrajectoryBatch(n_grid, m, sums)
+    return TrajectoryBatch(n_grid, sums)
 
 
 # ---------------------------------------------------------------------------
 # long-run variances
-
-
-def _covariance_series(fc: np.ndarray, apply, inner, lag_cap: int, tol: float, min_lags: int = 0) -> dict:
-    """Kernel-power long-run variance record: sigma2 = c_0 + 2 sum_k c_k and
-    sigma_n2(n) = c_0 + 2 sum_k (1 - k/n)_+ c_k, from the lag covariances
-    c_k = inner(fc, apply^k fc) of the centered observable fc. The sum stops
-    at the first |c_k| below tol * c_0 once there are more than min_lags
-    terms, or after lag_cap lags."""
-    var0 = inner(fc, fc)
-    covs = [var0]
-    v = fc
-    for _ in range(lag_cap):
-        v = apply(v)
-        c = inner(fc, v)
-        covs.append(c)
-        if abs(c) < tol * max(var0, 1e-300) and len(covs) > min_lags:
-            break
-    covs = np.array(covs)
-    sigma2 = float(covs[0] + 2.0 * covs[1:].sum())
-
-    def sigma_n2(n: int) -> float:
-        kk = np.arange(1, covs.size)
-        return float(covs[0] + 2.0 * np.sum(np.maximum(1.0 - kk / n, 0.0) * covs[1:]))
-
-    return {"sigma2": sigma2, "sigma_n2": sigma_n2, "method": "kernel-power"}
 
 
 def long_run_variance(spec: ProcessSpec) -> dict:
@@ -966,22 +1035,17 @@ def long_run_variance(spec: ProcessSpec) -> dict:
     return spec.family.long_run_variance(spec.seed)
 
 
-def _dual_kernel_apply(spec: ExpandingMap, x: np.ndarray, h: np.ndarray, density: DensityGrid) -> np.ndarray:
+def _dual_kernel_apply(spec: ExpandingMap, x: np.ndarray, density: DensityGrid, h: np.ndarray) -> np.ndarray:
     """(Kh)(x) = sum over preimages y of x of w(y) h(y), the conditional
     expectation of the reversed chain (equals the transfer operator acting
     on h f_mu, divided by f_mu)."""
-    if spec.kind == "gauss":
-        out = np.zeros_like(x)
-        wsum = np.zeros_like(x)
-        for m_idx in range(1, 400):
-            y = 1.0 / (x + m_idx)
-            w = (1.0 + x) * (1.0 / (x + m_idx) - 1.0 / (x + m_idx + 1.0))
-            out += w * np.interp(y, x, h)
-            wsum += w
-        return out / wsum
+    if spec.kind == "gauss":  # the first 399 branches; their weights sum to 1 - (1 + x)/(x + 400)
+        pairs = ((1.0 / (x + m), (1.0 + x) * (1.0 / (x + m) - 1.0 / (x + m + 1.0))) for m in range(1, 400))
+    else:
+        pairs = _branch_weights(spec, x, density.at)
     out = np.zeros_like(x)
     wsum = np.zeros_like(x)
-    for y, w in _branch_weights(spec, x, density.at):
+    for y, w in pairs:
         out += w * np.interp(y, x, h)
         wsum += w
     return out / np.maximum(wsum, 1e-300)

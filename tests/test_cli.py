@@ -14,7 +14,13 @@ import pytest
 import cltlab
 from cltlab.cli import _verify_chain, main
 from cltlab.config import FAMILIES, build_process, load_config
-from cltlab.dependence import envelope_contraction_check
+from cltlab.dependence import (
+    ConditionReport,
+    UnsupportedFamilyError,
+    envelope_contraction_check,
+    series_C1_C2,
+    series_projective,
+)
 from cltlab.experiments import calibration_floor
 from cltlab.io import IOError_, RunManifest, _fmt, config_digest, read_manifest, write_csv
 from cltlab import processes
@@ -436,6 +442,30 @@ def test_every_registered_family_simulates(tmp_path, family):
     assert np.isfinite(lrv["sigma2"]) and lrv["sigma2"] > 0
 
 
+# the families that have each condition method; every other family raises
+# UnsupportedFamilyError naming its class
+CONDITION_FAMILIES = {"second_moment_laws": {"davydov", "linear", "iid"}, "projective_terms": {"davydov", "linear"}}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_every_registered_family_has_each_condition_series_or_says_why_not(tmp_path, family):
+    cfg_path, _ = write_cfg(tmp_path, process={"family": family, **FAMILY_SECTIONS[family]})
+    spec = build_process(load_config(cfg_path))
+    projective = lambda cid: {cid: series_projective(spec, cid, 2.5, 8, mc=200)}
+    calls = [("second_moment_laws", ("C1", "C2"), lambda: series_C1_C2(spec, 2.5, 8, outer=50)),
+             ("projective_terms", ("Cond1cob",), lambda: projective("Cond1cob")),
+             ("projective_terms", ("Condcobp3adap",), lambda: projective("Condcobp3adap"))]
+    for method, ids, call in calls:
+        if family in CONDITION_FAMILIES[method]:
+            reports = call()
+            assert list(reports) == list(ids)
+            for cid, rep in reports.items():
+                assert isinstance(rep, ConditionReport) and rep.condition_id == cid and len(rep.terms) == 8
+        else:
+            with pytest.raises(UnsupportedFamilyError, match=type(spec.family).__name__):
+                call()
+
+
 GEOMETRIC_HALF = lambda j: 0.5**j if j >= 0 else 0.0
 # each family's required 'process' keys, and its dataclass given only the
 # required arguments
@@ -590,12 +620,19 @@ DAVYDOV_CONDITIONS = {
 }
 
 
-def _conditions_subprocess(tmp_path, name: str, blas_threads: str) -> bytes:
-    """conditions.csv of a fresh interpreter running all eight ids on the
-    n_max = 400 Davydov chain; the exit code also fails when the run loaded
-    scipy.integrate."""
-    cfg_path = tmp_path / "davydov.json"
-    cfg_path.write_text(json.dumps(DAVYDOV_CONDITIONS))
+LINEAR_CONDITIONS = {
+    "seed": 3,
+    "process": {"family": "linear", "coeffs": {"rule": "geometric", "ratio": 0.7}, "truncation": 64},
+    "conditions": {"ids": ["C1", "C2", "Cond1cob", "Cond2cob", "Condcobp3adap"], "n_terms": 64},
+}
+
+
+def _conditions_subprocess(tmp_path, name: str, blas_threads: str, cfg: dict = DAVYDOV_CONDITIONS) -> bytes:
+    """conditions.csv of a fresh interpreter running cfg, by default all
+    eight ids on the n_max = 400 Davydov chain; the exit code also fails
+    when the run loaded scipy.integrate."""
+    cfg_path = tmp_path / f"{name}.json"
+    cfg_path.write_text(json.dumps(cfg))
     out = str(tmp_path / name)
     code = (
         "import sys; from cltlab.cli import main; "
@@ -613,14 +650,22 @@ def test_conditions_csv_independent_of_blas_threads(tmp_path):
     assert _conditions_subprocess(tmp_path, "one", "1") == _conditions_subprocess(tmp_path, "two", "2")
 
 
+def test_linear_conditions_csv_independent_of_blas_threads(tmp_path):
+    # the Monte Carlo pasts meet the coefficient windows in BLAS matrix-vector
+    # products (past @ c[:t], eps @ w), which must not split a sum by thread
+    runs = [_conditions_subprocess(tmp_path, name, threads, LINEAR_CONDITIONS)
+            for name, threads in (("one", "1"), ("two", "2"))]
+    assert runs[0] == runs[1] and runs[0].count(b"\n") == 6
+
+
 def test_law_norms_independent_of_blas_threads():
     # on 2 * 10^5-point laws a BLAS dot splits its sum by thread; the norms
     # of conditions are numpy reductions, the same under any thread count
     code = (
-        "import numpy as np; from cltlab.dependence import _lp_norm_discrete; "
+        "import numpy as np; from cltlab.processes import lp_norm_discrete; "
         "from cltlab.metrics import envelope_norm_discrete; rng = np.random.default_rng(7); "
         "laws = [(rng.normal(size=200000), rng.dirichlet(np.ones(200000))) for _ in range(6)]; "
-        "print([(_lp_norm_discrete(v, w, 1.25 + 0.25 * k), envelope_norm_discrete(v, w, 2.5)) "
+        "print([(lp_norm_discrete(v, w, 1.25 + 0.25 * k), envelope_norm_discrete(v, w, 2.5)) "
         "for k, (v, w) in enumerate(laws)])"
     )
     outputs = []
@@ -701,9 +746,8 @@ def test_conditions_makes_no_dense_kernel(tmp_path, monkeypatch):
 def test_conditions_runs_the_second_moment_recursion_once(tmp_path, monkeypatch):
     # C1, C2, Cond2cob and Cond2cobp3 all read one pass of E(S_n^2 | Y_0)
     calls = []
-    recursion = processes.FiniteKernel.second_moments
-    monkeypatch.setattr(processes.FiniteKernel, "second_moments",
-                        lambda self, f, n: calls.append(n) or recursion(self, f, n))
+    recursion = processes.second_moments
+    monkeypatch.setattr(processes, "second_moments", lambda apply, f, n: calls.append(n) or recursion(apply, f, n))
     cfg_path, _ = write_cfg(tmp_path, **CHECK_COMMANDS["conditions"])
     assert main(["conditions", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
     assert calls == [16]

@@ -45,6 +45,24 @@ def test_every_imported_name_is_used():
     assert {name: found for name, found in unused.items() if found} == {}
 
 
+def test_dependence_reads_families_only_through_their_methods():
+    # a family's conditions come from its own methods: dependence imports no
+    # family class, tests for none with isinstance and reads no `.kernel`
+    families = {name for name, obj in vars(processes).items()
+                if isinstance(obj, type) and obj is not processes.Family and hasattr(obj, "batch_sums")}
+    assert families == {"IIDBaseline", "DavydovChain", "LinearProcess", "FunctionOfLinear", "ExpandingMap"}
+    found = []
+    for node in ast.walk(ast.parse((SRC / "dependence.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, "import", alias.name) for alias in node.names if alias.name in families]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+            named = {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node.args[1])}
+            found += [(node.lineno, "isinstance", name) for name in sorted(named & families)]
+        elif isinstance(node, ast.Attribute) and node.attr == "kernel":
+            found.append((node.lineno, "attribute", "kernel"))
+    assert found == []
+
+
 # ---------------------------------------------------------------------------
 # reachability
 
