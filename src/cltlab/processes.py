@@ -359,6 +359,7 @@ class LinearProcess:
     innovation: InnovationLaw = InnovationLaw("gaussian")
     truncation: int = 64
     _a: np.ndarray = field(init=False, repr=False, compare=False)
+    _pasts: dict = field(init=False, repr=False, compare=False, default_factory=dict)  # (mc, seed) -> pasts
 
     def __post_init__(self):
         t = self.truncation
@@ -405,10 +406,15 @@ class LinearProcess:
 
     def projective_terms(self, which: str, p: float, n_terms: int, mc: int, seed: int) -> tuple:
         """Over mc Monte Carlo pasts eps_{-t}..eps_0 with E(X_k | F_0) in closed form;
-        Cond1cob adds the anticipative half. See Family."""
+        Cond1cob adds the anticipative half. The pasts are drawn once per (mc, seed) and
+        object, so Cond1cob and Condcobp3adap read the same draw. See Family."""
         a, t = self._a, self.truncation
-        gen = rngmod.stream(seed, rngmod.ROLE_CALIBRATION, 1, 0)
-        eps = self.innovation.sample(gen, mc * (t + 1)).reshape(mc, t + 1)
+        eps = self._pasts.get((mc, seed))
+        if eps is None:
+            gen = rngmod.stream(seed, rngmod.ROLE_CALIBRATION, 1, 0)
+            eps = self.innovation.sample(gen, mc * (t + 1)).reshape(mc, t + 1)
+            eps.flags.writeable = False
+            self._pasts[mc, seed] = eps
 
         def lp_of_coeffs(w, q):
             return 0.0 if np.allclose(w, 0.0) else float(np.mean(np.abs(eps[:, : w.size] @ w) ** q) ** (1.0 / q))
@@ -811,7 +817,7 @@ def _dual_step(spec: ExpandingMap, x: np.ndarray, u: np.ndarray, density: Densit
 # trajectory batches
 
 
-STEP_BLOCK = 512  # per-step uniforms are drawn in blocks of this many steps
+STEP_BLOCK = 256  # per-step uniforms are drawn in blocks of this many steps
 STEP_TILE = 128  # replicates transposed into step-major order at a time
 
 
@@ -849,10 +855,11 @@ def _step_rows(gens: list, n_steps: int):
     tile = np.empty((STEP_TILE, rows))
     for start in range(0, n_steps, rows):
         block = min(rows, n_steps - start)
+        views = list(tile[:, :block])  # one row view per tile slot, shared by every tile of replicates
         for col in range(0, len(gens), STEP_TILE):
             part = gens[col:col + STEP_TILE]
-            for r, g in enumerate(part):
-                g.random(out=tile[r, :block])
+            for g, view in zip(part, views):
+                g.random(out=view)
             u[:block, col:col + len(part)] = tile[:len(part), :block].T
         yield from enumerate(u[:block], start + 1)
 

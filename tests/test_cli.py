@@ -24,6 +24,7 @@ from cltlab.dependence import (
 from cltlab.experiments import calibration_floor
 from cltlab.io import IOError_, RunManifest, _fmt, config_digest, read_manifest, write_csv
 from cltlab import processes
+from cltlab import rng as rngmod
 from cltlab.processes import (
     DavydovChain,
     ExpandingMap,
@@ -751,6 +752,23 @@ def test_conditions_runs_the_second_moment_recursion_once(tmp_path, monkeypatch)
     cfg_path, _ = write_cfg(tmp_path, **CHECK_COMMANDS["conditions"])
     assert main(["conditions", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
     assert calls == [16]
+
+
+def test_linear_conditions_draw_the_projective_pasts_once(tmp_path, monkeypatch):
+    # Cond1cob and Condcobp3adap read one draw of the Monte Carlo pasts, and
+    # each id's row is the one it gets in a run of its own
+    keys = []
+    stream = rngmod.stream
+    monkeypatch.setattr(rngmod, "stream", lambda seed, *key: keys.append(key) or stream(seed, *key))
+    rows = {}
+    for ids in (["Cond1cob", "Condcobp3adap"], ["Cond1cob"], ["Condcobp3adap"]):
+        cfg_path, _ = write_cfg(tmp_path, process=LINEAR, conditions={"ids": ids, "n_terms": 8, "mc": 500})
+        out = tmp_path / "-".join(ids)
+        keys.clear()
+        assert main(["conditions", "--config", cfg_path, "--out", str(out)]) == 0
+        assert keys.count((rngmod.ROLE_CALIBRATION, 1, 0)) == 1, ids
+        rows[tuple(ids)] = (out / "conditions.csv").read_text().splitlines()[1:]
+    assert rows["Cond1cob", "Condcobp3adap"] == rows["Cond1cob",] + rows["Condcobp3adap",]
 
 
 def test_linear_conditions_report_cond2cob(tmp_path):

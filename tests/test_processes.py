@@ -1115,10 +1115,15 @@ class TestDavydovStepTables:
 
 
 class TestStepBufferMemory:
-    """A batch holds one STEP_BLOCK x REPLICATE_CHUNK buffer of uniforms."""
+    """A batch holds one reused block of step-major uniforms. The ceiling is
+    fixed, not derived from STEP_BLOCK, so it guards the block size too."""
+
+    CEILING = 7 * 2**20  # traced peak of one 2,048-replicate batch
 
     @pytest.mark.parametrize(
-        "fam", [DavydovChain(2.5, 0.1, "f1", 400), ExpandingMap("beta", beta=2.5)], ids=["davydov", "beta-2.5"]
+        "fam",
+        [DavydovChain(2.5, 0.1, "f1", 400), ExpandingMap("beta", beta=2.5), ExpandingMap("beta", beta=2.0)],
+        ids=["davydov", "beta-2.5", "doubling"],
     )
     def test_traced_peak(self, fam):
         spec = ProcessSpec(fam)
@@ -1129,7 +1134,7 @@ class TestStepBufferMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * processes.STEP_BLOCK * processes.REPLICATE_CHUNK * 8 + 2 * 2**20
+        assert peak < self.CEILING
 
 
 class TestDensityGridInterpolation:
