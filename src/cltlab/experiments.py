@@ -9,6 +9,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .metrics import (
+    PANEL_BLOCK,
     EmpiricalDistribution,
     GaussianLaw,
     PanelGrid,
@@ -29,7 +30,6 @@ from .processes import (
 
 DEFAULT_N_GRID = tuple(2**k for k in range(6, 15))
 BOOTSTRAP_RESAMPLES = 200
-BOOTSTRAP_CHUNK_PANELS = 2**15  # panels per batch of bootstrap resamples
 FLOOR_FACTOR = 3.0
 MIN_FIT_POINTS = 4
 
@@ -117,11 +117,11 @@ def _bootstrap_stderr(values: np.ndarray, g: GaussianLaw, r: float, seed: int, n
     """Standard deviation of the distance over BOOTSTRAP_RESAMPLES resamples.
 
     The sample is sorted once; a resample is a row of counts over the sorted
-    points. Rows are evaluated in batches of BOOTSTRAP_CHUNK_PANELS // m (at
-    least one), which keeps a batch's arrays in cache; a row's value does not
-    depend on the batch it is in."""
+    points. Rows are evaluated in batches of PANEL_BLOCK // m (at least
+    one), so a batch's arrays stay in cache and their size does not grow
+    with m; a row's value does not depend on the batch it is in."""
     m = values.size
-    chunk = max(1, BOOTSTRAP_CHUNK_PANELS // m)
+    chunk = max(1, PANEL_BLOCK // m)
     order = np.argsort(values, kind="stable")
     gen = rngmod.stream(seed, rngmod.ROLE_BOOTSTRAP, 0, n)
 

@@ -17,6 +17,7 @@ from .normal import abs_moment, norm_cdf, norm_pdf, norm_pdf_derivative, norm_qu
 
 QUAD_ABS_TOL = 1e-10
 PANEL_CAP = 10**6
+PANEL_BLOCK = 2**11  # panels per evaluation: a quadrature round's block, a bootstrap batch's rows times m
 ASSIGNMENT_CAP = 512
 
 
@@ -211,19 +212,6 @@ def _node_quantiles(half, mid, out):
     return norm_quantile(out, out=out)
 
 
-class _Buffers:
-    """One work array, grown on demand and reused by every round."""
-
-    def __init__(self):
-        self.flat = np.empty(0)
-
-    def rows(self, n: int) -> np.ndarray:
-        k = _NODES.size
-        if self.flat.size < n * k:
-            self.flat = np.empty(2 * n * k)
-        return self.flat[: n * k].reshape(n, k)
-
-
 def _weight_panels(cw):
     """The panels [lo, hi] of nonzero width between cumulative weights, and
     the mask of the sample points they keep."""
@@ -235,14 +223,13 @@ def _weight_panels(cw):
 
 
 class PanelGrid:
-    """The quadrature panels of one cumulative-weight vector, Phi^{-1} at their
-    coarse and fine Gauss-Legendre nodes, and the work buffer. Samples with
-    these weights share one: their first round reads the quantiles of every
-    panel that no sign change splits from the table, the same values."""
+    """The quadrature panels of one cumulative-weight vector and Phi^{-1} at
+    their coarse and fine Gauss-Legendre nodes. Samples with these weights
+    share one: their first round reads the quantiles of every panel that no
+    sign change splits from the table, the same values."""
 
     def __init__(self):
         self.cw = None
-        self.buffers = _Buffers()
 
     def panels(self, cw):
         """lo, hi and keep of cw; the first call fixes cw and builds the table."""
@@ -263,7 +250,7 @@ def uniform_panel_grid(m: int) -> PanelGrid:
     return grid
 
 
-def _integrate_piecewise_gaussian(lo, hi, xval, sigma, r, buffers, first=None, tol=QUAD_ABS_TOL):
+def _integrate_piecewise_gaussian(lo, hi, xval, sigma, r, first=None, tol=QUAD_ABS_TOL):
     """Adaptive panel integration of sum_i int_{lo_i}^{hi_i} |x_i - sigma Phi^{-1}(u)|^r du.
 
     Returns the integral and whether it stopped unrefined: at PANEL_CAP
@@ -274,7 +261,7 @@ def _integrate_piecewise_gaussian(lo, hi, xval, sigma, r, buffers, first=None, t
     npanels = lo.size
     for _ in range(60):
         half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
-        coarse, fine = _round_sums(half, mid, xval, sigma, r, buffers, first)
+        coarse, fine = _round_sums(half, mid, xval, sigma, r, first)
         first = None
         err = np.abs(fine - coarse)
         budget = tol * np.maximum(1.0, (hi - lo) / max(hi.max() - lo.min(), 1e-300))
@@ -291,29 +278,41 @@ def _integrate_piecewise_gaussian(lo, hi, xval, sigma, r, buffers, first=None, t
         if npanels > PANEL_CAP:
             break
     half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
-    return total + float(_round_sums(half, mid, xval, sigma, r, buffers)[1].sum()), True
+    return total + float(_round_sums(half, mid, xval, sigma, r)[1].sum()), True
 
 
-def _round_sums(half, mid, xval, sigma, r, buffers, first=None):
+def _round_sums(half, mid, xval, sigma, r, first=None):
     """Gauss-Legendre integrals of |x - sigma*Phi^{-1}(u)|^r per panel with
-    the coarse and the fine node set, computed in place in one buffer."""
-    q = buffers.rows(half.size)
-    done = 0
-    if first is not None:
-        table, rows = first
-        done = rows.size
-        # rows are in range; mode "clip" writes straight into the buffer
-        np.take(table, rows, axis=0, out=q[:done], mode="clip")
-    _node_quantiles(half[done:], mid[done:], q[done:])
-    # x * 1.0 and x ** 1.0 are x exactly, so sigma = 1 and r = 1 (every
-    # calibration-floor replicate) skip those passes
-    if sigma != 1.0:
-        q *= sigma
-    np.subtract(xval[:, None], q, out=q)
-    np.abs(q, out=q)
-    if r != 1.0:
-        q **= r
-    return half * (q[:, :_COARSE] @ _GL[0][1]), half * (q[:, _COARSE:] @ _GL[1][1])
+    the coarse and the fine node set. The panels are computed in place in one
+    work array, a block at a time: PANEL_BLOCK rounded down to whole 16-row
+    groups, at least one group. A BLAS matrix-vector kernel sums a row by its place
+    in such a group (4 rows in OpenBLAS' Haswell kernel), so blocks of whole
+    groups give every panel the sums of one call over the round."""
+    n = half.size
+    step = max(PANEL_BLOCK & -16, 16)
+    work = np.empty((min(n, step), _NODES.size))
+    coarse, fine = np.empty(n), np.empty(n)
+    table, rows = (None, ()) if first is None else first
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        q = work[: stop - start]
+        # the block's leading grid panels; rows are in range, so mode "clip"
+        # writes straight into the work array
+        done = min(max(len(rows) - start, 0), stop - start)
+        if done:
+            np.take(table, rows[start:start + done], axis=0, out=q[:done], mode="clip")
+        _node_quantiles(half[start + done:stop], mid[start + done:stop], q[done:])
+        # x * 1.0 and x ** 1.0 are x exactly, so sigma = 1 and r = 1 (every
+        # calibration-floor replicate) skip those passes
+        if sigma != 1.0:
+            q *= sigma
+        np.subtract(xval[start:stop, None], q, out=q)
+        np.abs(q, out=q)
+        if r != 1.0:
+            q **= r
+        coarse[start:stop] = half[start:stop] * (q[:, :_COARSE] @ _GL[0][1])
+        fine[start:stop] = half[start:stop] * (q[:, _COARSE:] @ _GL[1][1])
+    return coarse, fine
 
 
 def _quadrature_cost(points: np.ndarray, cw: np.ndarray, sigma: float, r: float, grid: PanelGrid | None = None):
@@ -321,12 +320,7 @@ def _quadrature_cost(points: np.ndarray, cw: np.ndarray, sigma: float, r: float,
     cumulative weights cw, by adaptive panel quadrature (sigma > 0), and
     whether the quadrature stopped unrefined. A grid of the same cw supplies
     the first round's quantiles of the panels left whole."""
-    if grid is None:
-        lo, hi, keep = _weight_panels(cw)
-        buffers = _Buffers()
-    else:
-        lo, hi, keep = grid.panels(cw)
-        buffers = grid.buffers
+    lo, hi, keep = _weight_panels(cw) if grid is None else grid.panels(cw)
     xval = points[keep]
     # split panels at the sign change of x - sigma * Phi^{-1}(u); the panels
     # left whole come first
@@ -337,7 +331,7 @@ def _quadrature_cost(points: np.ndarray, cw: np.ndarray, sigma: float, r: float,
         hi = np.concatenate([hi[~inside], ustar[inside], hi[inside]])
         xval = np.concatenate([xval[~inside], xval[inside], xval[inside]])
     first = None if grid is None else (grid.table, np.flatnonzero(~inside))
-    return _integrate_piecewise_gaussian(lo, hi, xval, sigma, r, buffers, first)
+    return _integrate_piecewise_gaussian(lo, hi, xval, sigma, r, first)
 
 
 def wasserstein_vs_gaussian(x: EmpiricalDistribution, g: GaussianLaw, r: float,

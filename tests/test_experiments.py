@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -389,8 +390,22 @@ def test_bootstrap_independent_of_chunking(monkeypatch, r):
     g = GaussianLaw(1.0)
     base = _bootstrap_stderr(BOOT_SAMPLE, g, r, 3, 128)
     for panels in (1, 500 * 7, 500 * 200):
-        monkeypatch.setattr(experiments, "BOOTSTRAP_CHUNK_PANELS", panels)
+        monkeypatch.setattr(experiments, "PANEL_BLOCK", panels)
         assert _bootstrap_stderr(BOOT_SAMPLE, g, r, 3, 128) == base
+
+
+def test_bootstrap_memory_bounded():
+    # one row of counts per batch at m = 10^4, whatever BOOTSTRAP_RESAMPLES is;
+    # the ceiling is fixed, so it guards PANEL_BLOCK too
+    values = np.random.default_rng(22).standard_normal(10**4)
+    g = GaussianLaw(1.0)
+    tracemalloc.start()
+    try:
+        _bootstrap_stderr(values, g, 1.0, 3, 128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
 
 
 def test_bootstrap_point_mass_target():

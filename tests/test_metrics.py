@@ -1,6 +1,7 @@
 """Unit tests for the distance and seminorm machinery."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from cltlab.metrics import (
     kolmogorov,
     lambda_seminorm,
     smoothing_lemma_check,
+    uniform_panel_grid,
     wasserstein,
     wasserstein_samples,
     wasserstein_vs_gaussian,
@@ -256,9 +258,61 @@ class TestWassersteinVsGaussian:
         q = np.abs(xval[:, None] - q) ** r
         k = metrics._COARSE
         want = (half * (q[:, :k] @ metrics._GL[0][1]), half * (q[:, k:] @ metrics._GL[1][1]))
-        got = metrics._round_sums(half, mid, xval, sigma, r, metrics._Buffers())
+        got = metrics._round_sums(half, mid, xval, sigma, r)
         for g, w in zip(got, want):
             assert [float(v).hex() for v in g] == [float(v).hex() for v in w]
+
+
+class TestPanelBlocks:
+    """A quadrature round runs in blocks of PANEL_BLOCK panels; no panel's
+    sums, and so no distance, depend on the block size."""
+
+    # 4,999 weighted panels: no block size here divides the first round
+    SAMPLE = np.random.default_rng(12).standard_normal(4999) * 1.1
+    WEIGHTS = np.random.default_rng(13).uniform(0.1, 1.0, 4999)
+
+    @pytest.mark.parametrize("r", [0.5, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "weighted"])
+    def test_value_independent_of_block(self, monkeypatch, r, weighted):
+        w = self.WEIGHTS / self.WEIGHTS.sum() if weighted else None
+        x = EmpiricalDistribution(self.SAMPLE, w)
+        grid = PanelGrid()
+
+        def values():
+            return [wasserstein_vs_gaussian(x, GaussianLaw(sigma), r, g).value.hex()
+                    for sigma in (1.0, 0.9) for g in (None, grid)]
+
+        want = values()
+        for block in (1, 7, 2**11, 2**20):
+            monkeypatch.setattr(metrics, "PANEL_BLOCK", block)
+            assert values() == want, block
+
+
+class TestQuadratureMemory:
+    """The quadrature's work array and the bootstrap's batches hold at most
+    PANEL_BLOCK panels. The ceilings are fixed, not derived from PANEL_BLOCK,
+    so they guard the block size too."""
+
+    CEILING = 16 * 2**20  # traced peak of one 10^5-point distance
+    SAMPLE = np.random.default_rng(14).standard_normal(10**5)
+
+    @staticmethod
+    def traced_peak(f):
+        tracemalloc.start()
+        try:
+            f()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_with_grid(self):
+        x = EmpiricalDistribution(self.SAMPLE)
+        grid = uniform_panel_grid(x.size)  # the shared table is built outside the trace
+        assert self.traced_peak(lambda: wasserstein_vs_gaussian(x, GaussianLaw(1.0), 1.0, grid)) < self.CEILING
+
+    def test_without_grid(self):
+        x = EmpiricalDistribution(self.SAMPLE)
+        assert self.traced_peak(lambda: wasserstein_vs_gaussian(x, GaussianLaw(1.0), 1.5)) < self.CEILING
 
 
 class TestGaussianPanels:
