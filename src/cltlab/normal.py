@@ -78,15 +78,18 @@ def _ratio(v, x, pair):
 _BLOCK = 2**14  # values per evaluation: the temporaries stay in cache
 
 
-def _blockwise(f, x):
-    """f over the values of x in blocks of _BLOCK, in the shape of x."""
+def _blockwise(f, x, out=None):
+    """f over the values of x in blocks of _BLOCK, in the shape of x, written
+    to out when given (C-contiguous, x's shape; it may be x itself)."""
     flat = x.reshape(-1)
-    if flat.size <= _BLOCK:
-        return f(flat).reshape(x.shape)
-    out = np.empty(flat.size)
+    if out is None:
+        if flat.size <= _BLOCK:
+            return f(flat).reshape(x.shape)
+        out = np.empty(x.shape)
+    dest = out.reshape(-1)  # a view, out being contiguous
     for start in range(0, flat.size, _BLOCK):
-        out[start : start + _BLOCK] = f(flat[start : start + _BLOCK])
-    return out.reshape(x.shape)
+        dest[start : start + _BLOCK] = f(flat[start : start + _BLOCK])
+    return out
 
 
 def norm_cdf(x):
@@ -125,13 +128,11 @@ def _erfc_far(z):
 
 
 def norm_quantile(u, out=None):
-    """Inverse of the standard normal d.f. (Cephes ndtri), written to out when
-    given; out may be u itself. -inf at 0, inf at 1, NaN outside [0, 1]."""
-    x = _blockwise(_ndtri, np.asarray(u, dtype=float))
-    if out is None:
-        return x[()]
-    out[...] = x
-    return out
+    """Inverse of the standard normal d.f. (Cephes ndtri), written block by
+    block to out when given (C-contiguous, u's shape); out may be u itself.
+    -inf at 0, inf at 1, NaN outside [0, 1]."""
+    x = _blockwise(_ndtri, np.asarray(u, dtype=float), out)
+    return x[()] if out is None else x
 
 
 def _ndtri(u):

@@ -3,6 +3,7 @@ against scipy.special (whose Cephes code they port), and the envelope
 weight's functions against mpmath at 30 digits, on grids fixed before the
 code was written."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -109,16 +110,28 @@ class TestQuantile:
         ))
         assert np.max(ulps(norm_quantile(u), ndtri(u))) <= ULPS
 
-    def test_in_place_equals_out_of_place(self):
+    @pytest.mark.parametrize("copies", [1, 100], ids=["one-block", "many-blocks"])
+    def test_in_place_equals_out_of_place(self, copies):
         # _node_quantiles computes the quantiles in the buffer of their inputs
         rng = np.random.default_rng(3)
         u = np.concatenate((rng.random(400), np.exp(-rng.uniform(2.0, 700.0, 78)), [0.0, 1.0]))
         rng.shuffle(u)
-        u = u.reshape(-1, 6)
+        u = np.tile(u, copies).reshape(-1, 6)
         want = norm_quantile(u.copy())
         got = norm_quantile(u, out=u)
         assert got is u
         assert identical(u, want)
+
+    def test_in_place_holds_no_full_size_copy(self):
+        # 10^6 quantiles (8 MB) in place: only one block's temporaries at a time
+        u = np.random.default_rng(4).random(10**6)
+        tracemalloc.start()
+        try:
+            norm_quantile(u, out=u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_shape_and_scalar(self):
         assert norm_quantile(np.full((2, 3), 0.25)).shape == (2, 3)
