@@ -118,8 +118,8 @@ def _bootstrap_stderr(values: np.ndarray, g: GaussianLaw, r: float, seed: int, n
 
     The sample is sorted once; a resample is a row of counts over the sorted
     points. Rows are evaluated in batches of PANEL_BLOCK // m (at least
-    one), so a batch's arrays stay in cache and their size does not grow
-    with m; a row's value does not depend on the batch it is in."""
+    one), so a batch holds at most max(m, PANEL_BLOCK) panels; a row's value
+    does not depend on the batch it is in."""
     m = values.size
     chunk = max(1, PANEL_BLOCK // m)
     order = np.argsort(values, kind="stable")

@@ -264,7 +264,8 @@ class TestWassersteinVsGaussian:
 
 
 class TestPanelBlocks:
-    """A quadrature round runs in blocks of PANEL_BLOCK panels; no panel's
+    """A quadrature round runs in blocks of PANEL_BLOCK panels, rounded down
+    to whole 16-row groups (blocks of 1 and 7 become one group); no panel's
     sums, and so no distance, depend on the block size."""
 
     # 4,999 weighted panels: no block size here divides the first round
@@ -289,9 +290,9 @@ class TestPanelBlocks:
 
 
 class TestQuadratureMemory:
-    """The quadrature's work array and the bootstrap's batches hold at most
-    PANEL_BLOCK panels. The ceilings are fixed, not derived from PANEL_BLOCK,
-    so they guard the block size too."""
+    """A quadrature round's work array holds at most PANEL_BLOCK panels. The
+    ceiling is fixed, not derived from PANEL_BLOCK, so it guards the block
+    size too."""
 
     CEILING = 16 * 2**20  # traced peak of one 10^5-point distance
     SAMPLE = np.random.default_rng(14).standard_normal(10**5)

@@ -110,21 +110,23 @@ class TestQuantile:
         ))
         assert np.max(ulps(norm_quantile(u), ndtri(u))) <= ULPS
 
-    @pytest.mark.parametrize("copies", [1, 100], ids=["one-block", "many-blocks"])
-    def test_in_place_equals_out_of_place(self, copies):
+    def test_in_place_equals_out_of_place(self):
         # _node_quantiles computes the quantiles in the buffer of their inputs
         rng = np.random.default_rng(3)
         u = np.concatenate((rng.random(400), np.exp(-rng.uniform(2.0, 700.0, 78)), [0.0, 1.0]))
         rng.shuffle(u)
-        u = np.tile(u, copies).reshape(-1, 6)
+        u = u.reshape(-1, 6)
         want = norm_quantile(u.copy())
         got = norm_quantile(u, out=u)
         assert got is u
         assert identical(u, want)
 
     def test_in_place_holds_no_full_size_copy(self):
-        # 10^6 quantiles (8 MB) in place: only one block's temporaries at a time
+        # 10^6 quantiles (8 MB, 62 blocks) in place: only one block's
+        # temporaries at a time, and the values computed out of place
         u = np.random.default_rng(4).random(10**6)
+        u[::1000] = np.exp(-np.linspace(2.0, 700.0, 1000))
+        want = norm_quantile(u)
         tracemalloc.start()
         try:
             norm_quantile(u, out=u)
@@ -132,6 +134,7 @@ class TestQuantile:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+        assert identical(u, want)
 
     def test_shape_and_scalar(self):
         assert norm_quantile(np.full((2, 3), 0.25)).shape == (2, 3)
