@@ -86,7 +86,9 @@ def _blockwise(f, x, out=None):
         if flat.size <= _BLOCK:
             return f(flat).reshape(x.shape)
         out = np.empty(x.shape)
-    dest = out.reshape(-1)  # a view, out being contiguous
+    elif not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")  # reshape would copy it
+    dest = out.reshape(-1)
     for start in range(0, flat.size, _BLOCK):
         dest[start : start + _BLOCK] = f(flat[start : start + _BLOCK])
     return out

@@ -135,6 +135,8 @@ class TestQuantile:
             tracemalloc.stop()
         assert peak < 4 * 2**20
         assert identical(u, want)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            norm_quantile(u[:600].reshape(6, 100).T, out=np.empty((6, 100)).T)
 
     def test_shape_and_scalar(self):
         assert norm_quantile(np.full((2, 3), 0.25)).shape == (2, 3)
