@@ -470,7 +470,7 @@ def wasserstein_vs_gaussian_counts(points: np.ndarray, chunks, g: GaussianLaw, r
             k = np.zeros((counts.shape[0], counts.shape[1] + 1), dtype=np.int64)
             np.cumsum(counts, axis=1, out=k[:, 1:])
             z_tab, pdf_tab = _quantile_table(m)
-            u, z, pdf = k / m, np.take(z_tab, k), np.take(pdf_tab, k)
+            u, z, pdf = k / m, (np.take(z_tab, k) if r > 1 else k), np.take(pdf_tab, k)  # z unread at r = 1
             cost = _gaussian_panels(u[:, :-1], u[:, 1:], z[:, :-1], z[:, 1:], pdf[:, :-1], pdf[:, 1:], terms).sum(axis=1)
         else:
             cost = np.empty(counts.shape[0])

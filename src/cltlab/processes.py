@@ -7,6 +7,8 @@ stationary laws, invariant densities, long-run variances).
 from __future__ import annotations
 
 import os
+import pickle
+import signal
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -939,9 +941,6 @@ def _linear_sums(a: np.ndarray, law: InnovationLaw, observe, n_grid, seed: int, 
     return out
 
 
-_WORKER_PARTS = None  # a forked worker's (fn, parts), set by its pool initializer
-
-
 def available_cpus() -> int:
     """CPUs this process may run on; 1 on a platform without sched_getaffinity
     (it may not fork either)."""
@@ -954,47 +953,58 @@ def even_ranges(count: int, parts: int) -> list:
     return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _install_parts(fn, parts: list) -> None:
-    global _WORKER_PARTS
-    _WORKER_PARTS = (fn, parts)
-
-
-def _run_part(index: int):
-    fn, parts = _WORKER_PARTS
-    return fn(*parts[index])
-
-
 def run_parts(fn, parts: list) -> list:
-    """[fn(*part) for part in parts], computed on every CPU this process may
-    run on: one worker per CPU, at most one per part. This process computes
-    the first ceil(len(parts) / workers) parts itself while forked workers
-    compute the rest, and the results come back in part order, so they do
-    not depend on the CPU count. With one worker nothing is forked, and an
-    exception raised in a worker is raised here.
-
-    Fork, not spawn: the pool initializer hands fn and parts to the workers
-    as they are, so neither is pickled (fn may be a closure) and only part
-    indices and results are. The pool forks all its workers at the first
-    submit, before it starts its own thread. Computing a share, rather than
-    waiting, also leaves malloc's thresholds where a serial run leaves them,
-    which the metric stages are sensitive to. A module that a part imports
-    and this process has not is imported again in every worker, so load it
-    before the call."""
+    """[fn(*part) for part in parts], in part order, on every CPU this process
+    may run on. This process computes the first ceil(len(parts) / workers)
+    parts, with one worker per CPU and at most one per part, and forks a worker
+    for each further run of as many, which pickles its results, or the
+    exception a part raised, down its own pipe. The first exception in part
+    order is raised here; a worker that dies without a record raises
+    ProcessError. Computing a share, rather than waiting, leaves malloc as a
+    serial run leaves it."""
     workers = min(available_cpus(), len(parts))
     if workers <= 1:
         return [fn(*part) for part in parts]
     own = -(-len(parts) // workers)
-    # imported here, so a serial run loads neither module
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
-
-    pool = ProcessPoolExecutor(workers - 1, mp_context=get_context("fork"),
-                               initializer=_install_parts, initargs=(fn, parts))
+    children, records = [], None  # (pid, read end, its parts) of each worker, and what it sent
     try:
-        futures = [pool.submit(_run_part, i) for i in range(own, len(parts))]
-        return [fn(*part) for part in parts[:own]] + [f.result() for f in futures]
-    finally:
-        pool.shutdown(cancel_futures=True)
+        for lo in range(own, len(parts), own):
+            name = f"parts {lo}..{min(lo + own, len(parts)) - 1}"
+            read, write = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:  # the worker exits here, and never returns into its caller
+                    for fd in [read] + [pipe.fileno() for _, pipe, _ in children]:
+                        os.close(fd)
+                    try:
+                        data = pickle.dumps((True, [fn(*part) for part in parts[lo:lo + own]]))
+                    except Exception as exc:
+                        try:
+                            data = pickle.dumps((False, exc))
+                        except Exception:
+                            data = pickle.dumps((False, ProcessError(f"{name}: cannot pickle {exc!r}")))
+                    with open(write, "wb") as pipe:
+                        pipe.write(data)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write)
+            children.append((pid, open(read, "rb"), name))
+        results = [fn(*part) for part in parts[:own]]
+        records = [pipe.read() for _, pipe, _ in children]
+    finally:  # reap every worker, and after an error kill it first
+        codes = []
+        for pid, pipe, _ in children:
+            if records is None:
+                os.kill(pid, signal.SIGKILL)
+            pipe.close()
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for (_, _, name), data, code in zip(children, records, codes):
+        why = signal.Signals(-code).name if code < 0 else f"exit code {code}"
+        ok, value = pickle.loads(data) if code == 0 else (False, ProcessError(f"{name}: no result, ended by {why}"))
+        if not ok:
+            raise value
+        results += value
+    return results
 
 
 def partial_sums_batch(

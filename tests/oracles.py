@@ -1,10 +1,22 @@
 """Brute-force references the tests compare the library against: literal
-definitions at exponential or per-step cost, kept out of the package."""
+definitions at exponential or per-step cost, kept out of the package; and
+the no-child check of the tests that fork."""
+
+import os
 
 import numpy as np
+import pytest
 
 from cltlab import rng as rngmod
 from cltlab.processes import FiniteKernel
+
+
+def assert_no_child() -> None:
+    """This process has no child left, running or unreaped. A worker that
+    run_parts forks is a bare os.fork child, which
+    multiprocessing.active_children() does not see."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _solve_stationary(k: np.ndarray) -> np.ndarray:

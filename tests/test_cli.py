@@ -72,7 +72,8 @@ def test_cli_import_leaves_scipy_stats_out():
 
 
 def test_cli_import_and_verify_list_load_no_process_pool():
-    # the worker pool's modules load only in a batch that forks
+    # run_parts forks its workers itself, so no command loads a process
+    # pool's modules (a forking rates or simulate: tests/test_experiments.py)
     pool = ("multiprocessing", "concurrent.futures")
     for call in ("", "cltlab.cli.main(['verify', '--list']); "):
         code = f"import sys, cltlab.cli; {call}sys.exit(any(m in sys.modules for m in {pool!r}))"

@@ -1,7 +1,6 @@
 """Tests for the rate-measurement harness."""
 
 import json
-import multiprocessing
 import os
 import pathlib
 import subprocess
@@ -35,6 +34,7 @@ from cltlab.metrics import (
     wasserstein_vs_gaussian,
 )
 from cltlab.processes import FunctionOfLinear, IIDBaseline, InnovationLaw, LinearProcess, ProcessSpec
+from oracles import assert_no_child
 
 SRC = pathlib.Path(cltlab.__file__).parent.parent
 IID_GAUSS = ProcessSpec(IIDBaseline(InnovationLaw("gaussian")), seed=5)
@@ -210,7 +210,7 @@ class TestParallelStages:
             for command in ("rates", "calibrate"):
                 out = tmp_path / f"{command}-{cpus}"
                 assert main([command, "--config", cfg, "--out", str(out)]) == 0
-                assert multiprocessing.active_children() == []
+                assert_no_child()
                 for path in sorted(out.iterdir()):
                     if path.name != "manifest.json":
                         seen.setdefault(path.name, []).append(path.read_bytes())
@@ -233,9 +233,9 @@ class TestParallelStages:
             calibration_floor(100, 1.0, reps=10)
         assert type(info.value) is ExperimentError
         assert str(info.value) == "floor part from replicate 5 failed"
-        assert multiprocessing.active_children() == []
+        assert_no_child()
         assert calibration_floor(100, 1.0, reps=4)["mean"] > 0.0  # parts 0..1 and 2..3 succeed
-        assert multiprocessing.active_children() == []
+        assert_no_child()
 
     def test_point_part_error_reraised_in_the_parent(self, monkeypatch):
         # four points on 2 CPUs: this process runs n = 64 and 128, the worker
@@ -253,15 +253,13 @@ class TestParallelStages:
             run_experiment(small_plan(calibration=False))
         assert type(info.value) is MetricsError
         assert str(info.value) == "point n = 256 failed"
-        assert multiprocessing.active_children() == []
+        assert_no_child()
 
     def test_one_cpu_makes_no_pool(self, tmp_path, monkeypatch, capsys):
-        import concurrent.futures
+        def no_fork():
+            raise AssertionError("a worker was forked")
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a pool was made")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "fork", no_fork)
         monkeypatch.setattr(processes, "REPLICATE_CHUNK", 100)
         _use_cpus(monkeypatch, 1)
         cfg = _write(tmp_path, RATES_CFG)
@@ -285,6 +283,28 @@ os.sched_getaffinity = lambda pid: set(range({cpus}))
 import cltlab.cli
 code = cltlab.cli.main([{command!r}, "--config", {path!r}, "--out", {str(tmp_path / command)!r}])
 sys.exit(code or 10 * any(m == "scipy" or m.startswith("scipy.") for m in sys.modules))
+"""
+            result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                                    capture_output=True, text=True, timeout=300)
+            assert result.returncode == 0, (command, result.stderr)
+
+    def test_rates_and_simulate_on_two_cpus_load_no_pool_modules(self, tmp_path):
+        # in a fresh interpreter: run_parts forks its workers itself, so a
+        # command that forks loads neither multiprocessing nor
+        # concurrent.futures. Parts of 100 replicates give simulate two parts
+        cfg = dict(RATES_CFG, simulate={"n_grid": [16, 32], "replicates": 400})
+        path = _write(tmp_path, cfg)
+        for command in ("rates", "simulate"):
+            code = f"""
+import os, sys
+os.sched_getaffinity = lambda pid: set(range(2))
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(1) or fork()
+import cltlab.cli, cltlab.processes
+cltlab.processes.REPLICATE_CHUNK = 100
+code = cltlab.cli.main([{command!r}, "--config", {path!r}, "--out", {str(tmp_path / command)!r}])
+pool = any(m.split(".")[0] in ("multiprocessing", "concurrent") for m in sys.modules)
+sys.exit(code or 10 * pool or 20 * (not forks))
 """
             result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
                                     capture_output=True, text=True, timeout=300)

@@ -122,13 +122,6 @@ ALLOWLIST = {
     "dependence.phi_coeff": (
         "exact phi_1 and phi_2 of a finite chain, for conditions computed from the process",
         lambda out: (_kernel(), 1, 2)),
-    "processes._install_parts": (
-        "a forked worker's initializer, which runs where the profile does not see it",
-        lambda out: (processes.IIDBaseline().batch_sums(0), [((4, 8), 0, range(2))])),
-    "processes._run_part": (
-        "a forked worker's part of a run_parts call, which runs where the profile does not see it; "
-        "called after the initializer above installed its function and parts",
-        lambda out: (0,)),
 }
 
 

@@ -1,9 +1,10 @@
 """Unit tests for the process generators and their exact structure."""
 
+import contextlib
 import json
 import math
-import multiprocessing
 import os
+import signal
 import time
 import tracemalloc
 from fractions import Fraction
@@ -36,7 +37,7 @@ from cltlab.processes import (
     sample_linear_process,
 )
 from cltlab.processes import _centering_constant, _map_branches, _strongly_connected
-from oracles import _solve_stationary, dense_kernel, dense_rows, index_of, sample_chain
+from oracles import _solve_stationary, assert_no_child, dense_kernel, dense_rows, index_of, sample_chain
 
 
 class TestInnovationLaw:
@@ -940,16 +941,14 @@ class TestParallelParts:
                 batch = partial_sums_batch(ProcessSpec(fam, seed=self.SEED), n_grid, self.M)
                 for col, n in enumerate(n_grid):
                     assert np.array_equal(_bits(batch.values(n)), _bits(expect[:, col])), (case, chunk, cpus, n)
-        assert multiprocessing.active_children() == []
+        assert_no_child()
 
     @pytest.mark.parametrize("cpus, m", [(1, 5000), (2, 2048), (3, 100)])
     def test_one_worker_forks_nothing(self, cpus, m, monkeypatch):
-        import concurrent.futures
+        def no_fork():
+            raise AssertionError("a worker was forked")
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a pool was made")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "fork", no_fork)
         _use_cpus(monkeypatch, cpus)
         batch = partial_sums_batch(ProcessSpec(IIDBaseline(), seed=2), (4, 8), m)
         assert batch.values(8).shape == (m,)
@@ -963,10 +962,10 @@ class TestParallelParts:
             partial_sums_batch(ProcessSpec(_FailingFamily(bad=200), seed=1), (4, 8), 400)
         assert type(info.value) is ProcessError
         assert str(info.value) == "part from replicate 200 failed"
-        assert multiprocessing.active_children() == []
+        assert_no_child()
         batch = partial_sums_batch(ProcessSpec(_FailingFamily(bad=400), seed=1), (4, 8), 400)
         assert not batch.values(8).any()
-        assert multiprocessing.active_children() == []
+        assert_no_child()
 
     def test_cli_exit_code_same_on_any_cpu_count(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "cfg.json"
@@ -989,9 +988,78 @@ class TestParallelParts:
             _use_cpus(monkeypatch, cpus)
             code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / f"out{cpus}")])
             outcomes.append((code, capsys.readouterr().err))
-            assert multiprocessing.active_children() == []
+            assert_no_child()
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0] == 1 and "part from replicate 200 failed" in outcomes[0][1]
+
+
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    """Fail with TimeoutError, rather than hang, if the block outlasts seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestPartPipes:
+    """run_parts' failure paths on 2 CPUs: this process computes parts 0..1,
+    one forked worker parts 2..3 and sends them down its pipe."""
+
+    PARTS = [(i,) for i in range(4)]
+
+    def test_killed_worker_raises_process_error(self, monkeypatch):
+        def part(i):
+            if i == 3:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return i
+
+        _use_cpus(monkeypatch, 2)
+        with _deadline(30), pytest.raises(ProcessError) as info:
+            processes.run_parts(part, self.PARTS)
+        assert type(info.value) is ProcessError
+        assert str(info.value) == "parts 2..3: no result, ended by SIGKILL"
+        assert_no_child()
+
+    def test_unpicklable_exception_arrives_as_its_repr(self, monkeypatch):
+        def part(i):
+            if i == 2:
+                raise ValueError("part 2 failed", lambda: None)
+            return i
+
+        _use_cpus(monkeypatch, 2)
+        with _deadline(30), pytest.raises(ProcessError) as info:
+            processes.run_parts(part, self.PARTS)
+        assert str(info.value).startswith("parts 2..3: cannot pickle ValueError('part 2 failed', <function ")
+        assert_no_child()
+
+    @pytest.mark.parametrize("busy", [False, True], ids=["blocked-in-its-write", "still-computing"])
+    def test_own_share_error_ends_a_worker_holding_a_large_result(self, busy, monkeypatch):
+        # each of the worker's 2 MB results outgrows the pipe's buffer: with
+        # busy it holds part 2's while part 3 runs for a minute, otherwise
+        # it blocks in its write until it is read or killed
+        def part(i):
+            if i == 0:
+                raise ValueError("own share failed")
+            if busy and i == 3:
+                time.sleep(60)
+            return np.zeros(2**18)
+
+        _use_cpus(monkeypatch, 2)
+        with _deadline(30):
+            with pytest.raises(ValueError, match="own share failed"):
+                processes.run_parts(part, self.PARTS)
+            assert_no_child()
+            # with no error, the 2 MB results come back whole
+            results = processes.run_parts(lambda i: np.full(2**18, float(i)), self.PARTS)
+        assert [r.shape + (r[0], r[-1]) for r in results] == [(2**18, float(i), float(i)) for i in range(4)]
+        assert_no_child()
 
 
 class TestLinearWindowSums:
