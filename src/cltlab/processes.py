@@ -999,7 +999,7 @@ def run_parts(fn, parts: list) -> list:
             pipe.close()
             codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
     for (_, _, name), data, code in zip(children, records, codes):
-        why = signal.Signals(-code).name if code < 0 else f"exit code {code}"
+        why = f"signal {-code}" if code < 0 else f"exit code {code}"
         ok, value = pickle.loads(data) if code == 0 else (False, ProcessError(f"{name}: no result, ended by {why}"))
         if not ok:
             raise value

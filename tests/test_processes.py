@@ -1024,7 +1024,7 @@ class TestPartPipes:
         with _deadline(30), pytest.raises(ProcessError) as info:
             processes.run_parts(part, self.PARTS)
         assert type(info.value) is ProcessError
-        assert str(info.value) == "parts 2..3: no result, ended by SIGKILL"
+        assert str(info.value) == "parts 2..3: no result, ended by signal 9"
         assert_no_child()
 
     def test_unpicklable_exception_arrives_as_its_repr(self, monkeypatch):
