@@ -28,16 +28,16 @@ from . import __version__
 _LAZY = {
     "config": ("ConfigError", "build_plan", "build_process", "calibrate_params", "conditions_params",
                "load_config", "simulate_params", "verify_params"),
-    "dependence": ("PhiWorkspace", "PowerQuantile", "UnsupportedFamilyError", "check_covariance_inequality",
-                   "coboundary", "envelope_contraction_check", "an_bn", "series_C1_C2", "series_condalpha1",
-                   "series_condphi", "series_projective"),
+    "dependence": ("CoboundaryDecomposition", "PhiWorkspace", "PowerQuantile", "UnsupportedFamilyError",
+                   "check_covariance_inequality", "envelope_contraction_check", "an_bn", "series_C1_C2",
+                   "series_condalpha1", "series_condphi", "series_projective"),
     "experiments": ("FLOOR_FACTOR", "MIN_FIT_POINTS", "calibration_floor", "run_experiment",
                     "theoretical_exponent"),
     "io": ("RunManifest", "config_digest", "read_manifest", "svg_rate_plot", "write_csv", "write_json",
            "write_manifest"),
     "metrics": ("GridFunction", "smoothing_lemma_check", "uniform_panel_grid"),
-    "processes": ("DEFAULT_BUDGET", "REPLICATE_CHUNK", "BudgetError", "DavydovChain", "FiniteKernel",
-                  "LinearProcess", "ExpandingMap", "ProcessError", "partial_sums_batch", "transfer_duality_residual"),
+    "processes": ("DEFAULT_BUDGET", "REPLICATE_CHUNK", "BudgetError", "DavydovChain", "LinearProcess",
+                  "ExpandingMap", "ProcessError", "partial_sums_batch", "transfer_duality_residual"),
 }
 
 
@@ -238,16 +238,9 @@ def cmd_conditions(args) -> int:
 # verify
 
 
-def _verify_chain(perturb: float):
+def _verify_chain():
     _bind("processes")  # also called outside a command
-    kernel, f = DavydovChain(2.5, 0.1, n_max=24).kernel
-    if perturb:
-        # row 0, the boundary state -24, drops to 0 by its second slot; its
-        # first slot (weight 0) becomes a loop: K(-24, -24) = perturb
-        cols, weights = kernel.cols.copy(), kernel.weights.copy()
-        cols[0, 0], weights[0, 0] = 0, perturb
-        kernel = FiniteKernel(kernel.states, cols, weights, kernel.stationary)
-    return kernel, f
+    return DavydovChain(2.5, 0.1, n_max=24).kernel
 
 
 def _check_covariance(cfg: dict, params: dict) -> dict:
@@ -255,7 +248,7 @@ def _check_covariance(cfg: dict, params: dict) -> dict:
 
     cases = params["cases"]
     try:
-        kernel, _ = _verify_chain(params["perturb_kernel"])
+        kernel, _ = _verify_chain()
     except ProcessError as exc:
         return {"passed": False, "detail": f"kernel invariant violated: {exc}"}
     gen = np.random.default_rng(cfg["seed"])
@@ -279,7 +272,7 @@ def _check_envelope(cfg: dict, params: dict) -> dict:
 
     cases = params["cases"]
     slack = cfg["tolerances"]["envelope_slack"]
-    kernel, _ = _verify_chain(0.0)
+    kernel, _ = _verify_chain()
     gen = np.random.default_rng(cfg["seed"] + 1)
     # the random g contract strictly; the last, g(y0, y1) = u(y0), is measurable
     # in Y_0 and contracts with equality, so the slack decides it
@@ -325,7 +318,7 @@ def _check_window(cfg: dict, params: dict) -> dict:
 def _check_coboundary(cfg: dict, params: dict) -> dict:
     tol = cfg["tolerances"]["coboundary"]
     rule = lambda j: 0.5**j if j >= 0 else 0.0
-    dec = coboundary(LinearProcess(rule))
+    dec = CoboundaryDecomposition(LinearProcess(rule))
     res = dec.identity_check(256, cfg["seed"], tol)
     if not res["ok"]:
         return {"passed": False,

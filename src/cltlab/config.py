@@ -37,7 +37,7 @@ COEFF_KEYS = {
 SIMULATE_KEYS = {"n_grid", "replicates"}
 CONDITIONS_KEYS = {"ids", "p", "n_terms", "s", "alpha_decay", "q_moment",
                    "phi_decay", "mc", "outer"}
-VERIFY_KEYS = {"checks", "cases", "perturb_kernel"}
+VERIFY_KEYS = {"checks", "cases"}
 CALIBRATE_KEYS = {"replicates", "r_list", "reps"}
 # the allowed 'tolerances' keys are exactly the ones with a default
 DEFAULT_TOLERANCES = {"coboundary": 1e-8, "duality": 1e-8, "envelope_slack": 1e-9}
@@ -304,7 +304,6 @@ def verify_params(cfg: dict, valid) -> dict:
     return {
         "checks": get("checks", tuple(valid), str, valid.__contains__, f"one of {list(valid)}", many=True),
         "cases": get("cases", 25, int, _positive, "a positive integer"),
-        "perturb_kernel": get("perturb_kernel", 0.0),
     }
 
 

@@ -392,8 +392,7 @@ def check_covariance_inequality(kernel: FiniteKernel, f_list, t_list,
 @dataclass(frozen=True)
 class ConditionReport:
     condition_id: str
-    n_values: tuple
-    terms: tuple
+    terms: tuple  # the terms for n = 1, 2, ...
     partial_sums: tuple
     verdict: str  # converged | diverging | inconclusive
     diagnostics: dict = field(default_factory=dict)
@@ -408,10 +407,11 @@ class ConditionReport:
             raise DependenceError("partial sums must be nondecreasing")
 
 
-def _verdict(n_values, terms) -> tuple[str, dict]:
-    """Three-valued convergence call from a log-log slope of the terms."""
+def _verdict(terms) -> tuple[str, dict]:
+    """Three-valued convergence call from a log-log slope of the terms
+    against n = 1, 2, ..."""
     t = np.asarray(terms, dtype=float)
-    n = np.asarray(n_values, dtype=float)
+    n = np.arange(1.0, t.size + 1.0)
     if np.any(~np.isfinite(t)):
         return "diverging", {"reason": "infinite term"}
     pos = t > 1e-300
@@ -432,12 +432,12 @@ def _verdict(n_values, terms) -> tuple[str, dict]:
     return "inconclusive", diag
 
 
-def _report(cid, n_values, terms, extra=None) -> ConditionReport:
-    verdict, diag = _verdict(n_values, terms)
+def _report(cid, terms, extra=None) -> ConditionReport:
+    verdict, diag = _verdict(terms)
     if extra:
         diag.update(extra)
     ps = tuple(np.cumsum(terms))
-    return ConditionReport(cid, tuple(n_values), tuple(terms), ps, verdict, diag)
+    return ConditionReport(cid, tuple(terms), ps, verdict, diag)
 
 
 def series_C1_C2(spec: ProcessSpec, p: float, n_terms: int, outer: int = 1000, ids=("C1", "C2")) -> dict:
@@ -473,8 +473,7 @@ def series_C1_C2(spec: ProcessSpec, p: float, n_terms: int, outer: int = 1000, i
             first = n - (n - 1) % rows
             for m, norm in zip(range(first, n + 1), envelope_norm_discrete(block[: n + 1 - first], probs, p)):
                 terms["C1"].append(m ** (-(2.0 - p / 2.0)) * float(norm))
-    ns = list(range(1, n_terms + 1))
-    return {cid: _report(cid, ns, found) for cid, found in terms.items()}
+    return {cid: _report(cid, found) for cid, found in terms.items()}
 
 
 def series_projective(spec: ProcessSpec, which: str, p: float, n_terms: int, mc: int = 10**5) -> ConditionReport:
@@ -487,7 +486,7 @@ def series_projective(spec: ProcessSpec, which: str, p: float, n_terms: int, mc:
     if not hasattr(fam, "projective_terms"):
         raise UnsupportedFamilyError(f"no projective series for a {type(fam).__name__}")
     terms, extra = fam.projective_terms(which, p, n_terms, mc, spec.seed)
-    return _report(which, range(1, n_terms + 1), terms, extra)
+    return _report(which, terms, extra)
 
 
 @dataclass(frozen=True)
@@ -543,8 +542,8 @@ def series_condalpha1(q: PowerQuantile, alpha_values, p: float) -> dict:
     t1 = ks ** (-(2.0 - p / 2.0)) * q.log_weighted_integral(alpha_values, p)
     t2 = ks ** (-2.0 / p) * q.power_integral(alpha_values, p) ** (2.0 / p)
     return {
-        "log_weighted": _report("condalpha1-a", ks.tolist(), t1.tolist()),
-        "p_norm": _report("condalpha1-b", ks.tolist(), t2.tolist()),
+        "log_weighted": _report("condalpha1-a", t1.tolist()),
+        "p_norm": _report("condalpha1-b", t2.tolist()),
     }
 
 
@@ -556,7 +555,7 @@ def series_condphi(phi2_values, p: float, s: float) -> ConditionReport:
     ks = list(range(1, phi2_values.size + 1))
     expo = (p - 4.0) / 2.0 + (s - 2.0) / (s - 1.0)
     terms = [k**expo * ph ** ((s - 2.0) / s) for k, ph in zip(ks, phi2_values)]
-    return _report("condphi", ks, terms, {"index_exponent": expo})
+    return _report("condphi", terms, {"index_exponent": expo})
 
 
 # ---------------------------------------------------------------------------
@@ -602,13 +601,14 @@ class CoboundaryDecomposition:
     """
 
     spec: LinearProcess
-    big_a: float
+    big_a: float = field(init=False)  # A = sum_j a_j
     # the tail sums of the coefficients a_{-t..t}, computed once
     _tail_t: np.ndarray = field(init=False, repr=False, compare=False)
     _tail_q: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = self.spec.coefficients()
+        object.__setattr__(self, "big_a", float(a.sum()))
         # T_k = sum_{j>=k} a_j and Q_k = sum_{j<=-k} a_j, indexed as in z_value
         object.__setattr__(self, "_tail_t", np.concatenate((np.cumsum(a[::-1])[::-1], [0.0])))
         object.__setattr__(self, "_tail_q", np.concatenate(([0.0], np.cumsum(a))))
@@ -638,11 +638,6 @@ class CoboundaryDecomposition:
         z_1 = self.z_value(1, eps, origin)
         resid = np.array([abs(s[k - 1] - m[k - 1] - z_1 + self.z_value(k + 1, eps, origin)) for k in range(1, n + 1)])
         return {"max_residual": float(resid.max()), "ok": bool(resid.max() <= tolerance)}
-
-
-def coboundary(spec: LinearProcess) -> CoboundaryDecomposition:
-    a = spec.coefficients()
-    return CoboundaryDecomposition(spec, float(a.sum()))
 
 
 # ---------------------------------------------------------------------------

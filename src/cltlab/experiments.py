@@ -21,8 +21,6 @@ from .metrics import (
 from .processes import (
     DEFAULT_BUDGET,
     ProcessSpec,
-    available_cpus,
-    even_ranges,
     long_run_variance,
     partial_sums_batch,
     run_parts,
@@ -31,6 +29,7 @@ from .processes import (
 DEFAULT_N_GRID = tuple(2**k for k in range(6, 15))
 BOOTSTRAP_RESAMPLES = 200
 FLOOR_FACTOR = 3.0
+FLOOR_SEED = 2024  # keys the calibration floor's samples
 MIN_FIT_POINTS = 4
 
 
@@ -54,11 +53,11 @@ class ExperimentPlan:
         for r in self.r_list:
             if not (self.p - 2.0 - 1e-12 <= r <= self.p + 1e-12):
                 raise ExperimentError(f"r = {r} outside [p-2, p] = [{self.p - 2}, {self.p}]")
+        if self.target not in ("sigma2", "sigma_n2"):
+            raise ExperimentError(f"unknown target: {self.target}")
         # variance matching beyond second moments needs the finite-n variance
         if any(r > 2.0 for r in self.r_list) and self.target != "sigma_n2":
             raise ExperimentError("target sigma_n2 is required when any r > 2")
-        if self.target not in ("sigma2", "sigma_n2"):
-            raise ExperimentError(f"unknown target: {self.target}")
         n_grid = self.n_grid
         if any(b <= a for a, b in zip(n_grid, n_grid[1:])) or any(n < 1 or n & (n - 1) for n in n_grid):
             raise ExperimentError("n_grid must be strictly increasing powers of two")
@@ -66,7 +65,6 @@ class ExperimentPlan:
 
 @dataclass(frozen=True)
 class RateFitResult:
-    plan: ExperimentPlan
     points: tuple  # records per (n, r)
     fits: dict  # r -> fit record
     sigma2: float
@@ -82,34 +80,29 @@ def theoretical_exponent(r: float, p: float) -> dict:
     return {"zeta_exp": zeta, "w_exp": w, "log_factor": bool(r == 1.0 and p == 3.0)}
 
 
-def _floor_values(m: int, r: float, seed: int, replicates: range, grid: PanelGrid) -> np.ndarray:
-    """The floor's distances of the given replicates. Every replicate has the
-    weights 1/m, so they share the grid of uniform_panel_grid(m): Phi^{-1}
-    at the quadrature nodes is computed once, not per replicate. Each value
-    is wasserstein_vs_gaussian's, bit for bit."""
-    g = GaussianLaw(1.0)
-    vals = np.empty(len(replicates))
-    for row, i in enumerate(replicates):
-        gen = rngmod.stream(seed, rngmod.ROLE_CALIBRATION, i, m)
-        vals[row] = wasserstein_vs_gaussian(EmpiricalDistribution(gen.standard_normal(m)), g, r, grid).value
-    return vals
+def _floor_value(m: int, r: float, replicate: int, grid: PanelGrid) -> float:
+    """The floor's distance of one replicate. Every replicate has the weights
+    1/m, so they share the grid of uniform_panel_grid(m): Phi^{-1} at the
+    quadrature nodes is computed once, not per replicate. The value is
+    wasserstein_vs_gaussian's, bit for bit."""
+    gen = rngmod.stream(FLOOR_SEED, rngmod.ROLE_CALIBRATION, replicate, m)
+    return wasserstein_vs_gaussian(EmpiricalDistribution(gen.standard_normal(m)), GaussianLaw(1.0), r, grid).value
 
 
-def calibration_floor(m: int, r: float, reps: int = 100, seed: int = 2024, grid: PanelGrid | None = None) -> dict:
+def calibration_floor(m: int, r: float, reps: int = 100, grid: PanelGrid | None = None) -> dict:
     """Mean coupling distance between an m-point standard normal sample and
     the standard normal itself: the resolution limit of the estimator.
 
-    The replicates are cut into one contiguous range per available CPU and
-    computed by run_parts; a replicate's value does not depend on its range,
-    so the mean and stderr do not depend on the CPU count. Every range uses
-    grid, uniform_panel_grid(m) (built here when not given), so a forked
-    worker inherits its tables instead of computing them again."""
+    Each replicate is one part of run_parts, which computes one contiguous
+    run of them per available CPU; a replicate's value does not depend on
+    its run, so the mean and stderr do not depend on the CPU count. Every
+    replicate uses grid, uniform_panel_grid(m) (built here when not given),
+    so a forked worker inherits its tables instead of computing them again."""
     if m < 100:
         raise ExperimentError("m must be >= 100")
     if grid is None:
         grid = uniform_panel_grid(m)
-    ranges = even_ranges(reps, min(available_cpus(), reps))
-    vals = np.concatenate(run_parts(_floor_values, [(m, r, seed, part, grid) for part in ranges]))
+    vals = np.array(run_parts(_floor_value, [(m, r, i, grid) for i in range(reps)]))
     return {"mean": float(vals.mean()), "stderr": float(vals.std(ddof=1) / np.sqrt(reps))}
 
 
@@ -188,7 +181,7 @@ def run_experiment(plan: ExperimentPlan, budget: int = DEFAULT_BUDGET) -> RateFi
             }
         )
     fits = {r: _fit_rate(plan, [pt for pt in points if pt["r"] == r]) for r in plan.r_list}
-    return RateFitResult(plan, tuple(points), fits, float(sigma2))
+    return RateFitResult(tuple(points), fits, float(sigma2))
 
 
 def _wls(x_cols: np.ndarray, y: np.ndarray, w: np.ndarray):

@@ -250,7 +250,7 @@ def uniform_panel_grid(m: int) -> PanelGrid:
     return grid
 
 
-def _integrate_piecewise_gaussian(lo, hi, xval, sigma, r, first=None, tol=QUAD_ABS_TOL):
+def _integrate_piecewise_gaussian(lo, hi, xval, sigma, r, first=None):
     """Adaptive panel integration of sum_i int_{lo_i}^{hi_i} |x_i - sigma Phi^{-1}(u)|^r du.
 
     Returns the integral and whether it stopped unrefined: at PANEL_CAP
@@ -264,7 +264,7 @@ def _integrate_piecewise_gaussian(lo, hi, xval, sigma, r, first=None, tol=QUAD_A
         coarse, fine = _round_sums(half, mid, xval, sigma, r, first)
         first = None
         err = np.abs(fine - coarse)
-        budget = tol * np.maximum(1.0, (hi - lo) / max(hi.max() - lo.min(), 1e-300))
+        budget = QUAD_ABS_TOL * np.maximum(1.0, (hi - lo) / max(hi.max() - lo.min(), 1e-300))
         bad = err > np.maximum(budget, 1e-16)
         total += float(fine[~bad].sum())
         if not bad.any():

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from functools import lru_cache
-from math import ceil, gamma
+from math import ceil, gamma, lgamma
 
 import numpy as np
 
@@ -280,10 +280,8 @@ def abs_moment(r: float) -> float:
     """E|Y|^r for Y standard normal, any r > -1."""
     if r <= -1:
         raise ValueError("absolute moment requires r > -1")
-    from scipy.special import gammaln
-
     # E|Y|^r = 2^{r/2} Gamma((r+1)/2) / sqrt(pi)
-    return float(np.exp(0.5 * r * np.log(2.0) + gammaln((r + 1) / 2.0) - 0.5 * np.log(np.pi)))
+    return float(np.exp(0.5 * r * np.log(2.0) + lgamma((r + 1) / 2.0) - 0.5 * np.log(np.pi)))
 
 
 def hermite_prob(n: int, z):

@@ -834,7 +834,6 @@ class TrajectoryBatch:
     (seed, role, replicate), making the batch bit-identical under any
     replicate chunking, thread count or CPU count."""
 
-    n_grid: tuple
     sums: dict  # n -> array of M values
 
     def __post_init__(self):
@@ -1039,7 +1038,7 @@ def partial_sums_batch(
     ranges = even_ranges(m, -(-chunks // workers) * workers)
     table = np.concatenate(run_parts(chunk_sums, [(n_grid, seed, r) for r in ranges]))
     sums = {n: table[:, col] for col, n in enumerate(n_grid)}
-    return TrajectoryBatch(n_grid, sums)
+    return TrajectoryBatch(sums)
 
 
 # ---------------------------------------------------------------------------

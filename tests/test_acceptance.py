@@ -17,12 +17,12 @@ import pytest
 from scipy.stats import norm
 
 from cltlab.dependence import (
+    CoboundaryDecomposition,
     DependenceError,
     PowerQuantile,
     alpha1_exact,
     an_bn,
     check_covariance_inequality,
-    coboundary,
     envelope_contraction_check,
     phi_coeff,
     series_condalpha1,
@@ -227,7 +227,7 @@ def test_08_covariance_inequalities():
 
 def test_09_partial_sum_split_residual():
     start = time.monotonic()
-    dec = coboundary(LinearProcess(GEOM_HALF, InnovationLaw("gaussian"), truncation=64))
+    dec = CoboundaryDecomposition(LinearProcess(GEOM_HALF, InnovationLaw("gaussian"), truncation=64))
     worst = max(
         dec.identity_check(2**10, seed=9, tolerance=1e-8, replicate=rep)["max_residual"] for rep in range(100)
     )

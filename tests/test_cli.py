@@ -28,6 +28,7 @@ from cltlab import rng as rngmod
 from cltlab.processes import (
     DavydovChain,
     ExpandingMap,
+    FiniteKernel,
     FunctionOfLinear,
     IIDBaseline,
     InnovationLaw,
@@ -533,6 +534,19 @@ def test_r_above_2_with_limit_variance_exit_2(tmp_path, capsys):
     assert "sigma_n2" in capsys.readouterr().err
 
 
+def test_unknown_target_named_before_the_r_check(tmp_path, capsys):
+    # r = 2.5 asks for sigma_n2 too, but the target that is not one is the error
+    cfg_path, _ = write_cfg(
+        tmp_path,
+        rates={"p": 3.0, "r_list": [2.5], "target": "sigma",
+               "replicates": 500, "n_grid": [64, 128, 256]},
+    )
+    out = tmp_path / "o"
+    assert main(["rates", "--config", cfg_path, "--out", str(out)]) == 2
+    assert "unknown target: sigma" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # rates
 
@@ -686,7 +700,7 @@ VERIFY_BLAS_CASES = """
 import numpy as np
 from cltlab.cli import _verify_chain
 from cltlab.dependence import check_covariance_inequality, envelope_contraction_check
-kernel, _ = _verify_chain(0.0)
+kernel, _ = _verify_chain()
 gen = np.random.default_rng(17)
 rows = []
 for _ in range(20):
@@ -834,11 +848,27 @@ def test_verify_list_enumerates_checks(capsys):
         assert name in out
 
 
-def test_verify_corrupted_kernel_fails_naming_invariant(tmp_path, capsys):
-    cfg_path, _ = write_cfg(tmp_path, verify={"checks": ["covariance-inequality"],
-                                              "perturb_kernel": 0.2})
+def test_verify_corrupted_kernel_fails_naming_invariant(tmp_path, capsys, monkeypatch):
+    def corrupted():
+        # row 0, the boundary state -24, drops to 0 by its second slot; its
+        # first slot (weight 0) becomes a loop: K(-24, -24) = 0.2
+        kernel, f = _verify_chain()
+        cols, weights = kernel.cols.copy(), kernel.weights.copy()
+        cols[0, 0], weights[0, 0] = 0, 0.2
+        return FiniteKernel(kernel.states, cols, weights, kernel.stationary), f
+
+    monkeypatch.setattr("cltlab.cli._verify_chain", corrupted)
+    cfg_path, _ = write_cfg(tmp_path, verify={"checks": ["covariance-inequality"]})
     assert main(["verify", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
     assert "rows must sum to 1" in capsys.readouterr().out
+
+
+def test_verify_perturb_kernel_is_an_unknown_key(tmp_path, capsys):
+    cfg_path, _ = write_cfg(tmp_path, verify={"checks": ["covariance-inequality"], "perturb_kernel": 0.2})
+    out = tmp_path / "o"
+    assert main(["verify", "--config", cfg_path, "--out", str(out)]) == 2
+    assert "unknown key 'verify.perturb_kernel'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_tolerances_come_from_the_config(tmp_path, capsys):
@@ -862,7 +892,7 @@ def test_verify_tolerances_come_from_the_config(tmp_path, capsys):
 def test_envelope_case_measurable_in_y0_holds_with_equality():
     # for g(y0, y1) = u(y0), E(X | Y_0) = X: lhs and rhs are the norm of one
     # law, weighted by pi and by the joint law, equal up to rounding
-    kernel, _ = _verify_chain(0.0)
+    kernel, _ = _verify_chain()
     gen = np.random.default_rng(3)
     for _ in range(8):
         g = np.broadcast_to(gen.normal(size=(kernel.size, 1)), (kernel.size, kernel.size))

@@ -10,6 +10,7 @@ import pytest
 from cltlab import dependence
 from cltlab import rng as rngmod
 from cltlab.dependence import (
+    CoboundaryDecomposition,
     ConditionReport,
     DependenceError,
     FiniteLaw,
@@ -17,7 +18,6 @@ from cltlab.dependence import (
     alpha1_exact,
     an_bn,
     check_covariance_inequality,
-    coboundary,
     covariance_product_bound,
     envelope_contraction_check,
     phi_coeff,
@@ -578,7 +578,7 @@ def test_condphi_exponent_and_verdicts():
 
 def test_condition_report_invariants():
     with pytest.raises(DependenceError):
-        ConditionReport("x", (1, 2), (-0.1, 0.2), (-0.1, 0.1), "converged")
+        ConditionReport("x", (-0.1, 0.2), (-0.1, 0.1), "converged")
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +648,7 @@ def test_heyde_tails_geometric_closed_form():
 
 def test_coboundary_identity_small_residual():
     lp = LinearProcess(lambda j: 0.5 ** abs(j) if abs(j) <= 20 else 0.0, InnovationLaw("gaussian"), truncation=24)
-    dec = coboundary(lp)
+    dec = CoboundaryDecomposition(lp)
     for seed in (1, 2):
         out = dec.identity_check(200, seed=seed, tolerance=1e-8)
         assert out["ok"] and out["max_residual"] < 1e-10
@@ -656,7 +656,7 @@ def test_coboundary_identity_small_residual():
 
 
 def test_coboundary_identity_judged_against_the_given_tolerance():
-    dec = coboundary(LinearProcess(lambda j: 0.5**j if j >= 0 else 0.0, InnovationLaw("gaussian"), truncation=64))
+    dec = CoboundaryDecomposition(LinearProcess(lambda j: 0.5**j if j >= 0 else 0.0, InnovationLaw("gaussian"), truncation=64))
     residual = dec.identity_check(256, seed=0, tolerance=1e-8)["max_residual"]
     assert 0.0 < residual < 1e-12
     assert dec.identity_check(256, seed=0, tolerance=residual)["ok"]
@@ -679,7 +679,7 @@ def _z_value_recomputed(dec, i, eps, origin):
 
 def test_coboundary_z_value_from_cached_tails_is_bit_identical():
     lp = LinearProcess(lambda j: 0.7 ** abs(j) if j < 0 else 0.5**j, InnovationLaw("uniform"), truncation=80)
-    dec = coboundary(lp)
+    dec = CoboundaryDecomposition(lp)
     eps = np.random.default_rng(4).standard_normal(200 + 4 * 80 + 2)
     for i in range(1, 202):
         assert dec.z_value(i, eps, 160) == _z_value_recomputed(dec, i, eps, 160)

@@ -220,14 +220,14 @@ class TestParallelStages:
 
     def test_floor_part_error_reraised_in_the_parent(self, monkeypatch):
         # 10 replicates on 2 CPUs: this process runs 0..4, the worker 5..9
-        floor_values = experiments._floor_values
+        floor_value = experiments._floor_value
 
-        def failing(m, r, seed, replicates, grid):
-            if replicates.start >= 5:
-                raise ExperimentError(f"floor part from replicate {replicates.start} failed")
-            return floor_values(m, r, seed, replicates, grid)
+        def failing(m, r, replicate, grid):
+            if replicate >= 5:
+                raise ExperimentError(f"floor part from replicate {replicate} failed")
+            return floor_value(m, r, replicate, grid)
 
-        monkeypatch.setattr(experiments, "_floor_values", failing)
+        monkeypatch.setattr(experiments, "_floor_value", failing)
         _use_cpus(monkeypatch, 2)
         with pytest.raises(ExperimentError) as info:
             calibration_floor(100, 1.0, reps=10)

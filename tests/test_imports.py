@@ -45,6 +45,82 @@ def test_every_imported_name_is_used():
     assert {name: found for name, found in unused.items() if found} == {}
 
 
+# ---------------------------------------------------------------------------
+# parameter census
+
+
+# Defaulted parameters that no call in the package sets, each with its reason.
+# The key is the def's module.qualified name and the parameter's name.
+PARAMETERS = {
+    "metrics.EmpiricalDistribution.__init__.weights": "weighted samples, which the metric tests build",
+    "dependence.an_bn.support": "the coefficient window, which the window tests shrink",
+    "rng.streams.tail": "the stream key's tail, which the rng tests vary",
+    "rng.first_draws.tail": "the stream key's tail, which the rng tests vary",
+    "dependence.CoboundaryDecomposition.identity_check.replicate": "the replicate whose innovations the "
+                                                                   "acceptance test sweeps",
+    "processes.sample_linear_process.replicate": "the replicate whose path the process tests sample",
+    "cli.main.argv": "the arguments of an in-process run; the console script passes none",
+    "dependence.phi_coeff.k": "the lag, which the mixing tests vary",
+    "dependence.phi_coeff.f": "an observable in place of the chain's, which the mixing tests pass",
+    "dependence.phi_coeff.gap_cap": "the widest index gap searched, which the mixing tests shrink",
+    "rng._Key.generate_state.dtype": "numpy's Generator protocol, which numpy calls",
+}
+
+
+def _census() -> tuple:
+    """(defaulted, calls): defaulted maps each def's callee name to the
+    (module.qualified parameter name, its position less the bound self, or
+    None when keyword-only) of its defaulted parameters, a class's __init__
+    under the class's name; calls lists (callee name, positional count,
+    positional count before a *args, keywords, whether **kwargs is passed)
+    of every call in the package, the callee named by its last name."""
+    defaulted, calls = {}, []
+
+    def visit(node, prefix, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.", child.name)
+            elif isinstance(child, ast.FunctionDef):
+                static = any(getattr(d, "id", None) == "staticmethod" for d in child.decorator_list)
+                bound = int(in_class is not None and not static)
+                positional = child.args.posonlyargs + child.args.args
+                first_default = len(positional) - len(child.args.defaults)
+                params = [(a.arg, i - bound) for i, a in enumerate(positional) if i >= first_default]
+                params += [(a.arg, None) for a, d in zip(child.args.kwonlyargs, child.args.kw_defaults) if d is not None]
+                callee = in_class if child.name == "__init__" else child.name
+                defaulted.setdefault(callee, []).extend((f"{prefix}{child.name}.{name}", i) for name, i in params)
+                visit(child, f"{prefix}{child.name}.", None)
+            else:
+                visit(child, prefix, in_class)
+
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        visit(tree, f"{path.stem}.", None)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                stars = [i for i, a in enumerate(node.args) if isinstance(a, ast.Starred)]
+                calls.append((getattr(node.func, "id", None) or node.func.attr, len(node.args),
+                              stars[0] if stars else None, {k.arg for k in node.keywords},
+                              None in {k.arg for k in node.keywords}))
+    return defaulted, calls
+
+
+def test_every_defaulted_parameter_is_set_by_a_call_or_listed():
+    # a default that no call overrides is a knob nothing turns: a constant
+    # in the body says the same with less code
+    defaulted, calls = _census()
+    unset = set()
+    for callee, params in defaulted.items():
+        sites = [call for call in calls if call[0] == callee]
+        for name, i in params:
+            short = name.rsplit(".", 1)[1]
+            if not any(short in keywords or splat or (i is not None and (i < npos or (star is not None and i >= star)))
+                       for _, npos, star, keywords, splat in sites):
+                unset.add(name)
+    assert sorted(unset - set(PARAMETERS)) == [], "unset and not listed"
+    assert sorted(set(PARAMETERS) - unset) == [], "listed but set by a call, or gone"
+
+
 def test_dependence_reads_families_only_through_their_methods():
     # a family's conditions come from its own methods: dependence imports no
     # family class, tests for none with isinstance and reads no `.kernel`

@@ -3,6 +3,9 @@ against scipy.special (whose Cephes code they port), and the envelope
 weight's functions against mpmath at 30 digits, on grids fixed before the
 code was written."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -12,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 
+import cltlab
 from cltlab.metrics import U_WEIGHT_KINK, _weight_antiderivative
-from cltlab.normal import norm_cdf, norm_quantile, upper_gamma
+from cltlab.normal import abs_moment, norm_cdf, norm_quantile, upper_gamma
 
 mp = pytest.importorskip("mpmath")
 
@@ -49,6 +53,24 @@ def test_quantile_lower_matches_mpmath():
             # in log space: findroot's absolute tolerance would accept any t at v = 1e-300
             want = mp.findroot(lambda t: mp.log(mp.ncdf(t) / mp.mpf(float(v))), float(got))
             assert abs(got - want) <= 4e-15 * abs(want), v
+
+
+def test_abs_moment_matches_mpmath():
+    # E|Z|^r = 2^{r/2} Gamma((r + 1)/2) / sqrt(pi), on (-1, 6]
+    with mp.workdps(30):
+        for r in np.concatenate((np.linspace(-0.99, 6.0, 141), [-0.999999])):
+            want = mp.power(2, mp.mpf(float(r)) / 2) * mp.gamma((mp.mpf(float(r)) + 1) / 2) / mp.sqrt(mp.pi)
+            assert abs(abs_moment(float(r)) - want) <= 4e-15 * want, r
+    for r, want in ((1.0, np.sqrt(2.0 / np.pi)), (2.0, 1.0), (3.0, 2.0 * np.sqrt(2.0 / np.pi))):
+        assert abs(abs_moment(r) - want) <= 2.3e-16 * want, r
+
+
+def test_abs_moment_loads_no_scipy():
+    # the module imports no SciPy, and abs_moment imports none when it runs
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cltlab.__file__)))
+    code = ("import sys; from cltlab.normal import abs_moment; abs_moment(1.5); "
+            "sys.exit(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))")
+    assert subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src)).returncode == 0
 
 
 @pytest.mark.parametrize("a", GAMMA_ORDERS)
