@@ -68,12 +68,13 @@ PARAMETERS = {
 
 
 def _census() -> tuple:
-    """(defaulted, calls): defaulted maps each def's callee name to the
-    (module.qualified parameter name, its position less the bound self, or
-    None when keyword-only) of its defaulted parameters, a class's __init__
-    under the class's name; calls lists (callee name, positional count,
-    positional count before a *args, keywords, whether **kwargs is passed)
-    of every call in the package, the callee named by its last name."""
+    """(defaulted, calls). defaulted maps a callee name (a class's for its
+    __init__) to (module.qualified name, name, position) of each defaulted
+    parameter of the defs of that name; the position leaves out a bound
+    self and is None for a keyword-only parameter. calls lists (callee's
+    last name, positional count, position of the first *args or None,
+    keyword names, None among them for a **kwargs) of every call in the
+    package."""
     defaulted, calls = {}, []
 
     def visit(node, prefix, in_class):
@@ -83,13 +84,15 @@ def _census() -> tuple:
             elif isinstance(child, ast.FunctionDef):
                 static = any(getattr(d, "id", None) == "staticmethod" for d in child.decorator_list)
                 bound = int(in_class is not None and not static)
-                positional = child.args.posonlyargs + child.args.args
-                first_default = len(positional) - len(child.args.defaults)
-                params = [(a.arg, i - bound) for i, a in enumerate(positional) if i >= first_default]
-                params += [(a.arg, None) for a, d in zip(child.args.kwonlyargs, child.args.kw_defaults) if d is not None]
+                args = child.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                params = [(a.arg, i - bound) for i, a in enumerate(positional) if i >= first]
+                params += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
                 callee = in_class if child.name == "__init__" else child.name
-                defaulted.setdefault(callee, []).extend((f"{prefix}{child.name}.{name}", i) for name, i in params)
-                visit(child, f"{prefix}{child.name}.", None)
+                where = f"{prefix}{child.name}"
+                defaulted.setdefault(callee, []).extend((f"{where}.{name}", name, i) for name, i in params)
+                visit(child, f"{where}.", None)
             else:
                 visit(child, prefix, in_class)
 
@@ -98,25 +101,27 @@ def _census() -> tuple:
         visit(tree, f"{path.stem}.", None)
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
-                stars = [i for i, a in enumerate(node.args) if isinstance(a, ast.Starred)]
-                calls.append((getattr(node.func, "id", None) or node.func.attr, len(node.args),
-                              stars[0] if stars else None, {k.arg for k in node.keywords},
-                              None in {k.arg for k in node.keywords}))
+                star = next((i for i, a in enumerate(node.args) if isinstance(a, ast.Starred)), None)
+                calls.append((getattr(node.func, "id", None) or node.func.attr, len(node.args), star,
+                              {k.arg for k in node.keywords}))
     return defaulted, calls
+
+
+def _sets(call: tuple, name: str, position) -> bool:
+    """Whether call may set the parameter: by keyword, by position, or
+    through *args or **kwargs."""
+    _, npos, star, keywords = call
+    if name in keywords or None in keywords:
+        return True
+    return position is not None and (position < npos or (star is not None and position >= star))
 
 
 def test_every_defaulted_parameter_is_set_by_a_call_or_listed():
     # a default that no call overrides is a knob nothing turns: a constant
     # in the body says the same with less code
     defaulted, calls = _census()
-    unset = set()
-    for callee, params in defaulted.items():
-        sites = [call for call in calls if call[0] == callee]
-        for name, i in params:
-            short = name.rsplit(".", 1)[1]
-            if not any(short in keywords or splat or (i is not None and (i < npos or (star is not None and i >= star)))
-                       for _, npos, star, keywords, splat in sites):
-                unset.add(name)
+    unset = {qualified for callee, params in defaulted.items() for qualified, name, position in params
+             if not any(_sets(call, name, position) for call in calls if call[0] == callee)}
     assert sorted(unset - set(PARAMETERS)) == [], "unset and not listed"
     assert sorted(set(PARAMETERS) - unset) == [], "listed but set by a call, or gone"
 
