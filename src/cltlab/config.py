@@ -19,7 +19,6 @@ from .processes import (
     LinearProcess,
     ProcessError,
     ProcessSpec,
-    davydov_schedule,
 )
 
 
@@ -38,6 +37,13 @@ SIMULATE_KEYS = {"n_grid", "replicates"}
 CONDITIONS_KEYS = {"ids", "p", "n_terms", "s", "alpha_decay", "q_moment",
                    "phi_decay", "mc", "outer"}
 VERIFY_KEYS = {"checks", "cases"}
+# each 'conditions' key but ids, p and n_terms, and each 'verify' key but
+# checks, with the ids or checks that read it; a run that requests none of
+# them rejects the key
+READ_BY = {"conditions.outer": ("C1", "C2", "Cond2cob", "Cond2cobp3"), "conditions.mc": ("Cond1cob", "Condcobp3adap"),
+           "conditions.alpha_decay": ("condalpha1",), "conditions.q_moment": ("condalpha1",),
+           "conditions.s": ("condphi",), "conditions.phi_decay": ("condphi",),
+           "verify.cases": ("covariance-inequality", "envelope-contraction")}
 CALIBRATE_KEYS = {"replicates", "r_list", "reps"}
 # the allowed 'tolerances' keys are exactly the ones with a default
 DEFAULT_TOLERANCES = {"coboundary": 1e-8, "duality": 1e-8, "envelope_slack": 1e-9}
@@ -142,28 +148,17 @@ def build_coeff_rule(section: dict) -> Callable[[int], float]:
     if rule == "geometric":
         ratio = get("ratio", ok=lambda v: abs(v) < 1.0, need="a number of modulus below 1")
         scale = get("scale", 1.0)
-
-        def fn(j: int) -> float:
-            return scale * ratio**j if j >= 0 else 0.0
-
-    elif rule == "power":
+        return lambda j: scale * ratio**j if j >= 0 else 0.0
+    if rule == "power":
         expo = get("exponent", ok=lambda v: v < -1.0, need="a number below -1 for a summable tail")
         scale = get("scale", 1.0)
-
-        def fn(j: int) -> float:
-            return scale * float(j) ** expo if j >= 1 else (scale if j == 0 else 0.0)
-
-    else:
-        values = get("values", kind=dict, ok=bool, need="an object mapping lag -> coefficient")
-        for lag in values:
-            if not re.fullmatch(r"-?[0-9]+", lag):
-                raise ConfigError(f"'process.coeffs.values' key {lag!r} is not an integer lag")
-        table = {int(lag): read(values, "process.coeffs.values", lag) for lag in values}
-
-        def fn(j: int) -> float:
-            return table.get(j, 0.0)
-
-    return fn
+        return lambda j: scale * float(j) ** expo if j >= 1 else (scale if j == 0 else 0.0)
+    values = get("values", kind=dict, ok=bool, need="an object mapping lag -> coefficient")
+    for lag in values:
+        if not re.fullmatch(r"-?[0-9]+", lag):
+            raise ConfigError(f"'process.coeffs.values' key {lag!r} is not an integer lag")
+    table = {int(lag): read(values, "process.coeffs.values", lag) for lag in values}
+    return lambda j: table.get(j, 0.0)
 
 
 def _given(section: dict, where: str, reads: dict) -> dict:
@@ -184,19 +179,6 @@ def build_innovation(section: dict) -> InnovationLaw:
         return InnovationLaw(**_given(section, "process.innovation", INNOVATION))
     except ProcessError as exc:
         raise ConfigError(f"'process.innovation': {exc}") from exc
-
-
-def _davydov(v: dict) -> DavydovChain:
-    # an explicit schedule pins the up-step probabilities the config expects;
-    # it must satisfy the drift invariant and match the (p, eps) formula
-    schedule = v.pop("schedule", ())
-    for i, (a_n, want) in enumerate(zip(schedule, davydov_schedule(v["p"], v["eps"], len(schedule)))):
-        if i > 0 and not (0.5 <= a_n < 1.0):
-            raise ConfigError(f"'process.schedule[{i}]' = {a_n} violates the invariant 1/2 <= a_n < 1")
-        if abs(a_n - want) > 1e-9:
-            raise ConfigError(f"'process.schedule[{i}]' = {a_n} does not match the drift formula "
-                              f"value {want:.12g} for the given p and eps")
-    return DavydovChain(**v)
 
 
 def _linear(v: dict) -> LinearProcess:
@@ -224,7 +206,7 @@ MAP_KEYS = {"beta": {"beta"}, "gauss": set(), "piecewise_affine": {"breakpoints"
 FAMILIES = {
     "davydov": ({"p": dict(ok=lambda v: 2.0 < v <= 3.0, need="a number in (2, 3]"),
                  "eps": dict(ok=_positive, need="a positive number"), "functional": _optional(kind=str),
-                 "n_max": _optional(kind=int), "schedule": _optional(many=True)}, _davydov),
+                 "n_max": _optional(kind=int)}, lambda v: DavydovChain(**v)),
     "linear": (_LINEAR, _linear),
     "function_of_linear": (dict(_LINEAR, h_rule=_optional(kind=str), gamma=_optional(), alpha=_optional(),
                                 centering_draws=_optional(kind=int, ok=_positive, need="a positive integer")),
@@ -280,12 +262,25 @@ def simulate_params(cfg: dict) -> tuple:
     return n_grid, get("replicates", kind=int, ok=lambda m: m >= 100, need="an integer >= 100")
 
 
+def _check_readers(section: dict, where: str, chosen: tuple) -> None:
+    """Reject a key of section that READ_BY gives only to ids or checks the
+    run does not request (chosen), naming the key and its readers."""
+    for key in section:
+        readers = READ_BY.get(f"{where}.{key}", chosen)
+        if not set(readers) & set(chosen):
+            raise ConfigError(f"'{where}.{key}' is read only by {list(readers)}, and this run requests none of them")
+
+
 def conditions_params(cfg: dict, valid) -> dict:
-    """The 'conditions' values by key, defaults filled in; 'ids' are names from valid."""
-    get = partial(read, _section(cfg, "conditions", CONDITIONS_KEYS), "conditions")
+    """The 'conditions' values by key, defaults filled in; 'ids' are names
+    from valid, and a key is set only if one of them reads it."""
+    section = _section(cfg, "conditions", CONDITIONS_KEYS)
+    get = partial(read, section, "conditions")
     p = get("p", 2.5, ok=_positive, need="a positive number")
+    ids = get("ids", kind=str, ok=valid.__contains__, need=f"one of {list(valid)}", many=True)
+    _check_readers(section, "conditions", ids)
     return {
-        "ids": get("ids", kind=str, ok=valid.__contains__, need=f"one of {list(valid)}", many=True),
+        "ids": ids,
         "p": p,
         "n_terms": get("n_terms", 64, int, _positive, "a positive integer"),
         "s": get("s", max(p, 2.5), ok=lambda s: s >= p and s > 1, need="a number above 1 and at least 'conditions.p'"),
@@ -299,12 +294,13 @@ def conditions_params(cfg: dict, valid) -> dict:
 
 def verify_params(cfg: dict, valid) -> dict:
     """The 'verify' values by key, defaults filled in; 'checks' are names
-    from valid, all of them by default."""
-    get = partial(read, _section(cfg, "verify", VERIFY_KEYS, {}), "verify")
-    return {
-        "checks": get("checks", tuple(valid), str, valid.__contains__, f"one of {list(valid)}", many=True),
-        "cases": get("cases", 25, int, _positive, "a positive integer"),
-    }
+    from valid, all of them by default, and a key is set only if one of
+    them reads it."""
+    section = _section(cfg, "verify", VERIFY_KEYS, {})
+    get = partial(read, section, "verify")
+    checks = get("checks", tuple(valid), str, valid.__contains__, f"one of {list(valid)}", many=True)
+    _check_readers(section, "verify", checks)
+    return {"checks": checks, "cases": get("cases", 25, int, _positive, "a positive integer")}
 
 
 def calibrate_params(cfg: dict) -> tuple:

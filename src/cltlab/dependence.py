@@ -16,7 +16,7 @@ import numpy as np
 from . import rng as rngmod
 from .metrics import distinct, envelope_norm_discrete
 from .normal import upper_gamma
-from .processes import FiniteKernel, ProcessSpec, lp_norm_discrete, window_sums
+from .processes import FiniteKernel, ProcessSpec, lp_norm_discrete, prefix_sums, tail_sums, window_sums
 
 EXACT_ENUM_CAP = 22  # state count up to which the event sup is enumerated
 PHI_BLOCK_ENTRIES = 2**18  # states x threshold combinations per _phi_i_exact block
@@ -571,7 +571,7 @@ def an_bn(coeff_rule: Callable[[int], float], n: int, support: int = 4096) -> di
     a = np.array([coeff_rule(j) for j in range(-l, l + 1)])
     probe = np.abs(np.array([coeff_rule(j) for j in list(range(l + 1, l + 129)) + list(range(-l - 128, -l))]))
     certified = float((probe**2).sum()) <= 1e-12 and float(probe.sum() ** 2) <= 1e-12
-    window = partial(window_sums, np.concatenate(([0.0], np.cumsum(a))), -l)  # window(lo, hi)
+    window = partial(window_sums, prefix_sums(a), -l)  # window(lo, hi)
     j = np.arange(1, n + 1)
     i = np.arange(1, l + 1)
     # block 1: j in 1..n; blocks 2 and 3: windows sliding off either end
@@ -580,8 +580,7 @@ def an_bn(coeff_rule: Callable[[int], float], n: int, support: int = 4096) -> di
     b3 = float((window(-i - n + 1, -i) ** 2).sum())
     # T_k = sum_{m >= k} |a_m| and Q_k = sum_{m <= -k} |a_m| for k = 1..n
     absa = np.abs(a)
-    t_tail = np.concatenate((np.cumsum(absa[::-1])[::-1], [0.0]))
-    q_tail = np.concatenate(([0.0], np.cumsum(absa)))
+    t_tail, q_tail = tail_sums(absa), prefix_sums(absa)
     b_n = float((t_tail[np.minimum(j + l, 2 * l + 1)] ** 2 + q_tail[np.maximum(l + 1 - j, 0)] ** 2).sum())
     return {
         "A_n": b1 + b2 + b3,
@@ -610,8 +609,8 @@ class CoboundaryDecomposition:
         a = self.spec.coefficients()
         object.__setattr__(self, "big_a", float(a.sum()))
         # T_k = sum_{j>=k} a_j and Q_k = sum_{j<=-k} a_j, indexed as in z_value
-        object.__setattr__(self, "_tail_t", np.concatenate((np.cumsum(a[::-1])[::-1], [0.0])))
-        object.__setattr__(self, "_tail_q", np.concatenate(([0.0], np.cumsum(a))))
+        object.__setattr__(self, "_tail_t", tail_sums(a))
+        object.__setattr__(self, "_tail_q", prefix_sums(a))
 
     def z_value(self, i: int, eps: np.ndarray, origin: int) -> float:
         """Z_i from innovations indexed eps[m + origin] = eps_m."""

@@ -44,14 +44,9 @@ class RunManifest:
                 raise IOError_(f"manifest references missing output file {name!r}")
 
 
-def write_manifest(out_dir: str, manifest: RunManifest) -> str:
+def write_manifest(out_dir: str, manifest: RunManifest) -> None:
     manifest.check(out_dir)
-    path = os.path.join(out_dir, "manifest.json")
-    payload = {"schema_version": SCHEMA_VERSION, **asdict(manifest)}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    write_json(os.path.join(out_dir, "manifest.json"), asdict(manifest))
 
 
 def read_manifest(out_dir: str) -> RunManifest:
@@ -149,25 +144,20 @@ def svg_rate_plot(path: str, curves: dict, guides: dict, title: str) -> None:
             out.append(f'<line x1="{margin - 5}" y1="{y:.1f}" x2="{margin}" y2="{y:.1f}" stroke="black"/>')
             out.append(f'<text x="{margin - 8}" y="{y + 4:.1f}" text-anchor="end">1e{int(np.log10(t))}</text>')
     out.append(f'<text x="{width / 2:.1f}" y="{height - 12}" text-anchor="middle">n</text>')
-    legend_y = margin
-    for i, (label, (cx, cy)) in enumerate(sorted(curves.items())):
+    # the curves, solid with a dot per point, then the guides, dashed; one legend line each
+    lines = [(label, xy, False) for label, xy in sorted(curves.items())]
+    lines += [(label, xy, True) for label, xy in sorted(guides.items())]
+    for i, (label, (lx, ly), guide) in enumerate(lines):
         color = _PALETTE[i % len(_PALETTE)]
-        cx, cy = np.asarray(cx, dtype=float), np.asarray(cy, dtype=float)
-        keep = cy > 0
-        pts = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(cx[keep], cy[keep]))
-        out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-        for a, b in zip(cx[keep], cy[keep]):
-            out.append(f'<circle cx="{px(a):.2f}" cy="{py(b):.2f}" r="2.5" fill="{color}"/>')
-        out.append(f'<text x="{width - margin - 150}" y="{legend_y:.1f}" fill="{color}">{label}</text>')
-        legend_y += 14
-    for i, (label, (gx, gy)) in enumerate(sorted(guides.items())):
-        color = _PALETTE[(i + len(curves)) % len(_PALETTE)]
-        gx, gy = np.asarray(gx, dtype=float), np.asarray(gy, dtype=float)
-        keep = gy > 0
-        pts = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(gx[keep], gy[keep]))
-        out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1" stroke-dasharray="5,4"/>')
-        out.append(f'<text x="{width - margin - 150}" y="{legend_y:.1f}" fill="{color}">{label} (guide)</text>')
-        legend_y += 14
+        lx, ly = np.asarray(lx, dtype=float), np.asarray(ly, dtype=float)
+        kept = [(px(a), py(b)) for a, b in zip(lx[ly > 0], ly[ly > 0])]
+        pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in kept)
+        stroke = 'stroke-width="1" stroke-dasharray="5,4"' if guide else 'stroke-width="1.5"'
+        out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" {stroke}/>')
+        if not guide:
+            out += [f'<circle cx="{a:.2f}" cy="{b:.2f}" r="2.5" fill="{color}"/>' for a, b in kept]
+        out.append(f'<text x="{width - margin - 150}" y="{margin + 14 * i:.1f}" fill="{color}">'
+                   f'{label}{" (guide)" if guide else ""}</text>')
     out.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(out) + "\n")

@@ -427,7 +427,7 @@ class LinearProcess:
             ad = [lp_of_coeffs(np.array([a[j + t] if j <= t else 0.0 for j in range(n, n + t + 1)]), p) for n in ns]
             an = [lp_of_coeffs(np.array([a[t - j] if j <= t else 0.0 for j in range(n + 1, n + t + 2)]), p) for n in ns]
             return [x + y for x, y in zip(ad, an)], {"adapted": ad, "anticipative": an}
-        tail = np.concatenate((np.cumsum(a[::-1])[::-1], [0.0]))  # T_i over i = -t..t+1
+        tail = tail_sums(a)  # T_i over i = -t..t+1
         # the coefficient of eps_m (m <= 0) in sum_{k >= n} E(X_k | F_0) is T_{n-m} = sum_{j >= n-m} a_j
         return [(1.0 / n) * lp_of_coeffs(tail[np.minimum(np.arange(n, n + t + 1) + t, 2 * t + 1)], 3.0) for n in ns], {}
 
@@ -436,7 +436,7 @@ class LinearProcess:
         eps_j in S_n."""
         t = self.truncation
         j = np.arange(1 - t, n + t + 1)
-        return window_sums(np.concatenate(([0.0], np.cumsum(self._a))), -t, 1 - j, n - j)
+        return window_sums(prefix_sums(self._a), -t, 1 - j, n - j)
 
 
 @dataclass(frozen=True)
@@ -591,6 +591,16 @@ def sample_linear_process(spec: LinearProcess, n: int, seed: int, replicate: int
     by correlating against the coefficients."""
     gen = rngmod.stream(seed, rngmod.ROLE_INNOVATION, replicate, 0)
     return _linear_path_values(spec.coefficients(), spec.innovation, n, gen)
+
+
+def prefix_sums(a: np.ndarray) -> np.ndarray:
+    """[0, a_0, a_0 + a_1, ..., sum a]: window_sums' cs."""
+    return np.concatenate(([0.0], np.cumsum(a)))
+
+
+def tail_sums(a: np.ndarray) -> np.ndarray:
+    """[sum a, sum a[1:], ..., a[-1], 0]."""
+    return np.concatenate((np.cumsum(a[::-1])[::-1], [0.0]))
 
 
 def window_sums(cs: np.ndarray, first: int, lo, hi) -> np.ndarray:

@@ -5,6 +5,7 @@ import dataclasses
 import importlib.util
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -12,8 +13,17 @@ import numpy as np
 import pytest
 
 import cltlab
-from cltlab.cli import _verify_chain, main
-from cltlab.config import FAMILIES, build_process, load_config
+from cltlab.cli import VALID_CONDITIONS, VERIFY_CHECKS, _verify_chain, main
+from cltlab.config import (
+    FAMILIES,
+    build_plan,
+    build_process,
+    calibrate_params,
+    conditions_params,
+    load_config,
+    simulate_params,
+    verify_params,
+)
 from cltlab.dependence import (
     ConditionReport,
     UnsupportedFamilyError,
@@ -516,12 +526,14 @@ def test_missing_seed_exit_2(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
-def test_invalid_schedule_names_invariant(tmp_path, capsys):
-    cfg_path, _ = write_cfg(
-        tmp_path, process={"family": "davydov", "p": 2.5, "eps": 0.1, "schedule": [0.5, 0.4]}
-    )
-    assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
-    assert "1/2 <= a_n < 1" in capsys.readouterr().err
+def test_davydov_schedule_is_an_unknown_key(tmp_path, capsys):
+    # the chain's up-step probabilities follow from p and eps alone; a
+    # schedule key could only restate them
+    cfg_path, _ = write_cfg(tmp_path, process={"family": "davydov", "p": 2.5, "eps": 0.1, "schedule": [0.5, 0.5]})
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
+    assert "unknown key 'process.schedule'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_r_above_2_with_limit_variance_exit_2(tmp_path, capsys):
@@ -798,8 +810,8 @@ def test_linear_conditions_report_cond2cob(tmp_path):
 
 @pytest.mark.parametrize("process", [
     {"family": "davydov", "p": 2.5, "eps": 0.1, "functional": "f1", "n_max": 60},
-    {"family": "davydov", "p": 2.7, "eps": 0.3, "functional": "f2", "n_max": 60, "schedule": [0.5, 0.5, 0.5]},
-], ids=["f1", "f2-schedule"])
+    {"family": "davydov", "p": 2.7, "eps": 0.3, "functional": "f2", "n_max": 60},
+], ids=["f1", "f2"])
 def test_davydov_rates_builds_its_chain_once(tmp_path, monkeypatch, process):
     # the simulation and the long-run variance read the one kernel of the
     # run's chain object
@@ -861,6 +873,54 @@ def test_verify_corrupted_kernel_fails_naming_invariant(tmp_path, capsys, monkey
     cfg_path, _ = write_cfg(tmp_path, verify={"checks": ["covariance-inequality"]})
     assert main(["verify", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
     assert "rows must sum to 1" in capsys.readouterr().out
+
+
+UNREAD = [
+    ("conditions", {"conditions": {"ids": ["C1"], "alpha_decay": 5}}, "conditions.alpha_decay", "condalpha1"),
+    ("conditions", {"conditions": {"ids": ["condalpha1", "condphi"], "mc": 100}}, "conditions.mc", "Cond1cob"),
+    ("conditions", {"conditions": {"ids": ["Cond1cob"], "outer": 10}}, "conditions.outer", "Cond2cobp3"),
+    ("conditions", {"conditions": {"ids": ["condalpha1"], "s": 3.0}}, "conditions.s", "condphi"),
+    ("verify", {"verify": {"checks": ["partial-sum-window"], "cases": 3}}, "verify.cases", "envelope-contraction"),
+]
+
+
+@pytest.mark.parametrize("command, override, key, reader", UNREAD, ids=[case[2] for case in UNREAD])
+def test_key_no_requested_id_reads_exit_2_naming_its_readers(tmp_path, capsys, command, override, key, reader):
+    # a key that changes nothing in this run is an error, not a silent default
+    cfg_path, _ = write_cfg(tmp_path, **override)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"'{key}' is read only by" in err and f"'{reader}'" in err
+    assert not out.exists()
+
+
+def _committed_configs() -> dict:
+    """name -> config of each bench config and of README's CLI example."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    found = {path.name: json.loads(path.read_text()) for path in sorted((root / "bench" / "configs").glob("*.json"))}
+    readme = (root / "README.md").read_text().split("## CLI example", 1)[1]
+    found["README"] = json.loads(readme.split("```json", 1)[1].split("```", 1)[0])
+    return found
+
+
+COMMITTED = _committed_configs()
+READERS = {"simulate": simulate_params, "rates": build_plan,
+           "conditions": lambda cfg: conditions_params(cfg, VALID_CONDITIONS),
+           "verify": lambda cfg: verify_params(cfg, VERIFY_CHECKS), "calibrate": calibrate_params}
+
+
+@pytest.mark.parametrize("name", sorted(COMMITTED))
+def test_committed_config_reads_cleanly(tmp_path, name):
+    # the benchmark's configs and README's example hold only keys their runs read
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(COMMITTED[name]))
+    cfg = load_config(str(path))
+    assert {"simulate", "rates", "conditions", "verify"} & cfg.keys()
+    for section in READERS.keys() & cfg.keys():
+        READERS[section](cfg)
+    if name == "README":  # its `cltlab verify` runs every check with the defaults
+        assert verify_params(cfg, VERIFY_CHECKS) == {"checks": tuple(VERIFY_CHECKS), "cases": 25}
 
 
 def test_verify_perturb_kernel_is_an_unknown_key(tmp_path, capsys):

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 import cltlab
-from cltlab import cli, metrics, processes
+from cltlab import cli, config, metrics, processes
 
 SRC = pathlib.Path(cltlab.__file__).parent
 DIGESTS = pathlib.Path(__file__).with_name("digests.json")
@@ -124,6 +124,54 @@ def test_every_defaulted_parameter_is_set_by_a_call_or_listed():
              if not any(_sets(call, name, position) for call in calls if call[0] == callee)}
     assert sorted(unset - set(PARAMETERS)) == [], "unset and not listed"
     assert sorted(set(PARAMETERS) - unset) == [], "listed but set by a call, or gone"
+
+
+# ---------------------------------------------------------------------------
+# config-key census
+
+
+# the 'conditions' and 'verify' keys every run reads; each other key of the
+# two sections is read only by the ids or checks config.READ_BY lists for it
+BASE_KEYS = {"conditions": {"ids", "p", "n_terms"}, "verify": {"checks"}}
+
+
+def test_every_key_some_runs_skip_is_tabled_with_its_readers():
+    # a key no table lists would be read, or ignored, on every run
+    allowed = {"conditions": config.CONDITIONS_KEYS, "verify": config.VERIFY_KEYS}
+    keys = {f"{section}.{key}" for section, names in allowed.items() for key in names - BASE_KEYS[section]}
+    assert sorted(keys ^ config.READ_BY.keys()) == [], "untabled keys, or tabled keys that are not allowed"
+    valid = {"conditions": set(cli.VALID_CONDITIONS), "verify": set(cli.VERIFY_CHECKS)}
+    assert {name: readers for name, readers in config.READ_BY.items()
+            if not set(readers) <= valid[name.split(".")[0]]} == {}
+
+
+def test_each_tabled_key_moves_exactly_its_readers(tmp_path, monkeypatch):
+    # on a linear process every condition id reads its keys; doubling a key
+    # moves the rows (for verify, the detail) of exactly the ids or checks
+    # config.READ_BY gives it. The smoothing-lemma grid is shrunk as in _trace
+    from_callable = metrics.GridFunction.from_callable
+    monkeypatch.setattr(metrics.GridFunction, "from_callable",
+                        staticmethod(lambda f, lo, hi, n: from_callable(f, lo, hi, 2**9 + 1)))
+    base = {"conditions": {"ids": list(cli.VALID_CONDITIONS), "n_terms": 8, "mc": 100, "outer": 10,
+                           "alpha_decay": 2.0, "q_moment": 4.0, "s": 2.5, "phi_decay": 2.0},
+            "verify": {"cases": 2}}
+
+    def rows(section: str, key: str = None) -> dict:
+        values = dict(base[section], **({key: 2 * base[section][key]} if key else {}))
+        name = f"{section}-{key}"
+        (tmp_path / f"{name}.json").write_text(json.dumps({"seed": 0, "process": GEOMETRIC, section: values}))
+        assert cli.main([section, "--config", str(tmp_path / f"{name}.json"), "--out", str(tmp_path / name)]) == 0
+        found = {}
+        for line in (tmp_path / name / f"{section}.csv").read_text().splitlines()[1:]:
+            found.setdefault(line.split(",")[0], []).append(line)
+        return found
+
+    before = {section: rows(section) for section in base}
+    for name, readers in config.READ_BY.items():
+        section, key = name.split(".")
+        after = rows(section, key)
+        assert after.keys() == before[section].keys()
+        assert sorted(i for i in after if after[i] != before[section][i]) == sorted(readers), name
 
 
 def test_dependence_reads_families_only_through_their_methods():
